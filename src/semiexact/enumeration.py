@@ -479,6 +479,16 @@ def _search_non_i_uniform_bimorphism_cs(spec):
     return None, count
 
 
+def _replay_non_i_uniform_bimorphism_cs(witnesses):
+    from .core import is_cancellative_module
+    from .morphisms import classify, is_injective
+
+    (f,) = witnesses
+    return (is_cancellative_module(f.domain) and is_cancellative_module(f.codomain)
+            and is_injective(f) and _replay_cancellative_epi_not_surjective(witnesses)
+            and not classify(f).i_uniform)
+
+
 def _search_bimorphism_not_iso(spec):
     """Bimorphism (bounded-universe mono and epi) that is not an isomorphism."""
     from .morphisms import is_injective, is_isomorphism
@@ -587,6 +597,21 @@ def _search_short_five_needs_i_uniform(spec):
     return None, count
 
 
+def _replay_short_five_needs_i_uniform(witnesses):
+    from .core import is_cancellative_module
+    from .exactness import is_short_exact, short_sequence
+    from .morphisms import classify, compose, is_isomorphism
+
+    (f1, g1), (f2, g2), a1, a2, a3 = witnesses
+    return (is_short_exact(short_sequence(f1, g1)).ok
+            and is_short_exact(short_sequence(f2, g2)).ok
+            and is_cancellative_module(f1.codomain) and is_cancellative_module(f2.codomain)
+            and compose(f2, a1).map == compose(a2, f1).map
+            and compose(a3, g1).map == compose(g2, a2).map
+            and is_isomorphism(a1) and is_isomorphism(a3)
+            and not classify(a2).i_uniform and not is_isomorphism(a2))
+
+
 PROPERTIES = {
     "non-subtractive-subsemimodule": (
         "a subsemimodule strictly below its subtractive closure",
@@ -602,7 +627,7 @@ PROPERTIES = {
         _search_cancellative_epi_not_surjective, _replay_cancellative_epi_not_surjective),
     "non-i-uniform-bimorphism-cs": (
         "cancellative bimorphism that is not i-uniform (expected absent)",
-        _search_non_i_uniform_bimorphism_cs, _replay_cancellative_epi_not_surjective),
+        _search_non_i_uniform_bimorphism_cs, _replay_non_i_uniform_bimorphism_cs),
     "bimorphism-not-iso": (
         "bimorphism over the bounded universe that is not an isomorphism",
         _search_bimorphism_not_iso, _replay_bimorphism_not_iso),
@@ -614,7 +639,7 @@ PROPERTIES = {
         _search_semi_exact_not_proper, _replay_semi_exact_not_proper),
     "short-five-needs-i-uniform": (
         "short-five middle hypothesis dropped (expected absent at desk scale)",
-        _search_short_five_needs_i_uniform, lambda w: True),
+        _search_short_five_needs_i_uniform, _replay_short_five_needs_i_uniform),
 }
 
 

@@ -1,10 +1,18 @@
 """Deterministic generation of hypothesis-satisfying diagram corpora.
 
 Rows are built constructively (surjections onto kernel submodules give
-exact stretches by construction), verticals are drawn from cached hom-sets
-and filtered square by square. Given the same spec (semiring, bound, seed)
-the generated corpus is identical run to run; the seed only shuffles the
-candidate order so corpora are not dominated by zero maps.
+exact stretches by construction), verticals are drawn from cached hom-sets.
+Squares are filled by a hash join on composite tables: for a fixed arrow
+such as f2, the hom-set of candidate a1 is indexed once by the table of
+f2∘a1, and the other side of the square, a2∘f1, is looked up as a plain
+tuple. No Morphism is built to test a square; Diagram.from_arrows still
+checks every square of every diagram it is handed.
+
+Given the same spec (semiring, bound, seed) the generated corpus is
+identical run to run; the seed only shuffles the candidate order so corpora
+are not dominated by zero maps. Row pairs are shuffled as indices into the
+product rather than as a materialised list of pairs: Random.shuffle's draws
+depend only on the length of the list, so the order is the same either way.
 """
 
 from __future__ import annotations
@@ -13,13 +21,13 @@ import random
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .core import Subsemimodule, is_cancellative_module
+from .core import Semiring, Subsemimodule, is_cancellative_module
 from .diagrams import Diagram
 from .enumeration import UniverseSpec, enumerate_semimodules, oracle_iso_exists
-from .errors import ParameterError
-from .morphisms import (classify, compose, enumerate_hom, image_set, is_injective,
-                        is_isomorphism, is_k_uniform, is_surjective, kernel_module,
-                        kernel_set)
+from .errors import ParameterError, StructureError
+from .morphisms import (Morphism, classify, compose, enumerate_hom, image_set,
+                        is_injective, is_isomorphism, is_k_uniform, is_surjective,
+                        kernel_module, kernel_set)
 from .quotients import bourne_congruence, quotient
 
 
@@ -50,6 +58,30 @@ def _shuffled(items, seed, tag):
     # str seeding is sha512-based, stable across processes (unlike hash())
     out = list(items)
     random.Random(f"{seed}:{tag}").shuffle(out)
+    return out
+
+
+def _shuffled_pairs(left, right, seed, tag):
+    """The pairs of _shuffled([(l, r) for l in left for r in right], seed, tag),
+    yielded lazily: the permutation is drawn on indices into the product, and
+    Random.shuffle's draws depend only on the length, so the order is the same."""
+    m = len(right)
+    order = list(range(len(left) * m))
+    random.Random(f"{seed}:{tag}").shuffle(order)
+    for k in order:
+        yield left[k // m], right[k % m]
+
+
+def _table(g, f):
+    """The table of g∘f, without building (and re-validating) the Morphism."""
+    return tuple(map(g.map.__getitem__, f.map))
+
+
+def _index(homs, key):
+    """Members of a hom-set grouped by key(h), each group in hom-set order."""
+    out = {}
+    for h in homs:
+        out.setdefault(key(h), []).append(h)
     return out
 
 
@@ -89,16 +121,12 @@ def _short_exact_rows(semiring, max_size):
 def _row_pairs_with_verticals(spec, rows_top, rows_bottom, tag):
     """Yield (f1, g1, f2, g2, a1, a2, a3) with both squares commuting."""
     seed = spec.seed
-    pairs = [(r1, r2) for r1 in rows_top for r2 in rows_bottom]
-    for (f1, g1), (f2, g2) in _shuffled(pairs, seed, tag):
-        mids = _homs(f1.codomain, f2.codomain)
-        for a2 in _shuffled(mids, seed, tag + "a2"):
-            lefts = [a1 for a1 in _homs(f1.domain, f2.domain)
-                     if compose(f2, a1).map == compose(a2, f1).map]
-            rights = [a3 for a3 in _homs(g1.codomain, g2.codomain)
-                      if compose(a3, g1).map == compose(g2, a2).map]
-            for a1 in lefts:
-                for a3 in rights:
+    for (f1, g1), (f2, g2) in _shuffled_pairs(rows_top, rows_bottom, seed, tag):
+        a1_by = _index(_homs(f1.domain, f2.domain), lambda a1: _table(f2, a1))
+        a3_by = _index(_homs(g1.codomain, g2.codomain), lambda a3: _table(a3, g1))
+        for a2 in _shuffled(_homs(f1.codomain, f2.codomain), seed, tag + "a2"):
+            for a1 in a1_by.get(_table(a2, f1), ()):
+                for a3 in a3_by.get(_table(g2, a2), ()):
                     yield f1, g1, f2, g2, a1, a2, a3
 
 
@@ -132,8 +160,7 @@ def gen_lemma_short(spec: HarnessSpec, direction: int):
     """Diagrams for the exactness-transfer lemma, per direction."""
     s, n = spec.semiring, spec.max_size
     exact = _exact_pairs(s, n)
-    all_rows = tuple({(f, g) for f, g in exact} |
-                     {(f, g) for f, g in _any_rows(s, n)})
+    all_rows = tuple(dict.fromkeys(exact + _any_rows(s, n)))
     out = []
     if direction == 1:
         top, bottom = exact, all_rows
@@ -278,23 +305,25 @@ def _gen_2x5(spec: HarnessSpec, tag, keep):
     rows = _exact_5rows(spec.semiring, spec.max_size)
     seed = spec.seed
     out = []
-    for (d1, f1, g1, h1), (d2, f2, g2, h2) in _shuffled(
-            [(r1, r2) for r1 in rows for r2 in rows], seed, tag):
+    for (d1, f1, g1, h1), (d2, f2, g2, h2) in _shuffled_pairs(rows, rows, seed, tag):
+        a1_by = _index(_homs(f1.domain, f2.domain), lambda a1: _table(f2, a1))
+        a3_by = _index(_homs(g1.codomain, g2.codomain), lambda a3: _table(a3, g1))
+        gamma_by = delta_by = None
         for a2 in _shuffled(_homs(f1.codomain, f2.codomain), seed, tag + "a2"):
-            a1s = [a1 for a1 in _homs(f1.domain, f2.domain)
-                   if compose(f2, a1).map == compose(a2, f1).map]
+            a1s = a1_by.get(_table(a2, f1))
             if not a1s:
                 continue
-            a3s = [a3 for a3 in _homs(g1.codomain, g2.codomain)
-                   if compose(a3, g1).map == compose(g2, a2).map]
+            a3s = a3_by.get(_table(g2, a2))
             if not a3s:
                 continue
+            if gamma_by is None:
+                gamma_by = _index(_homs(d1.domain, d2.domain), lambda g: _table(d2, g))
+                delta_by = _index(_homs(h1.codomain, h2.codomain),
+                                  lambda dd: _table(dd, h1))
             for a1 in a1s:
-                gammas = [g for g in _homs(d1.domain, d2.domain)
-                          if compose(d2, g).map == compose(a1, d1).map]
+                gammas = gamma_by.get(_table(a1, d1), ())
                 for a3 in a3s:
-                    deltas = [dd for dd in _homs(h1.codomain, h2.codomain)
-                              if compose(dd, h1).map == compose(h2, a3).map]
+                    deltas = delta_by.get(_table(h2, a3), ())
                     for gamma in gammas:
                         for delta in deltas:
                             verts = (gamma, a1, a2, a3, delta)
@@ -371,7 +400,6 @@ def _derive_quotient_row(f2, g2, a1, a2, a3):
                 table[c] = v
             elif table[c] != v:
                 return None
-        from .morphisms import Morphism
         return Morphism(f"[{f.name}]", q_src.quotient, q_dst.quotient, table)
 
     f3 = induced(q1, q2, f2)
@@ -395,18 +423,22 @@ def _gen_3x3(spec: HarnessSpec, tag, top_filter, keep):
         a1s = [a for L1 in mods for a in _homs(L1, L2) if top_filter(0, a)]
         a2s = [a for M1 in mods for a in _homs(M1, M2) if top_filter(1, a)]
         a3s = [a for N1 in mods for a in _homs(N1, N2) if top_filter(2, a)]
+        g1_by = {}  # (M1, position of a3) -> index of Hom(M1, N1) by a3∘g1
         for a2 in _shuffled(a2s, seed, tag + "a2"):
             M1 = a2.domain
+            f1_by = {}  # L1 -> index of Hom(L1, M1) by a2∘f1
             for a1 in a1s:
                 L1 = a1.domain
-                f1s = [f1 for f1 in _homs(L1, M1)
-                       if compose(a2, f1).map == compose(f2, a1).map]
+                if L1 not in f1_by:
+                    f1_by[L1] = _index(_homs(L1, M1), lambda f1: _table(a2, f1))
+                f1s = f1_by[L1].get(_table(f2, a1))
                 if not f1s:
                     continue
-                for a3 in a3s:
-                    N1 = a3.domain
-                    g1s = [g1 for g1 in _homs(M1, N1)
-                           if compose(a3, g1).map == compose(g2, a2).map]
+                for j, a3 in enumerate(a3s):
+                    if (M1, j) not in g1_by:
+                        g1_by[M1, j] = _index(_homs(M1, a3.domain),
+                                              lambda g1: _table(a3, g1))
+                    g1s = g1_by[M1, j].get(_table(g2, a2))
                     if not g1s:
                         continue
                     derived = _derive_quotient_row(f2, g2, a1, a2, a3)
@@ -529,8 +561,7 @@ def gen_snake(spec: HarnessSpec):
     bottom_rows = _snake_left_rows(s, n)
     seed = spec.seed
     out = []
-    for (f1, g1), (f2, g2) in _shuffled(
-            [(r1, r2) for r1 in top_rows for r2 in bottom_rows], seed, "snake"):
+    for (f1, g1), (f2, g2) in _shuffled_pairs(top_rows, bottom_rows, seed, "snake"):
         for a2 in _shuffled(_homs(f1.codomain, f2.codomain), seed, "snake.a2"):
             if not _classify(a2).uniform:
                 continue
@@ -548,8 +579,6 @@ def gen_snake(spec: HarnessSpec):
 
 def _derive_left_vertical(f1, f2, a2):
     """Unique a1 with f2∘a1 = a2∘f1 when f2 is injective; None if absent."""
-    from .morphisms import Morphism
-
     pre = {}
     for x in f2.domain.elements():
         pre[f2.map[x]] = x
@@ -562,14 +591,12 @@ def _derive_left_vertical(f1, f2, a2):
     try:
         return Morphism(f"a1[{f1.domain.name}->{f2.domain.name}]",
                         f1.domain, f2.domain, table)
-    except Exception:
+    except StructureError:
         return None
 
 
 def _derive_right_vertical(g1, g2, a2):
     """Unique a3 with a3∘g1 = g2∘a2 when g1 is surjective; None if inconsistent."""
-    from .morphisms import Morphism
-
     table = [None] * g1.codomain.size
     for m1 in g1.domain.elements():
         n1 = g1.map[m1]
@@ -583,5 +610,5 @@ def _derive_right_vertical(g1, g2, a2):
     try:
         return Morphism(f"a3[{g1.codomain.name}->{g2.codomain.name}]",
                         g1.codomain, g2.codomain, table)
-    except Exception:
+    except StructureError:
         return None

@@ -4,7 +4,9 @@ The oracles here deliberately re-derive everything from raw tables with
 their own loops (no calls into the code paths they check).
 """
 
+import os
 from itertools import product
+from pathlib import Path
 
 import pytest
 
@@ -12,6 +14,15 @@ from semiexact.core import (make_product, make_truncated_minplus, make_zmod,
                             monoid_semiring)
 from semiexact.enumeration import UniverseSpec, enumerate_semimodules
 from semiexact.fixtures import builtin_modules, builtin_semirings, monoid_fixture
+
+
+@pytest.fixture(scope="session")
+def src_env():
+    """The environment with this checkout's src/ first on PYTHONPATH, for
+    tests that start a fresh interpreter."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path)
 
 
 @pytest.fixture(scope="session")

@@ -157,8 +157,8 @@ def test_corpus_round_trip(tmp_path):
     assert len(ws.modules) >= 3
 
 
-def test_console_entry_point():
+def test_console_entry_point(src_env):
     proc = subprocess.run([sys.executable, "-m", "semiexact.cli", "--version"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=src_env)
     assert proc.returncode == 0
     assert "semiexact" in proc.stdout

@@ -128,6 +128,38 @@ def test_search_short_five_drop_hypothesis_exhausts():
     assert isinstance(outcome, ExhaustionReport)
 
 
+def test_bimorphism_replay_requires_injective_cancellative_maps():
+    """Maps that pass the cancellative-epi replay between non-cancellative
+    modules, most of them not injective, are no cancellative bimorphisms."""
+    from semiexact.morphisms import enumerate_hom, is_injective
+
+    mods = enumerate_semimodules(UniverseSpec(monoid_semiring(3), 3)).modules
+    epi_like = [f for M in mods for N in mods for f in enumerate_hom(M, N)
+                if replay_counterexample(
+                    Counterexample("cancellative-epi-not-surjective", (f,), "", True))]
+    assert any(not is_injective(f) for f in epi_like)
+    for f in epi_like:
+        tampered = Counterexample("non-i-uniform-bimorphism-cs", (f,), "tampered", True)
+        assert not replay_counterexample(tampered), f.name
+
+
+def test_short_five_replay_rechecks_the_property():
+    """A genuine short-five diagram (middle vertical an isomorphism) and the
+    same diagram with a zero middle vertical are both rejected."""
+    from semiexact.harness import vertical_triples
+    from semiexact.morphisms import is_isomorphism, zero_morphism
+
+    spec = UniverseSpec(make_zmod(2), 4)
+    row1, row2, (a1, a2, a3) = next(
+        (r1, r2, v) for r1, r2, v in vertical_triples(spec, require_cancellative_mid=True)
+        if is_isomorphism(v[0]) and is_isomorphism(v[2]) and v[1].domain.size > 1)
+    zero = zero_morphism(a2.domain, a2.codomain)
+    for middle in (a2, zero):
+        tampered = Counterexample("short-five-needs-i-uniform",
+                                  (row1, row2, a1, middle, a3), "tampered", True)
+        assert not replay_counterexample(tampered)
+
+
 def test_search_unknown_property():
     with pytest.raises(ParameterError):
         search_counterexample("no-such-property", UniverseSpec(make_boolean(), 2))

@@ -4,9 +4,17 @@ The full-size corpora (quota 100+) run in the acceptance suite; here each
 clause gets a small quota to keep the unit suite fast.
 """
 
+import hashlib
+import json
+import subprocess
+import sys
+import typing
+from pathlib import Path
+
 import pytest
 
-from semiexact.core import make_boolean, make_saturating_naturals, make_zmod
+from semiexact import harness
+from semiexact.core import Semiring, make_boolean, make_saturating_naturals, make_zmod
 from semiexact.diagrams import (snake, verify_short_five_half, verify_five,
                                 verify_five_parts, verify_lemma_diagram,
                                 verify_lemma_short, verify_nine, verify_nine_first,
@@ -15,6 +23,9 @@ from semiexact.harness import (HarnessSpec, gen_short_five_half, gen_five,
                                gen_five_parts, gen_lemma_diagram, gen_lemma_short,
                                gen_nine, gen_nine_first, gen_nine_third,
                                gen_short_five, gen_snake)
+from semiexact.morphisms import compose, enumerate_hom
+
+SNAPSHOT = Path(__file__).resolve().parent / "data" / "harness_corpora_seed11.json"
 
 
 @pytest.fixture(scope="module")
@@ -99,3 +110,95 @@ def test_snake_family(z2spec, t2spec):
         assert len(ds) >= spec.quota
         results = [snake(d) for d in ds]
         assert all(r.ok for r in results)
+
+
+def test_harness_spec_type_hints_resolve():
+    assert typing.get_type_hints(HarnessSpec)["semiring"] is Semiring
+
+
+@pytest.mark.parametrize("n_left, n_right", [(0, 0), (0, 4), (4, 0), (1, 1), (1, 6),
+                                             (6, 1), (7, 3), (40, 25)])
+def test_shuffled_pairs_is_the_materialised_shuffle(n_left, n_right):
+    left = [f"l{i}" for i in range(n_left)]
+    right = [f"r{i}" for i in range(n_right)]
+    for seed, tag in ((0, "t"), (11, "snake"), (5, "fd1a")):
+        assert list(harness._shuffled_pairs(left, right, seed, tag)) == \
+            harness._shuffled([(l, r) for l in left for r in right], seed, tag)
+
+
+def _compose_filter(spec, rows_top, rows_bottom, tag):
+    """Square filling by composing every candidate: the reference for the
+    hash join in _row_pairs_with_verticals."""
+    pairs = [(r1, r2) for r1 in rows_top for r2 in rows_bottom]
+    for (f1, g1), (f2, g2) in harness._shuffled(pairs, spec.seed, tag):
+        for a2 in harness._shuffled(enumerate_hom(f1.codomain, f2.codomain),
+                                    spec.seed, tag + "a2"):
+            lefts = [a1 for a1 in enumerate_hom(f1.domain, f2.domain)
+                     if compose(f2, a1).map == compose(a2, f1).map]
+            rights = [a3 for a3 in enumerate_hom(g1.codomain, g2.codomain)
+                      if compose(a3, g1).map == compose(g2, a2).map]
+            for a1 in lefts:
+                for a3 in rights:
+                    yield f1, g1, f2, g2, a1, a2, a3
+
+
+@pytest.mark.parametrize("semiring", [make_zmod(2), make_saturating_naturals(2)],
+                         ids=lambda s: s.name)
+@pytest.mark.parametrize("seed", [3, 8])
+def test_row_pairs_match_compose_filter(semiring, seed):
+    spec = HarnessSpec(semiring, 3, seed=seed)
+    top = harness._exact_pairs(semiring, 3)
+    bottom = harness._short_exact_rows(semiring, 3)
+    expected = list(_compose_filter(spec, top, bottom, "eq"))
+    assert len(expected) > 30
+    assert list(harness._row_pairs_with_verticals(spec, top, bottom, "eq")) == expected
+
+
+# Every generator but gen_lemma_short, whose row order no longer follows the
+# string hash seed; the stored digests were recorded with the compose filter.
+SNAPSHOT_CORPORA = (
+    [("gen_lemma_diagram", c) for c in ("1a", "1b", "2a", "2b", "3")]
+    + [("gen_short_five", None)]
+    + [("gen_short_five_half", c) for c in (1, 2)]
+    + [("gen_five_parts", c) for c in ("1a", "1b", "2", "3")]
+    + [("gen_five", c) for c in (1, 2, 3)]
+    + [("gen_nine_first", c) for c in (1, 2)]
+    + [("gen_nine_third", c) for c in (1, 2)]
+    + [("gen_nine", c) for c in ("first-from-third", "third-from-first", "iff")]
+    + [("gen_snake", None)])
+
+
+def test_corpora_match_snapshot():
+    expected = json.loads(SNAPSHOT.read_text(encoding="utf-8"))
+    specs = {"Z2": HarnessSpec(make_zmod(2), 4, seed=11, quota=4),
+             "T2": HarnessSpec(make_saturating_naturals(2), 3, seed=11, quota=4)}
+    got = {}
+    for pool, spec in specs.items():
+        for name, clause in SNAPSHOT_CORPORA:
+            gen = getattr(harness, name)
+            ds = gen(spec) if clause is None else gen(spec, clause)
+            text = "\n".join(
+                d.name + ":" + ";".join(",".join(map(str, a.map)) for _, a in
+                                        sorted(d.horizontals.items())
+                                        + sorted(d.verticals.items()))
+                for d in ds)
+            key = f"{name}@{pool}" if clause is None else f"{name}({clause})@{pool}"
+            got[key] = [len(ds), hashlib.sha256(text.encode()).hexdigest()[:16]]
+    assert got == expected
+
+
+def test_lemma_short_independent_of_hash_seed(src_env):
+    script = ("from semiexact.core import make_zmod\n"
+              "from semiexact.harness import HarnessSpec, gen_lemma_short\n"
+              "spec = HarnessSpec(make_zmod(2), 4, seed=5, quota=25)\n"
+              "for k in (1, 2, 3):\n"
+              "    for d in gen_lemma_short(spec, k):\n"
+              "        print(k, sorted((p, a.map) for p, a in d.horizontals.items()),\n"
+              "              sorted((p, a.map) for p, a in d.verticals.items()))\n")
+    outputs = []
+    for hash_seed in ("0", "1"):
+        env = dict(src_env, PYTHONHASHSEED=hash_seed)
+        outputs.append(subprocess.run([sys.executable, "-c", script], env=env,
+                                      capture_output=True, text=True, check=True).stdout)
+    assert outputs[0].count("\n") == 75
+    assert outputs[0] == outputs[1]
