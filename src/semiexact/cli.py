@@ -12,9 +12,7 @@ import argparse
 import sys
 
 from . import __version__
-from .diagrams import (snake, verify_short_five_half, verify_five, verify_five_parts,
-                       verify_lemma_diagram, verify_lemma_short, verify_nine,
-                       verify_nine_first, verify_nine_third, verify_short_five)
+from .diagrams import CLAUSES, lookup, snake, verify
 from .enumeration import (Counterexample, UniverseSpec, enumerate_semimodules,
                           search_counterexample)
 from .errors import (HypothesisError, ParameterError, SemiexactError, StructureError,
@@ -50,33 +48,7 @@ def _say(args, *text):
         print(*text)
 
 
-LEMMAS = {
-    "short.1": lambda d: verify_lemma_short(d, 1),
-    "short.2": lambda d: verify_lemma_short(d, 2),
-    "short.3": lambda d: verify_lemma_short(d, 3),
-    "diagram.1a": lambda d: verify_lemma_diagram(d, "1a"),
-    "diagram.1b": lambda d: verify_lemma_diagram(d, "1b"),
-    "diagram.2a": lambda d: verify_lemma_diagram(d, "2a"),
-    "diagram.2b": lambda d: verify_lemma_diagram(d, "2b"),
-    "diagram.3": lambda d: verify_lemma_diagram(d, "3"),
-    "short-five-half.1": lambda d: verify_short_five_half(d, 1),
-    "short-five-half.2": lambda d: verify_short_five_half(d, 2),
-    "short-five": verify_short_five,
-    "five-parts.1a": lambda d: verify_five_parts(d, "1a"),
-    "five-parts.1b": lambda d: verify_five_parts(d, "1b"),
-    "five-parts.2": lambda d: verify_five_parts(d, "2"),
-    "five-parts.3": lambda d: verify_five_parts(d, "3"),
-    "five.1": lambda d: verify_five(d, 1),
-    "five.2": lambda d: verify_five(d, 2),
-    "five.3": lambda d: verify_five(d, 3),
-    "nine-first.1": lambda d: verify_nine_first(d, 1),
-    "nine-first.2": lambda d: verify_nine_first(d, 2),
-    "nine-third.1": lambda d: verify_nine_third(d, 1),
-    "nine-third.2": lambda d: verify_nine_third(d, 2),
-    "nine.first-from-third": lambda d: verify_nine(d, "first-from-third"),
-    "nine.third-from-first": lambda d: verify_nine(d, "third-from-first"),
-    "nine.iff": lambda d: verify_nine(d, "iff"),
-}
+LEMMAS = CLAUSES
 
 
 def _load(args) -> Workspace:
@@ -162,11 +134,9 @@ def _emit_certificate(args, report, cert):
 
 def cmd_lemma(args, report):
     ws = _load(args)
-    if args.name not in LEMMAS:
-        raise ParameterError(f"unknown lemma {args.name!r}; known: "
-                             + ", ".join(sorted(LEMMAS)))
+    lookup(args.name, ParameterError)
     d = _pick(ws.diagrams, args.diagram, "diagram")
-    cert = LEMMAS[args.name](d)
+    cert = verify(args.name, d)
     _say(args, f"lemma {args.name} on {d.name}:")
     bad = _emit_certificate(args, report, cert)
     if bad:
@@ -283,7 +253,7 @@ def build_parser():
     p.set_defaults(func=cmd_exactness)
 
     p = sub.add_parser("lemma", help="verify a diagram lemma")
-    p.add_argument("name", help="e.g. short.1, diagram.2b, short-five, five.3, nine.iff")
+    p.add_argument("name", help="one of: " + ", ".join(LEMMAS))
     p.add_argument("diagram")
     common(p)
     p.set_defaults(func=cmd_lemma)

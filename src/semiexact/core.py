@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import ParameterError, StructureError
+from .errors import LemmaRefuted, ParameterError, StructureError
 
 
 def freeze_table(rows):
@@ -382,7 +382,8 @@ def all_subsemimodules(M: Semimodule):
 
 def _built(s: Semiring) -> Semiring:
     report = validate_semiring(s)
-    assert report.ok, f"builder produced an invalid semiring:\n{report}"
+    if not report.ok:
+        raise LemmaRefuted(f"builder produced an invalid semiring:\n{report}")
     return s
 
 

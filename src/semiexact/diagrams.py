@@ -1,11 +1,16 @@
 """Commutative diagrams and mechanical verifiers for the homological lemmas.
 
-A verifier never trusts declared tags: it re-checks every hypothesis from
-the raw tables (raising HypothesisError if one fails) and only then
-evaluates the lemma's conclusions, returning a certificate that carries a
-witness for anything that failed. A failed conclusion on a
-hypothesis-satisfying instance is an implementation bug, never new
-mathematics.
+Every lemma clause is one entry of CLAUSES: its grid shape, its ordered
+hypotheses and its ordered conclusions, each a Claim over named parts of
+the grid (an assertion id, a test and the witness reported when the test
+fails; a conclusion may carry a condition), and the tag its harness
+generator names diagrams by. One interpreter, verify(), reads the table:
+it re-checks every hypothesis from the raw tables (raising HypothesisError
+at the first that fails) and only then evaluates the conclusions, returning
+a certificate that carries a witness for anything that failed. A failed
+conclusion on a hypothesis-satisfying instance is an implementation bug,
+never new mathematics. The harness derives its clause filters from the same
+entries (Clause.filter), and the CLI's lemma names are the table's keys.
 
 Grid layout: nodes[r][c] with horizontals (r,c): nodes[r][c] -> nodes[r][c+1]
 and verticals (r,c): nodes[r][c] -> nodes[r+1][c].
@@ -13,9 +18,13 @@ and verticals (r,c): nodes[r][c] -> nodes[r+1][c].
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
+from functools import lru_cache
+from operator import eq, itemgetter
+from typing import Callable, NamedTuple
 
-from .core import is_cancellative_module, subtractive_closure_set
+from .core import Element, is_cancellable, is_cancellative_module, subtractive_closure_set
 from .errors import HypothesisError, LemmaRefuted, StructureError
 from .exactness import Sequence, analyze
 from .morphisms import (Morphism, classify, compose, image_set, is_cancellative_morphism,
@@ -45,27 +54,38 @@ class Certificate:
 
 
 class _Check:
+    """The conclusions of one snake certificate, in order."""
+
     def __init__(self, lemma):
-        self.lemma = lemma
-        self.hyps = []
-        self.concls = []
-
-    def gate(self, cond, aid, witness="-"):
-        self.hyps.append(Assertion(aid, bool(cond), "-" if cond else witness))
-        if not cond:
-            raise HypothesisError(f"{self.lemma}: {aid}", witness)
-
-    def gate_cancellative(self, M, aid):
-        from .core import Element, is_cancellable
-
-        bad = next((m for m in M.elements() if not is_cancellable(Element(M, m))), None)
-        self.gate(bad is None, aid, f"violated by element {bad} of {M.name}")
+        self.lemma, self.concls = lemma, []
 
     def conclude(self, cond, aid, witness="-"):
         self.concls.append(Assertion(aid, bool(cond), "-" if cond else witness))
 
     def done(self):
-        return Certificate(self.lemma, tuple(self.hyps), tuple(self.concls))
+        return Certificate(self.lemma, (), tuple(self.concls))
+
+
+# ------------------------------------------------------------ the vocabulary
+
+# classify, memoised: the one cache behind the classification predicates,
+# whether a verifier, Diagram.check_tag or a harness filter asks.
+_classify = lru_cache(maxsize=None)(classify)
+
+# The predicates of declared hypothesis tags and of the clause table; all but
+# `cancellative` (a module) take a morphism.
+PREDICATES = {
+    "injective": is_injective,
+    "surjective": is_surjective,
+    "iso": is_isomorphism,
+    "k-uniform": lambda f: _classify(f).k_uniform,
+    "i-uniform": lambda f: _classify(f).i_uniform,
+    "uniform": lambda f: _classify(f).uniform,
+    "semi-mono": lambda f: _classify(f).semi_mono,
+    "semi-epi": lambda f: _classify(f).semi_epi,
+    "cancellative-morphism": lambda f: _classify(f).cancellative,
+    "cancellative": is_cancellative_module,
+}
 
 
 class Diagram:
@@ -115,6 +135,12 @@ class Diagram:
 
     def vertical(self, r, c):
         return self.verticals[(r, c)]
+
+    def parts(self):
+        """The arrows, horizontals row by row and then verticals row by row:
+        on a full grid, the order of the part names in _PART_NAMES."""
+        return (tuple(self.horizontals[k] for k in sorted(self.horizontals))
+                + tuple(self.verticals[k] for k in sorted(self.verticals)))
 
     def _validate_shape(self):
         for (r, c), f in self.horizontals.items():
@@ -189,20 +215,9 @@ class Diagram:
             M = self.node_by_name(parts[1])
             return is_cancellative_module(M), f"module {parts[1]} not cancellative"
         f = self.morphism_by_name(parts[1])
-        checks = {
-            "injective": lambda: is_injective(f),
-            "surjective": lambda: is_surjective(f),
-            "iso": lambda: is_isomorphism(f),
-            "k-uniform": lambda: classify(f).k_uniform,
-            "i-uniform": lambda: classify(f).i_uniform,
-            "uniform": lambda: classify(f).uniform,
-            "semi-mono": lambda: classify(f).semi_mono,
-            "semi-epi": lambda: classify(f).semi_epi,
-            "cancellative-morphism": lambda: is_cancellative_morphism(f),
-        }
-        if kind not in checks:
+        if kind not in PREDICATES:
             raise StructureError(f"diagram {self.name}: unknown hypothesis tag {tag!r}")
-        return checks[kind](), f"{kind} {parts[1]} fails"
+        return PREDICATES[kind](f), f"{kind} {parts[1]} fails"
 
 
 def _require_grid(d: Diagram, rows, cols, lemma):
@@ -237,336 +252,6 @@ def _row_exact_witness(seq):
     return False, f"position {bad.position}: {bad.witness}"
 
 
-# ------------------------------------------------------------- Lemma: short
-
-def verify_lemma_short(d: Diagram, direction: int) -> Certificate:
-    """2x3 diagram, first column surjective and third injective; exactness of
-    one row transfers to the other along the middle vertical."""
-    _require_grid(d, 2, 3, "lemma short")
-    ck = _Check(f"short.{direction}")
-    f1, g1 = d.horizontal(0, 0), d.horizontal(0, 1)
-    f2, g2 = d.horizontal(1, 0), d.horizontal(1, 1)
-    a1, a2, a3 = d.vertical(0, 0), d.vertical(0, 1), d.vertical(0, 2)
-    ck.gate(is_surjective(a1), "alpha1 surjective", f"{a1.name} misses part of {a1.codomain.name}")
-    ck.gate(is_injective(a3), "alpha3 injective", f"{a3.name} identifies two elements")
-    row1 = _exact_middle(f1, g1)
-    row2 = _exact_middle(f2, g2)
-    if direction == 1:
-        ck.gate(is_surjective(a2), "alpha2 surjective", a2.name)
-        ck.gate(row1[0], "first row exact", row1[1])
-        ck.conclude(row2[0], "second row exact", row2[1])
-    elif direction == 2:
-        ck.gate(is_injective(a2), "alpha2 injective", a2.name)
-        ck.gate(row2[0], "second row exact", row2[1])
-        ck.conclude(row1[0], "first row exact", row1[1])
-    elif direction == 3:
-        ck.gate(is_isomorphism(a2), "alpha2 isomorphism", a2.name)
-        ck.conclude(row1[0] == row2[0], "rows equi-exact",
-                    f"first={row1[0]} second={row2[0]}")
-    else:
-        raise StructureError("lemma short: direction must be 1, 2 or 3")
-    return ck.done()
-
-
-# ----------------------------------------------------------- Lemma: diagram
-
-def verify_lemma_diagram(d: Diagram, clause: str) -> Certificate:
-    """2x3 diagram with both rows exact; clause-specific transfer of
-    injectivity/surjectivity across the verticals."""
-    _require_grid(d, 2, 3, "lemma diagram")
-    ck = _Check(f"diagram.{clause}")
-    f1, g1 = d.horizontal(0, 0), d.horizontal(0, 1)
-    f2, g2 = d.horizontal(1, 0), d.horizontal(1, 1)
-    a1, a2, a3 = d.vertical(0, 0), d.vertical(0, 1), d.vertical(0, 2)
-    ok, wit = _exact_middle(f1, g1)
-    ck.gate(ok, "first row exact", wit)
-    ok, wit = _exact_middle(f2, g2)
-    ck.gate(ok, "second row exact", wit)
-    c2 = classify(a2)
-    if clause == "1a":
-        ck.gate(is_surjective(g1), "g1 surjective", g1.name)
-        ck.gate(is_surjective(a1), "alpha1 surjective", a1.name)
-        ck.gate(is_injective(a2), "alpha2 injective", a2.name)
-        ck.conclude(is_injective(a3), "alpha3 injective",
-                    dict(classify(a3).witnesses).get("injective", "-"))
-    elif clause == "1b":
-        ck.gate(is_injective(f2), "f2 injective", f2.name)
-        ck.gate(classify(a3).semi_mono, "alpha3 semi-mono", a3.name)
-        ck.gate(is_surjective(a2), "alpha2 surjective", a2.name)
-        ck.conclude(is_surjective(a1), "alpha1 surjective", a1.name)
-    elif clause == "2a":
-        ck.gate(classify(f2).semi_mono, "f2 semi-mono", f2.name)
-        ck.gate(classify(a1).semi_mono, "alpha1 semi-mono", a1.name)
-        ck.gate(classify(a3).semi_mono, "alpha3 semi-mono", a3.name)
-        ck.conclude(c2.semi_mono, "alpha2 semi-mono", dict(c2.witnesses).get("semi_mono", "-"))
-    elif clause == "2b":
-        ck.gate(is_cancellative_morphism(f1), "f1 cancellative", f1.name)
-        ck.gate(is_cancellative_morphism(a2), "alpha2 cancellative", a2.name)
-        ck.gate(is_injective(a1), "alpha1 injective", a1.name)
-        ck.gate(is_injective(a3), "alpha3 injective", a3.name)
-        ck.gate(is_injective(f2), "f2 injective", f2.name)
-        ck.conclude(c2.injective, "alpha2 injective", dict(c2.witnesses).get("injective", "-"))
-    elif clause == "3":
-        ck.gate(is_surjective(a1), "alpha1 surjective", a1.name)
-        ck.gate(is_surjective(a3), "alpha3 surjective", a3.name)
-        ck.gate(is_surjective(g1), "g1 surjective", g1.name)
-        ck.conclude(c2.semi_epi, "alpha2 semi-epi", dict(c2.witnesses).get("semi_epi", "-"))
-        if c2.i_uniform:
-            ck.conclude(c2.surjective, "alpha2 surjective (i-uniform case)",
-                        dict(c2.witnesses).get("surjective", "-"))
-    else:
-        raise StructureError("lemma diagram: clause must be 1a, 1b, 2a, 2b or 3")
-    return ck.done()
-
-
-# ------------------------------------------------- Corollary: short-five aux
-
-def _gate_row_right_exact(ck, f, g, label):
-    """Row L -f-> M -g-> N -> 0: exact at M and at N (g surjective)."""
-    ok, wit = _exact_middle(f, g)
-    ck.gate(ok, f"{label} exact at middle", wit)
-    ck.gate(is_surjective(g), f"{label}: g surjective", g.name)
-
-
-def _gate_row_left_exact(ck, f, g, label):
-    """Row 0 -> L -f-> M -g-> N: f injective and exact at M."""
-    ck.gate(is_injective(f), f"{label}: f injective", f.name)
-    ok, wit = _exact_middle(f, g)
-    ck.gate(ok, f"{label} exact at middle", wit)
-
-
-def verify_short_five_half(d: Diagram, clause: int) -> Certificate:
-    """2x3 diagram, top row right-exact, bottom row left-exact, cancellative
-    middles; isomorphism bookkeeping around the middle vertical."""
-    _require_grid(d, 2, 3, "short-five-half")
-    ck = _Check(f"short-five-half.{clause}")
-    f1, g1 = d.horizontal(0, 0), d.horizontal(0, 1)
-    f2, g2 = d.horizontal(1, 0), d.horizontal(1, 1)
-    a1, a2, a3 = d.vertical(0, 0), d.vertical(0, 1), d.vertical(0, 2)
-    ck.gate_cancellative(d.node(0, 1), "M1 cancellative")
-    ck.gate_cancellative(d.node(1, 1), "M2 cancellative")
-    _gate_row_right_exact(ck, f1, g1, "first row")
-    _gate_row_left_exact(ck, f2, g2, "second row")
-    if clause == 1:
-        ck.gate(is_isomorphism(a2), "alpha2 isomorphism", a2.name)
-        ck.conclude(is_surjective(a1) == is_injective(a3),
-                    "alpha1 surjective iff alpha3 injective",
-                    f"alpha1-surj={is_surjective(a1)} alpha3-inj={is_injective(a3)}")
-    elif clause == 2:
-        ck.gate(classify(a2).i_uniform, "alpha2 i-uniform", a2.name)
-        ck.gate(is_isomorphism(a1), "alpha1 isomorphism", a1.name)
-        ck.gate(is_isomorphism(a3), "alpha3 isomorphism", a3.name)
-        ck.conclude(is_isomorphism(a2), "alpha2 isomorphism", a2.name)
-    else:
-        raise StructureError("short-five-half: clause must be 1 or 2")
-    return ck.done()
-
-
-def verify_short_five(d: Diagram) -> Certificate:
-    """Both rows short exact, cancellative middles, outer verticals
-    isomorphisms: the middle vertical is an isomorphism exactly when it is
-    i-uniform.
-
-    The outer isomorphisms must be hypotheses, not part of the iff: with
-    rows 0 -> 0 -> M -> M -> 0 and 0 -> M -> M -> 0 -> 0 the identity
-    middle is an isomorphism while the outer verticals never are.
-    """
-    _require_grid(d, 2, 3, "short-five")
-    ck = _Check("short-five")
-    f1, g1 = d.horizontal(0, 0), d.horizontal(0, 1)
-    f2, g2 = d.horizontal(1, 0), d.horizontal(1, 1)
-    a1, a2, a3 = d.vertical(0, 0), d.vertical(0, 1), d.vertical(0, 2)
-    ck.gate_cancellative(d.node(0, 1), "M1 cancellative")
-    ck.gate_cancellative(d.node(1, 1), "M2 cancellative")
-    for f, g, label in ((f1, g1, "first row"), (f2, g2, "second row")):
-        _gate_row_left_exact(ck, f, g, label)
-        ck.gate(is_surjective(g), f"{label}: g surjective", g.name)
-    ck.gate(is_isomorphism(a1), "alpha1 isomorphism", a1.name)
-    ck.gate(is_isomorphism(a3), "alpha3 isomorphism", a3.name)
-    lhs = classify(a2).i_uniform
-    rhs = is_isomorphism(a2)
-    ck.conclude(lhs == rhs, "alpha2 i-uniform iff alpha2 iso", f"lhs={lhs} rhs={rhs}")
-    ck.conclude((not lhs) or rhs, "i-uniform implies iso", f"lhs={lhs} rhs={rhs}")
-    ck.conclude((not rhs) or lhs, "iso implies i-uniform", f"lhs={lhs} rhs={rhs}")
-    return ck.done()
-
-
-# -------------------------------------------------------- Lemma:
-#                                                           five-parts, five
-
-def _fd_parts(d):
-    row1 = [d.horizontal(0, c) for c in range(4)]
-    row2 = [d.horizontal(1, c) for c in range(4)]
-    verts = [d.vertical(0, c) for c in range(5)]
-    return row1, row2, verts
-
-
-def verify_five_parts(d: Diagram, clause: str) -> Certificate:
-    """2x5 diagram with exact rows; the four working clauses behind the Five
-    Lemma, each gated on its own hypotheses."""
-    _require_grid(d, 2, 5, "five-parts")
-    ck = _Check(f"five-parts.{clause}")
-    row1, row2, verts = _fd_parts(d)
-    gamma, a1, a2, a3, delta = verts
-    ok, wit = _row_exact_witness(Sequence("r1", tuple(row1)))
-    ck.gate(ok, "first row exact", wit)
-    ok, wit = _row_exact_witness(Sequence("r2", tuple(row2)))
-    ck.gate(ok, "second row exact", wit)
-    c2 = classify(a2)
-    if clause == "1a":
-        ck.gate(is_surjective(gamma), "gamma surjective", gamma.name)
-        ck.gate(is_injective(a1), "alpha1 injective", a1.name)
-        ck.gate(classify(a3).semi_mono, "alpha3 semi-mono", a3.name)
-        ck.conclude(c2.semi_mono, "alpha2 semi-mono", dict(c2.witnesses).get("semi_mono", "-"))
-    elif clause == "1b":
-        ck.gate(is_surjective(gamma), "gamma surjective", gamma.name)
-        ck.gate(is_cancellative_morphism(row1[1]), "f1 cancellative", row1[1].name)
-        ck.gate(is_cancellative_morphism(a2), "alpha2 cancellative", a2.name)
-        ck.gate(is_injective(a1), "alpha1 injective", a1.name)
-        ck.gate(is_injective(a3), "alpha3 injective", a3.name)
-        ck.conclude(c2.injective, "alpha2 injective", dict(c2.witnesses).get("injective", "-"))
-    elif clause == "2":
-        ck.gate(classify(delta).semi_mono, "delta semi-mono", delta.name)
-        ck.gate(is_surjective(a1), "alpha1 surjective", a1.name)
-        ck.gate(is_surjective(a3), "alpha3 surjective", a3.name)
-        ck.conclude(c2.semi_epi, "alpha2 semi-epi", dict(c2.witnesses).get("semi_epi", "-"))
-        if c2.i_uniform:
-            ck.conclude(c2.surjective, "alpha2 surjective (i-uniform case)",
-                        dict(c2.witnesses).get("surjective", "-"))
-    elif clause == "3":
-        ck.gate(is_cancellative_morphism(row1[1]), "f1 cancellative", row1[1].name)
-        ck.gate(is_cancellative_morphism(a2), "alpha2 cancellative", a2.name)
-        ck.gate(is_surjective(gamma), "gamma surjective", gamma.name)
-        ck.gate(is_injective(delta), "delta injective", delta.name)
-        ck.gate(is_isomorphism(a1), "alpha1 isomorphism", a1.name)
-        ck.gate(is_isomorphism(a3), "alpha3 isomorphism", a3.name)
-        ck.conclude(c2.injective, "alpha2 injective", dict(c2.witnesses).get("injective", "-"))
-        ck.conclude(c2.semi_epi, "alpha2 semi-epi", dict(c2.witnesses).get("semi_epi", "-"))
-    else:
-        raise StructureError("five-parts: clause must be 1a, 1b, 2 or 3")
-    return ck.done()
-
-
-def verify_five(d: Diagram, clause: int) -> Certificate:
-    """The Five Lemma: 2x5 exact rows, surjective left edge, injective right
-    edge, cancellative middles."""
-    _require_grid(d, 2, 5, "five")
-    ck = _Check(f"five.{clause}")
-    row1, row2, verts = _fd_parts(d)
-    gamma, a1, a2, a3, delta = verts
-    ok, wit = _row_exact_witness(Sequence("r1", tuple(row1)))
-    ck.gate(ok, "first row exact", wit)
-    ok, wit = _row_exact_witness(Sequence("r2", tuple(row2)))
-    ck.gate(ok, "second row exact", wit)
-    ck.gate(is_surjective(gamma), "gamma surjective", gamma.name)
-    ck.gate(is_injective(delta), "delta injective", delta.name)
-    ck.gate_cancellative(d.node(0, 2), "M1 cancellative")
-    ck.gate_cancellative(d.node(1, 2), "M2 cancellative")
-    c2 = classify(a2)
-    if clause == 1:
-        ck.gate(is_injective(a1), "alpha1 injective", a1.name)
-        ck.gate(is_injective(a3), "alpha3 injective", a3.name)
-        ck.conclude(c2.injective, "alpha2 injective", dict(c2.witnesses).get("injective", "-"))
-    elif clause == 2:
-        ck.gate(c2.i_uniform, "alpha2 i-uniform", a2.name)
-        ck.gate(is_surjective(a1), "alpha1 surjective", a1.name)
-        ck.gate(is_surjective(a3), "alpha3 surjective", a3.name)
-        ck.conclude(c2.surjective, "alpha2 surjective", dict(c2.witnesses).get("surjective", "-"))
-    elif clause == 3:
-        ck.gate(c2.i_uniform, "alpha2 i-uniform", a2.name)
-        ck.gate(is_isomorphism(a1), "alpha1 isomorphism", a1.name)
-        ck.gate(is_isomorphism(a3), "alpha3 isomorphism", a3.name)
-        ck.conclude(is_isomorphism(a2), "alpha2 isomorphism",
-                    f"inj={c2.injective} surj={c2.surjective}")
-    else:
-        raise StructureError("five: clause must be 1, 2 or 3")
-    return ck.done()
-
-
-# ---------------------------------------------------------------- Nine lemma
-
-def _nine_parts(d):
-    rows = [[d.horizontal(r, 0), d.horizontal(r, 1)] for r in range(3)]
-    alphas = [d.vertical(0, c) for c in range(3)]
-    betas = [d.vertical(1, c) for c in range(3)]
-    return rows, alphas, betas
-
-
-def verify_nine_first(d: Diagram, clause: int) -> Certificate:
-    """Kernel-side three-by-three lemma: columns exact with zeros on top of
-    the middle and right columns, middle row exact."""
-    _require_grid(d, 3, 3, "nine-first")
-    ck = _Check(f"nine-first.{clause}")
-    rows, alphas, betas = _nine_parts(d)
-    (f1, g1), (f2, g2), (f3, g3) = rows
-    a1, a2, a3 = alphas
-    b1, b2, b3 = betas
-    ok, wit = _exact_middle(a1, b1)
-    ck.gate(ok, "left column exact at middle", wit)
-    ck.gate(is_injective(a2), "alpha2 injective", a2.name)
-    ok, wit = _exact_middle(a2, b2)
-    ck.gate(ok, "middle column exact at middle", wit)
-    ck.gate(is_injective(a3), "alpha3 injective", a3.name)
-    ok, wit = _exact_middle(a3, b3)
-    ck.gate(ok, "right column exact at middle", wit)
-    ok, wit = _exact_middle(f2, g2)
-    ck.gate(ok, "second row exact", wit)
-    if clause == 1:
-        ck.gate(is_injective(f3), "f3 injective", f3.name)
-        ck.gate(is_cancellative_morphism(f2), "f2 cancellative", f2.name)
-        ok, wit = _exact_middle(f1, g1)
-        ck.conclude(ok, "first row exact", wit)
-    elif clause == 2:
-        ck.gate(is_surjective(g2), "g2 surjective", g2.name)
-        ck.gate(is_surjective(b1), "beta1 surjective", b1.name)
-        ok, wit = _exact_middle(f3, g3)
-        ck.gate(ok, "third row exact", wit)
-        c = classify(g1)
-        ck.conclude(c.semi_epi, "g1 semi-epi", dict(c.witnesses).get("semi_epi", "-"))
-        if c.i_uniform:
-            ck.conclude(c.surjective, "g1 surjective (i-uniform case)",
-                        dict(c.witnesses).get("surjective", "-"))
-    else:
-        raise StructureError("nine-first: clause must be 1 or 2")
-    return ck.done()
-
-
-def verify_nine_third(d: Diagram, clause: int) -> Certificate:
-    """Cokernel-side three-by-three lemma: columns exact with zeros under the
-    left and middle columns, middle row exact."""
-    _require_grid(d, 3, 3, "nine-third")
-    ck = _Check(f"nine-third.{clause}")
-    rows, alphas, betas = _nine_parts(d)
-    (f1, g1), (f2, g2), (f3, g3) = rows
-    a1, a2, a3 = alphas
-    b1, b2, b3 = betas
-    ok, wit = _exact_middle(a1, b1)
-    ck.gate(ok, "left column exact at middle", wit)
-    ck.gate(is_surjective(b1), "beta1 surjective", b1.name)
-    ok, wit = _exact_middle(a2, b2)
-    ck.gate(ok, "middle column exact at middle", wit)
-    ck.gate(is_surjective(b2), "beta2 surjective", b2.name)
-    ok, wit = _exact_middle(a3, b3)
-    ck.gate(ok, "right column exact at middle", wit)
-    ok, wit = _exact_middle(f2, g2)
-    ck.gate(ok, "second row exact", wit)
-    if clause == 1:
-        ck.gate(is_surjective(g1), "g1 surjective", g1.name)
-        ck.gate(classify(f3).i_uniform, "f3 i-uniform", f3.name)
-        ok, wit = _exact_middle(f3, g3)
-        ck.conclude(ok, "third row exact", wit)
-    elif clause == 2:
-        ck.gate(is_injective(f2), "f2 injective", f2.name)
-        ck.gate(is_injective(a3), "alpha3 injective", a3.name)
-        ck.gate(is_cancellative_morphism(a2), "alpha2 cancellative", a2.name)
-        ok, wit = _exact_middle(f1, g1)
-        ck.gate(ok, "first row exact", wit)
-        ck.conclude(is_injective(f3), "f3 injective", f3.name)
-    else:
-        raise StructureError("nine-third: clause must be 1 or 2")
-    return ck.done()
-
-
 def _short_exact_row(f, g):
     """f injective, image = kernel, g surjective and k-uniform; (ok, witness)."""
     if not is_injective(f):
@@ -579,36 +264,301 @@ def _short_exact_row(f, g):
     return True, "-"
 
 
-def verify_nine(d: Diagram, direction: str = "iff") -> Certificate:
-    """The Nine Lemma on a 3x3 grid with short exact columns, short exact
-    middle row, cancellative center, and i-uniform f3, g1."""
-    _require_grid(d, 3, 3, "nine")
-    ck = _Check(f"nine.{direction}")
-    rows, alphas, betas = _nine_parts(d)
-    (f1, g1), (f2, g2), (f3, g3) = rows
-    for c in range(3):
-        ok, wit = _short_exact_row(alphas[c], betas[c])
-        ck.gate(ok, f"column {c} short exact", wit)
-    ok, wit = _short_exact_row(f2, g2)
-    ck.gate(ok, "second row short exact", wit)
-    ck.gate_cancellative(d.node(1, 1), "M2 cancellative")
-    ck.gate(classify(f3).i_uniform, "f3 i-uniform", f3.name)
-    ck.gate(classify(g1).i_uniform, "g1 i-uniform", g1.name)
-    first = _short_exact_row(f1, g1)
-    third = _short_exact_row(f3, g3)
-    if direction == "first-from-third":
-        ck.gate(third[0], "third row short exact", third[1])
-        ck.conclude(first[0], "first row short exact", first[1])
-    elif direction == "third-from-first":
-        ck.gate(first[0], "first row short exact", first[1])
-        ck.conclude(third[0], "third row short exact", third[1])
-    elif direction == "iff":
-        ck.conclude(first[0] == third[0], "first row exact iff third row exact",
-                    f"first={first[0]} third={third[0]}")
+# ------------------------------------------------------------ the clause table
+
+# Part names of each grid, in the order of Diagram.parts() and of the arrow
+# tuples the harness filters: the horizontals row by row, then the verticals.
+_PART_NAMES = {
+    (2, 3): "f1 g1 f2 g2 alpha1 alpha2 alpha3".split(),
+    (2, 5): "d1 f1 g1 h1 d2 f2 g2 h2 gamma alpha1 alpha2 alpha3 delta".split(),
+    (3, 3): "f1 g1 f2 g2 f3 g3 alpha1 alpha2 alpha3 beta1 beta2 beta3".split(),
+}
+_ORDINALS = {"first": 1, "second": 2, "third": 3, "left": 1, "middle": 2, "right": 3}
+_WORDS = {"isomorphism": "iso", "cancellative": "cancellative-morphism"}
+
+
+class Claim(NamedTuple):
+    """A bound assertion: test(parts) -> bool, the witness(parts) reported
+    when the test fails and, for a conclusion, an optional condition
+    when(parts) under which it is asserted at all."""
+    id: str
+    test: Callable
+    witness: Callable
+    when: Callable = None
+
+
+class Relation(NamedTuple):
+    """Conclusion holds(a, b) on the truth values of assertions a and b,
+    witnessed by both: `x=a y=b` for labels "x y"."""
+    id: str
+    left: str
+    right: str
+    holds: Callable
+    labels: str
+
+
+def _name(f):
+    return f.name
+
+
+def _uncancellable(f):
+    M = f.codomain
+    bad = next(m for m in M.elements() if not is_cancellable(Element(M, m)))
+    return f"violated by element {bad} of {M.name}"
+
+
+def _over(fn, index):
+    """fn of the parts at `index`, as a function of a grid's parts tuple."""
+    if len(index) == 1:
+        i = index[0]
+        return lambda p: fn(p[i])
+    get = itemgetter(*index)
+    return lambda p: fn(*get(p))
+
+
+def _bind(spec, shape, conclusion=False):
+    """The Claim an assertion id states on a grid of this shape.
+
+    spec is the id, an (id, witness) pair overriding the witness, or a
+    Relation. The id says what is asserted:
+      `<ordinal> row|column exact at middle` or `... short exact`: the row's
+        fi, gi or the column's alphai, betai, by _exact_middle or
+        _short_exact_row (`column c short exact` is column c + 1);
+      `<ordinal> row exact`: the same at every interior object (on 2x5, the
+        whole row by _row_exact_witness);
+      `<ordinal> row: f|g <word>`: fi or gi of that row;
+      `Mi cancellative`: the module fi maps into;
+      `<part> <word>`, optionally `(<predicate> case)`: a PREDICATES entry
+        (`isomorphism` is iso, `cancellative` the morphism kind), asserted
+        only where the case predicate holds.
+    The witness of a part is its name; of a conclusion, classify's witness
+    for the flag where it has one.
+    """
+    names = _PART_NAMES[shape]
+    if isinstance(spec, Relation):
+        left, right = _bind(spec.left, shape), _bind(spec.right, shape)
+        a, b = spec.labels.split()
+        return Claim(spec.id, lambda p: spec.holds(left.test(p), right.test(p)),
+                     lambda p: f"{a}={left.test(p)} {b}={right.test(p)}")
+    aid, witness = (spec, None) if isinstance(spec, str) else spec
+    line = re.fullmatch(r"(?:(\w+) (row|column)|column (\d)) (exact at middle|short exact|exact)",
+                        aid)
+    if line:
+        ordinal, kind, column, how = line.groups()
+        i = int(column) + 1 if column else _ORDINALS[ordinal]
+        k = shape[1] - 1  # arrows per row
+        parts = names[(i - 1) * k:i * k] if kind == "row" else [f"alpha{i}", f"beta{i}"]
+        check = _short_exact_row if how == "short exact" else _exact_middle
+        if how == "exact" and k > 2:
+            def check(*row):
+                return _row_exact_witness(Sequence(f"r{i}", row))
+        index = tuple(map(names.index, parts))
+        return Claim(aid, _over(lambda *a: check(*a)[0], index),
+                     _over(lambda *a: check(*a)[1], index))
+    if re.fullmatch(r"M\d cancellative", aid):
+        index = (names.index("f" + aid[1]),)
+        return Claim(aid, _over(lambda f: is_cancellative_module(f.codomain), index),
+                     _over(_uncancellable, index))
+    arrow = re.fullmatch(r"(\w+) row: ([fg]) (\S+)", aid)
+    if arrow:
+        part, word, when = f"{arrow[2]}{_ORDINALS[arrow[1]]}", arrow[3], None
     else:
-        raise StructureError("nine: direction must be first-from-third, "
-                             "third-from-first or iff")
-    return ck.done()
+        part, word, when = re.fullmatch(r"(\S+) (\S+)(?: \((\S+) case\))?", aid).groups()
+    flag = word.replace("-", "_")
+    if witness is None and conclusion:
+        def witness(f):
+            return dict(_classify(f).witnesses).get(flag) or f.name
+    index = (names.index(part),)
+    return Claim(aid, _over(PREDICATES[_WORDS.get(word, word)], index),
+                 _over(witness or _name, index), when and _over(PREDICATES[when], index))
+
+
+class Clause:
+    """One table entry: grid shape, harness tag, and the ordered hypotheses
+    and conclusions, bound to the grid's parts tuple."""
+
+    def __init__(self, shape, tag, hypotheses, conclusions):
+        self.shape, self.tag = shape, tag
+        self.hypotheses = tuple(_bind(h, shape) for h in hypotheses)
+        self.conclusions = tuple(_bind(c, shape, conclusion=True) for c in conclusions)
+        self.ids = frozenset(h.id for h in self.hypotheses)
+
+    def gate(self, lemma, parts):
+        """The hypotheses' assertions on parts, in order; HypothesisError
+        at the first that fails."""
+        for h in self.hypotheses:
+            if not h.test(parts):
+                raise HypothesisError(f"{lemma}: {h.id}", h.witness(parts))
+        return tuple(Assertion(h.id, True) for h in self.hypotheses)
+
+    def filter(self, guaranteed):
+        """parts -> bool: the hypotheses in table order, minus those in
+        `guaranteed` (ids a generator's construction already ensures)."""
+        tests = [h.test for h in self.hypotheses if h.id not in guaranteed]
+
+        def keep(parts):
+            for test in tests:
+                if not test(parts):
+                    return False
+            return True
+        return keep
+
+
+_ROWS = ("first row exact", "second row exact")
+_MIDDLES = ("M1 cancellative", "M2 cancellative")
+# top row right exact (L -> M -> N -> 0), bottom row left exact (0 -> L -> M -> N)
+_RIGHT_LEFT = ("first row exact at middle", "first row: g surjective",
+               "second row: f injective", "second row exact at middle")
+_SHORT = (("alpha1 surjective", lambda f: f"{f.name} misses part of {f.codomain.name}"),
+          ("alpha3 injective", lambda f: f"{f.name} identifies two elements"))
+_FIVE = _ROWS + ("gamma surjective", "delta injective") + _MIDDLES
+_COLUMNS = ("left column exact at middle", "middle column exact at middle",
+            "right column exact at middle")
+_NINE_FIRST = (_COLUMNS[0], "alpha2 injective", _COLUMNS[1], "alpha3 injective",
+               _COLUMNS[2], "second row exact")
+_NINE_THIRD = (_COLUMNS[0], "beta1 surjective", _COLUMNS[1], "beta2 surjective",
+               _COLUMNS[2], "second row exact")
+_NINE = ("column 0 short exact", "column 1 short exact", "column 2 short exact",
+         "second row short exact", "M2 cancellative", "f3 i-uniform", "g1 i-uniform")
+
+
+def _i_uniform_iso(aid, holds):
+    return Relation(aid, "alpha2 i-uniform", "alpha2 isomorphism", holds, "lhs rhs")
+
+
+# Keyed by certificate name. Snake is not here: it is a construction.
+CLAUSES = {
+    # 2x3, alpha1 surjective and alpha3 injective: exactness of one row
+    # transfers to the other along the middle vertical.
+    "short.1": Clause((2, 3), "short1", _SHORT + ("alpha2 surjective", "first row exact"),
+                      ("second row exact",)),
+    "short.2": Clause((2, 3), "short2", _SHORT + ("alpha2 injective", "second row exact"),
+                      ("first row exact",)),
+    "short.3": Clause((2, 3), "short3", _SHORT + ("alpha2 isomorphism",),
+                      (Relation("rows equi-exact", *_ROWS, eq, "first second"),)),
+    # 2x3 with both rows exact: transfer of injectivity/surjectivity across
+    # the verticals.
+    "diagram.1a": Clause((2, 3), "diag1a", _ROWS + (
+        "g1 surjective", "alpha1 surjective", "alpha2 injective"), ("alpha3 injective",)),
+    "diagram.1b": Clause((2, 3), "diag1b", _ROWS + (
+        "f2 injective", "alpha3 semi-mono", "alpha2 surjective"),
+        (("alpha1 surjective", _name),)),
+    "diagram.2a": Clause((2, 3), "diag2a", _ROWS + (
+        "f2 semi-mono", "alpha1 semi-mono", "alpha3 semi-mono"), ("alpha2 semi-mono",)),
+    "diagram.2b": Clause((2, 3), "diag2b", _ROWS + (
+        "f1 cancellative", "alpha2 cancellative", "alpha1 injective", "alpha3 injective",
+        "f2 injective"), ("alpha2 injective",)),
+    "diagram.3": Clause((2, 3), "diag3", _ROWS + (
+        "alpha1 surjective", "alpha3 surjective", "g1 surjective"),
+        ("alpha2 semi-epi", "alpha2 surjective (i-uniform case)")),
+    # 2x3, top row right exact, bottom row left exact, cancellative middles:
+    # isomorphism bookkeeping around the middle vertical.
+    "short-five-half.1": Clause((2, 3), "cs5.1", _MIDDLES + _RIGHT_LEFT + (
+        "alpha2 isomorphism",), (Relation(
+            "alpha1 surjective iff alpha3 injective", "alpha1 surjective", "alpha3 injective",
+            eq, "alpha1-surj alpha3-inj"),)),
+    "short-five-half.2": Clause((2, 3), "cs5.2", _MIDDLES + _RIGHT_LEFT + (
+        "alpha2 i-uniform", "alpha1 isomorphism", "alpha3 isomorphism"),
+        ("alpha2 isomorphism",)),
+    # Both rows short exact, cancellative middles, outer verticals
+    # isomorphisms: the middle vertical is an isomorphism exactly when it is
+    # i-uniform. The outer isomorphisms must be hypotheses, not part of the
+    # iff: with rows 0 -> 0 -> M -> M -> 0 and 0 -> M -> M -> 0 -> 0 the
+    # identity middle is an isomorphism while the outer verticals never are.
+    "short-five": Clause((2, 3), "short5", _MIDDLES + (
+        "first row: f injective", "first row exact at middle", "first row: g surjective",
+        "second row: f injective", "second row exact at middle", "second row: g surjective",
+        "alpha1 isomorphism", "alpha3 isomorphism"), (
+        _i_uniform_iso("alpha2 i-uniform iff alpha2 iso", eq),
+        _i_uniform_iso("i-uniform implies iso", lambda i, o: not i or o),
+        _i_uniform_iso("iso implies i-uniform", lambda i, o: not o or i))),
+    # 2x5 with exact rows: the four working clauses behind the Five Lemma.
+    "five-parts.1a": Clause((2, 5), "fd1a", _ROWS + (
+        "gamma surjective", "alpha1 injective", "alpha3 semi-mono"), ("alpha2 semi-mono",)),
+    "five-parts.1b": Clause((2, 5), "fd1b", _ROWS + (
+        "gamma surjective", "f1 cancellative", "alpha2 cancellative", "alpha1 injective",
+        "alpha3 injective"), ("alpha2 injective",)),
+    "five-parts.2": Clause((2, 5), "fd2", _ROWS + (
+        "delta semi-mono", "alpha1 surjective", "alpha3 surjective"),
+        ("alpha2 semi-epi", "alpha2 surjective (i-uniform case)")),
+    "five-parts.3": Clause((2, 5), "fd3", _ROWS + (
+        "f1 cancellative", "alpha2 cancellative", "gamma surjective", "delta injective",
+        "alpha1 isomorphism", "alpha3 isomorphism"), ("alpha2 injective", "alpha2 semi-epi")),
+    # The Five Lemma: 2x5 exact rows, surjective left edge, injective right
+    # edge, cancellative middles.
+    "five.1": Clause((2, 5), "five1", _FIVE + ("alpha1 injective", "alpha3 injective"),
+                     ("alpha2 injective",)),
+    "five.2": Clause((2, 5), "five2", _FIVE + (
+        "alpha2 i-uniform", "alpha1 surjective", "alpha3 surjective"), ("alpha2 surjective",)),
+    "five.3": Clause((2, 5), "five3", _FIVE + (
+        "alpha2 i-uniform", "alpha1 isomorphism", "alpha3 isomorphism"), (
+        ("alpha2 isomorphism", lambda f: "inj={0.injective} surj={0.surjective}".format(
+            _classify(f))),)),
+    # Kernel-side 3x3: columns exact with zeros on top of the middle and
+    # right columns, middle row exact.
+    "nine-first.1": Clause((3, 3), "nine1.1", _NINE_FIRST + ("f3 injective", "f2 cancellative"),
+                           ("first row exact",)),
+    "nine-first.2": Clause((3, 3), "nine1.2", _NINE_FIRST + (
+        "g2 surjective", "beta1 surjective", "third row exact"),
+        ("g1 semi-epi", "g1 surjective (i-uniform case)")),
+    # Cokernel-side 3x3: columns exact with zeros under the left and middle
+    # columns, middle row exact.
+    "nine-third.1": Clause((3, 3), "nine3.1", _NINE_THIRD + ("g1 surjective", "f3 i-uniform"),
+                           ("third row exact",)),
+    "nine-third.2": Clause((3, 3), "nine3.2", _NINE_THIRD + (
+        "f2 injective", "alpha3 injective", "alpha2 cancellative", "first row exact"),
+        (("f3 injective", _name),)),
+    # The Nine Lemma: short exact columns, short exact middle row,
+    # cancellative center, i-uniform f3 and g1.
+    "nine.first-from-third": Clause((3, 3), "nine.first-from-third",
+                                    _NINE + ("third row short exact",),
+                                    ("first row short exact",)),
+    "nine.third-from-first": Clause((3, 3), "nine.third-from-first",
+                                    _NINE + ("first row short exact",),
+                                    ("third row short exact",)),
+    "nine.iff": Clause((3, 3), "nine.iff", _NINE, (Relation(
+        "first row exact iff third row exact", "first row short exact",
+        "third row short exact", eq, "first third"),)),
+}
+
+
+def lookup(clause_id, error=StructureError):
+    """The table entry for clause_id; raises `error` if there is none."""
+    if clause_id not in CLAUSES:
+        raise error(f"unknown lemma {clause_id!r}; known: {', '.join(CLAUSES)}")
+    return CLAUSES[clause_id]
+
+
+def verify(clause_id, d: Diagram) -> Certificate:
+    """Gate the clause's hypotheses on d, then evaluate its conclusions."""
+    clause = lookup(clause_id)
+    _require_grid(d, *clause.shape, clause_id)
+    parts = d.parts()
+    hypotheses = clause.gate(clause_id, parts)
+    conclusions = []
+    for c in clause.conclusions:
+        if c.when is None or c.when(parts):
+            ok = bool(c.test(parts))
+            conclusions.append(Assertion(c.id, ok, "-" if ok else c.witness(parts)))
+    return Certificate(clause_id, hypotheses, tuple(conclusions))
+
+
+def _entry(family, default=None):
+    def entry(d, clause=default):
+        return verify(family if clause is None else f"{family}.{clause}", d)
+    return entry
+
+
+# The verifiers by family, as callers name them.
+verify_lemma_short = _entry("short")
+verify_lemma_diagram = _entry("diagram")
+verify_short_five_half = _entry("short-five-half")
+verify_short_five = _entry("short-five")
+verify_five_parts = _entry("five-parts")
+verify_five = _entry("five")
+verify_nine_first = _entry("nine-first")
+verify_nine_third = _entry("nine-third")
+verify_nine = _entry("nine", "iff")
 
 
 # --------------------------------------------------------------- Snake lemma
@@ -641,6 +591,10 @@ class SnakeResult:
         return all(c.ok for c in self.certificates)
 
 
+_SNAKE_GATES = Clause((2, 3), "snake", _RIGHT_LEFT + (
+    "alpha1 k-uniform", "alpha3 k-uniform", "alpha2 uniform"), ())
+
+
 def snake(d: Diagram) -> SnakeResult:
     """Construct the full snake from a 2x3 diagram: top row right-exact,
     bottom row left-exact, weak column hypotheses (outer verticals k-uniform,
@@ -651,17 +605,9 @@ def snake(d: Diagram) -> SnakeResult:
     certificates follow.
     """
     _require_grid(d, 2, 3, "snake")
-    ck = _Check("snake.gates")
-    f1, g1 = d.horizontal(0, 0), d.horizontal(0, 1)
-    f2, g2 = d.horizontal(1, 0), d.horizontal(1, 1)
-    a1, a2, a3 = d.vertical(0, 0), d.vertical(0, 1), d.vertical(0, 2)
-    _gate_row_right_exact(ck, f1, g1, "first row")
-    _gate_row_left_exact(ck, f2, g2, "second row")
-    c1, c2m, c3 = classify(a1), classify(a2), classify(a3)
-    ck.gate(c1.k_uniform, "alpha1 k-uniform", a1.name)
-    ck.gate(c3.k_uniform, "alpha3 k-uniform", a3.name)
-    ck.gate(c2m.uniform, "alpha2 uniform", a2.name)
-    columns_exact = c1.uniform and c2m.uniform and c3.uniform
+    f1, g1, f2, g2, a1, a2, a3 = parts = d.parts()
+    _SNAKE_GATES.gate("snake.gates", parts)
+    columns_exact = all(_classify(a).uniform for a in (a1, a2, a3))
 
     kmods = []
     kincls = []

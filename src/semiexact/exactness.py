@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import Subsemimodule, subtractive_closure_set, zero_module
-from .errors import StructureError
+from .errors import LemmaRefuted, StructureError
 from .morphisms import (Morphism, classify, cokernel, compose, image_set,
                         induced_from_cokernel, induced_to_kernel, is_injective,
                         is_isomorphism, is_k_uniform, is_surjective, is_zero_morphism,
@@ -168,8 +168,9 @@ def is_short_exact(seq: Sequence) -> ShortExactResult:
         f_prime = induced_to_kernel(f, g)
         g_second, _ = induced_from_cokernel(f, g)
         clause2 = is_isomorphism(f_prime) and is_isomorphism(g_second)
-    assert clause2 == ok, \
-        "short-exactness clause disagreement: induced-map comparison vs direct conditions"
+    if clause2 != ok:
+        raise LemmaRefuted(
+            "short-exactness clause disagreement: induced-map comparison vs direct conditions")
     return ShortExactResult(ok, tuple(conds), clause2)
 
 
@@ -190,9 +191,11 @@ def ker_coker_sequence(gamma: Morphism) -> KerCokerResult:
                    (zero_morphism(z, kmod), kincl, gamma, coker.projection,
                     zero_morphism(coker.quotient, z)))
     verdict = analyze(seq)
-    assert verdict.semi_exact, f"kernel-cokernel sequence of {gamma.name} not semi-exact"
-    assert verdict.exact == classify(gamma).uniform, \
-        f"kernel-cokernel exactness of {gamma.name} disagrees with uniformity"
+    if not verdict.semi_exact:
+        raise LemmaRefuted(f"kernel-cokernel sequence of {gamma.name} not semi-exact")
+    if verdict.exact != classify(gamma).uniform:
+        raise LemmaRefuted(
+            f"kernel-cokernel exactness of {gamma.name} disagrees with uniformity")
 
     closure = subtractive_closure_set(gamma.codomain, image_set(gamma))
     cmod, cincl = submodule_as_module(
@@ -205,8 +208,9 @@ def ker_coker_sequence(gamma: Morphism) -> KerCokerResult:
     kernel_seq = Sequence(f"kernelseq({gamma.name})",
                           (zero_morphism(z, kmod), kincl, dom_q.projection,
                            zero_morphism(dom_q.quotient, z)))
-    assert is_short_exact(image_seq).ok, f"image sequence of {gamma.name} not exact"
-    assert is_short_exact(kernel_seq).ok, f"kernel sequence of {gamma.name} not exact"
+    for kind, s in (("image", image_seq), ("kernel", kernel_seq)):
+        if not is_short_exact(s).ok:
+            raise LemmaRefuted(f"{kind} sequence of {gamma.name} not exact")
     return KerCokerResult(seq, verdict, image_seq, kernel_seq)
 
 
@@ -229,12 +233,15 @@ def subobject_character(L: Subsemimodule) -> SubobjectCharacter:
     seq_l = Sequence(f"sub({lmod.name})", _pad(lincl, q.projection))
     v = analyze(seq_l)
     semi = v.semi_exact
-    assert semi, f"0 -> L -> M -> M/L -> 0 failed semi-exactness for {lmod.name}"
+    if not semi:
+        raise LemmaRefuted(f"0 -> L -> M -> M/L -> 0 failed semi-exactness for {lmod.name}")
 
     closure = sorted(subtractive_closure_set(M, L.members))
     cmod, cincl = submodule_as_module(Subsemimodule(M, tuple(closure)))
     exact_cl = is_short_exact(Sequence("cl", _pad(cincl, q.projection))).ok
-    assert exact_cl, f"0 -> closure(L) -> M -> M/L -> 0 failed exactness for {lmod.name}"
+    if not exact_cl:
+        raise LemmaRefuted(
+            f"0 -> closure(L) -> M -> M/L -> 0 failed exactness for {lmod.name}")
 
     c1 = is_short_exact(Sequence("c1", _pad(lincl, q.projection))).ok
     ker_pi = kernel_set(q.projection)
@@ -246,8 +253,9 @@ def subobject_character(L: Subsemimodule) -> SubobjectCharacter:
                                  zero_morphism(cmod, z)))).exact
     c4 = classify(lincl).uniform
     c5 = set(L.members) == set(kernel(q.projection).members)
-    assert c1 == c2 == c3 == c4 == c5, \
-        f"subobject characterizations disagree for {lmod.name}: {(c1, c2, c3, c4, c5)}"
+    if not c1 == c2 == c3 == c4 == c5:
+        raise LemmaRefuted(
+            f"subobject characterizations disagree for {lmod.name}: {(c1, c2, c3, c4, c5)}")
     return SubobjectCharacter(semi, exact_cl, c5, c4, True)
 
 

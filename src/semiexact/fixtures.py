@@ -13,6 +13,7 @@ from functools import lru_cache
 from .core import (Semimodule, make_boolean, make_product, make_saturating_naturals,
                    make_truncated_minplus, make_zmod, module_from_monoid,
                    monoid_semiring, self_module, validate_semimodule, zero_module)
+from .errors import LemmaRefuted
 
 
 def builtin_semirings():
@@ -38,7 +39,8 @@ def builtin_semirings():
 
 def _checked(m: Semimodule) -> Semimodule:
     report = validate_semimodule(m)
-    assert report.ok, f"fixture module invalid:\n{report}"
+    if not report.ok:
+        raise LemmaRefuted(f"fixture module invalid:\n{report}")
     return m
 
 

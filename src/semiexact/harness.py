@@ -2,6 +2,13 @@
 
 Rows are built constructively (surjections onto kernel submodules give
 exact stretches by construction), verticals are drawn from cached hom-sets.
+Each generator draws for one entry of diagrams.CLAUSES and keeps the
+candidates that pass Clause.filter: the clause's hypotheses in table order,
+minus those its construction guarantees, which each generator lists by id
+(row exactness from the exact-row pools, cancellative middles from the
+filtered pools, column exactness from the quotient row). The filter runs on
+the raw arrows, before a Diagram is built.
+
 Squares are filled by a hash join on composite tables: for a fixed arrow
 such as f2, the hom-set of candidate a1 is indexed once by the table of
 f2∘a1, and the other side of the square, a2∘f1, is looked up as a plain
@@ -22,12 +29,12 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .core import Semiring, Subsemimodule, is_cancellative_module
-from .diagrams import Diagram
+from .diagrams import Diagram, _classify, lookup
 from .enumeration import UniverseSpec, enumerate_semimodules, oracle_iso_exists
 from .errors import ParameterError, StructureError
-from .morphisms import (Morphism, classify, compose, enumerate_hom, image_set,
-                        is_injective, is_isomorphism, is_k_uniform, is_surjective,
-                        kernel_module, kernel_set)
+from .morphisms import (Morphism, compose, enumerate_hom, image_set, is_injective,
+                        is_isomorphism, is_k_uniform, is_surjective, kernel_module,
+                        kernel_set)
 from .quotients import bourne_congruence, quotient
 
 
@@ -47,11 +54,6 @@ def _pool(semiring, max_size):
 @lru_cache(maxsize=None)
 def _homs(M, N):
     return enumerate_hom(M, N)
-
-
-@lru_cache(maxsize=None)
-def _classify(f):
-    return classify(f)
 
 
 def _shuffled(items, seed, tag):
@@ -130,8 +132,26 @@ def _row_pairs_with_verticals(spec, rows_top, rows_bottom, tag):
                     yield f1, g1, f2, g2, a1, a2, a3
 
 
-def _build_2x3(name, f1, g1, f2, g2, a1, a2, a3):
-    return Diagram.from_arrows(name, [[f1, g1], [f2, g2]], [[a1, a2, a3]])
+def _build(name, shape, parts):
+    """The full grid of this shape with these parts, in Diagram.parts() order."""
+    rows, cols = shape
+    k, h = cols - 1, rows * (cols - 1)
+    return Diagram.from_arrows(name, [parts[r * k:r * k + k] for r in range(rows)],
+                               [parts[h + r * cols:h + r * cols + cols]
+                                for r in range(rows - 1)])
+
+
+def _collect(spec, clause, candidates, guaranteed):
+    """The first spec.quota candidate parts that pass the clause's filter,
+    less the hypotheses in `guaranteed`, as diagrams named by its tag."""
+    keep = clause.filter(guaranteed)
+    out = []
+    for parts in candidates:
+        if keep(parts):
+            out.append(_build(f"{clause.tag}.{len(out)}", clause.shape, parts))
+            if len(out) >= spec.quota:
+                break
+    return out
 
 
 def _bound(spec):
@@ -156,32 +176,7 @@ def short_exact_rows(spec):
 
 # ----------------------------------------------------------- 2x3 generators
 
-def gen_lemma_short(spec: HarnessSpec, direction: int):
-    """Diagrams for the exactness-transfer lemma, per direction."""
-    s, n = spec.semiring, spec.max_size
-    exact = _exact_pairs(s, n)
-    all_rows = tuple(dict.fromkeys(exact + _any_rows(s, n)))
-    out = []
-    if direction == 1:
-        top, bottom = exact, all_rows
-    elif direction == 2:
-        top, bottom = all_rows, exact
-    else:
-        top, bottom = all_rows, all_rows
-    for f1, g1, f2, g2, a1, a2, a3 in _row_pairs_with_verticals(
-            spec, top, bottom, f"short{direction}"):
-        if not (is_surjective(a1) and is_injective(a3)):
-            continue
-        if direction == 1 and not is_surjective(a2):
-            continue
-        if direction == 2 and not is_injective(a2):
-            continue
-        if direction == 3 and not is_isomorphism(a2):
-            continue
-        out.append(_build_2x3(f"short{direction}.{len(out)}", f1, g1, f2, g2, a1, a2, a3))
-        if len(out) >= spec.quota:
-            break
-    return out
+_EXACT_ROWS = ("first row exact", "second row exact")
 
 
 @lru_cache(maxsize=None)
@@ -202,67 +197,41 @@ def _any_rows(semiring, max_size, cap=400):
     return tuple(out)
 
 
-def gen_lemma_diagram(spec: HarnessSpec, clause: str):
+def _gen_rows(spec: HarnessSpec, clause):
+    """Short and diagram clauses: a row the clause assumes exact is drawn
+    from the exact rows, any other from all rows with g∘f = 0."""
     s, n = spec.semiring, spec.max_size
     exact = _exact_pairs(s, n)
-    out = []
-    for f1, g1, f2, g2, a1, a2, a3 in _row_pairs_with_verticals(
-            spec, exact, exact, f"diag{clause}"):
-        if clause == "1a":
-            ok = is_surjective(g1) and is_surjective(a1) and is_injective(a2)
-        elif clause == "1b":
-            ok = is_injective(f2) and _classify(a3).semi_mono and is_surjective(a2)
-        elif clause == "2a":
-            ok = (_classify(f2).semi_mono and _classify(a1).semi_mono
-                  and _classify(a3).semi_mono)
-        elif clause == "2b":
-            ok = (_classify(f1).cancellative and _classify(a2).cancellative
-                  and is_injective(a1) and is_injective(a3) and is_injective(f2))
-        elif clause == "3":
-            ok = is_surjective(a1) and is_surjective(a3) and is_surjective(g1)
-        else:
-            raise ParameterError(f"gen_lemma_diagram: unknown clause {clause}")
-        if not ok:
-            continue
-        out.append(_build_2x3(f"diag{clause}.{len(out)}", f1, g1, f2, g2, a1, a2, a3))
-        if len(out) >= spec.quota:
-            break
-    return out
+    top, bottom = (exact if row in clause.ids else tuple(dict.fromkeys(exact + _any_rows(s, n)))
+                   for row in _EXACT_ROWS)
+    return _collect(spec, clause, _row_pairs_with_verticals(spec, top, bottom, clause.tag),
+                    _EXACT_ROWS)
 
 
-def gen_short_five_half(spec: HarnessSpec, clause: int):
+# What the short-five row pools guarantee: cancellative middles, a right
+# exact top row and a left exact bottom row, or two short exact rows.
+_HALF_ROWS = ("M1 cancellative", "M2 cancellative", "first row exact at middle",
+              "first row: g surjective", "second row: f injective",
+              "second row exact at middle")
+_SHORT_FIVE_ROWS = _HALF_ROWS + ("first row: f injective", "second row: g surjective")
+
+
+def _cancellative_middles(rows):
+    return tuple((f, g) for f, g in rows if is_cancellative_module(f.codomain))
+
+
+def _gen_half(spec: HarnessSpec, clause):
     s, n = spec.semiring, spec.max_size
-    right = [(f, g) for f, g in _right_exact_rows(s, n)
-             if is_cancellative_module(f.codomain)]
-    left = [(f, g) for f, g in _left_exact_rows(s, n)
-            if is_cancellative_module(f.codomain)]
-    out = []
-    for f1, g1, f2, g2, a1, a2, a3 in _row_pairs_with_verticals(
-            spec, tuple(right), tuple(left), f"cs5.{clause}"):
-        if clause == 1 and not is_isomorphism(a2):
-            continue
-        if clause == 2 and not (_classify(a2).i_uniform and is_isomorphism(a1)
-                                and is_isomorphism(a3)):
-            continue
-        out.append(_build_2x3(f"cs5.{clause}.{len(out)}", f1, g1, f2, g2, a1, a2, a3))
-        if len(out) >= spec.quota:
-            break
-    return out
+    right = _cancellative_middles(_right_exact_rows(s, n))
+    left = _cancellative_middles(_left_exact_rows(s, n))
+    return _collect(spec, clause, _row_pairs_with_verticals(spec, right, left, clause.tag),
+                    _HALF_ROWS)
 
 
-def gen_short_five(spec: HarnessSpec):
-    s, n = spec.semiring, spec.max_size
-    rows = tuple((f, g) for f, g in _short_exact_rows(s, n)
-                 if is_cancellative_module(f.codomain))
-    out = []
-    for f1, g1, f2, g2, a1, a2, a3 in _row_pairs_with_verticals(
-            spec, rows, rows, "short5"):
-        if not (is_isomorphism(a1) and is_isomorphism(a3)):
-            continue
-        out.append(_build_2x3(f"short5.{len(out)}", f1, g1, f2, g2, a1, a2, a3))
-        if len(out) >= spec.quota:
-            break
-    return out
+def _gen_short_five(spec: HarnessSpec, clause):
+    rows = _cancellative_middles(_short_exact_rows(spec.semiring, spec.max_size))
+    return _collect(spec, clause, _row_pairs_with_verticals(spec, rows, rows, clause.tag),
+                    _SHORT_FIVE_ROWS)
 
 
 # ----------------------------------------------------------- 2x5 generators
@@ -301,11 +270,13 @@ def _exact_5rows(semiring, max_size, cap=600):
     return tuple(rows)
 
 
-def _gen_2x5(spec: HarnessSpec, tag, keep):
+def _squares_2x5(spec: HarnessSpec, tag):
+    """Yield the parts of 2x5 grids of exact rows with every square commuting."""
     rows = _exact_5rows(spec.semiring, spec.max_size)
     seed = spec.seed
-    out = []
-    for (d1, f1, g1, h1), (d2, f2, g2, h2) in _shuffled_pairs(rows, rows, seed, tag):
+    for row1, row2 in _shuffled_pairs(rows, rows, seed, tag):
+        (d1, f1, g1, h1), (d2, f2, g2, h2) = row1, row2
+        both = row1 + row2
         a1_by = _index(_homs(f1.domain, f2.domain), lambda a1: _table(f2, a1))
         a3_by = _index(_homs(g1.codomain, g2.codomain), lambda a3: _table(a3, g1))
         gamma_by = delta_by = None
@@ -326,57 +297,11 @@ def _gen_2x5(spec: HarnessSpec, tag, keep):
                     deltas = delta_by.get(_table(h2, a3), ())
                     for gamma in gammas:
                         for delta in deltas:
-                            verts = (gamma, a1, a2, a3, delta)
-                            if not keep((d1, f1, g1, h1), (d2, f2, g2, h2), verts):
-                                continue
-                            out.append(Diagram.from_arrows(
-                                f"{tag}.{len(out)}",
-                                [[d1, f1, g1, h1], [d2, f2, g2, h2]], [list(verts)]))
-                            if len(out) >= spec.quota:
-                                return out
-    return out
+                            yield both + (gamma, a1, a2, a3, delta)
 
 
-def gen_five_parts(spec: HarnessSpec, clause: str):
-    def keep(row1, row2, verts):
-        gamma, a1, a2, a3, delta = verts
-        if clause == "1a":
-            return (is_surjective(gamma) and is_injective(a1)
-                    and _classify(a3).semi_mono)
-        if clause == "1b":
-            return (is_surjective(gamma) and _classify(row1[1]).cancellative
-                    and _classify(a2).cancellative and is_injective(a1)
-                    and is_injective(a3))
-        if clause == "2":
-            return (_classify(delta).semi_mono and is_surjective(a1)
-                    and is_surjective(a3))
-        if clause == "3":
-            return (_classify(row1[1]).cancellative and _classify(a2).cancellative
-                    and is_surjective(gamma) and is_injective(delta)
-                    and is_isomorphism(a1) and is_isomorphism(a3))
-        raise ParameterError(f"gen_five_parts: unknown clause {clause}")
-
-    return _gen_2x5(spec, f"fd{clause}", keep)
-
-
-def gen_five(spec: HarnessSpec, clause: int):
-    def keep(row1, row2, verts):
-        gamma, a1, a2, a3, delta = verts
-        if not (is_surjective(gamma) and is_injective(delta)
-                and is_cancellative_module(row1[1].codomain)
-                and is_cancellative_module(row2[1].codomain)):
-            return False
-        if clause == 1:
-            return is_injective(a1) and is_injective(a3)
-        if clause == 2:
-            return (_classify(a2).i_uniform and is_surjective(a1)
-                    and is_surjective(a3))
-        if clause == 3:
-            return (_classify(a2).i_uniform and is_isomorphism(a1)
-                    and is_isomorphism(a3))
-        raise ParameterError(f"gen_five: unknown clause {clause}")
-
-    return _gen_2x5(spec, f"five{clause}", keep)
+def _gen_2x5(spec: HarnessSpec, clause):
+    return _collect(spec, clause, _squares_2x5(spec, clause.tag), _EXACT_ROWS)
 
 
 # ----------------------------------------------------------- 3x3 generators
@@ -409,20 +334,36 @@ def _derive_quotient_row(f2, g2, a1, a2, a3):
     return (q1, q2, q3), (f3, g3)
 
 
-def _gen_3x3(spec: HarnessSpec, tag, top_filter, keep):
-    """Middle row short exact; tops chosen i-uniform (per-column injectivity
-    via top_filter); top row enumerated against the squares; bottom row is
-    the quotient row."""
+# What the 3x3 construction guarantees: a short exact middle row, and under
+# it the quotient row, whose projections are surjective and make each column
+# exact at its middle (the tops are i-uniform) and short exact where the top
+# is injective; a top is drawn injective where the clause assumes it or a
+# short exact column.
+_QUOTIENT_ROW = (
+    "second row exact", "second row short exact", "f2 injective", "g2 surjective",
+    "left column exact at middle", "middle column exact at middle",
+    "right column exact at middle", "beta1 surjective", "beta2 surjective",
+    "alpha1 injective", "alpha2 injective", "alpha3 injective",
+    "column 0 short exact", "column 1 short exact", "column 2 short exact")
+
+
+def _squares_3x3(spec: HarnessSpec, clause):
+    """Yield 3x3 parts: middle row short exact; tops i-uniform, and injective
+    where the clause needs it; top row enumerated against the squares; bottom
+    row is the quotient row."""
     s, n = spec.semiring, spec.max_size
     mods = _pool(s, n)
     mid_rows = _short_exact_rows(s, n)
-    seed = spec.seed
-    out = []
+    injective = [f"alpha{c + 1} injective" in clause.ids
+                 or f"column {c} short exact" in clause.ids for c in range(3)]
+
+    def tops(c, target):
+        return [a for X in mods for a in _homs(X, target) if _classify(a).i_uniform
+                and (not injective[c] or _classify(a).injective)]
+    seed, tag = spec.seed, clause.tag
     for f2, g2 in _shuffled(mid_rows, seed, tag):
-        L2, M2, N2 = f2.domain, f2.codomain, g2.codomain
-        a1s = [a for L1 in mods for a in _homs(L1, L2) if top_filter(0, a)]
-        a2s = [a for M1 in mods for a in _homs(M1, M2) if top_filter(1, a)]
-        a3s = [a for N1 in mods for a in _homs(N1, N2) if top_filter(2, a)]
+        a1s, a2s, a3s = (tops(c, X) for c, X in
+                         enumerate((f2.domain, f2.codomain, g2.codomain)))
         g1_by = {}  # (M1, position of a3) -> index of Hom(M1, N1) by a3∘g1
         for a2 in _shuffled(a2s, seed, tag + "a2"):
             M1 = a2.domain
@@ -445,83 +386,34 @@ def _gen_3x3(spec: HarnessSpec, tag, top_filter, keep):
                     if derived is None:
                         continue
                     (q1, q2, q3), (f3, g3) = derived
+                    betas = (q1.projection, q2.projection, q3.projection)
                     for f1 in f1s:
                         for g1 in g1s:
-                            diagram = Diagram.from_arrows(
-                                f"{tag}.{len(out)}",
-                                [[f1, g1], [f2, g2], [f3, g3]],
-                                [[a1, a2, a3],
-                                 [q1.projection, q2.projection, q3.projection]])
-                            if not keep(diagram):
-                                continue
-                            out.append(diagram)
-                            if len(out) >= spec.quota:
-                                return out
-    return out
+                            yield (f1, g1, f2, g2, f3, g3, a1, a2, a3) + betas
 
 
-def gen_nine_first(spec: HarnessSpec, clause: int):
-    def top_filter(col, a):
-        c = _classify(a)
-        if col == 0:
-            return c.i_uniform
-        return c.i_uniform and c.injective
-
-    def keep(d):
-        f2 = d.horizontal(1, 0)
-        f3, g3 = d.horizontal(2, 0), d.horizontal(2, 1)
-        if clause == 1:
-            return is_injective(f3) and _classify(f2).cancellative
-        b1 = d.vertical(1, 0)
-        g2 = d.horizontal(1, 1)
-        return (is_surjective(g2) and is_surjective(b1)
-                and image_set(f3) == kernel_set(g3) and is_k_uniform(g3))
-
-    return _gen_3x3(spec, f"nine1.{clause}", top_filter, keep)
+def _gen_3x3(spec: HarnessSpec, clause):
+    return _collect(spec, clause, _squares_3x3(spec, clause), _QUOTIENT_ROW)
 
 
-def gen_nine_third(spec: HarnessSpec, clause: int):
-    def top_filter(col, a):
-        c = _classify(a)
-        if clause == 2 and col == 2 and not c.injective:
-            return False
-        return c.i_uniform
-
-    def keep(d):
-        f1, g1 = d.horizontal(0, 0), d.horizontal(0, 1)
-        f2 = d.horizontal(1, 0)
-        f3 = d.horizontal(2, 0)
-        a2, a3 = d.vertical(0, 1), d.vertical(0, 2)
-        if clause == 1:
-            return is_surjective(g1) and _classify(f3).i_uniform
-        return (is_injective(f2) and is_injective(a3)
-                and _classify(a2).cancellative
-                and image_set(f1) == kernel_set(g1) and is_k_uniform(g1))
-
-    return _gen_3x3(spec, f"nine3.{clause}", top_filter, keep)
+def _generator(family, gen):
+    """gen_*: the corpus of the table entry `family.clause` (just `family`
+    when there is no clause); ParameterError for an unknown clause."""
+    def generate(spec: HarnessSpec, clause=None):
+        return gen(spec, lookup(family if clause is None else f"{family}.{clause}",
+                                ParameterError))
+    return generate
 
 
-def gen_nine(spec: HarnessSpec, direction: str):
-    def top_filter(col, a):
-        c = _classify(a)
-        return c.i_uniform and c.injective
-
-    def keep(d):
-        if not is_cancellative_module(d.node(1, 1)):
-            return False
-        f3, g3 = d.horizontal(2, 0), d.horizontal(2, 1)
-        f1, g1 = d.horizontal(0, 0), d.horizontal(0, 1)
-        if not (_classify(f3).i_uniform and _classify(g1).i_uniform):
-            return False
-        if direction == "first-from-third":
-            return (is_injective(f3) and image_set(f3) == kernel_set(g3)
-                    and is_k_uniform(g3) and is_surjective(g3))
-        if direction == "third-from-first":
-            return (is_injective(f1) and image_set(f1) == kernel_set(g1)
-                    and is_k_uniform(g1) and is_surjective(g1))
-        return True
-
-    return _gen_3x3(spec, f"nine.{direction}", top_filter, keep)
+gen_lemma_short = _generator("short", _gen_rows)
+gen_lemma_diagram = _generator("diagram", _gen_rows)
+gen_short_five_half = _generator("short-five-half", _gen_half)
+gen_short_five = _generator("short-five", _gen_short_five)
+gen_five_parts = _generator("five-parts", _gen_2x5)
+gen_five = _generator("five", _gen_2x5)
+gen_nine_first = _generator("nine-first", _gen_3x3)
+gen_nine_third = _generator("nine-third", _gen_3x3)
+gen_nine = _generator("nine", _gen_3x3)
 
 
 # --------------------------------------------------------- snake generation
@@ -571,7 +463,7 @@ def gen_snake(spec: HarnessSpec):
             a3 = _derive_right_vertical(g1, g2, a2)
             if a3 is None or not _classify(a3).k_uniform:
                 continue
-            out.append(_build_2x3(f"snake.{len(out)}", f1, g1, f2, g2, a1, a2, a3))
+            out.append(_build(f"snake.{len(out)}", (2, 3), (f1, g1, f2, g2, a1, a2, a3)))
             if len(out) >= spec.quota:
                 return out
     return out

@@ -14,7 +14,7 @@ from itertools import product
 
 from .core import Element, Semimodule, Subsemimodule, is_cancellable, \
     subtractive_closure_set
-from .errors import PreconditionError, StructureError
+from .errors import LemmaRefuted, PreconditionError, StructureError
 from .quotients import QuotientModule, bourne_congruence, kernel_pair_congruence, quotient
 
 
@@ -177,7 +177,8 @@ def canonical_iso(f: Morphism) -> Morphism:
     for x in f.domain.elements():
         table[co.projection.map[x]] = pos[f.map[x]]
     d = Morphism(f"d[{f.name}]", co.quotient, img, table)
-    assert is_isomorphism(d), f"canonical map of {f.name} failed to be bijective"
+    if not is_isomorphism(d):
+        raise LemmaRefuted(f"canonical map of {f.name} failed to be bijective")
     return d
 
 
@@ -318,9 +319,9 @@ def induced_from_cokernel(f: Morphism, g: Morphism, name=None) -> tuple[Morphism
         c = coker.projection.map[m]
         if table[c] is None:
             table[c] = g.map[m]
-        else:
-            assert table[c] == g.map[m], \
-                f"induced map from {coker.quotient.name} not well-defined at class {c}"
+        elif table[c] != g.map[m]:
+            raise LemmaRefuted(
+                f"induced map from {coker.quotient.name} not well-defined at class {c}")
     return Morphism(name or f"{g.name}''", coker.quotient, g.codomain, table), coker
 
 

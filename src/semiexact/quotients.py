@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import Semimodule, Subsemimodule, subtractive_closure_set
-from .errors import StructureError
+from .errors import LemmaRefuted, StructureError
 
 
 class _UnionFind:
@@ -142,11 +142,13 @@ def quotient(M: Semimodule, rho: Congruence, name=None) -> QuotientModule:
         for x in members[a]:
             for b in range(n):
                 for y in members[b]:
-                    assert cls[M.add[x][y]] == add[a][b], \
-                        f"quotient of {M.name}: add not representative-independent"
+                    if cls[M.add[x][y]] != add[a][b]:
+                        raise LemmaRefuted(
+                            f"quotient of {M.name}: add not representative-independent")
             for s in range(M.semiring.size):
-                assert cls[M.action[x][s]] == action[a][s], \
-                    f"quotient of {M.name}: action not representative-independent"
+                if cls[M.action[x][s]] != action[a][s]:
+                    raise LemmaRefuted(
+                        f"quotient of {M.name}: action not representative-independent")
     if name is None:
         zero_class = ",".join(map(str, members[0]))
         name = f"{M.name}/{{{zero_class}}}"

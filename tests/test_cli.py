@@ -2,8 +2,11 @@
 
 import subprocess
 import sys
+from pathlib import Path
 
-from semiexact.cli import main
+import pytest
+
+from semiexact.cli import LEMMAS, main
 
 DEMO = "fixtures/demo.sx"
 
@@ -53,6 +56,18 @@ def test_snake_ok(capsys):
 def test_lemma_unknown_name(capsys):
     assert run(["lemma", "bogus", "D", DEMO]) == 2
     assert "unknown lemma" in capsys.readouterr().err
+
+
+def test_readme_and_help_name_every_lemma(capsys, monkeypatch):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    monkeypatch.setenv("COLUMNS", "1000")  # no wrapping inside hyphenated names
+    with pytest.raises(SystemExit):
+        run(["lemma", "--help"])
+    help_text = capsys.readouterr().out
+    for name in LEMMAS:
+        assert f"`{name}`" in readme
+        assert name in help_text
+    assert "9-1.1-2" not in readme and "9-3.1-2" not in readme
 
 
 def test_lemma_hypothesis_error(tmp_path, capsys):

@@ -1,5 +1,8 @@
 """Universe enumeration, isomorphism oracle, counterexample catalog."""
 
+import subprocess
+import sys
+
 import pytest
 
 from semiexact.core import (make_boolean, make_zmod, make_saturating_naturals,
@@ -8,7 +11,7 @@ from semiexact.enumeration import (Counterexample, ExhaustionReport, UniverseSpe
                                    abelian_snake_delta, enumerate_semimodules,
                                    enumerate_semimodules_naive, oracle_iso_exists,
                                    replay_counterexample, search_counterexample)
-from semiexact.errors import ParameterError
+from semiexact.errors import ParameterError, PreconditionError
 from semiexact.fixtures import monoid_fixture
 
 
@@ -169,8 +172,29 @@ def test_abelian_oracle_rejects_non_groups(sat3, chain2):
     from semiexact.morphisms import identity_morphism, zero_morphism
     from semiexact.core import zero_module
     z = zero_module(sat3.semiring)
-    with pytest.raises(AssertionError):
+    with pytest.raises(PreconditionError):
         abelian_snake_delta(identity_morphism(sat3), zero_morphism(sat3, z),
                             identity_morphism(sat3), zero_morphism(sat3, z),
                             zero_morphism(sat3, sat3), zero_morphism(sat3, sat3),
                             zero_morphism(z, z))
+
+
+def test_abelian_oracle_rejects_non_groups_under_optimize(src_env):
+    """The check is a raise, not an assert, so `python -O` keeps it."""
+    script = ("from semiexact.core import zero_module\n"
+              "from semiexact.enumeration import abelian_snake_delta\n"
+              "from semiexact.errors import PreconditionError\n"
+              "from semiexact.fixtures import monoid_fixture\n"
+              "from semiexact.morphisms import identity_morphism, zero_morphism\n"
+              "sat3 = monoid_fixture('sat3')\n"
+              "z = zero_module(sat3.semiring)\n"
+              "try:\n"
+              "    abelian_snake_delta(identity_morphism(sat3), zero_morphism(sat3, z),\n"
+              "                        identity_morphism(sat3), zero_morphism(sat3, z),\n"
+              "                        zero_morphism(sat3, sat3), zero_morphism(sat3, sat3),\n"
+              "                        zero_morphism(z, z))\n"
+              "except PreconditionError as exc:\n"
+              "    print('rejected:', exc)\n")
+    out = subprocess.run([sys.executable, "-O", "-c", script], env=src_env,
+                         capture_output=True, text=True, check=True).stdout
+    assert out == "rejected: abelian oracle needs additive inverses\n"

@@ -13,19 +13,22 @@ from pathlib import Path
 
 import pytest
 
-from semiexact import harness
+from semiexact import diagrams, harness
 from semiexact.core import Semiring, make_boolean, make_saturating_naturals, make_zmod
-from semiexact.diagrams import (snake, verify_short_five_half, verify_five,
+from semiexact.diagrams import (CLAUSES, snake, verify_short_five_half, verify_five,
                                 verify_five_parts, verify_lemma_diagram,
                                 verify_lemma_short, verify_nine, verify_nine_first,
                                 verify_nine_third, verify_short_five)
+from semiexact.errors import HypothesisError, ParameterError, StructureError
 from semiexact.harness import (HarnessSpec, gen_short_five_half, gen_five,
                                gen_five_parts, gen_lemma_diagram, gen_lemma_short,
                                gen_nine, gen_nine_first, gen_nine_third,
                                gen_short_five, gen_snake)
 from semiexact.morphisms import compose, enumerate_hom
 
-SNAPSHOT = Path(__file__).resolve().parent / "data" / "harness_corpora_seed11.json"
+DATA = Path(__file__).resolve().parent / "data"
+SNAPSHOT = DATA / "harness_corpora_seed11.json"
+CERTIFICATES = DATA / "certificates_seed11.json"
 
 
 @pytest.fixture(scope="module")
@@ -154,10 +157,12 @@ def test_row_pairs_match_compose_filter(semiring, seed):
     assert list(harness._row_pairs_with_verticals(spec, top, bottom, "eq")) == expected
 
 
-# Every generator but gen_lemma_short, whose row order no longer follows the
-# string hash seed; the stored digests were recorded with the compose filter.
+# Every generator, at seed 11 and quota 4. The stored digests of all but
+# gen_lemma_short were recorded with the compose filter; gen_lemma_short's,
+# once its rows no longer followed the string hash seed.
 SNAPSHOT_CORPORA = (
-    [("gen_lemma_diagram", c) for c in ("1a", "1b", "2a", "2b", "3")]
+    [("gen_lemma_short", c) for c in (1, 2, 3)]
+    + [("gen_lemma_diagram", c) for c in ("1a", "1b", "2a", "2b", "3")]
     + [("gen_short_five", None)]
     + [("gen_short_five_half", c) for c in (1, 2)]
     + [("gen_five_parts", c) for c in ("1a", "1b", "2", "3")]
@@ -168,22 +173,76 @@ SNAPSHOT_CORPORA = (
     + [("gen_snake", None)])
 
 
-def test_corpora_match_snapshot():
-    expected = json.loads(SNAPSHOT.read_text(encoding="utf-8"))
+@pytest.fixture(scope="module")
+def snapshot_corpora():
+    """{(key, pool): diagrams} for every SNAPSHOT_CORPORA entry over Z2 and T2."""
     specs = {"Z2": HarnessSpec(make_zmod(2), 4, seed=11, quota=4),
              "T2": HarnessSpec(make_saturating_naturals(2), 3, seed=11, quota=4)}
-    got = {}
+    out = {}
     for pool, spec in specs.items():
         for name, clause in SNAPSHOT_CORPORA:
             gen = getattr(harness, name)
-            ds = gen(spec) if clause is None else gen(spec, clause)
-            text = "\n".join(
-                d.name + ":" + ";".join(",".join(map(str, a.map)) for _, a in
-                                        sorted(d.horizontals.items())
-                                        + sorted(d.verticals.items()))
-                for d in ds)
-            key = f"{name}@{pool}" if clause is None else f"{name}({clause})@{pool}"
-            got[key] = [len(ds), hashlib.sha256(text.encode()).hexdigest()[:16]]
+            key = name if clause is None else f"{name}({clause})"
+            out[key, pool] = gen(spec) if clause is None else gen(spec, clause)
+    return out
+
+
+def _digest(lines):
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()[:16]
+
+
+def test_corpora_match_snapshot(snapshot_corpora):
+    expected = json.loads(SNAPSHOT.read_text(encoding="utf-8"))
+    got = {}
+    for (key, pool), ds in snapshot_corpora.items():
+        got[f"{key}@{pool}"] = [len(ds), _digest(
+            d.name + ":" + ";".join(",".join(map(str, a.map)) for _, a in
+                                    sorted(d.horizontals.items())
+                                    + sorted(d.verticals.items()))
+            for d in ds)]
+    assert got == expected
+
+
+# Every clause verifier, by certificate name, with the grid it takes.
+CLAUSE_VERIFIERS = (
+    [(f"short.{k}", (2, 3), lambda d, k=k: verify_lemma_short(d, k)) for k in (1, 2, 3)]
+    + [(f"diagram.{k}", (2, 3), lambda d, k=k: verify_lemma_diagram(d, k))
+       for k in ("1a", "1b", "2a", "2b", "3")]
+    + [(f"short-five-half.{k}", (2, 3), lambda d, k=k: verify_short_five_half(d, k))
+       for k in (1, 2)]
+    + [("short-five", (2, 3), verify_short_five)]
+    + [(f"five-parts.{k}", (2, 5), lambda d, k=k: verify_five_parts(d, k))
+       for k in ("1a", "1b", "2", "3")]
+    + [(f"five.{k}", (2, 5), lambda d, k=k: verify_five(d, k)) for k in (1, 2, 3)]
+    + [(f"nine-first.{k}", (3, 3), lambda d, k=k: verify_nine_first(d, k)) for k in (1, 2)]
+    + [(f"nine-third.{k}", (3, 3), lambda d, k=k: verify_nine_third(d, k)) for k in (1, 2)]
+    + [(f"nine.{k}", (3, 3), lambda d, k=k: verify_nine(d, k))
+       for k in ("first-from-third", "third-from-first", "iff")])
+
+
+def _certificate_line(verify, d):
+    try:
+        cert = verify(d)
+    except HypothesisError as exc:
+        return f"!{d.name}:{exc.assertion_id}|{exc.witness}"
+    return (d.name + ":" + ";".join(f"{a.id}={a.ok}|{a.witness}" for a in cert.hypotheses)
+            + "=>" + ";".join(f"{a.id}={a.ok}|{a.witness}" for a in cert.conclusions))
+
+
+def test_certificates_match_snapshot(snapshot_corpora):
+    """Every clause verifier on every snapshot diagram of its grid shape,
+    passing and failing gates alike: assertion ids, their order, ok flags and
+    witnesses, or the id and witness of the first failed gate."""
+    expected = json.loads(CERTIFICATES.read_text(encoding="utf-8"))
+    got = {}
+    for pool in ("Z2", "T2"):
+        ds = [d for (_, p), corpus in snapshot_corpora.items() if p == pool
+              for d in corpus]
+        for lemma, shape, verify in CLAUSE_VERIFIERS:
+            lines = [_certificate_line(verify, d) for d in ds
+                     if (d.rows, d.cols) == shape]
+            got[f"{lemma}@{pool}"] = [len(lines), sum(ln.startswith("!") for ln in lines),
+                                      _digest(lines)]
     assert got == expected
 
 
@@ -202,3 +261,28 @@ def test_lemma_short_independent_of_hash_seed(src_env):
                                       capture_output=True, text=True, check=True).stdout)
     assert outputs[0].count("\n") == 75
     assert outputs[0] == outputs[1]
+
+
+# (entry point name, a clause its table family does not have)
+UNKNOWN_CLAUSES = [("lemma_short", 7), ("lemma_diagram", "4"), ("short_five_half", 3),
+                   ("five_parts", "1c"), ("five", 4), ("nine_first", 3), ("nine_third", 3),
+                   ("nine", "x")]
+
+
+@pytest.mark.parametrize("name, clause", UNKNOWN_CLAUSES)
+def test_unknown_clause_rejected(z2spec, name, clause):
+    """No generator falls back on another clause's corpus; verifiers keep
+    raising StructureError."""
+    with pytest.raises(ParameterError):
+        getattr(harness, f"gen_{name}")(z2spec, clause)
+    with pytest.raises(StructureError, match="unknown lemma"):
+        getattr(diagrams, f"verify_{name}")(gen_short_five(z2spec)[0], clause)
+
+
+@pytest.mark.parametrize("guaranteed", ["_EXACT_ROWS", "_HALF_ROWS", "_SHORT_FIVE_ROWS",
+                                        "_QUOTIENT_ROW"])
+def test_guaranteed_ids_are_table_hypotheses(guaranteed):
+    """A misspelt guaranteed id would silently leave its hypothesis in the
+    filter; every one must name a hypothesis of some clause."""
+    ids = set().union(*(c.ids for c in CLAUSES.values()))
+    assert set(getattr(harness, guaranteed)) <= ids
