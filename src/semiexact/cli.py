@@ -13,7 +13,7 @@ import sys
 
 from . import __version__
 from .diagrams import CLAUSES, lookup, snake, verify
-from .enumeration import (Counterexample, UniverseSpec, enumerate_semimodules,
+from .enumeration import (PROPERTIES, Counterexample, UniverseSpec, enumerate_semimodules,
                           search_counterexample)
 from .errors import (HypothesisError, ParameterError, SemiexactError, StructureError,
                      WorkspaceError)
@@ -264,7 +264,7 @@ def build_parser():
     p.set_defaults(func=cmd_snake)
 
     p = sub.add_parser("search", help="search the counterexample catalog")
-    p.add_argument("name", help="property id")
+    p.add_argument("name", help="one of: " + ", ".join(PROPERTIES))
     p.add_argument("semiring", nargs="?", default="nat3",
                    help="builtin or workspace semiring (default nat3)")
     common(p)

@@ -1,10 +1,19 @@
-"""Exhaustive generation of small semimodules and independent oracles.
+"""Exhaustive generation of small semimodules, independent oracles and the
+counterexample catalog.
 
 Enumeration is complete up to isomorphism for the requested bound:
 candidates are kept only when their (add, action) tables are the
 lexicographically smallest among all carrier permutations fixing zero.
 Everything here is deterministic; the seed in a UniverseSpec only matters
 to downstream samplers.
+
+The counterexample catalog is one table, _CATALOG: each Property has its
+description, its candidate stream over a universe, one predicate
+holds(spec, witnesses) that runs its cheap, selective tests first, and the
+text of a found counterexample. A search returns the first candidate that
+holds, counting every candidate inspected; a replay is the same predicate
+on the stored spec and witnesses, so it re-checks the whole property over
+the universe the counterexample was found in. PROPERTIES is its public view.
 """
 
 from __future__ import annotations
@@ -12,10 +21,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations, product
+from typing import Callable, NamedTuple
 
-from .core import Semimodule, Semiring, freeze_table, validate_semimodule
+from .core import (Semimodule, Semiring, all_subsemimodules, freeze_table,
+                   is_cancellative_module, is_subtractive, self_module,
+                   subtractive_closure_set, validate_semimodule)
+from .diagrams import CLAUSES
 from .errors import LemmaRefuted, ParameterError, PreconditionError
-from .morphisms import Morphism, enumerate_hom
+from .exactness import Sequence, analyze
+from .morphisms import (Morphism, classify, compose, enumerate_hom, image_set, is_injective,
+                        is_isomorphism, is_surjective, kernel_set)
 
 
 @dataclass(frozen=True)
@@ -236,12 +251,11 @@ def oracle_iso_exists(M: Semimodule, N: Semimodule):
     return None
 
 
+@lru_cache(maxsize=None)
 def universe_with_free_module(spec: UniverseSpec):
     """Universe modules plus the rank-one free module (the semiring over
     itself), which separates any two elements with equal image and makes the
-    bounded monomorphism test exact."""
-    from .core import self_module
-
+    bounded monomorphism test exact. Built once per spec."""
     uni = enumerate_semimodules(spec)
     mods = list(uni.modules)
     free = self_module(spec.semiring)
@@ -341,7 +355,7 @@ class Counterexample:
     property_id: str
     witnesses: tuple
     description: str
-    minimal: bool
+    spec: UniverseSpec  # the universe it was found in, which a replay re-checks
 
 
 @dataclass(frozen=True)
@@ -352,296 +366,166 @@ class ExhaustionReport:
     description: str
 
 
-def _search_non_subtractive(spec):
-    from .core import all_subsemimodules, is_subtractive
+class Property(NamedTuple):
+    """One catalog entry: candidates(spec) yields witness tuples in search
+    order, holds(spec, witnesses) is the whole property over the universe,
+    and found(*witnesses) is the text of a counterexample."""
+    description: str
+    candidates: Callable
+    holds: Callable
+    found: Callable
 
-    count = 0
+
+def _subobjects(spec):
     for M in enumerate_semimodules(spec).modules:
         for L in all_subsemimodules(M):
-            count += 1
-            if not is_subtractive(L):
-                return Counterexample(
-                    "non-subtractive-subsemimodule", (M, L),
-                    f"{{{','.join(map(str, L.members))}}} <= {M.name} "
-                    "is strictly smaller than its subtractive closure", True), count
-    return None, count
+            yield M, L
 
 
-def _replay_non_subtractive(witnesses):
-    from .core import is_subtractive
-
-    _, L = witnesses
-    return not is_subtractive(L)
-
-
-def _all_morphisms(spec):
-    mods = enumerate_semimodules(spec).modules
-    for M in mods:
-        for N in mods:
-            yield from enumerate_hom(M, N)
-
-
-def _search_semi_mono_not_mono(spec):
-    from .morphisms import classify, is_injective
-
-    test_pool = universe_with_free_module(spec)
-    count = 0
-    for f in _all_morphisms(spec):
-        count += 1
-        if classify(f).semi_mono and not is_injective(f) \
-                and not is_monomorphism(f, test_pool):
-            return Counterexample(
-                "semi-mono-not-mono", (f,),
-                f"{f.name} has zero kernel yet identifies two elements", True), count
-    return None, count
-
-
-def _replay_semi_mono_not_mono(witnesses):
-    from .morphisms import classify, is_injective
-
-    (f,) = witnesses
-    return classify(f).semi_mono and not is_injective(f)
-
-
-def _search_mono_not_injective(spec):
-    from .morphisms import is_injective
-
-    test_pool = universe_with_free_module(spec)
-    count = 0
-    for f in _all_morphisms(spec):
-        count += 1
-        if not is_injective(f) and is_monomorphism(f, test_pool):
-            return Counterexample(
-                "mono-not-injective", (f,),
-                f"{f.name} is a bounded-universe monomorphism but not injective",
-                True), count
-    return None, count
-
-
-def _replay_mono_not_injective(witnesses):
-    (f,) = witnesses
-    from .morphisms import is_injective
-
-    return not is_injective(f)
-
-
-def _cancellative_modules(spec):
-    from .core import is_cancellative_module
-
-    return [M for M in enumerate_semimodules(spec).modules if is_cancellative_module(M)]
-
-
-def _search_cancellative_epi_not_surjective(spec):
-    """Finite analog of the naturals inside the integers: a non-surjective
-    epimorphism of cancellative modules. Expected to exhaust at desk scale,
-    since finite cancellative monoids are groups."""
-    from .core import subtractive_closure_set
-    from .morphisms import image_set, is_surjective
-
-    mods = _cancellative_modules(spec)
-    count = 0
+def _maps_among(mods):
     for M in mods:
         for N in mods:
             for f in enumerate_hom(M, N):
-                count += 1
-                closure = subtractive_closure_set(N, image_set(f))
-                if len(closure) == N.size and not is_surjective(f):
-                    return Counterexample(
-                        "cancellative-epi-not-surjective", (f,),
-                        f"{f.name} is epi in the cancellative category but not onto",
-                        True), count
-    return None, count
+                yield (f,)
 
 
-def _replay_cancellative_epi_not_surjective(witnesses):
-    from .core import subtractive_closure_set
-    from .morphisms import image_set, is_surjective
-
-    (f,) = witnesses
-    closure = subtractive_closure_set(f.codomain, image_set(f))
-    return len(closure) == f.codomain.size and not is_surjective(f)
+def _maps(spec):
+    return _maps_among(enumerate_semimodules(spec).modules)
 
 
-def _search_non_i_uniform_bimorphism_cs(spec):
-    """Injective epimorphism of cancellative modules that is not i-uniform."""
-    from .core import subtractive_closure_set
-    from .morphisms import image_set, is_injective, is_surjective
-
-    mods = _cancellative_modules(spec)
-    count = 0
-    for M in mods:
-        for N in mods:
-            for f in enumerate_hom(M, N):
-                count += 1
-                closure = subtractive_closure_set(N, image_set(f))
-                if is_injective(f) and len(closure) == N.size and not is_surjective(f):
-                    return Counterexample(
-                        "non-i-uniform-bimorphism-cs", (f,),
-                        f"{f.name} is a bimorphism in the cancellative category "
-                        "but not i-uniform", True), count
-    return None, count
+def _cancellative_maps(spec):
+    return _maps_among([M for M in enumerate_semimodules(spec).modules
+                        if is_cancellative_module(M)])
 
 
-def _replay_non_i_uniform_bimorphism_cs(witnesses):
-    from .core import is_cancellative_module
-    from .morphisms import classify, is_injective
-
-    (f,) = witnesses
-    return (is_cancellative_module(f.domain) and is_cancellative_module(f.codomain)
-            and is_injective(f) and _replay_cancellative_epi_not_surjective(witnesses)
-            and not classify(f).i_uniform)
-
-
-def _search_bimorphism_not_iso(spec):
-    """Bimorphism (bounded-universe mono and epi) that is not an isomorphism."""
-    from .morphisms import is_injective, is_isomorphism
-
-    pool = universe_with_free_module(spec)
-    count = 0
-    for f in _all_morphisms(spec):
-        count += 1
-        if is_isomorphism(f):
-            continue
-        if is_injective(f) and is_epimorphism(f, pool) and is_monomorphism(f, pool):
-            return Counterexample(
-                "bimorphism-not-iso", (f,),
-                f"{f.name} is mono and epi over the bounded universe but not iso",
-                True), count
-    return None, count
-
-
-def _replay_bimorphism_not_iso(witnesses):
-    from .morphisms import is_isomorphism
-
-    (f,) = witnesses
-    return not is_isomorphism(f)
-
-
-def _search_proper_exact_not_exact(spec):
-    from .exactness import Sequence, analyze
-    from .morphisms import image_set, kernel_set
-
+def _composable_pairs(spec):
+    """(f, g) for L -f-> M -g-> N, by g first, then by f."""
     mods = enumerate_semimodules(spec).modules
-    count = 0
     for M in mods:
         for N in mods:
             for g in enumerate_hom(M, N):
                 for L in mods:
                     for f in enumerate_hom(L, M):
-                        count += 1
-                        if image_set(f) != kernel_set(g):
-                            continue
-                        v = analyze(Sequence("s", (f, g)))
-                        if v.proper_exact and not v.exact:
-                            return Counterexample(
-                                "proper-exact-not-exact", (f, g),
-                                "image equals kernel but the right map is not k-uniform",
-                                True), count
-    return None, count
+                        yield f, g
 
 
-def _replay_proper_exact_not_exact(witnesses):
-    from .exactness import Sequence, analyze
+def _short_five_tuples(spec):
+    """(row1, row2, a1, a2, a3): short-exact rows with cancellative middles
+    and commuting verticals."""
+    from .harness import vertical_triples  # harness imports this module
 
+    for row1, row2, verts in vertical_triples(spec, require_cancellative_mid=True):
+        yield (row1, row2, *verts)
+
+
+def _cancellative_epi_not_onto(spec, witnesses):
+    """Epi in the cancellative category (the image's subtractive closure is
+    the codomain) but not onto: the naturals inside the integers. Expected
+    absent at desk scale, since finite cancellative monoids are groups."""
+    (f,) = witnesses
+    N = f.codomain
+    return (len(subtractive_closure_set(N, image_set(f))) == N.size
+            and not is_surjective(f)
+            and is_cancellative_module(f.domain) and is_cancellative_module(N))
+
+
+def _bimorphism_not_iso(spec, witnesses):
+    (f,) = witnesses
+    return (not is_isomorphism(f) and is_injective(f)
+            and is_epimorphism(f, pool := universe_with_free_module(spec))
+            and is_monomorphism(f, pool))
+
+
+def _proper_exact_not_exact(spec, witnesses):
     f, g = witnesses
-    v = analyze(Sequence("s", (f, g)))
+    if image_set(f) != kernel_set(g):
+        return False
+    v = analyze(Sequence("s", witnesses))
     return v.proper_exact and not v.exact
 
 
-def _search_semi_exact_not_proper(spec):
-    from .core import subtractive_closure_set
-    from .morphisms import image_set, kernel_set
-
-    mods = enumerate_semimodules(spec).modules
-    count = 0
-    for M in mods:
-        for N in mods:
-            for g in enumerate_hom(M, N):
-                ker = kernel_set(g)
-                for L in mods:
-                    for f in enumerate_hom(L, M):
-                        count += 1
-                        img = image_set(f)
-                        if img != ker and subtractive_closure_set(M, img) == ker:
-                            return Counterexample(
-                                "semi-exact-not-proper-exact", (f, g),
-                                "closure of the image is the kernel but the image is not",
-                                True), count
-    return None, count
-
-
-def _replay_semi_exact_not_proper(witnesses):
-    from .core import subtractive_closure_set
-    from .morphisms import image_set, kernel_set
-
+def _semi_exact_not_proper(spec, witnesses):
     f, g = witnesses
-    img = image_set(f)
-    ker = kernel_set(g)
-    return img != ker and subtractive_closure_set(f.codomain, img) == ker
+    img, ker = image_set(f), kernel_set(g)
+    return img != ker and subtractive_closure_set(g.domain, img) == ker
 
 
-def _search_short_five_needs_i_uniform(spec):
-    """Rows short exact, middles cancellative, outer verticals isos, middle
-    vertical not i-uniform and not iso. Expected to exhaust: finite
-    cancellative modules are groups, where every morphism is i-uniform."""
-    from .harness import vertical_triples
-    from .morphisms import classify, is_isomorphism
-
-    count = 0
-    for row1, row2, verts in vertical_triples(spec, require_cancellative_mid=True):
-        count += 1
-        a1, a2, a3 = verts
-        if is_isomorphism(a1) and is_isomorphism(a3):
-            c2 = classify(a2)
-            if not c2.i_uniform and not is_isomorphism(a2):
-                return Counterexample(
-                    "short-five-needs-i-uniform", (row1, row2, a1, a2, a3),
-                    "outer isomorphisms with a non-i-uniform, non-iso middle", True), count
-    return None, count
-
-
-def _replay_short_five_needs_i_uniform(witnesses):
-    """Both squares commute and short-five's hypotheses hold, yet a2 is
-    neither i-uniform nor an isomorphism."""
-    from .diagrams import CLAUSES
-    from .morphisms import classify, compose, is_isomorphism
-
+def _short_five_needs_i_uniform(spec, witnesses):
+    """Outer verticals isomorphisms and a2 neither i-uniform nor iso, both
+    squares commuting and short-five's hypotheses holding. Expected to
+    exhaust: finite cancellative modules are groups, where every morphism
+    is i-uniform."""
     (f1, g1), (f2, g2), a1, a2, a3 = witnesses
-    return (compose(f2, a1).map == compose(a2, f1).map
+    return (is_isomorphism(a1) and is_isomorphism(a3)
+            and not classify(a2).i_uniform and not is_isomorphism(a2)
+            and compose(f2, a1).map == compose(a2, f1).map
             and compose(a3, g1).map == compose(g2, a2).map
-            and CLAUSES["short-five"].filter(())((f1, g1, f2, g2, a1, a2, a3))
-            and not classify(a2).i_uniform and not is_isomorphism(a2))
+            and CLAUSES["short-five"].filter(())((f1, g1, f2, g2, a1, a2, a3)))
 
 
-PROPERTIES = {
-    "non-subtractive-subsemimodule": (
-        "a subsemimodule strictly below its subtractive closure",
-        _search_non_subtractive, _replay_non_subtractive),
-    "semi-mono-not-mono": (
-        "zero kernel without injectivity",
-        _search_semi_mono_not_mono, _replay_semi_mono_not_mono),
-    "mono-not-injective": (
-        "bounded-universe monomorphism that is not injective (expected absent)",
-        _search_mono_not_injective, _replay_mono_not_injective),
-    "cancellative-epi-not-surjective": (
+_CATALOG = {
+    "non-subtractive-subsemimodule": Property(
+        "a subsemimodule strictly below its subtractive closure", _subobjects,
+        lambda spec, w: not is_subtractive(w[1]),
+        lambda M, L: f"{{{','.join(map(str, L.members))}}} <= {M.name} "
+                     "is strictly smaller than its subtractive closure"),
+    "semi-mono-not-mono": Property(
+        "zero kernel without injectivity", _maps,
+        lambda spec, w: (classify(w[0]).semi_mono and not is_injective(w[0])
+                         and not is_monomorphism(w[0], universe_with_free_module(spec))),
+        lambda f: f"{f.name} has zero kernel yet identifies two elements"),
+    "mono-not-injective": Property(
+        "bounded-universe monomorphism that is not injective (expected absent)", _maps,
+        lambda spec, w: (not is_injective(w[0])
+                         and is_monomorphism(w[0], universe_with_free_module(spec))),
+        lambda f: f"{f.name} is a bounded-universe monomorphism but not injective"),
+    "cancellative-epi-not-surjective": Property(
         "non-surjective epimorphism of cancellative modules (expected absent)",
-        _search_cancellative_epi_not_surjective, _replay_cancellative_epi_not_surjective),
-    "non-i-uniform-bimorphism-cs": (
+        _cancellative_maps, _cancellative_epi_not_onto,
+        lambda f: f"{f.name} is epi in the cancellative category but not onto"),
+    "non-i-uniform-bimorphism-cs": Property(
         "cancellative bimorphism that is not i-uniform (expected absent)",
-        _search_non_i_uniform_bimorphism_cs, _replay_non_i_uniform_bimorphism_cs),
-    "bimorphism-not-iso": (
-        "bimorphism over the bounded universe that is not an isomorphism",
-        _search_bimorphism_not_iso, _replay_bimorphism_not_iso),
-    "proper-exact-not-exact": (
-        "image equals kernel without k-uniformity",
-        _search_proper_exact_not_exact, _replay_proper_exact_not_exact),
-    "semi-exact-not-proper-exact": (
-        "closure of image equals kernel while the image does not",
-        _search_semi_exact_not_proper, _replay_semi_exact_not_proper),
-    "short-five-needs-i-uniform": (
+        _cancellative_maps,
+        lambda spec, w: (is_injective(w[0]) and _cancellative_epi_not_onto(spec, w)
+                         and not classify(w[0]).i_uniform),
+        lambda f: f"{f.name} is a bimorphism in the cancellative category "
+                  "but not i-uniform"),
+    "bimorphism-not-iso": Property(
+        "bimorphism over the bounded universe that is not an isomorphism", _maps,
+        _bimorphism_not_iso,
+        lambda f: f"{f.name} is mono and epi over the bounded universe but not iso"),
+    "proper-exact-not-exact": Property(
+        "image equals kernel without k-uniformity", _composable_pairs,
+        _proper_exact_not_exact,
+        lambda f, g: "image equals kernel but the right map is not k-uniform"),
+    "semi-exact-not-proper-exact": Property(
+        "closure of image equals kernel while the image does not", _composable_pairs,
+        _semi_exact_not_proper,
+        lambda f, g: "closure of the image is the kernel but the image is not"),
+    "short-five-needs-i-uniform": Property(
         "short-five middle hypothesis dropped (expected absent at desk scale)",
-        _search_short_five_needs_i_uniform, _replay_short_five_needs_i_uniform),
+        _short_five_tuples, _short_five_needs_i_uniform,
+        lambda *w: "outer isomorphisms with a non-i-uniform, non-iso middle"),
 }
+
+
+def _searcher(property_id, prop):
+    """search(spec): the first candidate that holds, and how many were inspected."""
+    def search(spec):
+        count = 0
+        for witnesses in prop.candidates(spec):
+            count += 1
+            if prop.holds(spec, witnesses):
+                return Counterexample(property_id, witnesses, prop.found(*witnesses),
+                                      spec), count
+        return None, count
+    return search
+
+
+# id -> (description, search(spec) -> (Counterexample or None, instances
+# inspected), replay(spec, witnesses) -> bool), all read off _CATALOG.
+PROPERTIES = {pid: (p.description, _searcher(pid, p), p.holds)
+              for pid, p in _CATALOG.items()}
 
 
 def search_counterexample(property_id: str, spec: UniverseSpec):
@@ -658,7 +542,8 @@ def search_counterexample(property_id: str, spec: UniverseSpec):
 
 
 def replay_counterexample(cx: Counterexample) -> bool:
-    """Re-run the property on stored witnesses; True iff the failure reproduces."""
+    """Re-check the whole property on the stored witnesses over the stored
+    universe; True iff the counterexample reproduces."""
     if cx.property_id not in PROPERTIES:
         raise ParameterError(f"unknown property id {cx.property_id!r}")
-    return PROPERTIES[cx.property_id][2](cx.witnesses)
+    return PROPERTIES[cx.property_id][2](cx.spec, cx.witnesses)

@@ -200,14 +200,10 @@ def ker_coker_sequence(gamma: Morphism) -> KerCokerResult:
     closure = subtractive_closure_set(gamma.codomain, image_set(gamma))
     cmod, cincl = submodule_as_module(
         Subsemimodule(gamma.codomain, tuple(sorted(closure))), name=f"ImCl({gamma.name})")
-    image_seq = Sequence(f"imageseq({gamma.name})",
-                         (zero_morphism(z, cmod), cincl, coker.projection,
-                          zero_morphism(coker.quotient, z)))
+    image_seq = short_sequence(cincl, coker.projection, name=f"imageseq({gamma.name})")
     dom_q = quotient(gamma.domain, bourne_congruence(kernel(gamma)),
                      name=f"{gamma.domain.name}/Ker({gamma.name})")
-    kernel_seq = Sequence(f"kernelseq({gamma.name})",
-                          (zero_morphism(z, kmod), kincl, dom_q.projection,
-                           zero_morphism(dom_q.quotient, z)))
+    kernel_seq = short_sequence(kincl, dom_q.projection, name=f"kernelseq({gamma.name})")
     for kind, s in (("image", image_seq), ("kernel", kernel_seq)):
         if not is_short_exact(s).ok:
             raise LemmaRefuted(f"{kind} sequence of {gamma.name} not exact")
@@ -230,20 +226,19 @@ def subobject_character(L: Subsemimodule) -> SubobjectCharacter:
     q = quotient(M, bourne_congruence(L))
     lmod, lincl = submodule_as_module(L)
 
-    seq_l = Sequence(f"sub({lmod.name})", _pad(lincl, q.projection))
-    v = analyze(seq_l)
+    v = analyze(short_sequence(lincl, q.projection, name=f"sub({lmod.name})"))
     semi = v.semi_exact
     if not semi:
         raise LemmaRefuted(f"0 -> L -> M -> M/L -> 0 failed semi-exactness for {lmod.name}")
 
     closure = sorted(subtractive_closure_set(M, L.members))
     cmod, cincl = submodule_as_module(Subsemimodule(M, tuple(closure)))
-    exact_cl = is_short_exact(Sequence("cl", _pad(cincl, q.projection))).ok
+    exact_cl = is_short_exact(short_sequence(cincl, q.projection, name="cl")).ok
     if not exact_cl:
         raise LemmaRefuted(
             f"0 -> closure(L) -> M -> M/L -> 0 failed exactness for {lmod.name}")
 
-    c1 = is_short_exact(Sequence("c1", _pad(lincl, q.projection))).ok
+    c1 = is_short_exact(short_sequence(lincl, q.projection, name="c1")).ok
     ker_pi = kernel_set(q.projection)
     c2 = set(L.members) == ker_pi  # finite carriers: abstract iso forces equality
     z = zero_module(M.semiring)
@@ -257,8 +252,3 @@ def subobject_character(L: Subsemimodule) -> SubobjectCharacter:
         raise LemmaRefuted(
             f"subobject characterizations disagree for {lmod.name}: {(c1, c2, c3, c4, c5)}")
     return SubobjectCharacter(semi, exact_cl, c5, c4, True)
-
-
-def _pad(f: Morphism, g: Morphism):
-    z = zero_module(f.domain.semiring)
-    return (zero_morphism(z, f.domain), f, g, zero_morphism(g.codomain, z))

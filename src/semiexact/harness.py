@@ -28,11 +28,11 @@ import random
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .core import Semiring, Subsemimodule, is_cancellative_module
+from .core import Semiring, is_cancellative_module
 from .diagrams import Diagram, _classify, lookup
 from .enumeration import UniverseSpec, enumerate_semimodules, oracle_iso_exists
 from .errors import ParameterError, StructureError
-from .morphisms import (Morphism, compose, enumerate_hom, image_set, is_injective,
+from .morphisms import (Morphism, compose, enumerate_hom, image, image_set, is_injective,
                         is_isomorphism, is_k_uniform, is_surjective, kernel_module,
                         kernel_set)
 from .quotients import bourne_congruence, quotient
@@ -309,12 +309,7 @@ def _gen_2x5(spec: HarnessSpec, clause):
 def _derive_quotient_row(f2, g2, a1, a2, a3):
     """Bottom row of a 3x3: quotients by the vertical images with the induced
     maps; None when an induced map is not well-defined."""
-    q1 = quotient(a1.codomain, bourne_congruence(
-        Subsemimodule(a1.codomain, tuple(sorted(image_set(a1))))))
-    q2 = quotient(a2.codomain, bourne_congruence(
-        Subsemimodule(a2.codomain, tuple(sorted(image_set(a2))))))
-    q3 = quotient(a3.codomain, bourne_congruence(
-        Subsemimodule(a3.codomain, tuple(sorted(image_set(a3))))))
+    q1, q2, q3 = (quotient(a.codomain, bourne_congruence(image(a))) for a in (a1, a2, a3))
 
     def induced(q_src, q_dst, f):
         table = [None] * q_src.quotient.size

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from semiexact.cli import LEMMAS, main
+from semiexact.enumeration import PROPERTIES
 
 DEMO = "fixtures/demo.sx"
 
@@ -61,12 +62,13 @@ def test_lemma_unknown_name(capsys):
 def test_readme_and_help_name_every_lemma(capsys, monkeypatch):
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     monkeypatch.setenv("COLUMNS", "1000")  # no wrapping inside hyphenated names
-    with pytest.raises(SystemExit):
-        run(["lemma", "--help"])
-    help_text = capsys.readouterr().out
-    for name in LEMMAS:
-        assert f"`{name}`" in readme
-        assert name in help_text
+    for command, names in (("lemma", LEMMAS), ("search", PROPERTIES)):
+        with pytest.raises(SystemExit):
+            run([command, "--help"])
+        help_text = capsys.readouterr().out
+        for name in names:
+            assert f"`{name}`" in readme
+            assert name in help_text
     assert "9-1.1-2" not in readme and "9-3.1-2" not in readme
 
 

@@ -1,18 +1,23 @@
 """Universe enumeration, isomorphism oracle, counterexample catalog."""
 
+import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from semiexact.core import (make_boolean, make_zmod, make_saturating_naturals,
                             monoid_semiring)
-from semiexact.enumeration import (Counterexample, ExhaustionReport, UniverseSpec,
-                                   abelian_snake_delta, enumerate_semimodules,
-                                   enumerate_semimodules_naive, oracle_iso_exists,
-                                   replay_counterexample, search_counterexample)
+from semiexact.enumeration import (PROPERTIES, Counterexample, ExhaustionReport,
+                                   UniverseSpec, abelian_snake_delta,
+                                   enumerate_semimodules, enumerate_semimodules_naive,
+                                   oracle_iso_exists, replay_counterexample,
+                                   search_counterexample)
 from semiexact.errors import ParameterError, PreconditionError
 from semiexact.fixtures import monoid_fixture
+
+CATALOG = Path(__file__).resolve().parent / "data" / "catalog_outcomes.json"
 
 
 def test_monoid_counts(nat4_universe):
@@ -82,7 +87,7 @@ def test_search_non_subtractive():
     assert isinstance(found, Counterexample)
     _, sub = found.witnesses
     assert sub.members == (0, 2)
-    assert replay_counterexample(found)
+    assert found.spec == spec and replay_counterexample(found)
 
 
 def test_search_semi_mono_not_mono():
@@ -91,7 +96,7 @@ def test_search_semi_mono_not_mono():
     assert isinstance(found, Counterexample)
     (f,) = found.witnesses
     assert f.domain.size <= 3
-    assert replay_counterexample(found)
+    assert found.spec == spec and replay_counterexample(found)
 
 
 def test_search_expected_exhaustions():
@@ -106,10 +111,10 @@ def test_search_expected_exhaustions():
 
 def test_search_exactness_gaps():
     spec = UniverseSpec(monoid_semiring(3), 3)
-    found = search_counterexample("proper-exact-not-exact", spec)
-    assert isinstance(found, Counterexample) and replay_counterexample(found)
-    found = search_counterexample("semi-exact-not-proper-exact", spec)
-    assert isinstance(found, Counterexample) and replay_counterexample(found)
+    for prop in ("proper-exact-not-exact", "semi-exact-not-proper-exact"):
+        found = search_counterexample(prop, spec)
+        assert isinstance(found, Counterexample) and found.spec == spec
+        assert replay_counterexample(found)
 
 
 def test_search_bimorphism_not_iso_exhausts():
@@ -132,18 +137,36 @@ def test_search_short_five_drop_hypothesis_exhausts():
 
 
 def test_bimorphism_replay_requires_injective_cancellative_maps():
-    """Maps that pass the cancellative-epi replay between non-cancellative
-    modules, most of them not injective, are no cancellative bimorphisms."""
-    from semiexact.morphisms import enumerate_hom, is_injective
+    """Maps whose image's subtractive closure is the codomain without being
+    onto, between non-cancellative modules and most of them not injective,
+    are no cancellative bimorphisms."""
+    from semiexact.core import subtractive_closure_set
+    from semiexact.morphisms import enumerate_hom, image_set, is_injective, is_surjective
 
-    mods = enumerate_semimodules(UniverseSpec(monoid_semiring(3), 3)).modules
+    spec = UniverseSpec(monoid_semiring(3), 3)
+    mods = enumerate_semimodules(spec).modules
     epi_like = [f for M in mods for N in mods for f in enumerate_hom(M, N)
-                if replay_counterexample(
-                    Counterexample("cancellative-epi-not-surjective", (f,), "", True))]
+                if len(subtractive_closure_set(N, image_set(f))) == N.size
+                and not is_surjective(f)]
     assert any(not is_injective(f) for f in epi_like)
     for f in epi_like:
-        tampered = Counterexample("non-i-uniform-bimorphism-cs", (f,), "tampered", True)
+        tampered = Counterexample("non-i-uniform-bimorphism-cs", (f,), "tampered", spec)
         assert not replay_counterexample(tampered), f.name
+
+
+@pytest.mark.parametrize("prop", ["mono-not-injective", "bimorphism-not-iso",
+                                  "cancellative-epi-not-surjective"])
+def test_replay_rejects_non_counterexamples(prop):
+    """The search exhausts the nat3 universe, so no map in it is a
+    counterexample and the replay, which re-checks the whole property over
+    that universe, must reject every one."""
+    from semiexact.morphisms import enumerate_hom
+
+    spec = UniverseSpec(monoid_semiring(3), 3)
+    assert isinstance(search_counterexample(prop, spec), ExhaustionReport)
+    mods = enumerate_semimodules(spec).modules
+    for f in (f for M in mods for N in mods for f in enumerate_hom(M, N)):
+        assert not replay_counterexample(Counterexample(prop, (f,), "tampered", spec)), f.name
 
 
 def test_short_five_replay_rechecks_the_property():
@@ -159,8 +182,27 @@ def test_short_five_replay_rechecks_the_property():
     zero = zero_morphism(a2.domain, a2.codomain)
     for middle in (a2, zero):
         tampered = Counterexample("short-five-needs-i-uniform",
-                                  (row1, row2, a1, middle, a3), "tampered", True)
+                                  (row1, row2, a1, middle, a3), "tampered", spec)
         assert not replay_counterexample(tampered)
+
+
+def test_catalog_matches_snapshot():
+    """Every property on six universes: the description and witnesses of a
+    counterexample, or the number of instances an exhausted search inspected."""
+    specs = [UniverseSpec(monoid_semiring(3), 3), UniverseSpec(monoid_semiring(4), 3),
+             UniverseSpec(monoid_semiring(4), 4), UniverseSpec(make_zmod(2), 3),
+             UniverseSpec(make_boolean(), 3), UniverseSpec(make_saturating_naturals(2), 3)]
+    got = {}
+    for spec in specs:
+        for prop in PROPERTIES:
+            outcome = search_counterexample(prop, spec)
+            key = f"{prop}@{spec.semiring.name}:{spec.max_module_size}"
+            if isinstance(outcome, Counterexample):
+                got[key] = {"found": outcome.description,
+                            "witnesses": repr(outcome.witnesses)}
+            else:
+                got[key] = {"exhausted": outcome.searched}
+    assert got == json.loads(CATALOG.read_text(encoding="utf-8"))
 
 
 def test_search_unknown_property():
