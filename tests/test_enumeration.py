@@ -1,5 +1,6 @@
 """Universe enumeration, isomorphism oracle, counterexample catalog."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -10,14 +11,30 @@ import pytest
 from semiexact.core import (make_boolean, make_zmod, make_saturating_naturals,
                             monoid_semiring)
 from semiexact.enumeration import (PROPERTIES, Counterexample, ExhaustionReport,
-                                   UniverseSpec, abelian_snake_delta,
+                                   UniverseSpec, _canonical_monoid_tables,
+                                   abelian_snake_delta, canonical_form,
                                    enumerate_semimodules, enumerate_semimodules_naive,
                                    oracle_iso_exists, replay_counterexample,
                                    search_counterexample)
 from semiexact.errors import ParameterError, PreconditionError
-from semiexact.fixtures import monoid_fixture
+from semiexact.fixtures import builtin_semirings, monoid_fixture
 
-CATALOG = Path(__file__).resolve().parent / "data" / "catalog_outcomes.json"
+DATA = Path(__file__).resolve().parent / "data"
+CATALOG = DATA / "catalog_outcomes.json"
+UNIVERSES = DATA / "universe_seed.json"
+# the universe-export bounds: size 4, except these two at size 3
+SIZE_3_ONLY = ("T2xB", "minplus3")
+
+
+def universe_digests():
+    """name:bound -> sha256 of every module's (name, size, add, action)."""
+    out = {}
+    for name, semiring in builtin_semirings().items():
+        bound = 3 if name in SIZE_3_ONLY else 4
+        mods = enumerate_semimodules(UniverseSpec(semiring, bound)).modules
+        text = json.dumps([(m.name, m.size, m.add, m.action) for m in mods])
+        out[f"{name}:{bound}"] = hashlib.sha256(text.encode()).hexdigest()
+    return out
 
 
 def test_monoid_counts(nat4_universe):
@@ -48,12 +65,34 @@ def test_ring_module_counts():
     assert len(z4.modules) == 4  # 0, Z2, Z4, Z2 x Z2
 
 
+def test_universes_match_snapshot():
+    """Every builtin semiring's universe, module names and tables included,
+    equals the one recorded before the action search was pruned."""
+    assert universe_digests() == json.loads(UNIVERSES.read_text(encoding="utf-8"))
+
+
 def test_naive_recount_matches():
-    for semiring in (monoid_semiring(3), make_boolean(), make_zmod(2),
-                     make_saturating_naturals(2)):
-        pruned = enumerate_semimodules(UniverseSpec(semiring, 3)).modules
-        naive = enumerate_semimodules_naive(semiring, 3)
-        assert len(pruned) == len(naive), semiring.name
+    """The pruned enumeration finds exactly the isomorphism classes of the
+    unpruned sweep, each once: every builtin semiring at size 3, three at 4."""
+    cases = [(s, 3) for s in builtin_semirings().values()]
+    cases += [(make_boolean(), 4), (make_zmod(4), 4), (monoid_semiring(4), 4)]
+    for semiring, size in cases:
+        pruned = enumerate_semimodules(UniverseSpec(semiring, size)).modules
+        forms = [(m.size, canonical_form(m.add, m.action)) for m in pruned]
+        assert len(set(forms)) == len(forms), (semiring.name, size)
+        assert set(forms) == enumerate_semimodules_naive(semiring, size), (semiring.name, size)
+
+
+def test_canonical_monoid_tables():
+    """One table per commutative monoid of order n up to isomorphism (OEIS
+    A058131), each its own canonical form."""
+    counts = []
+    for n in range(1, 5):
+        tables = _canonical_monoid_tables(n)
+        counts.append(len(tables))
+        for add in tables:
+            assert canonical_form(add, ()) == tuple(x for row in add for x in row)
+    assert counts == [1, 2, 5, 19]
 
 
 def test_enumeration_deterministic():
@@ -167,6 +206,22 @@ def test_replay_rejects_non_counterexamples(prop):
     mods = enumerate_semimodules(spec).modules
     for f in (f for M in mods for N in mods for f in enumerate_hom(M, N)):
         assert not replay_counterexample(Counterexample(prop, (f,), "tampered", spec)), f.name
+
+
+@pytest.mark.parametrize("prop", ["proper-exact-not-exact", "semi-exact-not-proper-exact"])
+def test_exactness_replays_reject_pairs_that_do_not_chain(prop):
+    """L -f-> M and M' -g-> N with M != M' form no sequence, even when the
+    image of f and the kernel of g are the same set of element ids."""
+    from semiexact.morphisms import enumerate_hom, image_set, kernel_set
+
+    spec = UniverseSpec(monoid_semiring(3), 3)
+    mods = enumerate_semimodules(spec).modules
+    maps = [f for M in mods for N in mods for f in enumerate_hom(M, N)]
+    pairs = [(f, g) for f in maps for g in maps if f.codomain != g.domain]
+    assert any(image_set(f) == kernel_set(g) for f, g in pairs)
+    for f, g in pairs:
+        tampered = Counterexample(prop, (f, g), "tampered", spec)
+        assert not replay_counterexample(tampered), (f.name, g.name)
 
 
 def test_short_five_replay_rechecks_the_property():
