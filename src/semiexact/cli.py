@@ -228,9 +228,8 @@ def build_parser():
     ap.add_argument("--version", action="version", version=f"semiexact {__version__}")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, files=True):
-        if files:
-            p.add_argument("files", nargs="*", help="workspace definition files")
+    def common(p):
+        p.add_argument("files", nargs="*", help="workspace definition files")
         p.add_argument("--report", metavar="PATH", help="write machine-readable report")
         p.add_argument("--quiet", action="store_true", help="suppress human output")
         p.add_argument("--max-size", type=int, default=3, metavar="N",

@@ -343,25 +343,6 @@ def is_subtractive(X: Subsemimodule) -> bool:
     return set(X.members) == subtractive_closure_set(X.parent, X.members)
 
 
-def generated_subsemimodule(M: Semimodule, seeds) -> Subsemimodule:
-    """Smallest subsemimodule of M containing the seed elements."""
-    inside = {M.zero} | set(seeds)
-    frontier = list(inside)
-    while frontier:
-        a = frontier.pop()
-        for b in list(inside):
-            c = M.add[a][b]
-            if c not in inside:
-                inside.add(c)
-                frontier.append(c)
-        for s in range(M.semiring.size):
-            c = M.action[a][s]
-            if c not in inside:
-                inside.add(c)
-                frontier.append(c)
-    return Subsemimodule(M, tuple(sorted(inside)))
-
-
 def all_subsemimodules(M: Semimodule):
     """Every subsemimodule, ordered by (size, members)."""
     from itertools import combinations

@@ -27,9 +27,10 @@ from typing import Callable, NamedTuple
 from .core import Element, is_cancellable, is_cancellative_module, subtractive_closure_set
 from .errors import HypothesisError, LemmaRefuted, StructureError
 from .exactness import Sequence, analyze
-from .morphisms import (Morphism, classify, compose, image_set, is_cancellative_morphism,
+from .morphisms import (Morphism, _table, classify, cokernel, factor_through_injection,
+                        factor_through_surjection, image_set, is_cancellative_morphism,
                         is_injective, is_isomorphism, is_k_uniform, is_surjective,
-                        kernel_module, kernel_set, cokernel)
+                        kernel_module, kernel_set)
 
 
 @dataclass(frozen=True)
@@ -167,11 +168,11 @@ class Diagram:
                 bottom = self.horizontals[(r + 1, c)]
                 left = self.verticals[(r, c)]
                 right = self.verticals[(r, c + 1)]
-                down_then_right = compose(bottom, left)
-                right_then_down = compose(right, top)
-                if down_then_right.map != right_then_down.map:
+                down_then_right = _table(bottom, left)
+                right_then_down = _table(right, top)
+                if down_then_right != right_then_down:
                     bad = next(x for x in range(top.domain.size)
-                               if down_then_right.map[x] != right_then_down.map[x])
+                               if down_then_right[x] != right_then_down[x])
                     raise HypothesisError(
                         f"diagram {self.name}: square ({r},{c}) does not commute",
                         f"element {bad} of {top.domain.name}")
@@ -522,6 +523,17 @@ CLAUSES = {
 }
 
 
+# A family's clause when the caller names none; every other family's id is
+# its own table key.
+DEFAULT_CLAUSE = {"nine": "iff"}
+
+
+def clause_key(family, clause=None):
+    """The table key of `family`'s `clause`, or of its default clause."""
+    clause = DEFAULT_CLAUSE.get(family) if clause is None else clause
+    return family if clause is None else f"{family}.{clause}"
+
+
 def lookup(clause_id, error=StructureError):
     """The table entry for clause_id; raises `error` if there is none."""
     if clause_id not in CLAUSES:
@@ -543,9 +555,9 @@ def verify(clause_id, d: Diagram) -> Certificate:
     return Certificate(clause_id, hypotheses, tuple(conclusions))
 
 
-def _entry(family, default=None):
-    def entry(d, clause=default):
-        return verify(family if clause is None else f"{family}.{clause}", d)
+def _entry(family):
+    def entry(d, clause=None):
+        return verify(clause_key(family, clause), d)
     return entry
 
 
@@ -558,7 +570,7 @@ verify_five_parts = _entry("five-parts")
 verify_five = _entry("five")
 verify_nine_first = _entry("nine-first")
 verify_nine_third = _entry("nine-third")
-verify_nine = _entry("nine", "iff")
+verify_nine = _entry("nine")
 
 
 # --------------------------------------------------------------- Snake lemma
@@ -618,25 +630,17 @@ def snake(d: Diagram) -> SnakeResult:
     cokers = tuple(cokernel(a) for a in (a1, a2, a3))
 
     def restrict(f, src_incl, dst_incl, name):
-        pos = {m: i for i, m in enumerate(dst_incl.map)}
-        table = []
-        for parent in src_incl.map:
-            v = f.map[parent]
-            if v not in pos:
-                raise LemmaRefuted(f"snake: {name} does not restrict through the kernels")
-            table.append(pos[v])
-        return Morphism(name, src_incl.domain, dst_incl.domain, table)
+        k = factor_through_injection(dst_incl, _table(f, src_incl), src_incl.domain, name)
+        if k is None:
+            raise LemmaRefuted(f"snake: {name} does not restrict through the kernels")
+        return k
 
     def descend(f, src_q, dst_q, name):
-        table = [None] * src_q.quotient.size
-        for x in f.domain.elements():
-            c = src_q.projection.map[x]
-            v = dst_q.projection.map[f.map[x]]
-            if table[c] is None:
-                table[c] = v
-            elif table[c] != v:
-                raise LemmaRefuted(f"snake: {name} is not well-defined on cokernel classes")
-        return Morphism(name, src_q.quotient, dst_q.quotient, table)
+        k = factor_through_surjection(src_q.projection, _table(dst_q.projection, f),
+                                      dst_q.quotient, name)
+        if k is None:
+            raise LemmaRefuted(f"snake: {name} is not well-defined on cokernel classes")
+        return k
 
     f_k = restrict(f1, kincls[0], kincls[1], "f_K")
     g_k = restrict(g1, kincls[1], kincls[2], "g_K")
@@ -644,15 +648,13 @@ def snake(d: Diagram) -> SnakeResult:
     g_c = descend(g2, cokers[1], cokers[2], "g_C")
 
     ind = _Check("snake.1")
-    ind.conclude(compose(f1, kincls[0]).map == compose(kincls[1], f_k).map,
+    ind.conclude(_table(f1, kincls[0]) == _table(kincls[1], f_k),
                  "kernel square over f commutes")
-    ind.conclude(compose(g1, kincls[1]).map == compose(kincls[2], g_k).map,
+    ind.conclude(_table(g1, kincls[1]) == _table(kincls[2], g_k),
                  "kernel square over g commutes")
-    ind.conclude(compose(f_c, cokers[0].projection).map
-                 == compose(cokers[1].projection, f2).map,
+    ind.conclude(_table(f_c, cokers[0].projection) == _table(cokers[1].projection, f2),
                  "cokernel square under f commutes")
-    ind.conclude(compose(g_c, cokers[1].projection).map
-                 == compose(cokers[2].projection, g2).map,
+    ind.conclude(_table(g_c, cokers[1].projection) == _table(cokers[2].projection, g2),
                  "cokernel square under g commutes")
     # uniqueness: forced pointwise by injective inclusions / surjective projections
     ind.conclude(all(is_injective(ki) for ki in kincls), "kernel inclusions injective")

@@ -15,11 +15,10 @@ from dataclasses import dataclass
 
 from .core import Subsemimodule, subtractive_closure_set, zero_module
 from .errors import LemmaRefuted, StructureError
-from .morphisms import (Morphism, classify, cokernel, compose, image_set,
+from .morphisms import (Morphism, classify, cokernel, factor_through_injection, image_set,
                         induced_from_cokernel, induced_to_kernel, is_injective,
-                        is_isomorphism, is_k_uniform, is_surjective, is_zero_morphism,
-                        kernel, kernel_module, kernel_set, submodule_as_module,
-                        zero_morphism)
+                        is_isomorphism, is_k_uniform, is_surjective, kernel, kernel_module,
+                        kernel_set, submodule_as_module, zero_morphism)
 from .quotients import bourne_congruence, quotient
 
 
@@ -164,7 +163,7 @@ def is_short_exact(seq: Sequence) -> ShortExactResult:
     ok = all(c[1] for c in conds)
 
     clause2 = False
-    if is_zero_morphism(compose(g, f)):
+    if img <= ker:
         f_prime = induced_to_kernel(f, g)
         g_second, _ = induced_from_cokernel(f, g)
         clause2 = is_isomorphism(f_prime) and is_isomorphism(g_second)
@@ -242,8 +241,7 @@ def subobject_character(L: Subsemimodule) -> SubobjectCharacter:
     ker_pi = kernel_set(q.projection)
     c2 = set(L.members) == ker_pi  # finite carriers: abstract iso forces equality
     z = zero_module(M.semiring)
-    to_closure = Morphism(f"{lmod.name}->cl", lmod, cmod,
-                          tuple(closure.index(m) for m in lincl.map))
+    to_closure = factor_through_injection(cincl, lincl.map, lmod, f"{lmod.name}->cl")
     c3 = analyze(Sequence("c3", (zero_morphism(z, lmod), to_closure,
                                  zero_morphism(cmod, z)))).exact
     c4 = classify(lincl).uniform

@@ -11,9 +11,12 @@ the raw arrows, before a Diagram is built.
 
 Squares are filled by a hash join on composite tables: for a fixed arrow
 such as f2, the hom-set of candidate a1 is indexed once by the table of
-f2∘a1, and the other side of the square, a2∘f1, is looked up as a plain
-tuple. No Morphism is built to test a square; Diagram.from_arrows still
-checks every square of every diagram it is handed.
+f2∘a1 (morphisms._table), and the other side of the square, a2∘f1, is
+looked up as a plain tuple. No Morphism is built to test a square;
+Diagram.from_arrows still checks every square of every diagram it is handed.
+Maps forced by a square (the 3x3 quotient row, snake's outer verticals) are
+factored through the square's injection or surjection by
+morphisms.factor_through_injection and factor_through_surjection.
 
 Given the same spec (semiring, bound, seed) the generated corpus is
 identical run to run; the seed only shuffles the candidate order so corpora
@@ -29,10 +32,11 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .core import Semiring, is_cancellative_module
-from .diagrams import Diagram, _classify, lookup
+from .diagrams import Diagram, _classify, clause_key, lookup
 from .enumeration import UniverseSpec, enumerate_semimodules, oracle_iso_exists
-from .errors import ParameterError, StructureError
-from .morphisms import (Morphism, compose, enumerate_hom, image, image_set, is_injective,
+from .errors import ParameterError
+from .morphisms import (_table, compose, enumerate_hom, factor_through_injection,
+                        factor_through_surjection, image, image_set, is_injective,
                         is_isomorphism, is_k_uniform, is_surjective, kernel_module,
                         kernel_set)
 from .quotients import bourne_congruence, quotient
@@ -72,11 +76,6 @@ def _shuffled_pairs(left, right, seed, tag):
     random.Random(f"{seed}:{tag}").shuffle(order)
     for k in order:
         yield left[k // m], right[k % m]
-
-
-def _table(g, f):
-    """The table of g∘f, without building (and re-validating) the Morphism."""
-    return tuple(map(g.map.__getitem__, f.map))
 
 
 def _index(homs, key):
@@ -154,24 +153,16 @@ def _collect(spec, clause, candidates, guaranteed):
     return out
 
 
-def _bound(spec):
-    return getattr(spec, "max_module_size", None) or getattr(spec, "max_size")
-
-
-def vertical_triples(spec, require_cancellative_mid=False):
-    """Short-exact row pairs with commuting verticals; used by the
-    dropped-hypothesis searches. Accepts a HarnessSpec or a UniverseSpec."""
-    rows = _short_exact_rows(spec.semiring, _bound(spec))
-    hspec = HarnessSpec(spec.semiring, _bound(spec), getattr(spec, "seed", 0))
+def vertical_triples(spec: UniverseSpec, require_cancellative_mid=False):
+    """Short-exact row pairs with commuting verticals over the universe's
+    modules; used by the dropped-hypothesis searches."""
+    rows = _short_exact_rows(spec.semiring, spec.max_module_size)
+    hspec = HarnessSpec(spec.semiring, spec.max_module_size, spec.seed)
     for f1, g1, f2, g2, a1, a2, a3 in _row_pairs_with_verticals(hspec, rows, rows, "vt"):
         if require_cancellative_mid and not (
                 is_cancellative_module(f1.codomain) and is_cancellative_module(f2.codomain)):
             continue
         yield (f1, g1), (f2, g2), (a1, a2, a3)
-
-
-def short_exact_rows(spec):
-    return _short_exact_rows(spec.semiring, _bound(spec))
 
 
 # ----------------------------------------------------------- 2x3 generators
@@ -312,15 +303,8 @@ def _derive_quotient_row(f2, g2, a1, a2, a3):
     q1, q2, q3 = (quotient(a.codomain, bourne_congruence(image(a))) for a in (a1, a2, a3))
 
     def induced(q_src, q_dst, f):
-        table = [None] * q_src.quotient.size
-        for x in f.domain.elements():
-            c = q_src.projection.map[x]
-            v = q_dst.projection.map[f.map[x]]
-            if table[c] is None:
-                table[c] = v
-            elif table[c] != v:
-                return None
-        return Morphism(f"[{f.name}]", q_src.quotient, q_dst.quotient, table)
+        return factor_through_surjection(q_src.projection, _table(q_dst.projection, f),
+                                         q_dst.quotient, f"[{f.name}]")
 
     f3 = induced(q1, q2, f2)
     g3 = induced(q2, q3, g2)
@@ -392,11 +376,11 @@ def _gen_3x3(spec: HarnessSpec, clause):
 
 
 def _generator(family, gen):
-    """gen_*: the corpus of the table entry `family.clause` (just `family`
-    when there is no clause); ParameterError for an unknown clause."""
+    """gen_*: the corpus of the table entry `diagrams.clause_key(family,
+    clause)`, the clause the family's verify_* reads; ParameterError for an
+    unknown clause."""
     def generate(spec: HarnessSpec, clause=None):
-        return gen(spec, lookup(family if clause is None else f"{family}.{clause}",
-                                ParameterError))
+        return gen(spec, lookup(clause_key(family, clause), ParameterError))
     return generate
 
 
@@ -442,7 +426,8 @@ def _snake_left_rows(semiring, max_size, cap=200):
 def gen_snake(spec: HarnessSpec):
     """Snake inputs: top row right-exact, bottom row left-exact, verticals
     with alpha1/alpha3 k-uniform and alpha2 uniform; alpha1 and alpha3 are
-    derived from alpha2 through the squares, so only alpha2 is enumerated."""
+    derived from alpha2 through the squares, factored through the injective
+    f2 and the surjective g1, so only alpha2 is enumerated."""
     s, n = spec.semiring, spec.max_size
     top_rows = _right_exact_rows(s, n)
     bottom_rows = _snake_left_rows(s, n)
@@ -452,10 +437,12 @@ def gen_snake(spec: HarnessSpec):
         for a2 in _shuffled(_homs(f1.codomain, f2.codomain), seed, "snake.a2"):
             if not _classify(a2).uniform:
                 continue
-            a1 = _derive_left_vertical(f1, f2, a2)
+            a1 = factor_through_injection(f2, _table(a2, f1), f1.domain,
+                                          f"a1[{f1.domain.name}->{f2.domain.name}]")
             if a1 is None or not _classify(a1).k_uniform:
                 continue
-            a3 = _derive_right_vertical(g1, g2, a2)
+            a3 = factor_through_surjection(g1, _table(g2, a2), g2.codomain,
+                                           f"a3[{g1.codomain.name}->{g2.codomain.name}]")
             if a3 is None or not _classify(a3).k_uniform:
                 continue
             out.append(_build(f"snake.{len(out)}", (2, 3), (f1, g1, f2, g2, a1, a2, a3)))
@@ -463,39 +450,3 @@ def gen_snake(spec: HarnessSpec):
                 return out
     return out
 
-
-def _derive_left_vertical(f1, f2, a2):
-    """Unique a1 with f2∘a1 = a2∘f1 when f2 is injective; None if absent."""
-    pre = {}
-    for x in f2.domain.elements():
-        pre[f2.map[x]] = x
-    table = []
-    for l1 in f1.domain.elements():
-        v = a2.map[f1.map[l1]]
-        if v not in pre:
-            return None
-        table.append(pre[v])
-    try:
-        return Morphism(f"a1[{f1.domain.name}->{f2.domain.name}]",
-                        f1.domain, f2.domain, table)
-    except StructureError:
-        return None
-
-
-def _derive_right_vertical(g1, g2, a2):
-    """Unique a3 with a3∘g1 = g2∘a2 when g1 is surjective; None if inconsistent."""
-    table = [None] * g1.codomain.size
-    for m1 in g1.domain.elements():
-        n1 = g1.map[m1]
-        v = g2.map[a2.map[m1]]
-        if table[n1] is None:
-            table[n1] = v
-        elif table[n1] != v:
-            return None
-    if any(t is None for t in table):
-        return None
-    try:
-        return Morphism(f"a3[{g1.codomain.name}->{g2.codomain.name}]",
-                        g1.codomain, g2.codomain, table)
-    except StructureError:
-        return None

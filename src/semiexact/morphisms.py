@@ -4,6 +4,13 @@ A Morphism validates its own linearity on construction, so every value of
 the type is a genuine map of semimodules. classify() evaluates the raw
 defining condition of each flag; the lemma-level equivalences these flags
 satisfy live in the test suite, keeping implementation and oracle apart.
+
+Induced maps are built in one place: factor_through_injection lifts a map
+through an injection (kernels, restrictions, the left vertical of a
+square) and factor_through_surjection descends one through a surjection
+(cokernels, quotient rows, the right vertical of a square). _table(g, f)
+is the table of g∘f without building the Morphism, for callers that only
+compare tables.
 """
 
 from __future__ import annotations
@@ -89,6 +96,11 @@ def compose(g: Morphism, f: Morphism) -> Morphism:
                     tuple(g.map[v] for v in f.map))
 
 
+def _table(g, f):
+    """The table of g∘f, without building (and re-validating) the Morphism."""
+    return tuple(map(g.map.__getitem__, f.map))
+
+
 def hom_add(f: Morphism, g: Morphism) -> Morphism:
     """Pointwise sum; Hom(M, N) is a commutative monoid under this."""
     if f.domain != g.domain or f.codomain != g.codomain:
@@ -110,13 +122,56 @@ def is_isomorphism(f: Morphism) -> bool:
     return is_injective(f) and is_surjective(f)
 
 
-def is_zero_morphism(f: Morphism) -> bool:
-    return all(v == f.codomain.zero for v in f.map)
-
-
 def is_cancellative_morphism(f: Morphism) -> bool:
     """Every image element is cancellable in the codomain."""
     return all(is_cancellable(Element(f.codomain, v)) for v in set(f.map))
+
+
+def factor_through_injection(i: Morphism, values, domain: Semimodule, name):
+    """The k: domain -> i.domain with i∘k = values, or None when a value lies
+    outside image(i); PreconditionError when i is not injective.
+
+    k is linear when `values` is the table of a linear map: i is injective,
+    so i(k(a + b)) = values(a + b) = i(k(a) + k(b)) forces k(a + b) = k(a) + k(b),
+    and likewise for the action. k is still built by the validating Morphism.
+    """
+    if not is_injective(i):
+        raise PreconditionError(f"cannot factor through {i.name}: it is not injective")
+    table = _lift(i, values)
+    return None if table is None else Morphism(name, domain, i.domain, table)
+
+
+def _lift(i, values):
+    """The table of i's preimages of `values`, or None when one lies outside
+    image(i); i must be injective."""
+    pos = {v: x for x, v in enumerate(i.map)}
+    if not pos.keys() >= set(values):
+        return None
+    return tuple(map(pos.__getitem__, values))
+
+
+def factor_through_surjection(p: Morphism, values, codomain: Semimodule, name):
+    """The k: p.codomain -> codomain with k∘p = values, or None when p misses
+    an element or `values` is not constant on some fibre of p;
+    PreconditionError unless `values` has one entry per element of p.domain.
+
+    k is linear when `values` is the table of a linear map: p is onto, so
+    every pair of elements is p(x), p(y), and k(p(x) + p(y)) = k(p(x + y))
+    = values(x + y) = k(p(x)) + k(p(y)), likewise for the action. k is still
+    built by the validating Morphism.
+    """
+    if len(values) != p.domain.size:
+        raise PreconditionError(f"cannot factor through {p.name}: {len(values)} values "
+                                f"for {p.domain.size} elements")
+    table = [None] * p.codomain.size
+    for c, v in zip(p.map, values):
+        if table[c] is None:
+            table[c] = v
+        elif table[c] != v:
+            return None
+    if None in table:
+        return None
+    return Morphism(name, p.codomain, codomain, table)
 
 
 def submodule_as_module(X: Subsemimodule, name=None) -> tuple[Semimodule, Morphism]:
@@ -172,12 +227,8 @@ def canonical_iso(f: Morphism) -> Morphism:
     """The canonical map Coim(f) -> Im(f), [x] |-> f(x); always bijective."""
     co = coimage(f)
     img, incl = image_module(f)
-    pos = {m: i for i, m in enumerate(incl.map)}
-    table = [0] * co.quotient.size
-    for x in f.domain.elements():
-        table[co.projection.map[x]] = pos[f.map[x]]
-    d = Morphism(f"d[{f.name}]", co.quotient, img, table)
-    if not is_isomorphism(d):
+    d = factor_through_surjection(co.projection, _lift(incl, f.map), img, f"d[{f.name}]")
+    if d is None or not is_isomorphism(d):
         raise LemmaRefuted(f"canonical map of {f.name} failed to be bijective")
     return d
 
@@ -296,11 +347,10 @@ def induced_to_kernel(f: Morphism, g: Morphism, name=None) -> Morphism:
     """f': L -> Ker(g) with the same values as f; requires g∘f = 0."""
     if f.codomain != g.domain:
         raise PreconditionError("induced_to_kernel: f and g do not compose")
-    if not is_zero_morphism(compose(g, f)):
+    if not image_set(f) <= kernel_set(g):
         raise PreconditionError("induced_to_kernel: g∘f is not the zero morphism")
-    kmod, incl = kernel_module(g)
-    pos = {m: i for i, m in enumerate(incl.map)}
-    return Morphism(name or f"{f.name}'", f.domain, kmod, tuple(pos[v] for v in f.map))
+    _, incl = kernel_module(g)
+    return factor_through_injection(incl, f.map, f.domain, name or f"{f.name}'")
 
 
 def induced_from_cokernel(f: Morphism, g: Morphism, name=None) -> tuple[Morphism, QuotientModule]:
@@ -311,18 +361,14 @@ def induced_from_cokernel(f: Morphism, g: Morphism, name=None) -> tuple[Morphism
     """
     if f.codomain != g.domain:
         raise PreconditionError("induced_from_cokernel: f and g do not compose")
-    if not is_zero_morphism(compose(g, f)):
+    if not image_set(f) <= kernel_set(g):
         raise PreconditionError("induced_from_cokernel: g∘f is not the zero morphism")
     coker = cokernel(f)
-    table = [None] * coker.quotient.size
-    for m in g.domain.elements():
-        c = coker.projection.map[m]
-        if table[c] is None:
-            table[c] = g.map[m]
-        elif table[c] != g.map[m]:
-            raise LemmaRefuted(
-                f"induced map from {coker.quotient.name} not well-defined at class {c}")
-    return Morphism(name or f"{g.name}''", coker.quotient, g.codomain, table), coker
+    induced = factor_through_surjection(coker.projection, g.map, g.codomain,
+                                        name or f"{g.name}''")
+    if induced is None:
+        raise LemmaRefuted(f"induced map from {coker.quotient.name} not well-defined")
+    return induced, coker
 
 
 def _generating_sequence(M: Semimodule):

@@ -115,6 +115,16 @@ def test_snake_family(z2spec, t2spec):
         assert all(r.ok for r in results)
 
 
+def test_gen_nine_defaults_to_iff():
+    """gen_nine, like verify_nine, defaults to the nine.iff clause."""
+    spec = HarnessSpec(make_zmod(2), 4, seed=11, quota=4)
+    default, iff = gen_nine(spec), gen_nine(spec, "iff")
+    assert len(default) == spec.quota
+    assert [d.name for d in default] == [d.name for d in iff]
+    assert _tables(default) == _tables(iff)
+    assert all(verify_nine(d).ok for d in default)
+
+
 def test_harness_spec_type_hints_resolve():
     assert typing.get_type_hints(HarnessSpec)["semiring"] is Semiring
 
@@ -286,3 +296,33 @@ def test_guaranteed_ids_are_table_hypotheses(guaranteed):
     filter; every one must name a hypothesis of some clause."""
     ids = set().union(*(c.ids for c in CLAUSES.values()))
     assert set(getattr(harness, guaranteed)) <= ids
+
+
+SNAKE_SNAPSHOT = DATA / "snake_seed11.json"
+
+
+def _snake_records(spec):
+    """Per gen_snake diagram: name, maps of the induced morphisms and delta
+    (name, domain, codomain and table) and every certificate line."""
+    out = []
+    for d in gen_snake(spec):
+        r = snake(d)
+        out.append({
+            "diagram": d.name,
+            "maps": [f"{m.name}: {m.domain.name} -> {m.codomain.name} = "
+                     + ",".join(map(str, m.map))
+                     for m in (r.f_k, r.g_k, r.f_c, r.g_c, r.delta)],
+            "certificates": [c.lemma + ":" + ";".join(f"{a.id}={a.ok}|{a.witness}"
+                                                      for a in c.conclusions)
+                             for c in r.certificates]})
+    return out
+
+
+def test_snake_matches_snapshot():
+    """The snake construction on gen_snake's seed-11, quota-4 corpora over
+    Z2 (size 4) and T2 (size 3), recorded before the induced maps were
+    built by morphisms.factor_through_*."""
+    specs = {"Z2": HarnessSpec(make_zmod(2), 4, seed=11, quota=4),
+             "T2": HarnessSpec(make_saturating_naturals(2), 3, seed=11, quota=4)}
+    got = {pool: _snake_records(spec) for pool, spec in specs.items()}
+    assert got == json.loads(SNAKE_SNAPSHOT.read_text(encoding="utf-8"))

@@ -1,0 +1,40 @@
+"""Every name a package module imports is used in that module.
+
+__init__ re-exports its imports and is exempt. A name counts as used when it
+appears as an identifier anywhere in the module body, annotations included.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "semiexact"
+MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+
+
+def unused_imports(source):
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                imported.setdefault(name, node.lineno)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted((line, name) for name, line in imported.items() if name not in used)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unused_imports(path):
+    assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_unused_import_is_reported():
+    source = ("from .morphisms import compose, is_zero_morphism, kernel\n"
+              "import random\n"
+              "def f(x):\n"
+              "    return kernel(x), random.random()\n")
+    assert unused_imports(source) == [(1, "compose"), (1, "is_zero_morphism")]

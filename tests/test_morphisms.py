@@ -3,13 +3,15 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from semiexact.core import (Subsemimodule, is_cancellative_module, make_zmod,
-                            self_module, subtractive_closure_set, zero_module)
-from semiexact.enumeration import (is_epimorphism, is_monomorphism,
+from semiexact.core import (Subsemimodule, is_cancellative_module, make_boolean,
+                            make_saturating_naturals, make_zmod, self_module,
+                            subtractive_closure_set, zero_module)
+from semiexact.enumeration import (enumerate_semimodules, is_epimorphism, is_monomorphism,
                                    universe_with_free_module, UniverseSpec)
 from semiexact.errors import PreconditionError, StructureError
-from semiexact.morphisms import (Morphism, canonical_iso, classify, cokernel, coimage,
-                                 compose, enumerate_hom, hom_add, identity_morphism,
+from semiexact.morphisms import (Morphism, _table, canonical_iso, classify, cokernel,
+                                 coimage, compose, enumerate_hom, factor_through_injection,
+                                 factor_through_surjection, hom_add, identity_morphism,
                                  image, image_set, induced_from_cokernel,
                                  induced_to_kernel, is_injective, is_isomorphism,
                                  is_surjective, kernel, kernel_set, submodule_as_module,
@@ -275,3 +277,66 @@ def test_hom_linearity_random(nat3_universe, data):
     except StructureError:
         valid = False
     assert valid == (table in enumerated)
+
+
+FACTOR_SEMIRINGS = [make_zmod(2), make_saturating_naturals(2), make_boolean()]
+
+
+def _maps_by_end(semiring):
+    """Every map of the size-3 universe, grouped by codomain and by domain."""
+    mods = enumerate_semimodules(UniverseSpec(semiring, 3)).modules
+    into = {M: [h for X in mods for h in enumerate_hom(X, M)] for M in mods}
+    out_of = {M: [h for X in mods for h in enumerate_hom(M, X)] for M in mods}
+    return mods, into, out_of
+
+
+@pytest.mark.parametrize("semiring", FACTOR_SEMIRINGS, ids=lambda s: s.name)
+def test_factor_through_injection(semiring):
+    """For every i: X -> M and h: D -> M of the universe: PreconditionError
+    when i is not injective, else None exactly when h leaves image(i), else
+    a map D -> X with i∘k = h."""
+    mods, into, _ = _maps_by_end(semiring)
+    outcomes = set()
+    for M in mods:
+        for i in into[M]:
+            for h in into[M]:
+                if not is_injective(i):
+                    with pytest.raises(PreconditionError):
+                        factor_through_injection(i, h.map, h.domain, "k")
+                    outcomes.add("raised")
+                    continue
+                k = factor_through_injection(i, h.map, h.domain, "k")
+                if not image_set(h) <= image_set(i):
+                    assert k is None
+                    outcomes.add("none")
+                    continue
+                assert (k.domain, k.codomain) == (h.domain, i.domain)
+                assert _table(i, k) == h.map
+                outcomes.add("lifted")
+    assert outcomes == {"raised", "none", "lifted"}
+
+
+@pytest.mark.parametrize("semiring", FACTOR_SEMIRINGS, ids=lambda s: s.name)
+def test_factor_through_surjection(semiring):
+    """For every p: M -> Q and h: M -> N of the universe: None exactly when p
+    is not onto or h is not constant on a fibre of p, else a map Q -> N with
+    k∘p = h."""
+    mods, _, out_of = _maps_by_end(semiring)
+    outcomes = set()
+    for M in mods:
+        for p in out_of[M]:
+            for h in out_of[M]:
+                k = factor_through_surjection(p, h.map, h.codomain, "k")
+                fibres_ok = all(h.map[x] == h.map[y] for x in M.elements()
+                                for y in M.elements() if p.map[x] == p.map[y])
+                if not is_surjective(p) or not fibres_ok:
+                    assert k is None
+                    outcomes.add("not onto" if not is_surjective(p) else "fibre")
+                    continue
+                assert (k.domain, k.codomain) == (p.codomain, h.codomain)
+                assert _table(k, p) == h.map
+                outcomes.add("descended")
+    assert outcomes == {"not onto", "fibre", "descended"}
+    p = next(p for M in mods for p in out_of[M] if p.domain.size > 1)
+    with pytest.raises(PreconditionError):
+        factor_through_surjection(p, p.map[:-1], p.codomain, "short")
