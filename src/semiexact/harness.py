@@ -20,9 +20,11 @@ morphisms.factor_through_injection and factor_through_surjection.
 
 Given the same spec (semiring, bound, seed) the generated corpus is
 identical run to run; the seed only shuffles the candidate order so corpora
-are not dominated by zero maps. Row pairs are shuffled as indices into the
-product rather than as a materialised list of pairs: Random.shuffle's draws
-depend only on the length of the list, so the order is the same either way.
+are not dominated by zero maps. Every shuffle is one lazy seeded
+permutation (_permutation): a front-to-back Fisher-Yates shuffle that makes
+one draw per index it yields, so a generator that stops after k candidates
+pays for k, not for the whole pool. Row pairs are drawn as indices into the
+product, which is never materialised.
 """
 
 from __future__ import annotations
@@ -49,6 +51,11 @@ class HarnessSpec:
     seed: int = 0
     quota: int = 120
 
+    def __post_init__(self):
+        for name in ("max_size", "quota"):
+            if getattr(self, name) < 1:
+                raise ParameterError(f"HarnessSpec: {name} must be >= 1")
+
 
 @lru_cache(maxsize=None)
 def _pool(semiring, max_size):
@@ -60,22 +67,29 @@ def _homs(M, N):
     return enumerate_hom(M, N)
 
 
-def _shuffled(items, seed, tag):
+def _permutation(n, seed, tag):
+    """0..n-1 in a seeded random order, drawn lazily: a front-to-back
+    Fisher-Yates shuffle (Durstenfeld) that keeps only the displaced indices,
+    in a dict, so a caller that stops after k indices has made k draws."""
     # str seeding is sha512-based, stable across processes (unlike hash())
-    out = list(items)
-    random.Random(f"{seed}:{tag}").shuffle(out)
-    return out
+    rng = random.Random(f"{seed}:{tag}")
+    moved = {}
+    for i in range(n):
+        j = rng.randrange(i, n)
+        k = moved.get(j, j)
+        moved[j] = moved.pop(i, i)
+        yield k
+
+
+def _shuffled(items, seed, tag):
+    return (items[k] for k in _permutation(len(items), seed, tag))
 
 
 def _shuffled_pairs(left, right, seed, tag):
     """The pairs of _shuffled([(l, r) for l in left for r in right], seed, tag),
-    yielded lazily: the permutation is drawn on indices into the product, and
-    Random.shuffle's draws depend only on the length, so the order is the same."""
+    decoded from indices into the product, which is never materialised."""
     m = len(right)
-    order = list(range(len(left) * m))
-    random.Random(f"{seed}:{tag}").shuffle(order)
-    for k in order:
-        yield left[k // m], right[k % m]
+    return ((left[k // m], right[k % m]) for k in _permutation(len(left) * m, seed, tag))
 
 
 def _index(homs, key):

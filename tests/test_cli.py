@@ -1,5 +1,7 @@
 """CLI behavior: exit codes, reports, determinism, corpus export."""
 
+import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -28,6 +30,43 @@ def test_validate_bad_file(tmp_path, capsys):
     assert run(["validate", str(bad)]) == 2
     err = capsys.readouterr().err
     assert "axiom-violation" in err
+
+
+def _mutants(lines, count, seed):
+    """count copies of lines, each with one line deleted, truncated,
+    duplicated or with one character replaced (or appended), chosen by a
+    seeded Random."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        out = list(lines)
+        i = rng.randrange(len(out))
+        op = rng.choice(("delete", "truncate", "duplicate", "edit"))
+        if op == "delete":
+            del out[i]
+        elif op == "truncate":
+            out[i] = out[i][:rng.randrange(len(out[i]) + 1)]
+        elif op == "duplicate":
+            out.insert(i, out[i])
+        else:
+            at = rng.randrange(len(out[i]) + 1)
+            out[i] = out[i][:at] + rng.choice("0123456789,;:=- #abxyzZ") + out[i][at + 1:]
+        yield out
+
+
+def test_validate_mutation_fuzz(tmp_path, capsys):
+    """300 one-line mutations of the demo workspace: each validates (exit 0)
+    or is rejected with a file:line problem (exit 2), never a traceback."""
+    lines = Path(DEMO).read_text(encoding="utf-8").splitlines()
+    path = str(tmp_path / "mutant.sx")
+    codes = []
+    for mutant in _mutants(lines, 300, seed=2012):
+        Path(path).write_text("\n".join(mutant) + "\n", encoding="utf-8")
+        codes.append(run(["validate", path]))
+        err = capsys.readouterr().err
+        assert codes[-1] in (0, 2), mutant
+        if codes[-1] == 2:
+            assert re.search(re.escape(path) + r":\d+", err), (mutant, err)
+    assert 0 in codes and 2 in codes
 
 
 def test_classify_exit_and_flags(capsys):

@@ -6,6 +6,7 @@ clause gets a small quota to keep the unit suite fast.
 
 import hashlib
 import json
+import random
 import subprocess
 import sys
 import typing
@@ -129,6 +130,19 @@ def test_harness_spec_type_hints_resolve():
     assert typing.get_type_hints(HarnessSpec)["semiring"] is Semiring
 
 
+@pytest.mark.parametrize("n", [0, 1, 2, 7, 1000])
+def test_permutation_yields_each_index_once(n):
+    for seed, tag in ((0, "t"), (11, "snake"), (5, "fd1a")):
+        assert sorted(harness._permutation(n, seed, tag)) == list(range(n))
+
+
+def test_permutation_is_lazy():
+    """The first index of a 10**12-long permutation comes back at once: the
+    permutation is drawn as it is consumed, never materialised."""
+    first = next(harness._permutation(10**12, 0, "t"))
+    assert 0 <= first < 10**12
+
+
 @pytest.mark.parametrize("n_left, n_right", [(0, 0), (0, 4), (4, 0), (1, 1), (1, 6),
                                              (6, 1), (7, 3), (40, 25)])
 def test_shuffled_pairs_is_the_materialised_shuffle(n_left, n_right):
@@ -136,7 +150,30 @@ def test_shuffled_pairs_is_the_materialised_shuffle(n_left, n_right):
     right = [f"r{i}" for i in range(n_right)]
     for seed, tag in ((0, "t"), (11, "snake"), (5, "fd1a")):
         assert list(harness._shuffled_pairs(left, right, seed, tag)) == \
-            harness._shuffled([(l, r) for l in left for r in right], seed, tag)
+            list(harness._shuffled([(l, r) for l in left for r in right], seed, tag))
+
+
+@pytest.mark.parametrize("name, clause", [("gen_five_parts", "2"), ("gen_five", 1)])
+def test_draws_scale_with_candidates_used(monkeypatch, name, clause):
+    """A 2x5 generator stops after a few hundred candidates at most; its
+    sampler must not draw for the 360,000 row pairs it never looks at."""
+    draws = 0
+    randrange = random.Random.randrange
+
+    def counted(self, *args, **kwargs):
+        nonlocal draws
+        draws += 1
+        return randrange(self, *args, **kwargs)
+    spec = HarnessSpec(make_zmod(2), 4, seed=11, quota=4)
+    monkeypatch.setattr(random.Random, "randrange", counted)
+    assert len(getattr(harness, name)(spec, clause)) == spec.quota
+    assert 0 < draws < 1000
+
+
+@pytest.mark.parametrize("field, value", [("quota", 0), ("quota", -2), ("max_size", 0)])
+def test_harness_spec_rejects_nonpositive_bounds(field, value):
+    with pytest.raises(ParameterError, match=field):
+        HarnessSpec(make_zmod(2), **{"max_size": 3, field: value})
 
 
 def _compose_filter(spec, rows_top, rows_bottom, tag):
@@ -256,20 +293,28 @@ def test_certificates_match_snapshot(snapshot_corpora):
     assert got == expected
 
 
-def test_lemma_short_independent_of_hash_seed(src_env):
-    script = ("from semiexact.core import make_zmod\n"
-              "from semiexact.harness import HarnessSpec, gen_lemma_short\n"
-              "spec = HarnessSpec(make_zmod(2), 4, seed=5, quota=25)\n"
-              "for k in (1, 2, 3):\n"
-              "    for d in gen_lemma_short(spec, k):\n"
-              "        print(k, sorted((p, a.map) for p, a in d.horizontals.items()),\n"
-              "              sorted((p, a.map) for p, a in d.verticals.items()))\n")
+def test_corpora_independent_of_hash_seed(src_env):
+    """Every snapshot generator draws the same corpus whatever the string
+    hash seed: one digest over all of them, from two fresh interpreters."""
+    script = ("import hashlib\n"
+              "from semiexact import harness\n"
+              "from semiexact.core import make_zmod\n"
+              "spec = harness.HarnessSpec(make_zmod(2), 4, seed=5, quota=3)\n"
+              "h, n = hashlib.sha256(), 0\n"
+              f"for name, clause in {SNAPSHOT_CORPORA!r}:\n"
+              "    gen = getattr(harness, name)\n"
+              "    for d in gen(spec) if clause is None else gen(spec, clause):\n"
+              "        n += 1\n"
+              "        h.update(repr((d.name, sorted((p, a.map) for p, a in d.horizontals.items()),\n"
+              "                       sorted((p, a.map) for p, a in d.verticals.items())))\n"
+              "                 .encode())\n"
+              "print(n, h.hexdigest())\n")
     outputs = []
     for hash_seed in ("0", "1"):
         env = dict(src_env, PYTHONHASHSEED=hash_seed)
         outputs.append(subprocess.run([sys.executable, "-c", script], env=env,
                                       capture_output=True, text=True, check=True).stdout)
-    assert outputs[0].count("\n") == 75
+    assert outputs[0].split()[0] == str(3 * len(SNAPSHOT_CORPORA))
     assert outputs[0] == outputs[1]
 
 
