@@ -64,6 +64,15 @@ def _pick(table, name, what):
     return table[name]
 
 
+def _located(ws, kind, name, check, *args):
+    """check(*args); a StructureError it raises is prefixed with the file:line
+    of the named block's header."""
+    try:
+        return check(*args)
+    except StructureError as exc:
+        raise StructureError(f"{ws.origins[(kind, name)]}: {exc}") from exc
+
+
 def cmd_validate(args, report):
     ws = _load(args)  # parse_files already rejects invalid structures
     for kind, table in (("semiring", ws.semirings), ("module", ws.modules),
@@ -136,7 +145,7 @@ def cmd_lemma(args, report):
     ws = _load(args)
     lookup(args.name, ParameterError)
     d = _pick(ws.diagrams, args.diagram, "diagram")
-    cert = verify(args.name, d)
+    cert = _located(ws, "diagram", args.diagram, verify, args.name, d)
     _say(args, f"lemma {args.name} on {d.name}:")
     bad = _emit_certificate(args, report, cert)
     if bad:
@@ -149,7 +158,7 @@ def cmd_lemma(args, report):
 def cmd_snake(args, report):
     ws = _load(args)
     d = _pick(ws.diagrams, args.diagram, "diagram")
-    result = snake(d)
+    result = _located(ws, "diagram", args.diagram, snake, d)
     _say(args, f"snake on {d.name}:")
     _say(args, f"  delta: {','.join(str(v) for v in result.delta.map)} "
                f"({result.delta.domain.name} -> {result.delta.codomain.name})")

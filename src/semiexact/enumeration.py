@@ -8,9 +8,14 @@ That key compares the add table before the action, so a module is kept
 only if its add table is already its own canonical form: the action
 search runs only on those tables, one per commutative monoid up to
 isomorphism (1, 2, 5, 19 for orders 1-4), computed once per carrier size
-and shared by every semiring. enumerate_semimodules_naive keeps the
-unpruned sweep as the recount oracle. Everything here is deterministic;
-the seed in a UniverseSpec only matters to downstream samplers.
+and shared by every semiring. Both generators prune partial tables: a
+monoid table is filled cell by cell and dropped at the first triple that
+breaks associativity, and an action table is propagated law by law, each
+law cross-checked as soon as its operands are known, so only modules reach
+validate_semimodule. enumerate_semimodules_naive keeps the sweep without
+canonical-form pruning as the recount oracle. Everything here is
+deterministic; the seed in a UniverseSpec only matters to downstream
+samplers.
 
 The counterexample catalog is one table, _CATALOG: each Property has its
 description, its candidate stream over a universe, one predicate
@@ -25,7 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import permutations, product
+from itertools import permutations
 from typing import Callable, NamedTuple
 
 from .core import (Semimodule, Semiring, all_subsemimodules, freeze_table,
@@ -80,114 +85,154 @@ def canonical_form(add, action):
 
 
 def _commutative_monoid_tables(n):
-    """All commutative monoid tables on 0..n-1 with 0 neutral (not up to iso)."""
-    if n == 1:
-        yield ((0,),)
-        return
+    """All commutative monoid tables on 0..n-1 with 0 neutral (not up to iso),
+    in lexicographic order of the upper triangle read row by row.
+
+    The triangle is filled cell by cell, and a value is rejected as soon as
+    some triple whose sums are all known breaks associativity.
+    """
     cells = [(i, j) for i in range(1, n) for j in range(i, n)]
-    for values in product(range(n), repeat=len(cells)):
-        add = [[0] * n for _ in range(n)]
-        for j in range(n):
-            add[0][j] = j
-            add[j][0] = j
-        for (i, j), v in zip(cells, values):
-            add[i][j] = v
-            add[j][i] = v
-        ok = True
-        for a in range(n):
-            for b in range(n):
-                ab = add[a][b]
-                for c in range(n):
-                    if add[ab][c] != add[a][add[b][c]]:
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if not ok:
-                break
-        if ok:
+    add = [[None] * n for _ in range(n)]
+    for j in range(n):
+        add[0][j] = j
+        add[j][0] = j
+
+    def associative():
+        for a in range(1, n):
+            row = add[a]
+            for b in range(1, n):
+                ab = row[b]
+                if ab is None:
+                    continue
+                for c in range(1, n):
+                    bc = add[b][c]
+                    if bc is not None:
+                        left, right = add[ab][c], row[bc]
+                        if left is not None and right is not None and left != right:
+                            return False
+        return True
+
+    def fill(k):
+        if k == len(cells):
             yield freeze_table(add)
+            return
+        i, j = cells[k]
+        for v in range(n):
+            add[i][j] = add[j][i] = v
+            if associative():
+                yield from fill(k + 1)
+        add[i][j] = add[j][i] = None
+
+    yield from fill(0)
+
+
+@lru_cache(maxsize=None)
+def _operand_laws(s: Semiring):
+    """The action laws over s by the column of an operand cell, less those
+    that hold by the fixed row 0 and columns 0_S and 1_S. For a cell (m, x):
+    sum_by[x] lists (b, c), c = x+b or b+x, for m.c = m.x + m.b;
+    prod_by[x] lists (b, xb) for m.(xb) = (m.x).b; and second_by[x] lists
+    (a, ax) for r.(ax) = (r.a).x in every row r with r.a = m."""
+    unit = (s.zero, s.one)
+    sum_by = [set() for _ in range(s.size)]
+    prod_by = [[] for _ in range(s.size)]
+    second_by = [[] for _ in range(s.size)]
+    for a in range(s.size):
+        for b in range(s.size):
+            if s.zero not in (a, b):
+                sum_by[a].add((b, s.add[a][b]))
+                sum_by[b].add((a, s.add[a][b]))
+            if a not in unit and b not in unit:
+                prod_by[a].append((b, s.mul[a][b]))
+                second_by[b].append((a, s.mul[a][b]))
+    return [sorted(p) for p in sum_by], prod_by, second_by
 
 
 def _actions_for_monoid(semiring, add):
     """All valid action tables for one monoid, by propagation plus backtracking.
 
-    Cells forced by the monoid's addition (rows of sums) and by the
-    semiring's additive/multiplicative structure are filled eagerly; the
-    rare remaining cells are branched on.
+    Row 0, column 0_S and column 1_S are fixed. Each remaining module law
+    ties a result cell to two operand cells: m(a+b) = ma + mb,
+    m(ab) = (ma)b and (p+q)x = px + qx. When a cell becomes known, every law
+    it is an operand of and whose other operand is known is cross-checked:
+    an unknown result is filled, a known one must agree, and any
+    disagreement rejects the partial table. The rare remaining cells are
+    branched on, so a table that settles complete satisfies every law.
     """
     n = len(add)
-    s = semiring
-    cols = s.size
-    grid = [[None] * cols for _ in range(n)]
-    for c in range(cols):
-        grid[0][c] = 0
-    for m in range(n):
-        grid[m][s.zero] = 0
-        grid[m][s.one] = m
+    cols = semiring.size
+    rows = range(n)
+    sum_by, prod_by, second_by = _operand_laws(semiring)
+    madd_by = [[(q, add[p][q]) for q in range(1, n)] if p else [] for p in rows]
 
-    sum_pairs = [[] for _ in range(cols)]   # x = a + b decompositions
-    prod_pairs = [[] for _ in range(cols)]  # x = a * b decompositions
-    for a in range(cols):
-        for b in range(cols):
-            sum_pairs[s.add[a][b]].append((a, b))
-            prod_pairs[s.mul[a][b]].append((a, b))
-    madd_pairs = [[] for _ in range(n)]     # m = x + y in the monoid
-    for a in range(n):
-        for b in range(n):
-            madd_pairs[add[a][b]].append((a, b))
-
-    def propagate(g):
-        changed = True
-        while changed:
-            changed = False
-            for m in range(n):
-                row = g[m]
-                for x in range(cols):
-                    forced = None
-                    for a, b in sum_pairs[x]:
-                        if row[a] is not None and row[b] is not None:
-                            forced = add[row[a]][row[b]]
-                            break
-                    if forced is None:
-                        for a, b in prod_pairs[x]:
-                            if row[a] is not None and g[row[a]][b] is not None:
-                                forced = g[row[a]][b]
-                                break
-                    if forced is None and m:
-                        for a, b in madd_pairs[m]:
-                            if (a, b) != (m, 0) and (a, b) != (0, m) and \
-                               g[a][x] is not None and g[b][x] is not None:
-                                forced = add[g[a][x]][g[b][x]]
-                                break
-                    if forced is not None:
-                        if row[x] is None:
-                            row[x] = forced
-                            changed = True
-                        elif row[x] != forced:
+    def settle(g, todo):
+        """Check the laws of each newly known cell in todo, filling what they
+        force, until none is left; False on any disagreement."""
+        while todo:
+            m, x = todo.pop()
+            row = g[m]
+            v = row[x]
+            for b, c in sum_by[x]:
+                if row[b] is not None:
+                    f = add[v][row[b]]
+                    if row[c] is None:
+                        row[c] = f
+                        todo.append((m, c))
+                    elif row[c] != f:
+                        return False
+            gv = g[v]
+            for b, c in prod_by[x]:
+                f = gv[b]
+                if f is not None:
+                    if row[c] is None:
+                        row[c] = f
+                        todo.append((m, c))
+                    elif row[c] != f:
+                        return False
+            for r in range(1, n):
+                other = g[r]
+                for a, c in second_by[x]:
+                    if other[a] == m:
+                        if other[c] is None:
+                            other[c] = v
+                            todo.append((r, c))
+                        elif other[c] != v:
                             return False
+            for q, p in madd_by[m]:
+                if g[q][x] is not None:
+                    f = add[v][g[q][x]]
+                    if g[p][x] is None:
+                        g[p][x] = f
+                        todo.append((p, x))
+                    elif g[p][x] != f:
+                        return False
         return True
 
     results = []
 
     def search(g):
-        g = [r[:] for r in g]
-        if not propagate(g):
-            return
-        for m in range(n):
+        for m in rows:
             for x in range(cols):
                 if g[m][x] is None:
-                    for v in range(n):
+                    for v in rows:
                         h = [r[:] for r in g]
                         h[m][x] = v
-                        search(h)
+                        if settle(h, [(m, x)]):
+                            search(h)
                     return
         table = freeze_table(g)
         candidate = Semimodule("cand", semiring, n, add, table)
         if validate_semimodule(candidate).ok:
             results.append(table)
 
-    search(grid)
+    grid = [[None] * cols for _ in rows]
+    for c in range(cols):
+        grid[0][c] = 0
+    for m in rows:
+        grid[m][semiring.zero] = 0
+        grid[m][semiring.one] = m
+    if settle(grid, [(m, semiring.one) for m in range(1, n)]):
+        search(grid)
     results.sort()
     return results
 

@@ -57,6 +57,7 @@ class Workspace:
     morphisms: dict = field(default_factory=dict)
     sequences: dict = field(default_factory=dict)
     diagrams: dict = field(default_factory=dict)
+    origins: dict = field(default_factory=dict)  # (kind, name) -> "file:line" of its header
 
     def __eq__(self, other):
         if not isinstance(other, Workspace):
@@ -89,6 +90,10 @@ def _parse_attrs(tokens):
     return attrs
 
 
+_BLOCKS = ("semiring", "module", "sub", "morphism", "sequence", "diagram")
+_BODYLESS = ("sub", "morphism", "sequence")
+
+
 class _Parser:
     def __init__(self):
         self.ws = Workspace()
@@ -109,22 +114,35 @@ class _Parser:
             kind = tokens[0]
             header_line = i
             body = []
-            if kind not in ("semiring", "module", "sub", "morphism", "sequence", "diagram"):
+            if kind not in _BLOCKS:
                 self.error(file, header_line, "syntax", f"unknown block {kind!r}")
                 continue
+            closed = False
             while i < len(lines):
                 inner = lines[i].split("#", 1)[0].strip()
+                words = inner.split()
+                if words and words[0] in _BLOCKS:
+                    # the next block's header: leave it to the outer loop
+                    self.error(file, header_line, "syntax",
+                               f"missing `end` of {kind} block before line {i + 1}")
+                    break
                 i += 1
                 if inner == "end":
+                    closed = True
                     break
                 if inner:
                     body.append((i, inner))
             else:
                 self.error(file, header_line, "syntax", f"unterminated {kind} block")
+            if not closed:
                 continue
+            if kind in _BODYLESS:
+                for bline, text in body:
+                    self.error(file, bline, "syntax", f"{kind} block takes no body line, got {text!r}")
             try:
                 handler = getattr(self, f"_block_{kind}")
                 handler(file, header_line, tokens[1:], body)
+                self.ws.origins[(kind, tokens[1])] = f"{file}:{header_line}"
             except (ValueError, IndexError, KeyError) as exc:
                 self.error(file, header_line, "syntax", f"bad {kind} block: {exc}")
 
@@ -245,7 +263,12 @@ class _Parser:
                 self.error(file, bline, "syntax", f"bad diagram line {text!r}")
                 return
             target = rows if parts[0] == "row" else cols
-            target[int(parts[1])] = (bline, names)
+            index = int(parts[1])
+            if index in target:
+                self.error(file, bline, "syntax",
+                           f"repeated diagram line {head!r}, first at line {target[index][0]}")
+                return
+            target[index] = (bline, names)
 
         def resolve_chain(bline, names):
             objs = []

@@ -69,6 +69,42 @@ def test_validate_mutation_fuzz(tmp_path, capsys):
     assert 0 in codes and 2 in codes
 
 
+@pytest.mark.parametrize("command,name,kind", [("snake", "D", "diagram"),
+                                                ("classify", "squash", "morphism"),
+                                                ("exactness", "quot", "sequence")])
+def test_command_mutation_fuzz(command, name, kind, tmp_path, capsys):
+    """300 one-line mutations of the demo workspace through a command on one
+    of its blocks: each exits 0, 1 or 2, never a traceback, and each exit 2
+    names a file:line, unless the block's header was mutated away and the
+    command reports that no block of that name exists."""
+    lines = Path(DEMO).read_text(encoding="utf-8").splitlines()
+    path = str(tmp_path / "mutant.sx")
+    header = re.compile(rf"\s*{kind}\s+{name}(\s|$)")
+    codes = []
+    for mutant in _mutants(lines, 300, seed=2012):
+        Path(path).write_text("\n".join(mutant) + "\n", encoding="utf-8")
+        codes.append(run([command, name, path]))
+        err = capsys.readouterr().err
+        assert codes[-1] in (0, 1, 2), mutant
+        if codes[-1] == 2 and not re.search(re.escape(path) + r":\d+", err):
+            assert f"no {kind} named {name!r}" in err, (mutant, err)
+            assert not any(header.match(line) for line in mutant), (mutant, err)
+    assert 0 in codes and 2 in codes
+
+
+def test_shape_error_names_the_diagram_header(tmp_path, capsys):
+    """A diagram that parses but lacks a column the lemma needs is rejected
+    at the file:line of its header."""
+    lines = Path(DEMO).read_text(encoding="utf-8").splitlines()
+    assert lines[75] == "diagram D" and lines[79] == "  col 1: Z idz Z"
+    del lines[79]
+    path = tmp_path / "partial.sx"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    for args in (["snake", "D"], ["lemma", "short.1", "D"]):
+        assert run(args + [str(path)]) == 2
+        assert f"{path}:76: " in capsys.readouterr().err
+
+
 def test_classify_exit_and_flags(capsys):
     assert run(["classify", "squash", DEMO]) == 0
     out = capsys.readouterr().out

@@ -4,14 +4,18 @@ import hashlib
 import json
 import subprocess
 import sys
+from itertools import product
 from pathlib import Path
 
 import pytest
 
-from semiexact.core import (make_boolean, make_zmod, make_saturating_naturals,
-                            monoid_semiring)
+from semiexact import enumeration
+from semiexact.core import (Semimodule, freeze_table, make_boolean, make_zmod,
+                            make_saturating_naturals, monoid_semiring, validate_semimodule)
 from semiexact.enumeration import (PROPERTIES, Counterexample, ExhaustionReport,
-                                   UniverseSpec, _canonical_monoid_tables,
+                                   UniverseSpec, _actions_for_monoid,
+                                   _canonical_monoid_tables, _commutative_monoid_tables,
+                                   _enumerated,
                                    abelian_snake_delta, canonical_form,
                                    enumerate_semimodules, enumerate_semimodules_naive,
                                    oracle_iso_exists, replay_counterexample,
@@ -27,13 +31,14 @@ SIZE_3_ONLY = ("T2xB", "minplus3")
 
 
 def universe_digests():
-    """name:bound -> sha256 of every module's (name, size, add, action)."""
+    """name:bound -> sha256 of every module's (name, size, add, action): every
+    builtin semiring at size 4, and the SIZE_3_ONLY ones at size 3 too."""
     out = {}
     for name, semiring in builtin_semirings().items():
-        bound = 3 if name in SIZE_3_ONLY else 4
-        mods = enumerate_semimodules(UniverseSpec(semiring, bound)).modules
-        text = json.dumps([(m.name, m.size, m.add, m.action) for m in mods])
-        out[f"{name}:{bound}"] = hashlib.sha256(text.encode()).hexdigest()
+        for bound in (3, 4) if name in SIZE_3_ONLY else (4,):
+            mods = enumerate_semimodules(UniverseSpec(semiring, bound)).modules
+            text = json.dumps([(m.name, m.size, m.add, m.action) for m in mods])
+            out[f"{name}:{bound}"] = hashlib.sha256(text.encode()).hexdigest()
     return out
 
 
@@ -87,12 +92,80 @@ def test_canonical_monoid_tables():
     """One table per commutative monoid of order n up to isomorphism (OEIS
     A058131), each its own canonical form."""
     counts = []
-    for n in range(1, 5):
+    for n in range(1, 6):
         tables = _canonical_monoid_tables(n)
         counts.append(len(tables))
         for add in tables:
             assert canonical_form(add, ()) == tuple(x for row in add for x in row)
-    assert counts == [1, 2, 5, 19]
+    assert counts == [1, 2, 5, 19, 78]
+
+
+def _product_sweep_monoid_tables(n):
+    """Every filling of the upper triangle in lexicographic order, kept when
+    the whole table is associative: the unpruned oracle for the backtracked
+    _commutative_monoid_tables."""
+    cells = [(i, j) for i in range(1, n) for j in range(i, n)]
+    for values in product(range(n), repeat=len(cells)):
+        add = [[max(i, j) if 0 in (i, j) else None for j in range(n)] for i in range(n)]
+        for (i, j), v in zip(cells, values):
+            add[i][j] = add[j][i] = v
+        if all(add[add[a][b]][c] == add[a][add[b][c]]
+               for a in range(n) for b in range(n) for c in range(n)):
+            yield freeze_table(add)
+
+
+def test_monoid_tables_match_product_sweep():
+    for n in range(1, 5):
+        assert list(_commutative_monoid_tables(n)) == list(_product_sweep_monoid_tables(n)), n
+
+
+def test_actions_match_validation_oracle():
+    """For every builtin semiring and labelled monoid table with at most 1000
+    fillings of the cells outside row 0, column 0_S and column 1_S, the action
+    search returns exactly the fillings validate_semimodule accepts."""
+    cases = grids = 0
+    for semiring in builtin_semirings().values():
+        free = [x for x in range(semiring.size) if x not in (semiring.zero, semiring.one)]
+        for n in range(1, 5):
+            cells = [(m, x) for m in range(1, n) for x in free]
+            if n ** len(cells) > 1000:
+                continue
+            for add in _commutative_monoid_tables(n):
+                accepted = []
+                for values in product(range(n), repeat=len(cells)):
+                    grid = [[0] * semiring.size for _ in range(n)]
+                    for m in range(n):
+                        grid[m][semiring.one] = m
+                    for (m, x), v in zip(cells, values):
+                        grid[m][x] = v
+                    table = freeze_table(grid)
+                    if validate_semimodule(Semimodule("oracle", semiring, n, add, table)).ok:
+                        accepted.append(table)
+                assert _actions_for_monoid(semiring, add) == accepted, (semiring.name, add)
+                cases += 1
+                grids += n ** len(cells)
+    assert (cases, grids) == (703, 28445)
+
+
+def test_action_search_validates_only_modules(monkeypatch):
+    """Propagation rejects every grid that breaks a law, so each complete grid
+    handed to validate_semimodule passes it."""
+    verdicts = []
+
+    def counted(m):
+        report = validate_semimodule(m)
+        verdicts.append(report.ok)
+        return report
+
+    monkeypatch.setattr(enumeration, "validate_semimodule", counted)
+    semirings = builtin_semirings()
+    try:
+        for name in ("minplus2", "T2xB"):
+            _enumerated.cache_clear()
+            enumerate_semimodules(UniverseSpec(semirings[name], 4))
+    finally:
+        _enumerated.cache_clear()
+    assert verdicts and all(verdicts), verdicts.count(False)
 
 
 def test_enumeration_deterministic():

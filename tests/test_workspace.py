@@ -101,3 +101,59 @@ end
     with pytest.raises(WorkspaceError) as err:
         parse(text, file="t")
     assert any(p.kind == "hypothesis" for p in err.value.problems)
+
+
+def _demo_lines():
+    with open(DEMO, encoding="utf-8") as fh:
+        return fh.read().splitlines()
+
+
+def test_missing_end_is_located():
+    """A block whose `end` is missing stops at the next header, which still
+    parses, instead of swallowing it."""
+    lines = _demo_lines()
+    assert (lines[49], lines[50]) == ("sub N of=S3 members=0,2", "end")
+    del lines[50]
+    with pytest.raises(WorkspaceError) as err:
+        parse("\n".join(lines), file="t")
+    probs = err.value.problems
+    assert [(p.line, p.kind) for p in probs] == [(50, "syntax")]
+    assert "missing `end`" in probs[0].message
+
+
+def test_bodyless_blocks_reject_body_lines():
+    text = """semiring B size=2
+  add: 0,1; 1,1
+  mul: 0,0; 0,1
+end
+module M over=B size=2
+  add: 0,1; 1,1
+  action: 0,0; 0,1
+end
+sub L of=M members=0,1
+  members: 0
+end
+morphism f from=M to=M map=0,1
+  map: 0,0
+end
+sequence s arrows=f,f
+  arrows: f
+end
+"""
+    with pytest.raises(WorkspaceError) as err:
+        parse(text, file="t")
+    assert [(p.line, p.kind) for p in err.value.problems] == [
+        (10, "syntax"), (13, "syntax"), (16, "syntax")]
+
+
+def test_repeated_diagram_line_is_located():
+    """A second `col 2:` line is a problem at its own line, not a silent
+    replacement of the first."""
+    lines = _demo_lines()
+    assert lines[79:81] == ["  col 1: Z idz Z", "  col 2: Z dropZ O"]
+    lines[79] = "  col 2: Z dropZ O"
+    with pytest.raises(WorkspaceError) as err:
+        parse("\n".join(lines), file="t")
+    probs = err.value.problems
+    assert [(p.line, p.kind) for p in probs] == [(81, "syntax")]
+    assert "repeated" in probs[0].message
