@@ -65,12 +65,15 @@ def _pick(table, name, what):
 
 
 def _located(ws, kind, name, check, *args):
-    """check(*args); a StructureError it raises is prefixed with the file:line
-    of the named block's header."""
+    """check(*args); a StructureError or HypothesisError it raises is
+    prefixed with the file:line of the named block's header."""
     try:
         return check(*args)
     except StructureError as exc:
         raise StructureError(f"{ws.origins[(kind, name)]}: {exc}") from exc
+    except HypothesisError as exc:
+        raise HypothesisError(exc.assertion_id, exc.witness,
+                              where=ws.origins[(kind, name)]) from exc
 
 
 def cmd_validate(args, report):

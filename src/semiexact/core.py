@@ -24,6 +24,18 @@ def freeze_table(rows):
     return tuple(tuple(int(x) for x in row) for row in rows)
 
 
+def hash_once(value):
+    """The hash a frozen dataclass computes from its field tuple, computed
+    once per instance and kept in its __dict__: the fields never change, and
+    re-walking nested tables on every dict and lru_cache lookup was a large
+    share of diagram generation. Equal values still hash equal."""
+    state = value.__dict__
+    h = state.get("_hash")
+    if h is None:
+        h = state["_hash"] = hash(tuple(state[name] for name in value.__dataclass_fields__))
+    return h
+
+
 def _check_table(table, nrows, ncols, vmax, what):
     if len(table) != nrows:
         raise StructureError(f"{what}: expected {nrows} rows, got {len(table)}")
@@ -83,6 +95,8 @@ class Semiring:
             if not 0 <= c < self.size:
                 raise StructureError(f"semiring {self.name}: constant {c} out of range")
 
+    __hash__ = hash_once
+
     def __repr__(self):
         return f"Semiring({self.name!r}, size={self.size})"
 
@@ -111,6 +125,8 @@ class Semimodule:
                       f"module {self.name} action")
         if not 0 <= self.zero < self.size:
             raise StructureError(f"module {self.name}: zero {self.zero} out of range")
+
+    __hash__ = hash_once
 
     def __repr__(self):
         return f"Semimodule({self.name!r}, size={self.size}, over={self.semiring.name!r})"

@@ -281,11 +281,14 @@ _WORDS = {"isomorphism": "iso", "cancellative": "cancellative-morphism"}
 class Claim(NamedTuple):
     """A bound assertion: test(parts) -> bool, the witness(parts) reported
     when the test fails and, for a conclusion, an optional condition
-    when(parts) under which it is asserted at all."""
+    when(parts) under which it is asserted at all. A claim that reads one
+    part and has no condition also carries part = (i, predicate), with
+    test(parts) == predicate(parts[i])."""
     id: str
     test: Callable
     witness: Callable
     when: Callable = None
+    part: tuple = None
 
 
 class Relation(NamedTuple):
@@ -357,9 +360,12 @@ def _bind(spec, shape, conclusion=False):
         return Claim(aid, _over(lambda *a: check(*a)[0], index),
                      _over(lambda *a: check(*a)[1], index))
     if re.fullmatch(r"M\d cancellative", aid):
-        index = (names.index("f" + aid[1]),)
-        return Claim(aid, _over(lambda f: is_cancellative_module(f.codomain), index),
-                     _over(_uncancellable, index))
+        i = names.index("f" + aid[1])
+
+        def into_cancellative(f):
+            return is_cancellative_module(f.codomain)
+        return Claim(aid, _over(into_cancellative, (i,)), _over(_uncancellable, (i,)),
+                     part=(i, into_cancellative))
     arrow = re.fullmatch(r"(\w+) row: ([fg]) (\S+)", aid)
     if arrow:
         part, word, when = f"{arrow[2]}{_ORDINALS[arrow[1]]}", arrow[3], None
@@ -369,9 +375,10 @@ def _bind(spec, shape, conclusion=False):
     if witness is None and conclusion:
         def witness(f):
             return dict(_classify(f).witnesses).get(flag) or f.name
-    index = (names.index(part),)
-    return Claim(aid, _over(PREDICATES[_WORDS.get(word, word)], index),
-                 _over(witness or _name, index), when and _over(PREDICATES[when], index))
+    i = names.index(part)
+    test = PREDICATES[_WORDS.get(word, word)]
+    return Claim(aid, _over(test, (i,)), _over(witness or _name, (i,)),
+                 when and _over(PREDICATES[when], (i,)), None if when else (i, test))
 
 
 class Clause:
@@ -395,14 +402,39 @@ class Clause:
     def filter(self, guaranteed):
         """parts -> bool: the hypotheses in table order, minus those in
         `guaranteed` (ids a generator's construction already ensures)."""
-        tests = [h.test for h in self.hypotheses if h.id not in guaranteed]
+        return _conjunction([h.test for h in self.hypotheses if h.id not in guaranteed])
 
-        def keep(parts):
-            for test in tests:
-                if not test(parts):
-                    return False
-            return True
-        return keep
+    def split(self, guaranteed):
+        """filter(guaranteed) in two stages, for a generator that draws some
+        parts before others: (tests, keep), where tests[i] is the conjunction
+        of the hypotheses that read part i alone (None where there are
+        none), to run on part i as soon as it is drawn, and keep(parts) tests
+        the other hypotheses on the whole tuple. A tuple passes filter
+        exactly when every tests[i] passes on its part and keep passes."""
+        single, rest = {}, []
+        for h in self.hypotheses:
+            if h.id in guaranteed:
+                continue
+            if h.part is None:
+                rest.append(h.test)
+            else:
+                single.setdefault(h.part[0], []).append(h.part[1])
+        tests = tuple(_conjunction(single[i]) if i in single else None
+                      for i in range(len(_PART_NAMES[self.shape])))
+        return tests, _conjunction(rest)
+
+
+def _conjunction(tests):
+    """x -> bool: every test passes on x, tried in order."""
+    if len(tests) == 1:
+        return tests[0]
+
+    def holds(x):
+        for test in tests:
+            if not test(x):
+                return False
+        return True
+    return holds
 
 
 _ROWS = ("first row exact", "second row exact")

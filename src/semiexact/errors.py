@@ -24,12 +24,18 @@ class PreconditionError(SemiexactError):
 
 
 class HypothesisError(SemiexactError):
-    """A lemma hypothesis failed re-verification; no verdict is produced."""
+    """A lemma hypothesis failed re-verification; no verdict is produced.
 
-    def __init__(self, assertion_id, witness="-"):
+    `where`, when given, is the file:line of the input the hypothesis was
+    checked on; it prefixes the message and leaves assertion_id and
+    witness as they are.
+    """
+
+    def __init__(self, assertion_id, witness="-", where=None):
         self.assertion_id = assertion_id
         self.witness = witness
-        super().__init__(f"hypothesis {assertion_id} violated ({witness})")
+        message = f"hypothesis {assertion_id} violated ({witness})"
+        super().__init__(message if where is None else f"{where}: {message}")
 
 
 class LemmaRefuted(SemiexactError):

@@ -3,11 +3,18 @@
 Rows are built constructively (surjections onto kernel submodules give
 exact stretches by construction), verticals are drawn from cached hom-sets.
 Each generator draws for one entry of diagrams.CLAUSES and keeps the
-candidates that pass Clause.filter: the clause's hypotheses in table order,
-minus those its construction guarantees, which each generator lists by id
-(row exactness from the exact-row pools, cancellative middles from the
-filtered pools, column exactness from the quotient row). The filter runs on
-the raw arrows, before a Diagram is built.
+candidates that pass the clause's hypotheses, minus those its construction
+guarantees, which each generator lists by id (row exactness from the
+exact-row pools, cancellative middles from the filtered pools, column
+exactness from the quotient row). The hypotheses run on the raw arrows,
+before a Diagram is built, split by Clause.split: one that reads a single
+part (`alpha1 surjective`, `g1 surjective`, `M1 cancellative`) runs as soon
+as that part is drawn, on a row pair once it is drawn, on a2 once it comes
+out of its shuffle, and on the members of a hom-set as _index groups them;
+the rest run on the whole tuple. Only drawn parts and unshuffled hom-set
+groups are tested early, never a pool before its shuffle, so the accepted
+candidates are the same, in the same order, as with every test on the
+whole tuple. The 3x3 stream tests its whole tuples, which are cheap.
 
 Squares are filled by a hash join on composite tables: for a fixed arrow
 such as f2, the hom-set of candidate a1 is indexed once by the table of
@@ -31,7 +38,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 from .core import Semiring, is_cancellative_module
 from .diagrams import Diagram, _classify, clause_key, lookup
@@ -92,12 +99,20 @@ def _shuffled_pairs(left, right, seed, tag):
     return ((left[k // m], right[k % m]) for k in _permutation(len(left) * m, seed, tag))
 
 
-def _index(homs, key):
-    """Members of a hom-set grouped by key(h), each group in hom-set order."""
+def _index(homs, key, test=None):
+    """Members of a hom-set that pass test (all of them when it is None),
+    grouped by key(h), each group in hom-set order."""
     out = {}
     for h in homs:
-        out.setdefault(key(h), []).append(h)
+        if test is None or test(h):
+            out.setdefault(key(h), []).append(h)
     return out
+
+
+def _joint(tests):
+    """parts -> bool: tests[i] passes on parts[i] wherever it is not None."""
+    tested = [(i, t) for i, t in enumerate(tests) if t is not None]
+    return lambda parts: all(t(parts[i]) for i, t in tested)
 
 
 @lru_cache(maxsize=None)
@@ -133,13 +148,22 @@ def _short_exact_rows(semiring, max_size):
                  if is_injective(f) and is_surjective(g))
 
 
-def _row_pairs_with_verticals(spec, rows_top, rows_bottom, tag):
-    """Yield (f1, g1, f2, g2, a1, a2, a3) with both squares commuting."""
+def _row_pairs_with_verticals(spec, rows_top, rows_bottom, tag, tests=(None,) * 7):
+    """Yield (f1, g1, f2, g2, a1, a2, a3) with both squares commuting and
+    tests[i], where it is not None, passing on the i-th part."""
     seed = spec.seed
-    for (f1, g1), (f2, g2) in _shuffled_pairs(rows_top, rows_bottom, seed, tag):
-        a1_by = _index(_homs(f1.domain, f2.domain), lambda a1: _table(f2, a1))
-        a3_by = _index(_homs(g1.codomain, g2.codomain), lambda a3: _table(a3, g1))
+    rows_ok, a2_ok = _joint(tests[:4]), tests[5]
+    for top, bottom in _shuffled_pairs(rows_top, rows_bottom, seed, tag):
+        if not rows_ok(top + bottom):
+            continue
+        (f1, g1), (f2, g2) = top, bottom
+        a1_by = _index(_homs(f1.domain, f2.domain), lambda a1: _table(f2, a1), tests[4])
+        a3_by = _index(_homs(g1.codomain, g2.codomain), lambda a3: _table(a3, g1), tests[6])
+        if not (a1_by and a3_by):
+            continue
         for a2 in _shuffled(_homs(f1.codomain, f2.codomain), seed, tag + "a2"):
+            if a2_ok is not None and not a2_ok(a2):
+                continue
             for a1 in a1_by.get(_table(a2, f1), ()):
                 for a3 in a3_by.get(_table(g2, a2), ()):
                     yield f1, g1, f2, g2, a1, a2, a3
@@ -154,12 +178,14 @@ def _build(name, shape, parts):
                                 for r in range(rows - 1)])
 
 
-def _collect(spec, clause, candidates, guaranteed):
-    """The first spec.quota candidate parts that pass the clause's filter,
-    less the hypotheses in `guaranteed`, as diagrams named by its tag."""
-    keep = clause.filter(guaranteed)
+def _collect(spec, clause, stream, guaranteed):
+    """The first spec.quota candidate parts that pass the clause's
+    hypotheses, less those in `guaranteed`, as diagrams named by its tag.
+    stream(tests) yields the candidates that pass the single-part tests of
+    Clause.split; the other hypotheses are tested here."""
+    tests, keep = clause.split(guaranteed)
     out = []
-    for parts in candidates:
+    for parts in stream(tests):
         if keep(parts):
             out.append(_build(f"{clause.tag}.{len(out)}", clause.shape, parts))
             if len(out) >= spec.quota:
@@ -172,10 +198,10 @@ def vertical_triples(spec: UniverseSpec, require_cancellative_mid=False):
     modules; used by the dropped-hypothesis searches."""
     rows = _short_exact_rows(spec.semiring, spec.max_module_size)
     hspec = HarnessSpec(spec.semiring, spec.max_module_size, spec.seed)
-    for f1, g1, f2, g2, a1, a2, a3 in _row_pairs_with_verticals(hspec, rows, rows, "vt"):
-        if require_cancellative_mid and not (
-                is_cancellative_module(f1.codomain) and is_cancellative_module(f2.codomain)):
-            continue
+    mid = (lambda f: is_cancellative_module(f.codomain)) if require_cancellative_mid else None
+    tests = (mid, None, mid, None, None, None, None)
+    for f1, g1, f2, g2, a1, a2, a3 in _row_pairs_with_verticals(hspec, rows, rows, "vt",
+                                                                tests):
         yield (f1, g1), (f2, g2), (a1, a2, a3)
 
 
@@ -209,8 +235,8 @@ def _gen_rows(spec: HarnessSpec, clause):
     exact = _exact_pairs(s, n)
     top, bottom = (exact if row in clause.ids else tuple(dict.fromkeys(exact + _any_rows(s, n)))
                    for row in _EXACT_ROWS)
-    return _collect(spec, clause, _row_pairs_with_verticals(spec, top, bottom, clause.tag),
-                    _EXACT_ROWS)
+    return _collect(spec, clause, partial(_row_pairs_with_verticals, spec, top, bottom,
+                                          clause.tag), _EXACT_ROWS)
 
 
 # What the short-five row pools guarantee: cancellative middles, a right
@@ -229,14 +255,14 @@ def _gen_half(spec: HarnessSpec, clause):
     s, n = spec.semiring, spec.max_size
     right = _cancellative_middles(_right_exact_rows(s, n))
     left = _cancellative_middles(_left_exact_rows(s, n))
-    return _collect(spec, clause, _row_pairs_with_verticals(spec, right, left, clause.tag),
-                    _HALF_ROWS)
+    return _collect(spec, clause, partial(_row_pairs_with_verticals, spec, right, left,
+                                          clause.tag), _HALF_ROWS)
 
 
 def _gen_short_five(spec: HarnessSpec, clause):
     rows = _cancellative_middles(_short_exact_rows(spec.semiring, spec.max_size))
-    return _collect(spec, clause, _row_pairs_with_verticals(spec, rows, rows, clause.tag),
-                    _SHORT_FIVE_ROWS)
+    return _collect(spec, clause, partial(_row_pairs_with_verticals, spec, rows, rows,
+                                          clause.tag), _SHORT_FIVE_ROWS)
 
 
 # ----------------------------------------------------------- 2x5 generators
@@ -275,17 +301,25 @@ def _exact_5rows(semiring, max_size, cap=600):
     return tuple(rows)
 
 
-def _squares_2x5(spec: HarnessSpec, tag):
-    """Yield the parts of 2x5 grids of exact rows with every square commuting."""
+def _squares_2x5(spec: HarnessSpec, tag, tests):
+    """Yield the parts of 2x5 grids of exact rows with every square commuting
+    and tests[i], where it is not None, passing on the i-th part."""
     rows = _exact_5rows(spec.semiring, spec.max_size)
     seed = spec.seed
+    rows_ok, a2_ok = _joint(tests[:8]), tests[10]
     for row1, row2 in _shuffled_pairs(rows, rows, seed, tag):
-        (d1, f1, g1, h1), (d2, f2, g2, h2) = row1, row2
         both = row1 + row2
-        a1_by = _index(_homs(f1.domain, f2.domain), lambda a1: _table(f2, a1))
-        a3_by = _index(_homs(g1.codomain, g2.codomain), lambda a3: _table(a3, g1))
+        if not rows_ok(both):
+            continue
+        (d1, f1, g1, h1), (d2, f2, g2, h2) = row1, row2
+        a1_by = _index(_homs(f1.domain, f2.domain), lambda a1: _table(f2, a1), tests[9])
+        a3_by = _index(_homs(g1.codomain, g2.codomain), lambda a3: _table(a3, g1), tests[11])
+        if not (a1_by and a3_by):
+            continue
         gamma_by = delta_by = None
         for a2 in _shuffled(_homs(f1.codomain, f2.codomain), seed, tag + "a2"):
+            if a2_ok is not None and not a2_ok(a2):
+                continue
             a1s = a1_by.get(_table(a2, f1))
             if not a1s:
                 continue
@@ -293,9 +327,10 @@ def _squares_2x5(spec: HarnessSpec, tag):
             if not a3s:
                 continue
             if gamma_by is None:
-                gamma_by = _index(_homs(d1.domain, d2.domain), lambda g: _table(d2, g))
+                gamma_by = _index(_homs(d1.domain, d2.domain), lambda g: _table(d2, g),
+                                  tests[8])
                 delta_by = _index(_homs(h1.codomain, h2.codomain),
-                                  lambda dd: _table(dd, h1))
+                                  lambda dd: _table(dd, h1), tests[12])
             for a1 in a1s:
                 gammas = gamma_by.get(_table(a1, d1), ())
                 for a3 in a3s:
@@ -306,7 +341,7 @@ def _squares_2x5(spec: HarnessSpec, tag):
 
 
 def _gen_2x5(spec: HarnessSpec, clause):
-    return _collect(spec, clause, _squares_2x5(spec, clause.tag), _EXACT_ROWS)
+    return _collect(spec, clause, partial(_squares_2x5, spec, clause.tag), _EXACT_ROWS)
 
 
 # ----------------------------------------------------------- 3x3 generators
@@ -340,10 +375,12 @@ _QUOTIENT_ROW = (
     "column 0 short exact", "column 1 short exact", "column 2 short exact")
 
 
-def _squares_3x3(spec: HarnessSpec, clause):
+def _squares_3x3(spec: HarnessSpec, clause, tests):
     """Yield 3x3 parts: middle row short exact; tops i-uniform, and injective
     where the clause needs it; top row enumerated against the squares; bottom
-    row is the quotient row."""
+    row is the quotient row. tests[i], where it is not None, must pass on
+    the i-th part; they run on the whole tuple."""
+    parts_ok = _joint(tests)
     s, n = spec.semiring, spec.max_size
     mods = _pool(s, n)
     mid_rows = _short_exact_rows(s, n)
@@ -382,11 +419,13 @@ def _squares_3x3(spec: HarnessSpec, clause):
                     betas = (q1.projection, q2.projection, q3.projection)
                     for f1 in f1s:
                         for g1 in g1s:
-                            yield (f1, g1, f2, g2, f3, g3, a1, a2, a3) + betas
+                            parts = (f1, g1, f2, g2, f3, g3, a1, a2, a3) + betas
+                            if parts_ok(parts):
+                                yield parts
 
 
 def _gen_3x3(spec: HarnessSpec, clause):
-    return _collect(spec, clause, _squares_3x3(spec, clause), _QUOTIENT_ROW)
+    return _collect(spec, clause, partial(_squares_3x3, spec, clause), _QUOTIENT_ROW)
 
 
 def _generator(family, gen):

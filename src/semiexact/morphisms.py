@@ -1,9 +1,13 @@
 """Linear maps between semimodules and their derived objects.
 
-A Morphism validates its own linearity on construction, so every value of
-the type is a genuine map of semimodules. classify() evaluates the raw
-defining condition of each flag; the lemma-level equivalences these flags
-satisfy live in the test suite, keeping implementation and oracle apart.
+Every value of the Morphism type is a genuine map of semimodules. The public
+constructor, which the parser and user code call, validates linearity;
+values that are linear by construction (hom-set members, composites and
+maps factored through an injection or a surjection) are built once by the
+private Morphism._trusted, so a derived map is not validated again.
+classify() evaluates the raw defining condition of each flag; the
+lemma-level equivalences these flags satisfy live in the test suite,
+keeping implementation and oracle apart.
 
 Induced maps are built in one place: factor_through_injection lifts a map
 through an injection (kernels, restrictions, the left vertical of a
@@ -19,7 +23,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 
-from .core import Element, Semimodule, Subsemimodule, is_cancellable, \
+from .core import Element, Semimodule, Subsemimodule, hash_once, is_cancellable, \
     subtractive_closure_set
 from .errors import LemmaRefuted, PreconditionError, StructureError
 from .quotients import QuotientModule, bourne_congruence, kernel_pair_congruence, quotient
@@ -57,6 +61,16 @@ class Morphism:
                     raise StructureError(
                         f"morphism {self.name}: not equivariant at ({a},s={s})")
 
+    __hash__ = hash_once
+
+    @classmethod
+    def _trusted(cls, name, domain, codomain, table):
+        """The Morphism the public constructor builds from a table of ints that
+        is linear by construction, without re-checking it."""
+        f = object.__new__(cls)
+        f.__dict__.update(name=name, domain=domain, codomain=codomain, map=tuple(table))
+        return f
+
     def __call__(self, m):
         return self.map[m]
 
@@ -92,8 +106,7 @@ def zero_morphism(M: Semimodule, N: Semimodule) -> Morphism:
 def compose(g: Morphism, f: Morphism) -> Morphism:
     if f.codomain != g.domain:
         raise PreconditionError(f"cannot compose {g.name} after {f.name}: objects differ")
-    return Morphism(f"{g.name}*{f.name}", f.domain, g.codomain,
-                    tuple(g.map[v] for v in f.map))
+    return Morphism._trusted(f"{g.name}*{f.name}", f.domain, g.codomain, _table(g, f))
 
 
 def _table(g, f):
@@ -131,14 +144,15 @@ def factor_through_injection(i: Morphism, values, domain: Semimodule, name):
     """The k: domain -> i.domain with i∘k = values, or None when a value lies
     outside image(i); PreconditionError when i is not injective.
 
-    k is linear when `values` is the table of a linear map: i is injective,
-    so i(k(a + b)) = values(a + b) = i(k(a) + k(b)) forces k(a + b) = k(a) + k(b),
-    and likewise for the action. k is still built by the validating Morphism.
+    `values` must be the table of a linear map domain -> i.codomain; then k is
+    linear: i is injective, so i(k(a + b)) = values(a + b) = i(k(a) + k(b))
+    forces k(a + b) = k(a) + k(b), and likewise for the action. So k is built
+    by Morphism._trusted, without validation.
     """
     if not is_injective(i):
         raise PreconditionError(f"cannot factor through {i.name}: it is not injective")
     table = _lift(i, values)
-    return None if table is None else Morphism(name, domain, i.domain, table)
+    return None if table is None else Morphism._trusted(name, domain, i.domain, table)
 
 
 def _lift(i, values):
@@ -155,10 +169,11 @@ def factor_through_surjection(p: Morphism, values, codomain: Semimodule, name):
     an element or `values` is not constant on some fibre of p;
     PreconditionError unless `values` has one entry per element of p.domain.
 
-    k is linear when `values` is the table of a linear map: p is onto, so
-    every pair of elements is p(x), p(y), and k(p(x) + p(y)) = k(p(x + y))
-    = values(x + y) = k(p(x)) + k(p(y)), likewise for the action. k is still
-    built by the validating Morphism.
+    `values` must be the table of a linear map p.domain -> codomain; then k
+    is linear: p is onto, so every pair of elements is p(x), p(y), and
+    k(p(x) + p(y)) = k(p(x + y)) = values(x + y) = k(p(x)) + k(p(y)),
+    likewise for the action. So k is built by Morphism._trusted, without
+    validation.
     """
     if len(values) != p.domain.size:
         raise PreconditionError(f"cannot factor through {p.name}: {len(values)} values "
@@ -171,7 +186,7 @@ def factor_through_surjection(p: Morphism, values, codomain: Semimodule, name):
             return None
     if None in table:
         return None
-    return Morphism(name, p.codomain, codomain, table)
+    return Morphism._trusted(name, p.codomain, codomain, table)
 
 
 def submodule_as_module(X: Subsemimodule, name=None) -> tuple[Semimodule, Morphism]:
@@ -411,8 +426,9 @@ def enumerate_hom(M: Semimodule, N: Semimodule) -> tuple:
 
     Candidate maps are determined by images of a greedy generating set and
     then checked against the full linearity predicate, which also rejects
-    assignments that break the generators' relations. Results are cached;
-    everything involved is immutable.
+    assignments that break the generators' relations; that check is the
+    maps' only validation. Results are cached; everything involved is
+    immutable.
     """
     if M.semiring != N.semiring:
         raise PreconditionError("enumerate_hom: modules over different semirings")
@@ -433,5 +449,5 @@ def enumerate_hom(M: Semimodule, N: Semimodule) -> tuple:
         if is_linear_table(M, N, table):
             out.append(tuple(table))
     out.sort()
-    return tuple(Morphism(f"h{i}[{M.name}->{N.name}]", M, N, t)
+    return tuple(Morphism._trusted(f"h{i}[{M.name}->{N.name}]", M, N, t)
                  for i, t in enumerate(out))

@@ -42,7 +42,7 @@ from .morphisms import Morphism
 class Problem:
     file: str
     line: int
-    kind: str  # syntax | dangling-reference | structural | axiom-violation | hypothesis
+    kind: str  # syntax | duplicate | dangling-reference | structural | axiom-violation | hypothesis
     message: str
 
     def __str__(self):
@@ -140,6 +140,11 @@ class _Parser:
                 for bline, text in body:
                     self.error(file, bline, "syntax", f"{kind} block takes no body line, got {text!r}")
             try:
+                first = self.ws.origins.get((kind, tokens[1]))
+                if first is not None:
+                    self.error(file, header_line, "duplicate",
+                               f"{kind} {tokens[1]!r} already defined at {first}")
+                    continue
                 handler = getattr(self, f"_block_{kind}")
                 handler(file, header_line, tokens[1:], body)
                 self.ws.origins[(kind, tokens[1])] = f"{file}:{header_line}"

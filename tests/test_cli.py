@@ -182,6 +182,26 @@ end
     assert "cancellative" in err and "violated by element 1" in err
 
 
+def test_lemma_hypothesis_error_names_the_diagram(tmp_path, capsys):
+    """A hypothesis that fails on a parsed diagram is reported at the
+    diagram header's file:line; the report keeps the id and witness."""
+    report = tmp_path / "r.txt"
+    assert run(["lemma", "short.1", "D", DEMO, "--report", str(report)]) == 2
+    assert capsys.readouterr().err == (
+        f"hypothesis error: {DEMO}:76: hypothesis short.1: alpha1 surjective "
+        "violated (intoZ misses part of Z)\n")
+    assert report.read_text().splitlines()[1:] == [
+        "hypothesis|error|short.1: alpha1 surjective: intoZ misses part of Z|0"]
+
+
+def test_validate_rejects_duplicate_definitions(tmp_path, capsys):
+    report = tmp_path / "r.txt"
+    assert run(["validate", DEMO, DEMO, "--report", str(report)]) == 2
+    err = capsys.readouterr().err
+    assert f"error: {DEMO}:76: duplicate: diagram 'D' already defined at {DEMO}:76" in err
+    assert "parse.duplicate.fixtures/demo.sx:76|error|" in report.read_text()
+
+
 def test_lemma_verified(capsys, tmp_path):
     text = """semiring Z2 size=2
   add: 0,1; 1,0

@@ -314,6 +314,37 @@ def test_short_five_replay_rechecks_the_property():
         assert not replay_counterexample(tampered)
 
 
+def test_whole_tuple_filter_tests_single_part_hypotheses():
+    """short-five's filter(()) still tests the hypotheses that read one part:
+    over B@4, two short exact rows with non-cancellative middles, isomorphic
+    outer verticals and a middle vertical neither i-uniform nor iso fail
+    only `M1 cancellative` and `M2 cancellative`, and both the filter and
+    the short-five-needs-i-uniform predicate, which relies on it, reject
+    them."""
+    from semiexact.diagrams import CLAUSES
+    from semiexact.morphisms import Morphism, classify, is_isomorphism
+
+    spec = UniverseSpec(make_boolean(), 4)
+    mods = {M.name: M for M in enumerate_semimodules(spec).modules}
+
+    def arrow(name, dom, cod, table):
+        return Morphism(name, mods[dom], mods[cod], table)
+    parts = f1, g1, f2, g2, a1, a2, a3 = (
+        arrow("f1", "UB.1", "UB.2", (0, 2)), arrow("g1", "UB.2", "UB.1", (0, 1, 0)),
+        arrow("f2", "UB.1", "UB.3", (0, 3)), arrow("g2", "UB.3", "UB.1", (0, 1, 1, 0)),
+        arrow("a1", "UB.1", "UB.1", (0, 1)), arrow("a2", "UB.2", "UB.3", (0, 1, 3)),
+        arrow("a3", "UB.1", "UB.1", (0, 1)))
+    clause = CLAUSES["short-five"]
+    failed = [h for h in clause.hypotheses if not h.test(parts)]
+    assert [h.id for h in failed] == ["M1 cancellative", "M2 cancellative"]
+    assert all(h.part is not None for h in failed)
+    assert not clause.filter(())(parts)
+    # every other conjunct of the predicate holds
+    assert is_isomorphism(a1) and is_isomorphism(a3)
+    assert not classify(a2).i_uniform and not is_isomorphism(a2)
+    assert not enumeration._short_five_needs_i_uniform(spec, ((f1, g1), (f2, g2), a1, a2, a3))
+
+
 def test_catalog_matches_snapshot():
     """Every property on six universes: the description and witnesses of a
     counterexample, or the number of instances an exhausted search inspected."""

@@ -25,7 +25,7 @@ from semiexact.harness import (HarnessSpec, gen_short_five_half, gen_five,
                                gen_five_parts, gen_lemma_diagram, gen_lemma_short,
                                gen_nine, gen_nine_first, gen_nine_third,
                                gen_short_five, gen_snake)
-from semiexact.morphisms import compose, enumerate_hom
+from semiexact.morphisms import Morphism, compose, enumerate_hom
 
 DATA = Path(__file__).resolve().parent / "data"
 SNAPSHOT = DATA / "harness_corpora_seed11.json"
@@ -274,6 +274,39 @@ def _certificate_line(verify, d):
         return f"!{d.name}:{exc.assertion_id}|{exc.witness}"
     return (d.name + ":" + ";".join(f"{a.id}={a.ok}|{a.witness}" for a in cert.hypotheses)
             + "=>" + ";".join(f"{a.id}={a.ok}|{a.witness}" for a in cert.conclusions))
+
+
+def test_corpus_arrows_equal_their_public_rebuilds(snapshot_corpora):
+    """Every arrow of the seed-11 corpora, hom-set members, composites and
+    factored maps alike, equals the validating constructor's Morphism on
+    the same table and hashes as the field tuple does."""
+    arrows = {a for ds in snapshot_corpora.values() for d in ds for a in d.parts()}
+    assert len(arrows) > 100
+    for a in arrows:
+        rebuilt = Morphism(a.name, a.domain, a.codomain, a.map)
+        assert rebuilt == a and hash(rebuilt) == hash(a)
+        assert hash(a) == hash((a.name, a.domain, a.codomain, a.map))
+
+
+@pytest.mark.parametrize("seed", [3, 29])
+def test_single_part_tests_keep_the_whole_tuple_corpora(monkeypatch, seed):
+    """Every snapshot clause over Z2 and T2: testing single-part hypotheses
+    as their parts are drawn gives the corpora of the oracle, the unfiltered
+    stream with every hypothesis tested on whole tuples."""
+    specs = (HarnessSpec(make_zmod(2), 4, seed=seed, quota=4),
+             HarnessSpec(make_saturating_naturals(2), 3, seed=seed, quota=4))
+    gens = [(getattr(harness, name), clause) for name, clause in SNAPSHOT_CORPORA
+            if name != "gen_snake"]
+
+    def corpora():
+        return [_tables(gen(spec, clause)) for spec in specs for gen, clause in gens]
+    split = corpora()
+
+    def whole_tuple(clause, guaranteed):
+        return (None,) * len(diagrams._PART_NAMES[clause.shape]), clause.filter(guaranteed)
+    monkeypatch.setattr(diagrams.Clause, "split", whole_tuple)
+    assert split == corpora()
+    assert all(split) and sum(map(len, split)) > 3 * len(split)
 
 
 def test_certificates_match_snapshot(snapshot_corpora):

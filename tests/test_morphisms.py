@@ -312,8 +312,54 @@ def test_factor_through_injection(semiring):
                     continue
                 assert (k.domain, k.codomain) == (h.domain, i.domain)
                 assert _table(i, k) == h.map
+                assert Morphism(k.name, k.domain, k.codomain, k.map) == k  # linear
                 outcomes.add("lifted")
     assert outcomes == {"raised", "none", "lifted"}
+
+
+def test_nat4_maps_equal_their_public_rebuilds(nat4_universe):
+    """The 2,280 maps of the nat4@4 universe, which enumerate_hom builds
+    without re-validation, pass the validating constructor, and equal and
+    hash as its rebuilds; every cached hash is the field-tuple hash."""
+    maps = [f for M in nat4_universe for N in nat4_universe for f in enumerate_hom(M, N)]
+    assert len(maps) == 2280
+    for f in maps:
+        rebuilt = Morphism(f.name, f.domain, f.codomain, f.map)
+        assert rebuilt == f and hash(rebuilt) == hash(f)
+        assert hash(f) == hash((f.name, f.domain, f.codomain, f.map))
+    for M in nat4_universe:
+        assert hash(M) == hash((M.name, M.semiring, M.size, M.add, M.action, M.zero))
+    S = nat4_universe[0].semiring
+    assert hash(S) == hash((S.name, S.size, S.add, S.mul, S.zero, S.one))
+
+
+def test_derived_maps_skip_validation(monkeypatch, nat3_universe):
+    """Hom-set members (already checked by is_linear_table), composites and
+    factored maps are linear by construction: building them makes no
+    validating Morphism."""
+    mods = nat3_universe[:8]
+    homs = {(M, N): enumerate_hom(M, N) for M in mods for N in mods}
+    built = []
+    post_init = Morphism.__post_init__
+
+    def counted(self):
+        built.append(self.name)
+        post_init(self)
+    monkeypatch.setattr(Morphism, "__post_init__", counted)
+    fresh = [f for M in mods for N in mods for f in enumerate_hom.__wrapped__(M, N)]
+    assert fresh == [f for fs in homs.values() for f in fs]
+    made = 0
+    for (L, M), fs in homs.items():
+        for N in mods:
+            for f in fs:
+                for g in homs[M, N]:
+                    compose(g, f)
+                    if is_injective(g):
+                        made += factor_through_injection(g, _table(g, f), L, "k") is not None
+                    if is_surjective(f):
+                        made += factor_through_surjection(f, _table(g, f), N, "k") is not None
+    assert made > 100
+    assert built == []
 
 
 @pytest.mark.parametrize("semiring", FACTOR_SEMIRINGS, ids=lambda s: s.name)
@@ -335,6 +381,7 @@ def test_factor_through_surjection(semiring):
                     continue
                 assert (k.domain, k.codomain) == (p.codomain, h.codomain)
                 assert _table(k, p) == h.map
+                assert Morphism(k.name, k.domain, k.codomain, k.map) == k  # linear
                 outcomes.add("descended")
     assert outcomes == {"not onto", "fibre", "descended"}
     p = next(p for M in mods for p in out_of[M] if p.domain.size > 1)

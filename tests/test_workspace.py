@@ -62,6 +62,29 @@ morphism f from=nope to=nope map=0
     assert len(err.value.problems) >= 2
 
 
+def test_duplicate_definitions_rejected():
+    """A second block of the same kind and name is a problem at its header
+    that names the first definition, within one file and across files."""
+    with pytest.raises(WorkspaceError) as err:
+        parse_files([DEMO, DEMO])
+    probs = err.value.problems
+    assert {p.kind for p in probs} == {"duplicate"}
+    assert len(probs) == sum(1 for line in _demo_lines()
+                             if line.split()[:1] and line.split()[0] in
+                             ("semiring", "module", "sub", "morphism", "sequence",
+                              "diagram"))
+    first = probs[0]
+    assert (first.file, first.line) == (DEMO, 4)
+    assert first.message == f"semiring 'B' already defined at {DEMO}:4"
+    text = "semiring B size=2\n  add: 0,1; 1,1\n  mul: 0,0; 0,1\nend\n"
+    with pytest.raises(WorkspaceError) as err:
+        parse(text + "module B over=B size=1\n  add: 0\n  action: 0,0\nend\n" + text,
+              file="t")
+    (prob,) = err.value.problems
+    assert (prob.kind, prob.file, prob.line) == ("duplicate", "t", 9)
+    assert "semiring 'B' already defined at t:1" in prob.message
+
+
 def test_structural_error_located(max3):
     text = """semiring B size=2
   add: 0,1; 1,1
