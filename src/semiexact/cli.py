@@ -37,10 +37,14 @@ class Report:
             lines.append(f"{rid}|{status}|{witness}|0")
         return "\n".join(lines) + "\n"
 
-    def write(self, path):
-        if path:
-            with open(path, "w", encoding="utf-8") as fh:
-                fh.write(self.machine_text())
+
+def _write(path, text):
+    """Write text to path; ParameterError names the path when that fails."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ParameterError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 def _say(args, *text):
@@ -222,8 +226,7 @@ def cmd_corpus(args, report):
                                             m.add, m.action, zero=m.zero)
     text = serialize(out)
     if args.corpus:
-        with open(args.corpus, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        _write(args.corpus, text)
         _say(args, f"wrote {len(uni.modules)} modules over {semiring.name} "
                    f"to {args.corpus}")
     else:
@@ -291,25 +294,25 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     report = Report()
+    code = 2  # unless the command returns
     try:
         code = args.func(args, report)
     except WorkspaceError as exc:
         for prob in exc.problems:
             print(f"error: {prob}", file=sys.stderr)
             report.add(f"parse.{prob.kind}.{prob.file}:{prob.line}", "error", prob.message)
-        report.write(args.report)
-        return 2
     except HypothesisError as exc:
         print(f"hypothesis error: {exc}", file=sys.stderr)
         report.add("hypothesis", "error", f"{exc.assertion_id}: {exc.witness}")
-        report.write(args.report)
-        return 2
     except (StructureError, ParameterError, SemiexactError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         report.add("input", "error", str(exc))
-        report.write(args.report)
+    try:
+        if args.report:
+            _write(args.report, report.machine_text())
+    except ParameterError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 2
-    report.write(args.report)
     return code
 
 

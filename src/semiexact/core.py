@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .errors import LemmaRefuted, ParameterError, StructureError
 
@@ -127,6 +127,14 @@ class Semimodule:
             raise StructureError(f"module {self.name}: zero {self.zero} out of range")
 
     __hash__ = hash_once
+
+    @cached_property
+    def unnamed(self):
+        """This module named "", every other field (semiring and zero too) kept,
+        built once: the key of caches of results that depend on tables alone."""
+        twin = object.__new__(type(self))  # fields already checked: no __post_init__
+        twin.__dict__.update({k: getattr(self, k) for k in self.__dataclass_fields__}, name="")
+        return twin
 
     def __repr__(self):
         return f"Semimodule({self.name!r}, size={self.size}, over={self.semiring.name!r})"

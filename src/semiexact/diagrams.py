@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import lru_cache
 from operator import eq, itemgetter
 from typing import Callable, NamedTuple
 
@@ -69,22 +68,18 @@ class _Check:
 
 # ------------------------------------------------------------ the vocabulary
 
-# classify, memoised: the one cache behind the classification predicates,
-# whether a verifier, Diagram.check_tag or a harness filter asks.
-_classify = lru_cache(maxsize=None)(classify)
-
 # The predicates of declared hypothesis tags and of the clause table; all but
 # `cancellative` (a module) take a morphism.
 PREDICATES = {
     "injective": is_injective,
     "surjective": is_surjective,
     "iso": is_isomorphism,
-    "k-uniform": lambda f: _classify(f).k_uniform,
-    "i-uniform": lambda f: _classify(f).i_uniform,
-    "uniform": lambda f: _classify(f).uniform,
-    "semi-mono": lambda f: _classify(f).semi_mono,
-    "semi-epi": lambda f: _classify(f).semi_epi,
-    "cancellative-morphism": lambda f: _classify(f).cancellative,
+    "k-uniform": lambda f: classify(f).k_uniform,
+    "i-uniform": lambda f: classify(f).i_uniform,
+    "uniform": lambda f: classify(f).uniform,
+    "semi-mono": lambda f: classify(f).semi_mono,
+    "semi-epi": lambda f: classify(f).semi_epi,
+    "cancellative-morphism": lambda f: classify(f).cancellative,
     "cancellative": is_cancellative_module,
 }
 
@@ -374,7 +369,7 @@ def _bind(spec, shape, conclusion=False):
     flag = word.replace("-", "_")
     if witness is None and conclusion:
         def witness(f):
-            return dict(_classify(f).witnesses).get(flag) or f.name
+            return dict(classify(f).witnesses).get(flag) or f.name
     i = names.index(part)
     test = PREDICATES[_WORDS.get(word, word)]
     return Claim(aid, _over(test, (i,)), _over(witness or _name, (i,)),
@@ -526,7 +521,7 @@ CLAUSES = {
     "five.3": Clause((2, 5), "five3", _FIVE + (
         "alpha2 i-uniform", "alpha1 isomorphism", "alpha3 isomorphism"), (
         ("alpha2 isomorphism", lambda f: "inj={0.injective} surj={0.surjective}".format(
-            _classify(f))),)),
+            classify(f))),)),
     # Kernel-side 3x3: columns exact with zeros on top of the middle and
     # right columns, middle row exact.
     "nine-first.1": Clause((3, 3), "nine1.1", _NINE_FIRST + ("f3 injective", "f2 cancellative"),
@@ -651,7 +646,7 @@ def snake(d: Diagram) -> SnakeResult:
     _require_grid(d, 2, 3, "snake")
     f1, g1, f2, g2, a1, a2, a3 = parts = d.parts()
     _SNAKE_GATES.gate("snake.gates", parts)
-    columns_exact = all(_classify(a).uniform for a in (a1, a2, a3))
+    columns_exact = all(classify(a).uniform for a in (a1, a2, a3))
 
     kmods = []
     kincls = []

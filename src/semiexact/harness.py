@@ -1,7 +1,8 @@
 """Deterministic generation of hypothesis-satisfying diagram corpora.
 
 Rows are built constructively (surjections onto kernel submodules give
-exact stretches by construction), verticals are drawn from cached hom-sets.
+exact stretches by construction), verticals are drawn from hom-sets, which
+morphisms caches by tables, as it does classifications.
 Each generator draws for one entry of diagrams.CLAUSES and keeps the
 candidates that pass the clause's hypotheses, minus those its construction
 guarantees, which each generator lists by id (row exactness from the
@@ -40,12 +41,12 @@ import random
 from dataclasses import dataclass
 from functools import lru_cache, partial
 
-from .core import Semiring, is_cancellative_module
-from .diagrams import Diagram, _classify, clause_key, lookup
+from .core import Semiring, Subsemimodule, is_cancellative_module
+from .diagrams import Diagram, clause_key, lookup
 from .enumeration import UniverseSpec, enumerate_semimodules, oracle_iso_exists
 from .errors import ParameterError
-from .morphisms import (_table, compose, enumerate_hom, factor_through_injection,
-                        factor_through_surjection, image, image_set, is_injective,
+from .morphisms import (_table, classify, compose, enumerate_hom, factor_through_injection,
+                        factor_through_surjection, image_set, is_injective,
                         is_isomorphism, is_k_uniform, is_surjective, kernel_module,
                         kernel_set)
 from .quotients import bourne_congruence, quotient
@@ -67,11 +68,6 @@ class HarnessSpec:
 @lru_cache(maxsize=None)
 def _pool(semiring, max_size):
     return enumerate_semimodules(UniverseSpec(semiring, max_size)).modules
-
-
-@lru_cache(maxsize=None)
-def _homs(M, N):
-    return enumerate_hom(M, N)
 
 
 def _permutation(n, seed, tag):
@@ -122,12 +118,12 @@ def _exact_pairs(semiring, max_size):
     out = []
     for M in mods:
         for N in mods:
-            for g in _homs(M, N):
+            for g in enumerate_hom(M, N):
                 if not is_k_uniform(g):
                     continue
                 ker = kernel_set(g)
                 for L in mods:
-                    for f in _homs(L, M):
+                    for f in enumerate_hom(L, M):
                         if image_set(f) == ker:
                             out.append((f, g))
     return tuple(out)
@@ -157,11 +153,11 @@ def _row_pairs_with_verticals(spec, rows_top, rows_bottom, tag, tests=(None,) * 
         if not rows_ok(top + bottom):
             continue
         (f1, g1), (f2, g2) = top, bottom
-        a1_by = _index(_homs(f1.domain, f2.domain), lambda a1: _table(f2, a1), tests[4])
-        a3_by = _index(_homs(g1.codomain, g2.codomain), lambda a3: _table(a3, g1), tests[6])
+        a1_by = _index(enumerate_hom(f1.domain, f2.domain), lambda h: _table(f2, h), tests[4])
+        a3_by = _index(enumerate_hom(g1.codomain, g2.codomain), lambda h: _table(h, g1), tests[6])
         if not (a1_by and a3_by):
             continue
-        for a2 in _shuffled(_homs(f1.codomain, f2.codomain), seed, tag + "a2"):
+        for a2 in _shuffled(enumerate_hom(f1.codomain, f2.codomain), seed, tag + "a2"):
             if a2_ok is not None and not a2_ok(a2):
                 continue
             for a1 in a1_by.get(_table(a2, f1), ()):
@@ -217,10 +213,10 @@ def _any_rows(semiring, max_size, cap=400):
     out = []
     for M in mods:
         for N in mods:
-            for g in _homs(M, N):
+            for g in enumerate_hom(M, N):
                 ker = kernel_set(g)
                 for L in mods:
-                    for f in _homs(L, M):
+                    for f in enumerate_hom(L, M):
                         if image_set(f) <= ker:
                             out.append((f, g))
                             if len(out) >= cap:
@@ -274,24 +270,24 @@ def _exact_5rows(semiring, max_size, cap=600):
     rows = []
     for N in mods:
         for V in mods:
-            for h in _homs(N, V):
+            for h in enumerate_hom(N, V):
                 if not is_k_uniform(h):
                     continue
                 kh, kh_incl = kernel_module(h)
                 for M in mods:
-                    for q in _homs(M, kh):
+                    for q in enumerate_hom(M, kh):
                         if not (is_surjective(q) and is_k_uniform(q)):
                             continue
                         g = compose(kh_incl, q)
                         kg, kg_incl = kernel_module(g)
                         for L in mods:
-                            for q2 in _homs(L, kg):
+                            for q2 in enumerate_hom(L, kg):
                                 if not (is_surjective(q2) and is_k_uniform(q2)):
                                     continue
                                 f = compose(kg_incl, q2)
                                 kf, kf_incl = kernel_module(f)
                                 for U in mods:
-                                    for q3 in _homs(U, kf):
+                                    for q3 in enumerate_hom(U, kf):
                                         if not is_surjective(q3):
                                             continue
                                         d = compose(kf_incl, q3)
@@ -312,12 +308,12 @@ def _squares_2x5(spec: HarnessSpec, tag, tests):
         if not rows_ok(both):
             continue
         (d1, f1, g1, h1), (d2, f2, g2, h2) = row1, row2
-        a1_by = _index(_homs(f1.domain, f2.domain), lambda a1: _table(f2, a1), tests[9])
-        a3_by = _index(_homs(g1.codomain, g2.codomain), lambda a3: _table(a3, g1), tests[11])
+        a1_by = _index(enumerate_hom(f1.domain, f2.domain), lambda h: _table(f2, h), tests[9])
+        a3_by = _index(enumerate_hom(g1.codomain, g2.codomain), lambda h: _table(h, g1), tests[11])
         if not (a1_by and a3_by):
             continue
         gamma_by = delta_by = None
-        for a2 in _shuffled(_homs(f1.codomain, f2.codomain), seed, tag + "a2"):
+        for a2 in _shuffled(enumerate_hom(f1.codomain, f2.codomain), seed, tag + "a2"):
             if a2_ok is not None and not a2_ok(a2):
                 continue
             a1s = a1_by.get(_table(a2, f1))
@@ -327,9 +323,9 @@ def _squares_2x5(spec: HarnessSpec, tag, tests):
             if not a3s:
                 continue
             if gamma_by is None:
-                gamma_by = _index(_homs(d1.domain, d2.domain), lambda g: _table(d2, g),
+                gamma_by = _index(enumerate_hom(d1.domain, d2.domain), lambda g: _table(d2, g),
                                   tests[8])
-                delta_by = _index(_homs(h1.codomain, h2.codomain),
+                delta_by = _index(enumerate_hom(h1.codomain, h2.codomain),
                                   lambda dd: _table(dd, h1), tests[12])
             for a1 in a1s:
                 gammas = gamma_by.get(_table(a1, d1), ())
@@ -346,10 +342,16 @@ def _gen_2x5(spec: HarnessSpec, clause):
 
 # ----------------------------------------------------------- 3x3 generators
 
+@lru_cache(maxsize=None)
+def _bourne_quotient(M, members):
+    """M modulo the Bourne congruence of its subsemimodule `members`."""
+    return quotient(M, bourne_congruence(Subsemimodule(M, members)))
+
+
 def _derive_quotient_row(f2, g2, a1, a2, a3):
     """Bottom row of a 3x3: quotients by the vertical images with the induced
     maps; None when an induced map is not well-defined."""
-    q1, q2, q3 = (quotient(a.codomain, bourne_congruence(image(a))) for a in (a1, a2, a3))
+    q1, q2, q3 = (_bourne_quotient(a.codomain, image_set(a)) for a in (a1, a2, a3))
 
     def induced(q_src, q_dst, f):
         return factor_through_surjection(q_src.projection, _table(q_dst.projection, f),
@@ -388,8 +390,8 @@ def _squares_3x3(spec: HarnessSpec, clause, tests):
                  or f"column {c} short exact" in clause.ids for c in range(3)]
 
     def tops(c, target):
-        return [a for X in mods for a in _homs(X, target) if _classify(a).i_uniform
-                and (not injective[c] or _classify(a).injective)]
+        return [a for X in mods for a in enumerate_hom(X, target) if classify(a).i_uniform
+                and (not injective[c] or classify(a).injective)]
     seed, tag = spec.seed, clause.tag
     for f2, g2 in _shuffled(mid_rows, seed, tag):
         a1s, a2s, a3s = (tops(c, X) for c, X in
@@ -401,13 +403,13 @@ def _squares_3x3(spec: HarnessSpec, clause, tests):
             for a1 in a1s:
                 L1 = a1.domain
                 if L1 not in f1_by:
-                    f1_by[L1] = _index(_homs(L1, M1), lambda f1: _table(a2, f1))
+                    f1_by[L1] = _index(enumerate_hom(L1, M1), lambda f1: _table(a2, f1))
                 f1s = f1_by[L1].get(_table(f2, a1))
                 if not f1s:
                     continue
                 for j, a3 in enumerate(a3s):
                     if (M1, j) not in g1_by:
-                        g1_by[M1, j] = _index(_homs(M1, a3.domain),
+                        g1_by[M1, j] = _index(enumerate_hom(M1, a3.domain),
                                               lambda g1: _table(a3, g1))
                     g1s = g1_by[M1, j].get(_table(g2, a2))
                     if not g1s:
@@ -451,7 +453,7 @@ gen_nine = _generator("nine", _gen_3x3)
 # --------------------------------------------------------- snake generation
 
 def _automorphisms(M):
-    return [h for h in _homs(M, M) if is_isomorphism(h)]
+    return [h for h in enumerate_hom(M, M) if is_isomorphism(h)]
 
 
 @lru_cache(maxsize=None)
@@ -461,7 +463,7 @@ def _snake_left_rows(semiring, max_size, cap=200):
     rows = []
     for M in mods:
         for N in mods:
-            for g in _homs(M, N):
+            for g in enumerate_hom(M, N):
                 if not is_k_uniform(g):
                     continue
                 kmod, kincl = kernel_module(g)
@@ -487,16 +489,16 @@ def gen_snake(spec: HarnessSpec):
     seed = spec.seed
     out = []
     for (f1, g1), (f2, g2) in _shuffled_pairs(top_rows, bottom_rows, seed, "snake"):
-        for a2 in _shuffled(_homs(f1.codomain, f2.codomain), seed, "snake.a2"):
-            if not _classify(a2).uniform:
+        for a2 in _shuffled(enumerate_hom(f1.codomain, f2.codomain), seed, "snake.a2"):
+            if not classify(a2).uniform:
                 continue
             a1 = factor_through_injection(f2, _table(a2, f1), f1.domain,
                                           f"a1[{f1.domain.name}->{f2.domain.name}]")
-            if a1 is None or not _classify(a1).k_uniform:
+            if a1 is None or not classify(a1).k_uniform:
                 continue
             a3 = factor_through_surjection(g1, _table(g2, a2), g2.codomain,
                                            f"a3[{g1.codomain.name}->{g2.codomain.name}]")
-            if a3 is None or not _classify(a3).k_uniform:
+            if a3 is None or not classify(a3).k_uniform:
                 continue
             out.append(_build(f"snake.{len(out)}", (2, 3), (f1, g1, f2, g2, a1, a2, a3)))
             if len(out) >= spec.quota:

@@ -15,12 +15,16 @@ square) and factor_through_surjection descends one through a surjection
 (cokernels, quotient rows, the right vertical of a square). _table(g, f)
 is the table of g∘f without building the Morphism, for callers that only
 compare tables.
+
+No result depends on names, so caches key on tables (Semimodule.unnamed):
+the hom search per pair of modules, classify per (domain, codomain, table)
+and is_k_uniform per (domain, codomain zero, table).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, wraps
 from itertools import product
 
 from .core import Element, Semimodule, Subsemimodule, hash_once, is_cancellable, \
@@ -248,6 +252,23 @@ def canonical_iso(f: Morphism) -> Morphism:
     return d
 
 
+def _per_structure(key):
+    """Decorate fn(f, ...), whose results name nothing, to compute once per
+    key(f) and further arguments; fn stays as __wrapped__."""
+    def decorate(fn):
+        cache = {}
+
+        @wraps(fn)
+        def cached(f, *args, **kwargs):
+            k = (key(f), *args, *kwargs.items())
+            if k not in cache:
+                cache[k] = fn(f, *args, **kwargs)
+            return cache[k]
+        return cached
+    return decorate
+
+
+@_per_structure(lambda f: (f.domain.unnamed, f.codomain.zero, f.map))
 def is_k_uniform(f: Morphism, witness=False):
     """Equal images are explained by kernel elements:
     f(x1) = f(x2) implies x1 + k1 = x2 + k2 with k1, k2 in the kernel."""
@@ -297,6 +318,7 @@ class MorphismClassification:
         return out
 
 
+@_per_structure(lambda f: (f.domain.unnamed, f.codomain.unnamed, f.map))
 def classify(f: Morphism) -> MorphismClassification:
     """All flags from their raw defining conditions, with witnesses for failures."""
     from .core import is_cancellative_module
@@ -422,16 +444,22 @@ def _generating_sequence(M: Semimodule):
 
 @lru_cache(maxsize=None)
 def enumerate_hom(M: Semimodule, N: Semimodule) -> tuple:
-    """Every linear map M -> N, pruned by generator images, in a fixed order.
+    """Every linear map M -> N, named h<i>[M->N]; cached, as is its search."""
+    if M.semiring != N.semiring:
+        raise PreconditionError("enumerate_hom: modules over different semirings")
+    return tuple(Morphism._trusted(f"h{i}[{M.name}->{N.name}]", M, N, t)
+                 for i, t in enumerate(_hom_tables(M.unnamed, N.unnamed)))
+
+
+@lru_cache(maxsize=None)
+def _hom_tables(M: Semimodule, N: Semimodule) -> tuple:
+    """The sorted tables of every linear map M -> N, pruned by generator images.
 
     Candidate maps are determined by images of a greedy generating set and
     then checked against the full linearity predicate, which also rejects
     assignments that break the generators' relations; that check is the
-    maps' only validation. Results are cached; everything involved is
-    immutable.
+    maps' only validation.
     """
-    if M.semiring != N.semiring:
-        raise PreconditionError("enumerate_hom: modules over different semirings")
     gens, order, derivation = _generating_sequence(M)
     out = []
     for images in product(range(N.size), repeat=len(gens)):
@@ -448,6 +476,4 @@ def enumerate_hom(M: Semimodule, N: Semimodule) -> tuple:
                 table[m] = N.action[table[d[1]]][d[2]]
         if is_linear_table(M, N, table):
             out.append(tuple(table))
-    out.sort()
-    return tuple(Morphism._trusted(f"h{i}[{M.name}->{N.name}]", M, N, t)
-                 for i, t in enumerate(out))
+    return tuple(sorted(out))

@@ -3,7 +3,8 @@
 Blocks open with a header line and close with `end`; `#` starts a comment.
 Tables are rows of comma-separated indices joined by semicolons. The parser
 collects every problem it can find (syntax, dangling reference, axiom
-violation, failed hypothesis), each with its file and line, before raising.
+violation, failed hypothesis), each with its file and line, before raising;
+a file that cannot be read or is not UTF-8 is an `io` problem at line 0.
 
     semiring T2 size=3
       add: 0,1,2; 1,2,2; 2,2,2
@@ -42,7 +43,8 @@ from .morphisms import Morphism
 class Problem:
     file: str
     line: int
-    kind: str  # syntax | duplicate | dangling-reference | structural | axiom-violation | hypothesis
+    kind: str  # io | syntax | duplicate | dangling-reference | structural
+    #            | axiom-violation | hypothesis
     message: str
 
     def __str__(self):
@@ -322,8 +324,13 @@ def parse(text, file="<input>") -> Workspace:
 def parse_files(paths) -> Workspace:
     p = _Parser()
     for path in paths:
-        with open(path, encoding="utf-8") as fh:
-            p.feed(fh.read(), str(path))
+        try:
+            with open(path, encoding="utf-8") as fh:
+                text = fh.read()
+        except (OSError, UnicodeDecodeError) as exc:
+            p.error(str(path), 0, "io", getattr(exc, "strerror", None) or str(exc))
+            continue
+        p.feed(text, str(path))
     return p.finish()
 
 

@@ -32,6 +32,32 @@ def test_validate_bad_file(tmp_path, capsys):
     assert "axiom-violation" in err
 
 
+@pytest.mark.parametrize("kind", ["missing", "directory", "not-utf8"])
+def test_unreadable_input_is_a_located_problem(kind, tmp_path, capsys):
+    """A file that cannot be read is an `io` problem at line 0: exit 2, never
+    the traceback and exit 1 of an unhandled error."""
+    path = tmp_path / "input.sx"
+    if kind == "directory":
+        path.mkdir()
+    elif kind == "not-utf8":
+        path.write_bytes(b"semiring S size=2\n  add: \xff\n")
+    report = tmp_path / "r.txt"
+    assert run(["validate", str(path), "--report", str(report)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {path}:0: io: ")
+    assert f"parse.io.{path}:0|error|" in report.read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("args", [
+    ["validate", DEMO, "--report", "{bad}"],
+    ["validate", "missing.sx", "--report", "{bad}"],  # written from the error handler
+    ["corpus", "B", "--max-size", "2", "--corpus", "{bad}"],
+])
+def test_unwritable_output_exits_2(args, tmp_path, capsys):
+    bad = str(tmp_path / "no-such-dir" / "out.txt")
+    assert run([a.format(bad=bad) for a in args] + ["--quiet"]) == 2
+    assert f"error: cannot write {bad}: No such file or directory" in capsys.readouterr().err
+
+
 def _mutants(lines, count, seed):
     """count copies of lines, each with one line deleted, truncated,
     duplicated or with one character replaced (or appended), chosen by a

@@ -10,11 +10,12 @@ import random
 import subprocess
 import sys
 import typing
+from functools import lru_cache
 from pathlib import Path
 
 import pytest
 
-from semiexact import diagrams, harness
+from semiexact import diagrams, harness, morphisms
 from semiexact.core import Semiring, make_boolean, make_saturating_naturals, make_zmod
 from semiexact.diagrams import (CLAUSES, snake, verify_short_five_half, verify_five,
                                 verify_five_parts, verify_lemma_diagram,
@@ -168,6 +169,52 @@ def test_draws_scale_with_candidates_used(monkeypatch, name, clause):
     monkeypatch.setattr(random.Random, "randrange", counted)
     assert len(getattr(harness, name)(spec, clause)) == spec.quota
     assert 0 < draws < 1000
+
+
+def test_exact_5rows_searches_each_pair_of_tables_once(monkeypatch):
+    """_exact_5rows(Z2, 4) asks for 647 hom-sets between named modules (a
+    kernel is named after its map), which cover far fewer pairs of tables;
+    the hom search runs once per pair of tables, and the rows are the same."""
+    expected = harness._exact_5rows(make_zmod(2), 4)
+    asked, searched = [], []
+    search = morphisms._hom_tables.__wrapped__
+
+    def asking(M, N):
+        asked.append((M.unnamed, N.unnamed))
+        return morphisms.enumerate_hom.__wrapped__(M, N)  # named cache bypassed
+
+    def counted(M, N):
+        searched.append((M, N))
+        return search(M, N)
+    monkeypatch.setattr(harness, "enumerate_hom", asking)
+    monkeypatch.setattr(morphisms, "_hom_tables", lru_cache(maxsize=None)(counted))
+    assert harness._exact_5rows.__wrapped__(make_zmod(2), 4) == expected
+    assert len(asked) == 647
+    assert sorted(searched, key=repr) == sorted(set(asked), key=repr)
+    assert len(searched) < len(asked) / 5
+
+
+def test_gen_nine_builds_each_quotient_once(monkeypatch):
+    """The 3x3 quotient row takes each vertical's Bourne quotient from a cache
+    keyed by (codomain, image): one quotient per pair, though verticals repeat."""
+    built, rows = [], 0
+    bourne, derive = harness.bourne_congruence, harness._derive_quotient_row
+
+    def counted_bourne(L):
+        built.append((L.parent, L.members))
+        return bourne(L)
+
+    def counted_derive(*parts):
+        nonlocal rows
+        rows += 1
+        return derive(*parts)
+    monkeypatch.setattr(harness, "bourne_congruence", counted_bourne)
+    monkeypatch.setattr(harness, "_derive_quotient_row", counted_derive)
+    monkeypatch.setattr(harness, "_bourne_quotient",
+                        lru_cache(maxsize=None)(harness._bourne_quotient.__wrapped__))
+    assert len(gen_nine(HarnessSpec(make_zmod(2), 4, seed=11, quota=4))) == 4
+    assert len(set(built)) == len(built)
+    assert 0 < len(built) < 3 * rows
 
 
 @pytest.mark.parametrize("field, value", [("quota", 0), ("quota", -2), ("max_size", 0)])

@@ -1,10 +1,13 @@
 """Morphism machinery: kernels, images, classification, induced maps, Hom."""
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from semiexact.core import (Subsemimodule, is_cancellative_module, make_boolean,
-                            make_saturating_naturals, make_zmod, self_module,
+from semiexact import morphisms
+from semiexact.core import (Semimodule, Semiring, Subsemimodule, is_cancellative_module,
+                            make_boolean, make_saturating_naturals, make_zmod, self_module,
                             subtractive_closure_set, zero_module)
 from semiexact.enumeration import (enumerate_semimodules, is_epimorphism, is_monomorphism,
                                    universe_with_free_module, UniverseSpec)
@@ -14,8 +17,8 @@ from semiexact.morphisms import (Morphism, _table, canonical_iso, classify, coke
                                  factor_through_surjection, hom_add, identity_morphism,
                                  image, image_set, induced_from_cokernel,
                                  induced_to_kernel, is_injective, is_isomorphism,
-                                 is_surjective, kernel, kernel_set, submodule_as_module,
-                                 zero_morphism)
+                                 is_k_uniform, is_surjective, kernel, kernel_set,
+                                 submodule_as_module, zero_morphism)
 from semiexact.quotients import bourne_congruence, quotient
 
 
@@ -331,6 +334,48 @@ def test_nat4_maps_equal_their_public_rebuilds(nat4_universe):
         assert hash(M) == hash((M.name, M.semiring, M.size, M.add, M.action, M.zero))
     S = nat4_universe[0].semiring
     assert hash(S) == hash((S.name, S.size, S.add, S.mul, S.zero, S.one))
+
+
+def test_structure_caches_ignore_names(nat4_universe):
+    """classify and is_k_uniform, cached by tables, equal the uncached
+    computation on all 2,280 nat4@4 maps and on their copies between renamed
+    modules; enumerate_hom on renamed modules gives the same tables, with
+    maps named after the new modules."""
+    renamed = {M: dataclasses.replace(M, name=f"{M.name}'") for M in nat4_universe}
+    count = 0
+    for M in nat4_universe:
+        for N in nat4_universe:
+            homs, copies = enumerate_hom(M, N), enumerate_hom(renamed[M], renamed[N])
+            assert [g.map for g in copies] == [f.map for f in homs]
+            assert [g.name for g in copies] == [f"h{i}[{M.name}'->{N.name}']"
+                                                for i in range(len(homs))]
+            for f, g in zip(homs, copies):
+                assert (g.domain, g.codomain) == (renamed[M], renamed[N])
+                assert classify(g) == classify(f) == classify.__wrapped__(f)
+                assert is_k_uniform(g, witness=True) == is_k_uniform(f, witness=True) \
+                    == is_k_uniform.__wrapped__(f, witness=True)
+                count += 1
+    assert count == 2280
+
+
+def test_structure_caches_separate_semiring_and_zero():
+    """Modules with equal tables but another semiring (equal tables, another
+    name) or another zero share no cache entry: each has a twin of its own,
+    the hom search runs once for each, and each gets its own hom-set."""
+    B = make_boolean()
+    B2 = Semiring("B2", B.size, B.add, B.mul)
+    add, action = ((0, 1), (1, 1)), ((0, 0), (0, 1))
+    variants = [Semimodule("M", B, 2, add, action), Semimodule("M", B2, 2, add, action),
+                Semimodule("M", B, 2, add, action, zero=1)]
+    assert len({V.unnamed for V in variants}) == 3
+    morphisms._hom_tables.cache_clear()
+    homs = [enumerate_hom(V, V) for V in variants]
+    assert morphisms._hom_tables.cache_info().currsize == 3
+    assert [[f.map for f in fs] for fs in homs] == [[(0, 0), (0, 1)], [(0, 0), (0, 1)], [(0, 1)]]
+    for fs in homs:
+        for f in fs:
+            assert classify(f) == classify.__wrapped__(f)
+            assert is_k_uniform(f, witness=True) == is_k_uniform.__wrapped__(f, witness=True)
 
 
 def test_derived_maps_skip_validation(monkeypatch, nat3_universe):
