@@ -9,9 +9,12 @@ id; millis is pinned to 0 so reports are byte-identical across runs.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
+from functools import lru_cache
 
 from . import __version__
+from .core import monoid_semiring
 from .diagrams import CLAUSES, lookup, snake, verify
 from .enumeration import (PROPERTIES, Counterexample, UniverseSpec, enumerate_semimodules,
                           search_counterexample)
@@ -187,13 +190,26 @@ def cmd_snake(args, report):
     return 0
 
 
+# nat<k> is monoid_semiring(k), with k + lcm(1..k) elements: 66 at k = 6,
+# already 2,530 at k = 10
+NAT_MAX = 6
+
+
 def _resolve_semiring(ws, name):
+    """A builtin or workspace semiring; otherwise nat<k>, 1 <= k <= NAT_MAX,
+    is monoid_semiring(k), and any other k is refused before it is built."""
     table = dict(builtin_semirings())
     table.update(ws.semirings)
-    if name not in table:
+    if name in table:
+        return table[name]
+    nat = re.fullmatch(r"nat([0-9]+)", name)
+    if nat is None:
         raise StructureError(f"no semiring named {name!r}; builtins: "
-                             + ", ".join(sorted(builtin_semirings())))
-    return table[name]
+                             + ", ".join(sorted(builtin_semirings())) + ", nat<k>")
+    k = int(nat.group(1))
+    if not 1 <= k <= NAT_MAX:
+        raise ParameterError(f"semiring {name!r}: nat<k> needs 1 <= k <= {NAT_MAX}")
+    return monoid_semiring(k)
 
 
 def cmd_search(args, report):
@@ -280,19 +296,26 @@ def build_parser():
     p = sub.add_parser("search", help="search the counterexample catalog")
     p.add_argument("name", help="one of: " + ", ".join(PROPERTIES))
     p.add_argument("semiring", nargs="?", default="nat3",
-                   help="builtin or workspace semiring (default nat3)")
+                   help="builtin, workspace or nat<k> semiring (default nat3)")
     common(p)
     p.set_defaults(func=cmd_search)
 
     p = sub.add_parser("corpus", help="export the enumerated module corpus")
-    p.add_argument("semiring", help="builtin or workspace semiring name")
+    p.add_argument("semiring", help="builtin, workspace or nat<k> semiring name")
     common(p)
     p.set_defaults(func=cmd_corpus)
     return ap
 
 
+@lru_cache(maxsize=None)
+def _parser():
+    """build_parser(), once per process: parse_args returns a new namespace
+    on every call, and help is formatted (COLUMNS read) only when printed."""
+    return build_parser()
+
+
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     report = Report()
     code = 2  # unless the command returns
     try:

@@ -1,21 +1,30 @@
 """Exhaustive generation of small semimodules, independent oracles and the
 counterexample catalog.
 
-Enumeration is complete up to isomorphism for the requested bound:
-candidates are kept only when their (add, action) tables are the
-lexicographically smallest among all carrier permutations fixing zero.
-That key compares the add table before the action, so a module is kept
-only if its add table is already its own canonical form: the action
-search runs only on those tables, one per commutative monoid up to
-isomorphism (1, 2, 5, 19 for orders 1-4), computed once per carrier size
-and shared by every semiring. Both generators prune partial tables: a
-monoid table is filled cell by cell and dropped at the first triple that
-breaks associativity, and an action table is propagated law by law, each
-law cross-checked as soon as its operands are known, so only modules reach
-validate_semimodule. enumerate_semimodules_naive keeps the sweep without
-canonical-form pruning as the recount oracle. Everything here is
-deterministic; the seed in a UniverseSpec only matters to downstream
-samplers.
+Enumeration is complete up to isomorphism for the requested bound: a
+module is kept when its (add, action) tables, flattened row by row, are the
+lexicographically smallest among all carrier relabellings fixing zero.
+That key compares the add table before the action, so a kept module's add
+table is its own canonical form: the action search runs only on those
+tables, one per commutative monoid up to isomorphism (1, 2, 5, 19, 78 for
+orders 1-5), found once per carrier size and shared by every semiring. A
+table is dropped from that filter as soon as some relabelling's first
+differing row is smaller. A canonical add table is strictly smaller than
+its image under every relabelling that is not one of its automorphisms, so
+(add, action) is canonical exactly when no automorphism of add turns the
+action into a smaller one: each action is compared only against the
+automorphisms of its add table, computed once per table. Every
+relabelling loop (this filter, the automorphisms, canonical_form and the
+isomorphism oracle) reads the one table of relabellings per carrier size,
+_relabellings. canonical_form, the full minimum, remains the key of
+enumerate_semimodules_naive, the unpruned recount oracle.
+
+Both generators prune partial tables: a monoid table is filled cell by cell
+and dropped at the first triple that breaks associativity, and an action
+table is propagated law by law, each law cross-checked as soon as its
+operands are known, so only modules reach validate_semimodule. Everything
+here is deterministic; the seed in a UniverseSpec only matters to
+downstream samplers.
 
 The counterexample catalog is one table, _CATALOG: each Property has its
 description, its candidate stream over a universe, one predicate
@@ -61,27 +70,45 @@ class Universe:
     truncated: bool
 
 
-def canonical_form(add, action):
-    """Lexicographically minimal (add, action) flattening over permutations fixing 0."""
-    n = len(add)
-    scols = len(action[0]) if action else 0
-    best = None
+@lru_cache(maxsize=None)
+def _relabellings(n):
+    """Every relabelling of 0..n-1 that fixes 0, as (perm, inv) with
+    perm[old] = new and inv its inverse: the identity first, then in the
+    order of itertools.permutations. Built once per carrier size."""
+    out = []
     for tail in permutations(range(1, n)):
-        perm = (0,) + tail  # perm[old] = new
+        perm = (0,) + tail
         inv = [0] * n
         for old, new in enumerate(perm):
             inv[new] = old
-        flat = []
-        for i in range(n):
-            oi = inv[i]
-            flat.extend(perm[add[oi][j2]] for j2 in (inv[j] for j in range(n)))
-        for i in range(n):
-            oi = inv[i]
-            flat.extend(perm[action[oi][s]] for s in range(scols))
-        key = tuple(flat)
-        if best is None or key < best:
-            best = key
-    return best
+        out.append((perm, tuple(inv)))
+    return tuple(out)
+
+
+def _rows(table, perm, inv, by_column):
+    """The rows of table relabelled by perm (inv its inverse), lazily: row i
+    is old row inv[i] mapped through perm, its columns also taken through inv
+    when by_column (an add table), kept as they are otherwise (an action)."""
+    get = perm.__getitem__
+    for old in map(table.__getitem__, inv):
+        yield tuple(map(get, map(old.__getitem__, inv) if by_column else old))
+
+
+def _sign(rows, table):
+    """-1, 0 or 1 as rows is smaller than, equal to or larger than table in
+    row-major order, decided at the first row that differs."""
+    for new, row in zip(rows, table):
+        if new != row:
+            return -1 if new < row else 1
+    return 0
+
+
+def canonical_form(add, action):
+    """Lexicographically minimal (add, action) flattening over permutations fixing 0."""
+    tables = ((add, True), (action, False)) if action else ((add, True),)
+    return min(tuple(x for table, by_column in tables
+                     for row in _rows(table, perm, inv, by_column) for x in row)
+               for perm, inv in _relabellings(len(add)))
 
 
 def _commutative_monoid_tables(n):
@@ -240,9 +267,18 @@ def _actions_for_monoid(semiring, add):
 @lru_cache(maxsize=None)
 def _canonical_monoid_tables(n):
     """The monoid tables of order n that are their own canonical form: one
-    per commutative monoid up to isomorphism, shared by every semiring."""
+    per commutative monoid up to isomorphism, shared by every semiring. A
+    table is dropped at the first relabelling that makes it smaller."""
+    others = _relabellings(n)[1:]
     return tuple(add for add in _commutative_monoid_tables(n)
-                 if canonical_form(add, ()) == tuple(x for row in add for x in row))
+                 if all(_sign(_rows(add, perm, inv, True), add) >= 0 for perm, inv in others))
+
+
+@lru_cache(maxsize=None)
+def _automorphisms(add):
+    """The relabellings (perm, inv) that fix the add table, identity first."""
+    return tuple((perm, inv) for perm, inv in _relabellings(len(add))
+                 if _sign(_rows(add, perm, inv, True), add) == 0)
 
 
 @lru_cache(maxsize=None)
@@ -250,10 +286,10 @@ def _enumerated(semiring: Semiring, max_size: int):
     found = []
     for n in range(1, max_size + 1):
         for add in _canonical_monoid_tables(n):
-            flat_add = tuple(x for row in add for x in row)
+            others = _automorphisms(add)[1:]
             for action in _actions_for_monoid(semiring, add):
-                if canonical_form(add, action) == flat_add + tuple(
-                        x for row in action for x in row):
+                if all(_sign(_rows(action, perm, inv, False), action) >= 0
+                       for perm, inv in others):
                     found.append((n, add, action))
     found.sort()
     return tuple(
@@ -286,24 +322,9 @@ def oracle_iso_exists(M: Semimodule, N: Semimodule):
     """A structure-preserving zero-fixing bijection, or None (exhaustive)."""
     if M.semiring != N.semiring or M.size != N.size:
         return None
-    n = M.size
-    for tail in permutations(range(1, n)):
-        perm = (0,) + tail
-        ok = True
-        for a in range(n):
-            for b in range(n):
-                if perm[M.add[a][b]] != N.add[perm[a]][perm[b]]:
-                    ok = False
-                    break
-            if not ok:
-                break
-            for s in range(M.semiring.size):
-                if perm[M.action[a][s]] != N.action[perm[a]][s]:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
+    for perm, inv in _relabellings(M.size):
+        if (_sign(_rows(M.add, perm, inv, True), N.add) == 0
+                and _sign(_rows(M.action, perm, inv, False), N.action) == 0):
             return Morphism(f"iso[{M.name}->{N.name}]", M, N, perm)
     return None
 

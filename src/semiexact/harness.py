@@ -389,9 +389,15 @@ def _squares_3x3(spec: HarnessSpec, clause, tests):
     injective = [f"alpha{c + 1} injective" in clause.ids
                  or f"column {c} short exact" in clause.ids for c in range(3)]
 
+    tops_by = {}  # (target, injective) -> the candidate tops, found once
+
     def tops(c, target):
-        return [a for X in mods for a in enumerate_hom(X, target) if classify(a).i_uniform
-                and (not injective[c] or classify(a).injective)]
+        inj = injective[c]
+        if (target, inj) not in tops_by:
+            tops_by[target, inj] = [a for X in mods for a in enumerate_hom(X, target)
+                                    if classify(a).i_uniform
+                                    and (not inj or classify(a).injective)]
+        return tops_by[target, inj]
     seed, tag = spec.seed, clause.tag
     for f2, g2 in _shuffled(mid_rows, seed, tag):
         a1s, a2s, a3s = (tops(c, X) for c, X in

@@ -2,9 +2,10 @@
 
 Every value of the Morphism type is a genuine map of semimodules. The public
 constructor, which the parser and user code call, validates linearity;
-values that are linear by construction (hom-set members, composites and
-maps factored through an injection or a surjection) are built once by the
-private Morphism._trusted, so a derived map is not validated again.
+values that are linear by construction (hom-set members, composites,
+subsemimodule inclusions, quotient projections and maps factored through
+an injection or a surjection) are built once by the private
+Morphism._trusted, so a derived map is not validated again.
 classify() evaluates the raw defining condition of each flag; the
 lemma-level equivalences these flags satisfy live in the test suite,
 keeping implementation and oracle apart.
@@ -202,8 +203,8 @@ def submodule_as_module(X: Subsemimodule, name=None) -> tuple[Semimodule, Morphi
     action = [[pos[M.action[a][s]] for s in range(M.semiring.size)] for a in members]
     if name is None:
         name = f"{M.name}|{{{','.join(map(str, members))}}}"
-    sub = Semimodule(name, M.semiring, len(members), add, action)
-    incl = Morphism(f"incl[{name}]", sub, M, members)
+    sub = Semimodule(name, M.semiring, len(members), add, action, zero=pos[M.zero])
+    incl = Morphism._trusted(f"incl[{name}]", sub, M, members)  # linear: tables via pos
     return sub, incl
 
 

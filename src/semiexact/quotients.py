@@ -150,10 +150,10 @@ def quotient(M: Semimodule, rho: Congruence, name=None) -> QuotientModule:
                     raise LemmaRefuted(
                         f"quotient of {M.name}: action not representative-independent")
     if name is None:
-        zero_class = ",".join(map(str, members[0]))
+        zero_class = ",".join(map(str, members[cls[M.zero]]))
         name = f"{M.name}/{{{zero_class}}}"
-    Q = Semimodule(name, M.semiring, n, add, action)
-    pi = Morphism(f"pi[{name}]", M, Q, tuple(cls))
+    Q = Semimodule(name, M.semiring, n, add, action, zero=cls[M.zero])
+    pi = Morphism._trusted(f"pi[{name}]", M, Q, cls)  # linear: tables induced via cls
     return QuotientModule(M, rho, Q, pi)
 
 

@@ -300,3 +300,62 @@ def test_console_entry_point(src_env):
                           capture_output=True, text=True, env=src_env)
     assert proc.returncode == 0
     assert "semiexact" in proc.stdout
+
+
+def test_repeated_main_calls_match_lone_calls(tmp_path, capsys, src_env):
+    """main builds its parser once per process: a run of calls, each with
+    its own flags, gives every call the exit code, output and report of the
+    same call alone in a fresh interpreter, and no flag of one call carries
+    into the next."""
+    bad = tmp_path / "bad.sx"
+    bad.write_text("semiring S size=2\n  add: 0,0; 1,1\n  mul: 0,0; 0,1\nend\n")
+    calls = [["validate", str(bad)],
+             ["corpus", "B", "--max-size", "2", "--corpus", str(tmp_path / "c.sx"), "--quiet"],
+             ["search", "cancellative-epi-not-surjective", "nat3", "--max-size", "2"]]
+    seen = []
+    for i, args in enumerate(calls):
+        report = tmp_path / f"r{i}.txt"
+        code = run(args + ["--report", str(report)])
+        seen.append((code, capsys.readouterr().out, report.read_text(encoding="utf-8")))
+    assert [code for code, _, _ in seen] == [2, 0, 0]
+    assert seen[1][1] == "" and seen[2][1].startswith("search ")  # --quiet stayed put
+    reports = sorted(tmp_path.glob("r*.txt"))
+    assert run(calls[2] + ["--quiet"]) == 0  # no --report: nothing rewritten
+    assert capsys.readouterr().out == ""
+    assert sorted(tmp_path.glob("r*.txt")) == reports
+    assert [r.read_text(encoding="utf-8") for r in reports] == [s[2] for s in seen]
+    for i, args in enumerate(calls):
+        report = tmp_path / f"lone{i}.txt"
+        proc = subprocess.run([sys.executable, "-m", "semiexact.cli", *args,
+                               "--report", str(report)],
+                              capture_output=True, text=True, env=src_env)
+        assert (proc.returncode, proc.stdout, report.read_text(encoding="utf-8")) == seen[i]
+
+
+@pytest.mark.parametrize("name", ["nat0", "nat7", "nat10", "nat2530"])
+def test_nat_k_out_of_range_exits_2_before_building(name, monkeypatch, capsys):
+    """nat<k> past 1 <= k <= 6 is refused before monoid_semiring(k) or any
+    universe is built."""
+    def unreachable(*args):
+        raise AssertionError("built a semiring or universe for a refused nat<k>")
+    monkeypatch.setattr("semiexact.cli.monoid_semiring", unreachable)
+    monkeypatch.setattr("semiexact.cli.enumerate_semimodules", unreachable)
+    monkeypatch.setattr("semiexact.cli.search_counterexample", unreachable)
+    for args in (["corpus", name], ["search", "mono-not-injective", name]):
+        assert run(args + ["--max-size", "5", "--quiet"]) == 2
+        assert f"error: semiring {name!r}: nat<k> needs 1 <= k <= 6" in \
+            capsys.readouterr().err
+
+
+def test_corpus_nat5_at_order_5(tmp_path):
+    """nat5, resolved to monoid_semiring(5), acts on every commutative monoid
+    of order <= 5: 1 + 2 + 5 + 19 + 78 = 105 modules."""
+    out, report = tmp_path / "nat5.sx", tmp_path / "r.txt"
+    assert run(["corpus", "nat5", "--max-size", "5", "--corpus", str(out),
+                "--report", str(report), "--quiet"]) == 0
+    from semiexact.workspace import parse_files
+    ws = parse_files([out])
+    assert len(ws.modules) == 105
+    assert sorted(m.size for m in ws.modules.values()) == \
+        [1] + [2] * 2 + [3] * 5 + [4] * 19 + [5] * 78
+    assert "corpus.modules|ok|105|0" in report.read_text(encoding="utf-8")

@@ -4,7 +4,7 @@ import hashlib
 import json
 import subprocess
 import sys
-from itertools import product
+from itertools import permutations, product
 from pathlib import Path
 
 import pytest
@@ -13,7 +13,7 @@ from semiexact import enumeration
 from semiexact.core import (Semimodule, freeze_table, make_boolean, make_zmod,
                             make_saturating_naturals, monoid_semiring, validate_semimodule)
 from semiexact.enumeration import (PROPERTIES, Counterexample, ExhaustionReport,
-                                   UniverseSpec, _actions_for_monoid,
+                                   UniverseSpec, _actions_for_monoid, _automorphisms,
                                    _canonical_monoid_tables, _commutative_monoid_tables,
                                    _enumerated,
                                    abelian_snake_delta, canonical_form,
@@ -98,6 +98,54 @@ def test_canonical_monoid_tables():
         for add in tables:
             assert canonical_form(add, ()) == tuple(x for row in add for x in row)
     assert counts == [1, 2, 5, 19, 78]
+
+
+def _flat(table):
+    return tuple(x for row in table for x in row)
+
+
+def test_monoid_filter_matches_canonical_form():
+    """The early-exit filter keeps exactly the tables that equal their full
+    canonical_form, on every monoid table of orders 1-5."""
+    for n in range(1, 6):
+        tables = list(_commutative_monoid_tables(n))
+        assert _canonical_monoid_tables(n) == tuple(
+            add for add in tables if canonical_form(add, ()) == _flat(add)), n
+    assert len(tables) == 1486
+
+
+def test_automorphisms_match_scan():
+    """_automorphisms equals a scan of every zero-fixing relabelling, for
+    every canonical monoid table up to order 4."""
+    for n in range(1, 5):
+        for add in _canonical_monoid_tables(n):
+            scan = [p for p in ((0,) + t for t in permutations(range(1, n)))
+                    if all(p[add[a][b]] == add[p[a]][p[b]]
+                           for a in range(n) for b in range(n))]
+            assert [perm for perm, _ in _automorphisms(add)] == scan, add
+
+
+def _canonical_selection(semiring, max_size):
+    """(size, add, action) of every action whose (add, action) is its own
+    canonical_form, over the canonical monoid tables: the selection by the
+    full minimum that _enumerated makes through automorphisms."""
+    return sorted((n, add, action) for n in range(1, max_size + 1)
+                  for add in _canonical_monoid_tables(n)
+                  for action in _actions_for_monoid(semiring, add)
+                  if canonical_form(add, action) == _flat(add) + _flat(action))
+
+
+def test_enumerated_matches_canonical_selection():
+    """Comparing actions under automorphisms only selects the same modules as
+    the full canonical form: all builtins at size 4, B and T2 at 5, and
+    monoid_semiring(5) at 5."""
+    semirings = builtin_semirings()
+    cases = [(s, 4) for s in semirings.values()]
+    cases += [(semirings["B"], 5), (semirings["T2"], 5), (monoid_semiring(5), 5)]
+    for semiring, size in cases:
+        kept = [(m.size, m.add, m.action) for m in _enumerated(semiring, size)]
+        assert kept == _canonical_selection(semiring, size), (semiring.name, size)
+    assert len(kept) == 105
 
 
 def _product_sweep_monoid_tables(n):

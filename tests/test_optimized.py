@@ -14,7 +14,9 @@ ROOT = Path(__file__).resolve().parents[1]
 SLICE = ["tests/test_core.py", "tests/test_quotients.py",
          *(f"tests/test_enumeration.py::{name}" for name in (
              "test_monoid_counts", "test_ring_module_counts",
-             "test_naive_recount_matches", "test_canonical_monoid_tables"))]
+             "test_naive_recount_matches", "test_canonical_monoid_tables",
+             "test_monoid_filter_matches_canonical_form", "test_automorphisms_match_scan",
+             "test_enumerated_matches_canonical_selection"))]
 
 
 def test_slice_passes_under_optimize(src_env):

@@ -2,12 +2,13 @@
 
 import pytest
 
-from semiexact.core import (Subsemimodule, all_subsemimodules, is_cancellative_module,
-                            is_subtractive, make_zmod, self_module,
-                            subtractive_closure, subtractive_closure_set)
+from semiexact.core import (Semimodule, Subsemimodule, all_subsemimodules,
+                            is_cancellative_module, is_subtractive, make_zmod, self_module,
+                            subtractive_closure, subtractive_closure_set,
+                            validate_semimodule)
 from semiexact.errors import StructureError
-from semiexact.morphisms import (Morphism, identity_morphism, kernel_set,
-                                 zero_morphism)
+from semiexact.morphisms import (Morphism, identity_morphism, is_linear_table, kernel_set,
+                                 submodule_as_module, zero_morphism)
 from semiexact.quotients import (Congruence, bourne_congruence, identity_congruence,
                                  kernel_pair_congruence, projection_kernel_is_closure,
                                  quotient)
@@ -114,3 +115,30 @@ def test_class_ids_canonical(nat3_universe):
                 if c not in seen:
                     seen.append(c)
             assert seen == sorted(seen)
+
+
+def _relabelled(m, perm):
+    """m with element a renamed perm[a]; its zero moves to perm[m.zero]."""
+    inv = sorted(range(m.size), key=perm.__getitem__)
+    return Semimodule(f"{m.name}'", m.semiring, m.size,
+                      [[perm[m.add[inv[i]][inv[j]]] for j in range(m.size)]
+                       for i in range(m.size)],
+                      [list(map(perm.__getitem__, m.action[inv[i]])) for i in range(m.size)],
+                      zero=perm[m.zero])
+
+
+def test_projections_and_inclusions_are_linear(nat3_universe):
+    """quotient and submodule_as_module build their maps without validation:
+    every Bourne projection and subsemimodule inclusion over the nat3
+    universe is still linear, also after moving each module's zero off 0."""
+    checked = 0
+    for m in nat3_universe:
+        for module in (m, _relabelled(m, [(a + 1) % m.size for a in range(m.size)])):
+            for sub in all_subsemimodules(module):
+                q = quotient(module, bourne_congruence(sub))
+                part, incl = submodule_as_module(sub)
+                assert validate_semimodule(q.quotient).ok and validate_semimodule(part).ok
+                assert is_linear_table(module, q.quotient, q.projection.map)
+                assert is_linear_table(part, module, incl.map)
+                checked += 1
+    assert checked == 2 * sum(len(all_subsemimodules(m)) for m in nat3_universe)
