@@ -116,27 +116,38 @@ def _commutative_monoid_tables(n):
     in lexicographic order of the upper triangle read row by row.
 
     The triangle is filled cell by cell, and a value is rejected as soon as
-    some triple whose sums are all known breaks associativity.
+    some triple whose sums are all known breaks associativity. Every triple
+    passed before the cell was set, so only those with a lookup of the new
+    cell are checked again. The table is symmetric at every step, so the
+    triple (a, b, c) makes the same four lookups as (c, b, a), and it is
+    enough to check those that read the cell as the lookup a+b or as the
+    lookup (a+b)+c, in both orientations of the cell.
     """
     cells = [(i, j) for i in range(1, n) for j in range(i, n)]
     add = [[None] * n for _ in range(n)]
     for j in range(n):
         add[0][j] = j
         add[j][0] = j
+    rest = range(1, n)
 
-    def associative():
-        for a in range(1, n):
-            row = add[a]
-            for b in range(1, n):
-                ab = row[b]
-                if ab is None:
-                    continue
-                for c in range(1, n):
-                    bc = add[b][c]
-                    if bc is not None:
-                        left, right = add[ab][c], row[bc]
-                        if left is not None and right is not None and left != right:
-                            return False
+    def associative_at(i, j):
+        for x, y in ((i, j), (j, i)):
+            row_x, row_y, xy = add[x], add[y], add[x][y]
+            row_xy = add[xy]
+            for t in rest:
+                yt = row_y[t]  # (x+y)+t = x+(y+t)
+                if yt is not None:
+                    left, right = row_xy[t], row_x[yt]
+                    if left is not None and right is not None and left != right:
+                        return False
+                row_t = add[t]
+                for u in rest:
+                    if row_t[u] == x:  # (t+u)+y = t+(u+y), with t+u = x
+                        uy = add[u][y]
+                        if uy is not None:
+                            right = row_t[uy]
+                            if right is not None and right != xy:
+                                return False
         return True
 
     def fill(k):
@@ -146,7 +157,7 @@ def _commutative_monoid_tables(n):
         i, j = cells[k]
         for v in range(n):
             add[i][j] = add[j][i] = v
-            if associative():
+            if associative_at(i, j):
                 yield from fill(k + 1)
         add[i][j] = add[j][i] = None
 

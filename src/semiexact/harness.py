@@ -2,7 +2,10 @@
 
 Rows are built constructively (surjections onto kernel submodules give
 exact stretches by construction), verticals are drawn from hom-sets, which
-morphisms caches by tables, as it does classifications.
+morphisms caches by tables, as it does classifications. The row pools are
+built from hom tables once per kernel structure, not once per map (_onto,
+_isos_and_automorphisms), and only the maps of their rows are named, by
+Morphism._trusted, under the names kernel_module and compose give them.
 Each generator draws for one entry of diagrams.CLAUSES and keeps the
 candidates that pass the clause's hypotheses, minus those its construction
 guarantees, which each generator lists by id (row exactness from the
@@ -45,10 +48,10 @@ from .core import Semiring, Subsemimodule, is_cancellative_module
 from .diagrams import Diagram, clause_key, lookup
 from .enumeration import UniverseSpec, enumerate_semimodules, oracle_iso_exists
 from .errors import ParameterError
-from .morphisms import (_table, classify, compose, enumerate_hom, factor_through_injection,
-                        factor_through_surjection, image_set, is_injective,
-                        is_isomorphism, is_k_uniform, is_surjective, kernel_module,
-                        kernel_set)
+from .morphisms import (Morphism, _hom_tables, _k_uniform_witness, _table, classify,
+                        enumerate_hom, factor_through_injection, factor_through_surjection,
+                        image_set, is_injective, is_k_uniform, is_surjective, kernel_set,
+                        submodule_as_module)
 from .quotients import bourne_congruence, quotient
 
 
@@ -113,19 +116,17 @@ def _joint(tests):
 
 @lru_cache(maxsize=None)
 def _exact_pairs(semiring, max_size):
-    """(f, g) with image(f) = Ker(g) and g k-uniform, over the module pool."""
+    """(f, g) with image(f) = Ker(g) and g k-uniform, over the module pool,
+    by M, N, g, L, f: the maps into each M are indexed by image once, and
+    each g looks up its kernel."""
     mods = _pool(semiring, max_size)
     out = []
     for M in mods:
+        by_image = _index((f for L in mods for f in enumerate_hom(L, M)), image_set)
         for N in mods:
             for g in enumerate_hom(M, N):
-                if not is_k_uniform(g):
-                    continue
-                ker = kernel_set(g)
-                for L in mods:
-                    for f in enumerate_hom(L, M):
-                        if image_set(f) == ker:
-                            out.append((f, g))
+                if is_k_uniform(g):
+                    out.extend((f, g) for f in by_image.get(kernel_set(g), ()))
     return tuple(out)
 
 
@@ -264,8 +265,45 @@ def _gen_short_five(spec: HarnessSpec, clause):
 # ----------------------------------------------------------- 2x5 generators
 
 @lru_cache(maxsize=None)
+def _kernel_structure(P, members):
+    """P's subsemimodule `members` as a module named "" (Semimodule.unnamed):
+    built, and its closure checked, once however many maps have it as
+    kernel; equal tables give equal structures, whatever P is."""
+    return submodule_as_module(Subsemimodule(P, members))[0].unnamed
+
+
+def _kernel(c):
+    """The members of Ker(c), sorted, and its kernel structure."""
+    members = tuple(sorted(kernel_set(c)))
+    return members, _kernel_structure(c.domain, members)
+
+
+@lru_cache(maxsize=None)
+def _onto(X, K, k_uniform):
+    """(i, table) of the maps h<i> from X onto the kernel structure K,
+    k-uniform too where k_uniform is set; i is the position in the
+    hom-set, as enumerate_hom names it."""
+    return tuple((i, t) for i, t in enumerate(_hom_tables(X.unnamed, K))
+                 if len(set(t)) == K.size
+                 and (not k_uniform or _k_uniform_witness(X, K.zero, t) is None))
+
+
+def _onto_kernel(mods, c, k_uniform):
+    """incl∘q for each map q from a pool module onto Ker(c), k-uniform too
+    where k_uniform is set: the maps whose image is Ker(c), by domain and
+    then hom-set position, each named as compose(incl, q) names it, with
+    incl and q from kernel_module(c) and enumerate_hom."""
+    (members, K), ker = _kernel(c), f"Ker({c.name})"
+    for X in mods:
+        for i, t in _onto(X, K, k_uniform):
+            yield Morphism._trusted(f"incl[{ker}]*h{i}[{X.name}->{ker}]", X, c.domain,
+                                    map(members.__getitem__, t))
+
+
+@lru_cache(maxsize=None)
 def _exact_5rows(semiring, max_size, cap=600):
-    """Rows U -d-> L -f-> M -g-> N -h-> V exact at L, M, N, built right to left."""
+    """Rows U -d-> L -f-> M -g-> N -h-> V exact at L, M, N, built right to
+    left: g, f and d map onto the kernels of h, g and f."""
     mods = _pool(semiring, max_size)
     rows = []
     for N in mods:
@@ -273,27 +311,12 @@ def _exact_5rows(semiring, max_size, cap=600):
             for h in enumerate_hom(N, V):
                 if not is_k_uniform(h):
                     continue
-                kh, kh_incl = kernel_module(h)
-                for M in mods:
-                    for q in enumerate_hom(M, kh):
-                        if not (is_surjective(q) and is_k_uniform(q)):
-                            continue
-                        g = compose(kh_incl, q)
-                        kg, kg_incl = kernel_module(g)
-                        for L in mods:
-                            for q2 in enumerate_hom(L, kg):
-                                if not (is_surjective(q2) and is_k_uniform(q2)):
-                                    continue
-                                f = compose(kg_incl, q2)
-                                kf, kf_incl = kernel_module(f)
-                                for U in mods:
-                                    for q3 in enumerate_hom(U, kf):
-                                        if not is_surjective(q3):
-                                            continue
-                                        d = compose(kf_incl, q3)
-                                        rows.append((d, f, g, h))
-                                        if len(rows) >= cap:
-                                            return tuple(rows)
+                for g in _onto_kernel(mods, h, True):
+                    for f in _onto_kernel(mods, g, True):
+                        for d in _onto_kernel(mods, f, False):
+                            rows.append((d, f, g, h))
+                            if len(rows) >= cap:
+                                return tuple(rows)
     return tuple(rows)
 
 
@@ -458,13 +481,23 @@ gen_nine = _generator("nine", _gen_3x3)
 
 # --------------------------------------------------------- snake generation
 
-def _automorphisms(M):
-    return [h for h in enumerate_hom(M, M) if is_isomorphism(h)]
+@lru_cache(maxsize=None)
+def _isos_and_automorphisms(semiring, max_size, K):
+    """(L, table) of the isomorphism oracle_iso_exists finds from each pool
+    module L onto the kernel structure K that has one, and (i, table) of
+    each automorphism h<i> of K."""
+    isos = ((L, oracle_iso_exists(L, K)) for L in _pool(semiring, max_size)
+            if L.size == K.size)
+    return ([(L, iso.map) for L, iso in isos if iso is not None],
+            [(i, t) for i, t in enumerate(_hom_tables(K, K)) if len(set(t)) == K.size])
 
 
 @lru_cache(maxsize=None)
 def _snake_left_rows(semiring, max_size, cap=200):
-    """Rows 0 -> L2 -f2-> M2 -g2-> N2 with f2 injective onto Ker(g2)."""
+    """Rows 0 -> L2 -f2-> M2 -g2-> N2 with f2 injective onto Ker(g2): f2 is
+    incl∘aut∘iso for each pool module L with an isomorphism iso onto the
+    kernel structure and each automorphism aut of it, both found once per
+    structure, and named as compose(incl, compose(aut, iso)) names it."""
     mods = _pool(semiring, max_size)
     rows = []
     for M in mods:
@@ -472,13 +505,15 @@ def _snake_left_rows(semiring, max_size, cap=200):
             for g in enumerate_hom(M, N):
                 if not is_k_uniform(g):
                     continue
-                kmod, kincl = kernel_module(g)
-                for L in mods:
-                    iso = oracle_iso_exists(L, kmod)
-                    if iso is None:
-                        continue
-                    for aut in _automorphisms(kmod):
-                        rows.append((compose(kincl, compose(aut, iso)), g))
+                members, K = _kernel(g)
+                isos, auts = _isos_and_automorphisms(semiring, max_size, K)
+                ker = f"Ker({g.name})"
+                for L, iso in isos:
+                    for i, aut in auts:
+                        f2 = Morphism._trusted(
+                            f"incl[{ker}]*h{i}[{ker}->{ker}]*iso[{L.name}->{ker}]", L, M,
+                            (members[aut[x]] for x in iso))
+                        rows.append((f2, g))
                         if len(rows) >= cap:
                             return tuple(rows)
     return tuple(rows)

@@ -273,18 +273,25 @@ def _per_structure(key):
 def is_k_uniform(f: Morphism, witness=False):
     """Equal images are explained by kernel elements:
     f(x1) = f(x2) implies x1 + k1 = x2 + k2 with k1, k2 in the kernel."""
-    dom = f.domain
-    ker = sorted(kernel_set(f))
+    pair = _k_uniform_witness(f.domain, f.codomain.zero, f.map)
+    ok = pair is None
+    return (ok, pair) if witness else ok
+
+
+def _k_uniform_witness(dom: Semimodule, zero, table):
+    """is_k_uniform on the table of a map from dom to a module whose zero is
+    `zero`, uncached: None when it holds, else a pair (x1, x2) it fails on."""
+    ker = [x for x in dom.elements() if table[x] == zero]
     by_value = {}
     for x in dom.elements():
-        by_value.setdefault(f.map[x], []).append(x)
+        by_value.setdefault(table[x], []).append(x)
     for xs in by_value.values():
         for i, x1 in enumerate(xs):
             reach1 = {dom.add[x1][k] for k in ker}
             for x2 in xs[i + 1:]:
                 if not any(dom.add[x2][k] in reach1 for k in ker):
-                    return (False, (x1, x2)) if witness else False
-    return (True, None) if witness else True
+                    return x1, x2
+    return None
 
 
 def is_i_uniform(f: Morphism, witness=False):

@@ -26,7 +26,10 @@ from semiexact.harness import (HarnessSpec, gen_short_five_half, gen_five,
                                gen_five_parts, gen_lemma_diagram, gen_lemma_short,
                                gen_nine, gen_nine_first, gen_nine_third,
                                gen_short_five, gen_snake)
-from semiexact.morphisms import Morphism, compose, enumerate_hom
+from semiexact.enumeration import oracle_iso_exists
+from semiexact.fixtures import builtin_semirings
+from semiexact.morphisms import (Morphism, compose, enumerate_hom, image_set, is_isomorphism,
+                                 is_k_uniform, is_surjective, kernel_module, kernel_set)
 
 DATA = Path(__file__).resolve().parent / "data"
 SNAPSHOT = DATA / "harness_corpora_seed11.json"
@@ -172,26 +175,34 @@ def test_draws_scale_with_candidates_used(monkeypatch, name, clause):
 
 
 def test_exact_5rows_searches_each_pair_of_tables_once(monkeypatch):
-    """_exact_5rows(Z2, 4) asks for 647 hom-sets between named modules (a
-    kernel is named after its map), which cover far fewer pairs of tables;
-    the hom search runs once per pair of tables, and the rows are the same."""
+    """_exact_5rows(Z2, 4) asks again and again for the maps from a pool
+    module onto a kernel structure, which many maps share, and searches them
+    once per (pool module, kernel structure); the hom search runs once per
+    pair of tables, and the rows are the same."""
     expected = harness._exact_5rows(make_zmod(2), 4)
     asked, searched = [], []
     search = morphisms._hom_tables.__wrapped__
+    onto = lru_cache(maxsize=None)(harness._onto.__wrapped__)
 
     def asking(M, N):
         asked.append((M.unnamed, N.unnamed))
         return morphisms.enumerate_hom.__wrapped__(M, N)  # named cache bypassed
 
+    def onto_asking(X, K, k_uniform):
+        asked.append((X.unnamed, K))
+        return onto(X, K, k_uniform)
+
     def counted(M, N):
         searched.append((M, N))
         return search(M, N)
+    tables = lru_cache(maxsize=None)(counted)
     monkeypatch.setattr(harness, "enumerate_hom", asking)
-    monkeypatch.setattr(morphisms, "_hom_tables", lru_cache(maxsize=None)(counted))
+    monkeypatch.setattr(harness, "_onto", onto_asking)
+    for module in (harness, morphisms):
+        monkeypatch.setattr(module, "_hom_tables", tables)
     assert harness._exact_5rows.__wrapped__(make_zmod(2), 4) == expected
-    assert len(asked) == 647
     assert sorted(searched, key=repr) == sorted(set(asked), key=repr)
-    assert len(searched) < len(asked) / 5
+    assert 0 < onto.cache_info().misses < onto.cache_info().hits
 
 
 def test_gen_nine_builds_each_quotient_once(monkeypatch):
@@ -451,3 +462,116 @@ def test_snake_matches_snapshot():
              "T2": HarnessSpec(make_saturating_naturals(2), 3, seed=11, quota=4)}
     got = {pool: _snake_records(spec) for pool, spec in specs.items()}
     assert got == json.loads(SNAKE_SNAPSHOT.read_text(encoding="utf-8"))
+
+
+# The row pools as they were built map by map, with a named kernel module,
+# hom-set and isomorphism search per map: the references for the pools
+# built once per kernel structure from hom tables.
+
+def _reference_exact_pairs(semiring, max_size):
+    """(f, g) with image(f) = Ker(g) and g k-uniform, over the module pool."""
+    mods = harness._pool(semiring, max_size)
+    out = []
+    for M in mods:
+        for N in mods:
+            for g in enumerate_hom(M, N):
+                if not is_k_uniform(g):
+                    continue
+                ker = kernel_set(g)
+                for L in mods:
+                    for f in enumerate_hom(L, M):
+                        if image_set(f) == ker:
+                            out.append((f, g))
+    return tuple(out)
+
+
+def _reference_exact_5rows(semiring, max_size, cap=600):
+    """Rows U -d-> L -f-> M -g-> N -h-> V exact at L, M, N, built right to left."""
+    mods = harness._pool(semiring, max_size)
+    rows = []
+    for N in mods:
+        for V in mods:
+            for h in enumerate_hom(N, V):
+                if not is_k_uniform(h):
+                    continue
+                kh, kh_incl = kernel_module(h)
+                for M in mods:
+                    for q in enumerate_hom(M, kh):
+                        if not (is_surjective(q) and is_k_uniform(q)):
+                            continue
+                        g = compose(kh_incl, q)
+                        kg, kg_incl = kernel_module(g)
+                        for L in mods:
+                            for q2 in enumerate_hom(L, kg):
+                                if not (is_surjective(q2) and is_k_uniform(q2)):
+                                    continue
+                                f = compose(kg_incl, q2)
+                                kf, kf_incl = kernel_module(f)
+                                for U in mods:
+                                    for q3 in enumerate_hom(U, kf):
+                                        if not is_surjective(q3):
+                                            continue
+                                        d = compose(kf_incl, q3)
+                                        rows.append((d, f, g, h))
+                                        if len(rows) >= cap:
+                                            return tuple(rows)
+    return tuple(rows)
+
+
+def _automorphisms(M):
+    return [h for h in enumerate_hom(M, M) if is_isomorphism(h)]
+
+
+def _reference_snake_left_rows(semiring, max_size, cap=200):
+    """Rows 0 -> L2 -f2-> M2 -g2-> N2 with f2 injective onto Ker(g2)."""
+    mods = harness._pool(semiring, max_size)
+    rows = []
+    for M in mods:
+        for N in mods:
+            for g in enumerate_hom(M, N):
+                if not is_k_uniform(g):
+                    continue
+                kmod, kincl = kernel_module(g)
+                for L in mods:
+                    iso = oracle_iso_exists(L, kmod)
+                    if iso is None:
+                        continue
+                    for aut in _automorphisms(kmod):
+                        rows.append((compose(kincl, compose(aut, iso)), g))
+                        if len(rows) >= cap:
+                            return tuple(rows)
+    return tuple(rows)
+
+
+def _pool_rows(rows):
+    return [tuple((a.name, a.domain, a.codomain, a.map) for a in row) for row in rows]
+
+
+POOL_CASES = ([(make_zmod(2), 4), (make_zmod(4), 4), (make_boolean(), 4),
+               (make_saturating_naturals(2), 3)]
+              + [(s, 3) for s in builtin_semirings().values()])
+
+
+@pytest.mark.parametrize("semiring, size", POOL_CASES,
+                         ids=[f"{s.name}@{n}" for s, n in POOL_CASES])
+def test_row_pools_match_named_builders(semiring, size):
+    """The three row pools, built once per kernel structure from hom tables,
+    equal the map-by-map builders row by row: every arrow's name, domain,
+    codomain and table, in the same order."""
+    for built, reference in ((harness._exact_pairs, _reference_exact_pairs),
+                             (harness._exact_5rows, _reference_exact_5rows),
+                             (harness._snake_left_rows, _reference_snake_left_rows)):
+        expected = _pool_rows(reference(semiring, size))
+        assert _pool_rows(built(semiring, size)) == expected, built.__name__
+
+
+def test_exact_pairs_match_named_builder_at_nat4(nat4_universe):
+    """nat4@4 has 16,314 exact pairs; the indexed pool lists each as the
+    map-by-map builder does."""
+    semiring = nat4_universe[0].semiring
+    expected = _pool_rows(_reference_exact_pairs(semiring, 4))
+    assert len(expected) == 16314
+    assert _pool_rows(harness._exact_pairs(semiring, 4)) == expected
+    for built, reference in ((harness._exact_5rows, _reference_exact_5rows),
+                             (harness._snake_left_rows, _reference_snake_left_rows)):
+        assert _pool_rows(built(semiring, 4)) == _pool_rows(reference(semiring, 4))

@@ -16,7 +16,10 @@ SLICE = ["tests/test_core.py", "tests/test_quotients.py",
              "test_monoid_counts", "test_ring_module_counts",
              "test_naive_recount_matches", "test_canonical_monoid_tables",
              "test_monoid_filter_matches_canonical_form", "test_automorphisms_match_scan",
-             "test_enumerated_matches_canonical_selection"))]
+             "test_enumerated_matches_canonical_selection")),
+         *(f"tests/test_harness.py::{name}" for name in (
+             "test_row_pools_match_named_builders",
+             "test_exact_pairs_match_named_builder_at_nat4"))]
 
 
 def test_slice_passes_under_optimize(src_env):
