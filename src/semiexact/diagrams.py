@@ -11,6 +11,8 @@ a certificate that carries a witness for anything that failed. A failed
 conclusion on a hypothesis-satisfying instance is an implementation bug,
 never new mathematics. The harness derives its clause filters from the same
 entries (Clause.filter), and the CLI's lemma names are the table's keys.
+Exactness, in a clause, a declared hypothesis tag or a snake certificate, is
+decided by exactness.exact_at, through exact_row and short_exact_row.
 
 Grid layout: nodes[r][c] with horizontals (r,c): nodes[r][c] -> nodes[r][c+1]
 and verticals (r,c): nodes[r][c] -> nodes[r+1][c].
@@ -25,7 +27,7 @@ from typing import Callable, NamedTuple
 
 from .core import Element, is_cancellable, is_cancellative_module, subtractive_closure_set
 from .errors import HypothesisError, LemmaRefuted, StructureError
-from .exactness import Sequence, analyze
+from .exactness import exact_at, exact_row, short_exact_row
 from .morphisms import (Morphism, _table, classify, cokernel, factor_through_injection,
                         factor_through_surjection, image_set, is_cancellative_morphism,
                         is_injective, is_isomorphism, is_k_uniform, is_surjective,
@@ -82,6 +84,10 @@ PREDICATES = {
     "cancellative-morphism": lambda f: classify(f).cancellative,
     "cancellative": is_cancellative_module,
 }
+
+
+# The part of the grid a declared hypothesis tag names, where it is no morphism.
+_TAGS = {"row-exact": "row", "col-exact": "column", "cancellative": "module"}
 
 
 class Diagram:
@@ -172,48 +178,41 @@ class Diagram:
                         f"diagram {self.name}: square ({r},{c}) does not commute",
                         f"element {bad} of {top.domain.name}")
 
-    def morphism_by_name(self, name):
-        for key in sorted(self.horizontals):
-            if self.horizontals[key].name == name:
-                return self.horizontals[key]
-        for key in sorted(self.verticals):
-            if self.verticals[key].name == name:
-                return self.verticals[key]
-        raise StructureError(f"diagram {self.name}: no morphism named {name!r}")
-
-    def node_by_name(self, name):
-        for row in self.nodes:
-            for m in row:
-                if m is not None and m.name == name:
-                    return m
-        raise StructureError(f"diagram {self.name}: no node named {name!r}")
-
-    def row_sequence(self, r):
-        arrows = [self.horizontals[(r, c)] for c in range(len(self.nodes[r]) - 1)]
-        return Sequence(f"{self.name}.row{r}", tuple(arrows))
-
-    def col_sequence(self, c):
-        arrows = [self.verticals[(r, c)] for r in range(self.rows - 1)]
-        return Sequence(f"{self.name}.col{c}", tuple(arrows))
+    def _part(self, what, name):
+        """The arrows of row or column `name`, or the module or morphism of
+        that name; None where the grid has none, or a gap in the line."""
+        if what == "module":
+            found = (m for row in self.nodes for m in row if m is not None and m.name == name)
+            return next(found, None)
+        if what == "morphism":
+            return next((f for f in self.parts() if f.name == name), None)
+        if not name.isdecimal():
+            return None
+        i = int(name)
+        if what == "row":
+            keys = [(i, c) for c in range(len(self.nodes[i]) - 1 if i < self.rows else 0)]
+        else:
+            keys = [(r, i) for r in range(self.rows - 1)]
+        arrows = self.horizontals if what == "row" else self.verticals
+        return [arrows[k] for k in keys] if keys and all(k in arrows for k in keys) else None
 
     def check_tag(self, tag):
-        """Re-verify one declared hypothesis tag; (ok, witness)."""
-        parts = tag.split()
-        kind = parts[0]
+        """Re-verify one declared hypothesis tag; (ok, witness). StructureError
+        for an unknown kind, and then for an argument that names no part."""
+        kind, *args = tag.split() or [""]
         if kind == "commutes":
             return True, "-"  # squares are always re-checked at construction
-        if kind in ("row-exact", "col-exact"):
-            idx = int(parts[1])
-            seq = self.row_sequence(idx) if kind == "row-exact" else self.col_sequence(idx)
-            v = analyze(seq)
-            return v.exact, f"{kind} {idx} fails"
-        if kind == "cancellative":
-            M = self.node_by_name(parts[1])
-            return is_cancellative_module(M), f"module {parts[1]} not cancellative"
-        f = self.morphism_by_name(parts[1])
-        if kind not in PREDICATES:
+        what = _TAGS.get(kind, "morphism" if kind in PREDICATES else None)
+        if what is None:
             raise StructureError(f"diagram {self.name}: unknown hypothesis tag {tag!r}")
-        return PREDICATES[kind](f), f"{kind} {parts[1]} fails"
+        part = self._part(what, args[0]) if args else None
+        if part is None:
+            raise StructureError(f"diagram {self.name}: hypothesis tag {tag!r} names no {what}")
+        if what in ("row", "column"):
+            return exact_row(part)[0], f"{kind} {args[0]} fails"
+        if what == "module":
+            return is_cancellative_module(part), f"module {args[0]} not cancellative"
+        return PREDICATES[kind](part), f"{kind} {args[0]} fails"
 
 
 def _require_grid(d: Diagram, rows, cols, lemma):
@@ -227,37 +226,6 @@ def _require_grid(d: Diagram, rows, cols, lemma):
         for c in range(cols):
             if (r, c) not in d.verticals:
                 raise StructureError(f"{lemma}: missing vertical at ({r},{c})")
-
-
-def _exact_middle(f, g):
-    """Exactness of X -f-> Y -g-> Z at Y: image = kernel and g k-uniform."""
-    img, ker = image_set(f), kernel_set(g)
-    if img != ker:
-        return False, f"element {min(img ^ ker)} separates image({f.name}) from kernel({g.name})"
-    ok, wit = is_k_uniform(g, witness=True)
-    if not ok:
-        return False, f"{g.name} not k-uniform at {wit}"
-    return True, "-"
-
-
-def _row_exact_witness(seq):
-    v = analyze(seq)
-    if v.exact:
-        return True, "-"
-    bad = next(p for p in v.positions if not p.exact)
-    return False, f"position {bad.position}: {bad.witness}"
-
-
-def _short_exact_row(f, g):
-    """f injective, image = kernel, g surjective and k-uniform; (ok, witness)."""
-    if not is_injective(f):
-        return False, f"{f.name} not injective"
-    ok, wit = _exact_middle(f, g)
-    if not ok:
-        return False, wit
-    if not is_surjective(g):
-        return False, f"{g.name} not surjective"
-    return True, "-"
 
 
 # ------------------------------------------------------------ the clause table
@@ -320,11 +288,10 @@ def _bind(spec, shape, conclusion=False):
 
     spec is the id, an (id, witness) pair overriding the witness, or a
     Relation. The id says what is asserted:
-      `<ordinal> row|column exact at middle` or `... short exact`: the row's
-        fi, gi or the column's alphai, betai, by _exact_middle or
-        _short_exact_row (`column c short exact` is column c + 1);
-      `<ordinal> row exact`: the same at every interior object (on 2x5, the
-        whole row by _row_exact_witness);
+      `<ordinal> row|column exact`, `... exact at middle` or `... short
+        exact`: the row's arrows or the column's alphai, betai, by
+        exactness.exact_row (exact_at at every interior object) or
+        short_exact_row (`column c short exact` is column c + 1);
       `<ordinal> row: f|g <word>`: fi or gi of that row;
       `Mi cancellative`: the module fi maps into;
       `<part> <word>`, optionally `(<predicate> case)`: a PREDICATES entry
@@ -347,10 +314,7 @@ def _bind(spec, shape, conclusion=False):
         i = int(column) + 1 if column else _ORDINALS[ordinal]
         k = shape[1] - 1  # arrows per row
         parts = names[(i - 1) * k:i * k] if kind == "row" else [f"alpha{i}", f"beta{i}"]
-        check = _short_exact_row if how == "short exact" else _exact_middle
-        if how == "exact" and k > 2:
-            def check(*row):
-                return _row_exact_witness(Sequence(f"r{i}", row))
+        check = short_exact_row if how == "short exact" else lambda *arrows: exact_row(arrows)
         index = tuple(map(names.index, parts))
         return Claim(aid, _over(lambda *a: check(*a)[0], index),
                      _over(lambda *a: check(*a)[1], index))
@@ -730,23 +694,23 @@ def snake(d: Diagram) -> SnakeResult:
     cert_kernel_row = None
     if is_cancellative_morphism(f1):
         c = _Check("snake.2")
-        ok, wit = _exact_middle(f_k, g_k)
+        ok, wit = exact_at(f_k, g_k)
         c.conclude(ok, "kernel row exact at Ker(alpha2)", wit)
         cert_kernel_row = c.done()
 
     cert_cokernel_row = None
     if classify(f_c).i_uniform:
         c = _Check("snake.3")
-        ok, wit = _exact_middle(f_c, g_c)
+        ok, wit = exact_at(f_c, g_c)
         c.conclude(ok, "cokernel row exact at Coker(alpha2)", wit)
         cert_cokernel_row = c.done()
 
     cert_four_term = None
     if is_cancellative_morphism(a2) and classify(g_k).i_uniform:
         c = _Check("snake.5")
-        ok, wit = _exact_middle(g_k, delta)
+        ok, wit = exact_at(g_k, delta)
         c.conclude(ok, "four-term sequence exact at Ker(alpha3)", wit)
-        ok, wit = _exact_middle(delta, f_c)
+        ok, wit = exact_at(delta, f_c)
         c.conclude(ok, "four-term sequence exact at Coker(alpha1)", wit)
         cert_four_term = c.done()
 

@@ -5,7 +5,9 @@ A three-term stretch X -f-> Y -g-> Z is
   semi-exact     iff closure(f(X)) = Ker(g),
   proper-exact   iff f(X) = Ker(g),
   exact          iff proper-exact and g is k-uniform.
-Verdicts keep a witness element for every flag that fails, since
+exact_at decides every exactness claim (diagram clauses, declared tags, snake
+certificates), through exact_row and short_exact_row; analyze is the four-flag
+report. Verdicts keep a witness element for every flag that fails, since
 counterexample mining is a first-class use of this package.
 """
 
@@ -20,6 +22,39 @@ from .morphisms import (Morphism, classify, cokernel, factor_through_injection, 
                         is_isomorphism, is_k_uniform, is_surjective, kernel, kernel_module,
                         kernel_set, submodule_as_module, zero_morphism)
 from .quotients import bourne_congruence, quotient
+
+
+def exact_at(f, g):
+    """Exactness of X -f-> Y -g-> Z at Y: image = kernel and g k-uniform."""
+    img, ker = image_set(f), kernel_set(g)
+    if img != ker:
+        return False, f"element {min(img ^ ker)} separates image({f.name}) from kernel({g.name})"
+    ok, wit = is_k_uniform(g, witness=True)
+    if not ok:
+        return False, f"{g.name} not k-uniform at {wit}"
+    return True, "-"
+
+
+def exact_row(arrows):
+    """exact_at at every interior object of the chain `arrows`, in order:
+    (True, "-"), or False and the first failure's witness."""
+    for f, g in zip(arrows, arrows[1:]):
+        ok, wit = exact_at(f, g)
+        if not ok:
+            return False, wit
+    return True, "-"
+
+
+def short_exact_row(f, g):
+    """f injective, image = kernel, g surjective and k-uniform; (ok, witness)."""
+    if not is_injective(f):
+        return False, f"{f.name} not injective"
+    ok, wit = exact_at(f, g)
+    if not ok:
+        return False, wit
+    if not is_surjective(g):
+        return False, f"{g.name} not surjective"
+    return True, "-"
 
 
 @dataclass(frozen=True)
@@ -242,8 +277,7 @@ def subobject_character(L: Subsemimodule) -> SubobjectCharacter:
     c2 = set(L.members) == ker_pi  # finite carriers: abstract iso forces equality
     z = zero_module(M.semiring)
     to_closure = factor_through_injection(cincl, lincl.map, lmod, f"{lmod.name}->cl")
-    c3 = analyze(Sequence("c3", (zero_morphism(z, lmod), to_closure,
-                                 zero_morphism(cmod, z)))).exact
+    c3 = exact_row((zero_morphism(z, lmod), to_closure, zero_morphism(cmod, z)))[0]
     c4 = classify(lincl).uniform
     c5 = set(L.members) == set(kernel(q.projection).members)
     if not c1 == c2 == c3 == c4 == c5:

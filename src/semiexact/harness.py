@@ -6,6 +6,8 @@ morphisms caches by tables, as it does classifications. The row pools are
 built from hom tables once per kernel structure, not once per map (_onto,
 _isos_and_automorphisms), and only the maps of their rows are named, by
 Morphism._trusted, under the names kernel_module and compose give them.
+The exact-row pools (right exact, left exact, short exact, each optionally
+with cancellative middles) are filtered once per (semiring, bound).
 Each generator draws for one entry of diagrams.CLAUSES and keeps the
 candidates that pass the clause's hypotheses, minus those its construction
 guarantees, which each generator lists by id (row exactness from the
@@ -130,19 +132,19 @@ def _exact_pairs(semiring, max_size):
     return tuple(out)
 
 
-def _right_exact_rows(semiring, max_size):
-    """Rows L -f-> M -g-> N -> 0: exact at M and g surjective."""
-    return tuple((f, g) for f, g in _exact_pairs(semiring, max_size) if is_surjective(g))
-
-
-def _left_exact_rows(semiring, max_size):
-    """Rows 0 -> L -f-> M -g-> N: f injective and exact at M."""
-    return tuple((f, g) for f, g in _exact_pairs(semiring, max_size) if is_injective(f))
-
-
-def _short_exact_rows(semiring, max_size):
+@lru_cache(maxsize=None)
+def _exact_rows(semiring, max_size, cancellative=False, injective=False, surjective=False):
+    """The pairs of _exact_pairs, in order, with f injective, g surjective
+    and a cancellative middle module where those are asked for."""
     return tuple((f, g) for f, g in _exact_pairs(semiring, max_size)
-                 if is_injective(f) and is_surjective(g))
+                 if (not injective or is_injective(f)) and (not surjective or is_surjective(g))
+                 and (not cancellative or is_cancellative_module(f.codomain)))
+
+
+# Rows L -f-> M -g-> N -> 0, 0 -> L -f-> M -g-> N and 0 -> L -f-> M -g-> N -> 0.
+_right_exact_rows = partial(_exact_rows, surjective=True)
+_left_exact_rows = partial(_exact_rows, injective=True)
+_short_exact_rows = partial(_exact_rows, injective=True, surjective=True)
 
 
 def _row_pairs_with_verticals(spec, rows_top, rows_bottom, tag, tests=(None,) * 7):
@@ -244,20 +246,16 @@ _HALF_ROWS = ("M1 cancellative", "M2 cancellative", "first row exact at middle",
 _SHORT_FIVE_ROWS = _HALF_ROWS + ("first row: f injective", "second row: g surjective")
 
 
-def _cancellative_middles(rows):
-    return tuple((f, g) for f, g in rows if is_cancellative_module(f.codomain))
-
-
 def _gen_half(spec: HarnessSpec, clause):
     s, n = spec.semiring, spec.max_size
-    right = _cancellative_middles(_right_exact_rows(s, n))
-    left = _cancellative_middles(_left_exact_rows(s, n))
+    right = _right_exact_rows(s, n, cancellative=True)
+    left = _left_exact_rows(s, n, cancellative=True)
     return _collect(spec, clause, partial(_row_pairs_with_verticals, spec, right, left,
                                           clause.tag), _HALF_ROWS)
 
 
 def _gen_short_five(spec: HarnessSpec, clause):
-    rows = _cancellative_middles(_short_exact_rows(spec.semiring, spec.max_size))
+    rows = _short_exact_rows(spec.semiring, spec.max_size, cancellative=True)
     return _collect(spec, clause, partial(_row_pairs_with_verticals, spec, rows, rows,
                                           clause.tag), _SHORT_FIVE_ROWS)
 

@@ -52,19 +52,9 @@ class Morphism:
         for v in self.map:
             if not 0 <= v < cod.size:
                 raise StructureError(f"morphism {self.name}: value {v} out of range")
-        f = self.map
-        if f[dom.zero] != cod.zero:
-            raise StructureError(f"morphism {self.name}: does not preserve zero")
-        for a in dom.elements():
-            for b in dom.elements():
-                if f[dom.add[a][b]] != cod.add[f[a]][f[b]]:
-                    raise StructureError(
-                        f"morphism {self.name}: not additive at ({a},{b})")
-        for a in dom.elements():
-            for s in range(dom.semiring.size):
-                if f[dom.action[a][s]] != cod.action[f[a]][s]:
-                    raise StructureError(
-                        f"morphism {self.name}: not equivariant at ({a},s={s})")
+        problem = _linearity_problem(dom, cod, self.map)
+        if problem is not None:
+            raise StructureError(f"morphism {self.name}: {problem}")
 
     __hash__ = hash_once
 
@@ -83,21 +73,27 @@ class Morphism:
         return f"Morphism({self.name!r}: {self.domain.name} -> {self.codomain.name})"
 
 
+def _linearity_problem(dom: Semimodule, cod: Semimodule, f):
+    """Why the table f from dom to cod is not linear, the first law it breaks
+    in the order zero, additivity, equivariance; None when it is linear."""
+    if f[dom.zero] != cod.zero:
+        return "does not preserve zero"
+    for a in dom.elements():
+        add_a, add_fa = dom.add[a], cod.add[f[a]]
+        for b in dom.elements():
+            if f[add_a[b]] != add_fa[f[b]]:
+                return f"not additive at ({a},{b})"
+    for a in dom.elements():
+        act_a, act_fa = dom.action[a], cod.action[f[a]]
+        for s in range(dom.semiring.size):
+            if f[act_a[s]] != act_fa[s]:
+                return f"not equivariant at ({a},s={s})"
+    return None
+
+
 def is_linear_table(dom: Semimodule, cod: Semimodule, f) -> bool:
     """Linearity predicate on a raw table, used by enumeration without exceptions."""
-    if f[dom.zero] != cod.zero:
-        return False
-    for a in dom.elements():
-        fa = f[a]
-        add_a = dom.add[a]
-        for b in dom.elements():
-            if f[add_a[b]] != cod.add[fa][f[b]]:
-                return False
-        act_a = dom.action[a]
-        for s in range(dom.semiring.size):
-            if f[act_a[s]] != cod.action[fa][s]:
-                return False
-    return True
+    return _linearity_problem(dom, cod, f) is None
 
 
 def identity_morphism(M: Semimodule) -> Morphism:

@@ -131,6 +131,23 @@ def test_shape_error_names_the_diagram_header(tmp_path, capsys):
         assert f"{path}:76: " in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("tag, problem", [
+    ("bogus", "unknown hypothesis tag 'bogus'"),
+    ("bogus nothere", "unknown hypothesis tag 'bogus nothere'"),
+    ("row-exact 2", "hypothesis tag 'row-exact 2' names no row")])
+def test_malformed_hypothesis_tag_is_located(tag, problem, tmp_path, capsys):
+    """A hyp: tag of an unknown kind, or one that names no part of the grid,
+    is a structural problem at the diagram header's file:line: its kind is
+    checked before its argument is looked up."""
+    lines = Path(DEMO).read_text(encoding="utf-8").splitlines()
+    assert lines[75] == "diagram D"
+    lines.insert(76, f"  hyp: {tag}")
+    path = tmp_path / "tagged.sx"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert run(["validate", str(path)]) == 2
+    assert f"{path}:76: structural: diagram D: {problem}\n" in capsys.readouterr().err
+
+
 def test_classify_exit_and_flags(capsys):
     assert run(["classify", "squash", DEMO]) == 0
     out = capsys.readouterr().out

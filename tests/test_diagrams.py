@@ -92,7 +92,7 @@ def test_broken_commutativity_is_hypothesis_error(z2mod):
                             [[ident, zero, ident]])
 
 
-def test_declared_tag_verified(z2mod):
+def test_declared_tag_verified(z2mod, z2zero):
     ident = identity_morphism(z2mod)
     zero = zero_morphism(z2mod, z2mod)
     with pytest.raises(HypothesisError):
@@ -104,6 +104,35 @@ def test_declared_tag_verified(z2mod):
                             hypotheses=(f"iso {ident.name}", "commutes",
                                         f"cancellative {z2mod.name}"))
     assert d.hypotheses
+    # row-exact and col-exact tags: every row and column of the 3x3 corner
+    # grid is exact with identity maps, and 0 -> Z2 -0-> Z2 is not
+    lines = [f"{kind}-exact {i}" for kind in ("row", "col") for i in range(3)]
+    assert Diagram.from_arrows("corner", *_corner_3x3(z2mod, z2zero, ident),
+                               hypotheses=lines).hypotheses == tuple(lines)
+    Diagram.from_arrows("zero-corner", *_corner_3x3(z2mod, z2zero, zero),
+                        hypotheses=("row-exact 0", "col-exact 0"))
+    for tag in ("row-exact 1", "row-exact 2", "col-exact 1", "col-exact 2"):
+        with pytest.raises(HypothesisError) as exc:
+            Diagram.from_arrows("zero-corner", *_corner_3x3(z2mod, z2zero, zero), hypotheses=(tag,))
+        assert exc.value.witness == f"{tag} fails"
+
+
+def _corner_3x3(z2mod, z2zero, m):
+    """Rows and verticals of the 3x3 grid with the zero module along its top
+    row and left column and 0 -> Z2 -m-> Z2 on every other row and column."""
+    oo, into = zero_morphism(z2zero, z2zero), zero_morphism(z2zero, z2mod)
+    return [[oo, oo], [into, m], [into, m]], [[oo, into, into], [oo, m, m]]
+
+
+def test_five_row_witness_is_exact_at(z2mod):
+    """A 2x5 row is witnessed at its first inexact object in exact_at's
+    format, as on 2x3 and 3x3 grids."""
+    zero, ident = zero_morphism(z2mod, z2mod), identity_morphism(z2mod)
+    d = Diagram.from_arrows("zero5", [[zero] * 4, [zero] * 4], [[ident] * 5])
+    with pytest.raises(HypothesisError) as exc:
+        verify_five(d, 1)
+    assert (exc.value.assertion_id, exc.value.witness) == (
+        "five.1: first row exact", "element 1 separates image(0[Z2->Z2]) from kernel(0[Z2->Z2])")
 
 
 def test_five_identity(z2mod, z2zero):

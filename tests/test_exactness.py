@@ -3,15 +3,16 @@
 import pytest
 
 from semiexact.core import Subsemimodule, make_zmod, self_module, zero_module
-from semiexact.enumeration import (UniverseSpec, is_epimorphism, is_monomorphism,
-                                   universe_with_free_module)
+from semiexact.enumeration import (UniverseSpec, enumerate_semimodules, is_epimorphism,
+                                   is_monomorphism, universe_with_free_module)
 from semiexact.errors import StructureError
-from semiexact.exactness import (Sequence, analyze, is_short_exact,
-                                 ker_coker_sequence, short_sequence,
+from semiexact.exactness import (Sequence, analyze, exact_at, exact_row, is_short_exact,
+                                 ker_coker_sequence, short_exact_row, short_sequence,
                                  subobject_character)
 from semiexact.morphisms import (Morphism, classify, enumerate_hom, identity_morphism,
-                                 image_set, is_isomorphism, kernel_set,
-                                 submodule_as_module, zero_morphism)
+                                 image_set, is_injective, is_isomorphism, is_k_uniform,
+                                 is_surjective, kernel_set, submodule_as_module,
+                                 zero_morphism)
 from semiexact.quotients import bourne_congruence, quotient
 
 
@@ -53,6 +54,52 @@ def test_implication_chain(nat3_universe):
                                 assert p.proper_exact
                             if p.proper_exact:
                                 assert p.semi_exact
+
+
+def _reference_exact_middle(f, g):
+    """Exactness of X -f-> Y -g-> Z at Y: image = kernel and g k-uniform."""
+    img, ker = image_set(f), kernel_set(g)
+    if img != ker:
+        return False, f"element {min(img ^ ker)} separates image({f.name}) from kernel({g.name})"
+    ok, wit = is_k_uniform(g, witness=True)
+    if not ok:
+        return False, f"{g.name} not k-uniform at {wit}"
+    return True, "-"
+
+
+def _reference_short_exact_row(f, g):
+    """f injective, image = kernel, g surjective and k-uniform; (ok, witness)."""
+    if not is_injective(f):
+        return False, f"{f.name} not injective"
+    ok, wit = _reference_exact_middle(f, g)
+    if not ok:
+        return False, wit
+    if not is_surjective(g):
+        return False, f"{g.name} not surjective"
+    return True, "-"
+
+
+@pytest.mark.parametrize("name, max_size", [("Z2", 4), ("B", 4), ("T2", 3)])
+def test_exact_at_matches_reference(semirings, name, max_size):
+    """On every composable pair of the pool, exact_at and short_exact_row
+    give the verdicts and witnesses of the reference checkers above, and
+    exact_row agrees with analyze's exact flag, on the pair and with a zero
+    map appended."""
+    mods = enumerate_semimodules(UniverseSpec(semirings[name], max_size)).modules
+    verdicts = set()
+    for M in mods:
+        into = [f for L in mods for f in enumerate_hom(L, M)]
+        for N in mods:
+            zero = zero_morphism(N, N)
+            for g in enumerate_hom(M, N):
+                for f in into:
+                    verdict = exact_at(f, g)
+                    assert verdict == _reference_exact_middle(f, g)
+                    verdicts.add(verdict[0])
+                    assert short_exact_row(f, g) == _reference_short_exact_row(f, g)
+                    for row in ((f, g), (f, g, zero)):
+                        assert exact_row(row)[0] == analyze(Sequence("s", row)).exact
+    assert verdicts == {True, False}
 
 
 def test_short_exact_examples(max3, sat3):
