@@ -10,7 +10,7 @@ morphism).
 __version__ = "0.1.0"
 
 from .core import (Element, Semimodule, Semiring, Subsemimodule, ValidationReport,
-                   Violation, all_subsemimodules, is_cancellable,
+                   Violation, all_subsemimodules, generators, is_cancellable,
                    is_cancellative_module, is_subtractive, make_boolean,
                    make_natural_quotient, make_product, make_saturating_naturals,
                    make_truncated_minplus, make_zmod, module_from_monoid,

@@ -9,6 +9,34 @@ hashable and safe to share.
 Validation reports every violated law (one witness each) instead of
 stopping at the first: fixtures are authored by hand and full reports
 make table typos obvious.
+
+Laws that quantify over S are checked on generators of S, generators(S):
+A generates (S, +) from 0 and G generates S under + and * from 0 and 1
+(A = {1} and G empty for B, Z_n, T_k and nat_k; G = {2} for minplus and
+{1, 2} for T2xB). Each reduction rests on laws checked in full first; when
+one of those fails, the law is scanned over all of S. A law that fails on
+the generators is scanned again over all of S in the full scan's order, so
+every report names the witness the full scan names. The proofs:
+
+- Two tools. Additive maps that agree on A agree on S. And the set T of
+  t at which a law holds for every value of its other arguments is closed
+  under + (and under *, for the action law) and holds 0 (and 1); then T
+  holds the closure of the generators, which is S.
+- Semiring, given 0 neutral and absorbing: (a+b)+t = a+(b+t) holds at
+  t = 0, and at t + u when it holds at t and u, by three uses at u and one
+  at t. With + associative, a(b+t) = ab+at and (b+t)a = ba+ta hold at 0
+  and are closed under +. With both distributive laws, (ab)c = a(bc) on
+  A^3 spreads to S one argument at a time: in each, both sides are
+  additive maps that agree on A.
+- Module, given S valid, M a commutative monoid, m1 = m and m0_S = 0_M:
+  m(s+t) = ms+mt holds at t = 0 and is closed under + by associativity of
+  both additions. With it, (ms)t = m(st) holds at 0 and 1, is closed under
+  + by left distributivity in S, and under * since
+  (ms)(tu) = ((ms)t)u = (m(st))u = m((st)u) = m(s(tu)).
+- Maps, when both modules validate: an additive map f with f(0) = 0 is
+  equivariant, f(ms) = f(m)s, at 0 and 1, at s + t when it is at s and t,
+  and at st, as f(m(st)) = f((ms)t) = f(ms)t = (f(m)s)t. So the hom search
+  checks equivariance at G only; the Morphism constructor checks all of S.
 """
 
 from __future__ import annotations
@@ -16,6 +44,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from itertools import islice, product, starmap
+from operator import indexOf
 
 from .errors import LemmaRefuted, ParameterError, StructureError
 
@@ -186,151 +216,119 @@ class Element:
             raise StructureError(f"element {self.index} out of range in {self.module.name}")
 
 
-def _witness(**kv):
-    return ",".join(f"{k}={v}" for k, v in kv.items())
+def _law(law, keys, holds, ranges, narrowed=None):
+    """The Violation of holds(*args) over the product of ranges, witnessed by
+    the first failing args in that order (named by keys), or None. narrowed,
+    when given, are ranges on which the law holds exactly when it holds on
+    all of ranges: they are scanned first, and ranges only once they fail."""
+    if narrowed is not None and False not in starmap(holds, product(*narrowed)):
+        return None
+    try:
+        first = indexOf(starmap(holds, product(*ranges)), False)
+    except ValueError:
+        return None
+    bad = next(islice(product(*ranges), first, None))
+    return Violation(law, ",".join(f"{k}={v}" for k, v in zip(keys, bad)))
 
 
-def _monoid_violations(size, add, zero, label):
-    """Commutative-monoid laws with one witness per violated law."""
-    found = []
+def _monoid_violations(size, add, zero, label, adds=None):
+    """Commutative-monoid laws with one witness per violated law; (a+b)+c =
+    a+(b+c) is checked for c in adds, additive generators, when given."""
     rng = range(size)
-    for a in rng:
-        for b in rng:
-            if add[a][b] != add[b][a]:
-                found.append(Violation(f"{label} addition not commutative", _witness(a=a, b=b)))
-                break
-        else:
-            continue
-        break
-    done = False
-    for a in rng:
-        for b in rng:
-            for c in rng:
-                if add[add[a][b]][c] != add[a][add[b][c]]:
-                    found.append(Violation(f"{label} addition not associative",
-                                           _witness(a=a, b=b, c=c)))
-                    done = True
-                    break
-            if done:
-                break
-        if done:
-            break
-    for a in rng:
-        if add[a][zero] != a or add[zero][a] != a:
-            found.append(Violation(f"{label} zero not neutral for addition", _witness(a=a)))
-            break
-    return found
+    neutral = _law(f"{label} zero not neutral for addition", "a",
+                   lambda a: add[a][zero] == a and add[zero][a] == a, (rng,))
+    laws = (
+        _law(f"{label} addition not commutative", "ab",
+             lambda a, b: add[a][b] == add[b][a], (rng, rng)),
+        _law(f"{label} addition not associative", "abc",
+             lambda a, b, c: add[add[a][b]][c] == add[a][add[b][c]], (rng,) * 3,
+             None if neutral or adds is None else (rng, rng, adds)),
+        neutral)
+    return [v for v in laws if v]
+
+
+def _spanning(s: Semiring, fixed, tables):
+    """The elements of s, in order, that the closure of fixed and the earlier
+    ones under the operations `tables` misses: a generating set over fixed."""
+    reach, gens = set(), []
+
+    def close(x):
+        reach.add(x)
+        todo = [x]
+        while todo:
+            a = todo.pop()
+            for b in tuple(reach):
+                for t in tables:
+                    for c in (t[a][b], t[b][a]):
+                        if c not in reach:
+                            reach.add(c)
+                            todo.append(c)
+
+    for x in fixed:
+        close(x)
+    for x in range(s.size):
+        if x not in reach:
+            gens.append(x)
+            close(x)
+    return tuple(gens)
+
+
+@lru_cache(maxsize=None)
+def generators(s: Semiring):
+    """(A, G): A generates (S, +) with 0, G generates S under + and * with 0
+    and 1, each picked greedily in element order; None unless s validates."""
+    if not validate_semiring(s).ok:
+        return None
+    return _spanning(s, (s.zero,), (s.add,)), _spanning(s, (s.zero, s.one), (s.add, s.mul))
 
 
 def validate_semiring(s: Semiring) -> ValidationReport:
     """Check every semiring law, returning all violated laws with witnesses."""
-    found = list(_monoid_violations(s.size, s.add, s.zero, "semiring"))
+    add, mul, zero, one = s.add, s.mul, s.zero, s.one
     rng = range(s.size)
-    done = False
-    for a in rng:
-        for b in rng:
-            for c in rng:
-                if s.mul[s.mul[a][b]][c] != s.mul[a][s.mul[b][c]]:
-                    found.append(Violation("multiplication not associative",
-                                           _witness(a=a, b=b, c=c)))
-                    done = True
-                    break
-            if done:
-                break
-        if done:
-            break
-    for a in rng:
-        if s.mul[a][s.one] != a or s.mul[s.one][a] != a:
-            found.append(Violation("one not neutral for multiplication", _witness(a=a)))
-            break
-    done = False
-    for a in rng:
-        for b in rng:
-            for c in rng:
-                if s.mul[a][s.add[b][c]] != s.add[s.mul[a][b]][s.mul[a][c]]:
-                    found.append(Violation("left distributivity fails", _witness(a=a, b=b, c=c)))
-                    done = True
-                    break
-            if done:
-                break
-        if done:
-            break
-    done = False
-    for a in rng:
-        for b in rng:
-            for c in rng:
-                if s.mul[s.add[b][c]][a] != s.add[s.mul[b][a]][s.mul[c][a]]:
-                    found.append(Violation("right distributivity fails", _witness(a=a, b=b, c=c)))
-                    done = True
-                    break
-            if done:
-                break
-        if done:
-            break
-    for a in rng:
-        if s.mul[s.zero][a] != s.zero or s.mul[a][s.zero] != s.zero:
-            found.append(Violation("zero not absorbing", _witness(a=a)))
-            break
-    if s.zero == s.one:
-        found.append(Violation("zero equals one", _witness(zero=s.zero)))
-    return ValidationReport(f"semiring {s.name}", tuple(found))
+    full = (rng,) * 3
+    adds = _spanning(s, (zero,), (add,))
+    monoid = _monoid_violations(s.size, add, zero, "semiring", adds)
+    absorbing = _law("zero not absorbing", "a",
+                     lambda a: mul[zero][a] == zero and mul[a][zero] == zero, (rng,))
+    on_gens = None if monoid or absorbing else (rng, rng, adds)
+    left = _law("left distributivity fails", "abc",
+                lambda a, b, c: mul[a][add[b][c]] == add[mul[a][b]][mul[a][c]], full, on_gens)
+    right = _law("right distributivity fails", "abc",
+                 lambda a, b, c: mul[add[b][c]][a] == add[mul[b][a]][mul[c][a]], full, on_gens)
+    laws = (
+        _law("multiplication not associative", "abc",
+             lambda a, b, c: mul[mul[a][b]][c] == mul[a][mul[b][c]], full,
+             None if on_gens is None or left or right else (adds,) * 3),
+        _law("one not neutral for multiplication", "a",
+             lambda a: mul[a][one] == a and mul[one][a] == a, (rng,)),
+        left, right, absorbing,
+        Violation("zero equals one", f"zero={zero}") if zero == one else None)
+    return ValidationReport(f"semiring {s.name}", tuple(monoid + [v for v in laws if v]))
 
 
 def validate_semimodule(m: Semimodule) -> ValidationReport:
     """Check every right-semimodule law over the module's semiring."""
     s = m.semiring
-    found = list(_monoid_violations(m.size, m.add, m.zero, "module"))
-    mrng = range(m.size)
-    srng = range(s.size)
-    done = False
-    for a in mrng:
-        for x in srng:
-            for y in srng:
-                if m.action[m.action[a][x]][y] != m.action[a][s.mul[x][y]]:
-                    found.append(Violation("(ms)s' != m(ss')", _witness(m=a, s=x, t=y)))
-                    done = True
-                    break
-            if done:
-                break
-        if done:
-            break
-    done = False
-    for a in mrng:
-        for b in mrng:
-            for x in srng:
-                if m.action[m.add[a][b]][x] != m.add[m.action[a][x]][m.action[b][x]]:
-                    found.append(Violation("(m+m')s != ms+m's", _witness(m=a, n=b, s=x)))
-                    done = True
-                    break
-            if done:
-                break
-        if done:
-            break
-    done = False
-    for a in mrng:
-        for x in srng:
-            for y in srng:
-                if m.action[a][s.add[x][y]] != m.add[m.action[a][x]][m.action[a][y]]:
-                    found.append(Violation("m(s+s') != ms+ms'", _witness(m=a, s=x, t=y)))
-                    done = True
-                    break
-            if done:
-                break
-        if done:
-            break
-    for a in mrng:
-        if m.action[a][s.one] != a:
-            found.append(Violation("m.1 != m", _witness(m=a)))
-            break
-    for a in mrng:
-        if m.action[a][s.zero] != m.zero:
-            found.append(Violation("m.0_S != 0_M", _witness(m=a)))
-            break
-    for x in srng:
-        if m.action[m.zero][x] != m.zero:
-            found.append(Violation("0_M.s != 0_M", _witness(s=x)))
-            break
-    return ValidationReport(f"module {m.name}", tuple(found))
+    add, act, zero = m.add, m.action, m.zero
+    mrng, srng = range(m.size), range(s.size)
+    monoid = _monoid_violations(m.size, add, zero, "module")
+    unit = _law("m.1 != m", "m", lambda a: act[a][s.one] == a, (mrng,))
+    scalar_zero = _law("m.0_S != 0_M", "m", lambda a: act[a][s.zero] == zero, (mrng,))
+    gens = None if monoid or unit or scalar_zero else generators(s)
+    sums = _law("m(s+s') != ms+ms'", "mst",
+                lambda a, x, y: act[a][s.add[x][y]] == add[act[a][x]][act[a][y]],
+                (mrng, srng, srng), None if gens is None else (mrng, srng, gens[0]))
+    laws = (
+        _law("(ms)s' != m(ss')", "mst",
+             lambda a, x, y: act[act[a][x]][y] == act[a][s.mul[x][y]], (mrng, srng, srng),
+             None if gens is None or sums else (mrng, srng, gens[1])),
+        _law("(m+m')s != ms+m's", "mns",
+             lambda a, b, x: act[add[a][b]][x] == add[act[a][x]][act[b][x]],
+             (mrng, mrng, srng)),
+        sums, unit, scalar_zero,
+        _law("0_M.s != 0_M", "s", lambda x: act[zero][x] == zero, (srng,)))
+    return ValidationReport(f"module {m.name}", tuple(monoid + [v for v in laws if v]))
 
 
 def is_cancellable(el: Element) -> bool:

@@ -103,15 +103,13 @@ class Diagram:
         self.nodes = tuple(tuple(row) for row in nodes)
         self.horizontals = dict(horizontals)
         self.verticals = dict(verticals)
-        self.hypotheses = tuple(hypotheses)
+        self.hypotheses = ()
         self.rows = len(self.nodes)
         self.cols = max((len(r) for r in self.nodes), default=0)
         self._validate_shape()
         self._check_squares()
-        for tag in self.hypotheses:
-            ok, witness = self.check_tag(tag)
-            if not ok:
-                raise HypothesisError(f"diagram {self.name}: declared '{tag}'", witness)
+        for tag in hypotheses:
+            self.declare(tag)
 
     @classmethod
     def from_arrows(cls, name, row_arrows, gap_verticals, hypotheses=()):
@@ -195,6 +193,14 @@ class Diagram:
             keys = [(r, i) for r in range(self.rows - 1)]
         arrows = self.horizontals if what == "row" else self.verticals
         return [arrows[k] for k in keys] if keys and all(k in arrows for k in keys) else None
+
+    def declare(self, tag):
+        """Re-verify the hypothesis tag and add it to the declared ones:
+        HypothesisError when it fails, StructureError as check_tag."""
+        ok, witness = self.check_tag(tag)
+        if not ok:
+            raise HypothesisError(f"diagram {self.name}: declared '{tag}'", witness)
+        self.hypotheses += (tag,)
 
     def check_tag(self, tag):
         """Re-verify one declared hypothesis tag; (ok, witness). StructureError

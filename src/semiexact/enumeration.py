@@ -22,9 +22,12 @@ enumerate_semimodules_naive, the unpruned recount oracle.
 Both generators prune partial tables: a monoid table is filled cell by cell
 and dropped at the first triple that breaks associativity, and an action
 table is propagated law by law, each law cross-checked as soon as its
-operands are known, so only modules reach validate_semimodule. Everything
-here is deterministic; the seed in a UniverseSpec only matters to
-downstream samplers.
+operands are known. Only the action laws at generators of S are
+propagated (core.generators); they imply the rest, so a grid that settles
+complete is a module, and validate_semimodule, which reads the same
+generators, confirms it. The tests hold the search to an independent law
+scan over all of S. Everything here is deterministic; the seed in a
+UniverseSpec only matters to downstream samplers.
 
 The counterexample catalog is one table, _CATALOG: each Property has its
 description, its candidate stream over a universe, one predicate
@@ -42,7 +45,7 @@ from functools import lru_cache
 from itertools import permutations
 from typing import Callable, NamedTuple
 
-from .core import (Semimodule, Semiring, all_subsemimodules, freeze_table,
+from .core import (Semimodule, Semiring, all_subsemimodules, freeze_table, generators,
                    is_cancellative_module, is_subtractive, self_module,
                    subtractive_closure_set, validate_semimodule)
 from .diagrams import CLAUSES
@@ -167,20 +170,23 @@ def _commutative_monoid_tables(n):
 @lru_cache(maxsize=None)
 def _operand_laws(s: Semiring):
     """The action laws over s by the column of an operand cell, less those
-    that hold by the fixed row 0 and columns 0_S and 1_S. For a cell (m, x):
+    that hold by the fixed row 0 and columns 0_S and 1_S, and those that
+    the rest imply (core.generators): a sum law keeps an operand in A, a
+    product law its right factor in G. For a cell (m, x):
     sum_by[x] lists (b, c), c = x+b or b+x, for m.c = m.x + m.b;
     prod_by[x] lists (b, xb) for m.(xb) = (m.x).b; and second_by[x] lists
     (a, ax) for r.(ax) = (r.a).x in every row r with r.a = m."""
     unit = (s.zero, s.one)
+    adds, gens = generators(s) or (range(s.size), range(s.size))
     sum_by = [set() for _ in range(s.size)]
     prod_by = [[] for _ in range(s.size)]
     second_by = [[] for _ in range(s.size)]
     for a in range(s.size):
         for b in range(s.size):
-            if s.zero not in (a, b):
+            if s.zero not in (a, b) and (a in adds or b in adds):
                 sum_by[a].add((b, s.add[a][b]))
                 sum_by[b].add((a, s.add[a][b]))
-            if a not in unit and b not in unit:
+            if a not in unit and b not in unit and b in gens:
                 prod_by[a].append((b, s.mul[a][b]))
                 second_by[b].append((a, s.mul[a][b]))
     return [sorted(p) for p in sum_by], prod_by, second_by
@@ -195,7 +201,8 @@ def _actions_for_monoid(semiring, add):
     it is an operand of and whose other operand is known is cross-checked:
     an unknown result is filled, a known one must agree, and any
     disagreement rejects the partial table. The rare remaining cells are
-    branched on, so a table that settles complete satisfies every law.
+    branched on, so a table that settles complete satisfies every law that
+    _operand_laws keeps, and by core's reduction every law.
     """
     n = len(add)
     cols = semiring.size

@@ -28,8 +28,8 @@ from dataclasses import dataclass
 from functools import lru_cache, wraps
 from itertools import product
 
-from .core import Element, Semimodule, Subsemimodule, hash_once, is_cancellable, \
-    subtractive_closure_set
+from .core import Element, Semimodule, Subsemimodule, generators, hash_once, is_cancellable, \
+    subtractive_closure_set, validate_semimodule
 from .errors import LemmaRefuted, PreconditionError, StructureError
 from .quotients import QuotientModule, bourne_congruence, kernel_pair_congruence, quotient
 
@@ -73,9 +73,10 @@ class Morphism:
         return f"Morphism({self.name!r}: {self.domain.name} -> {self.codomain.name})"
 
 
-def _linearity_problem(dom: Semimodule, cod: Semimodule, f):
+def _linearity_problem(dom: Semimodule, cod: Semimodule, f, scalars=None):
     """Why the table f from dom to cod is not linear, the first law it breaks
-    in the order zero, additivity, equivariance; None when it is linear."""
+    in the order zero, additivity, equivariance at scalars (all of S when
+    None); None when it is linear."""
     if f[dom.zero] != cod.zero:
         return "does not preserve zero"
     for a in dom.elements():
@@ -85,14 +86,14 @@ def _linearity_problem(dom: Semimodule, cod: Semimodule, f):
                 return f"not additive at ({a},{b})"
     for a in dom.elements():
         act_a, act_fa = dom.action[a], cod.action[f[a]]
-        for s in range(dom.semiring.size):
+        for s in range(dom.semiring.size) if scalars is None else scalars:
             if f[act_a[s]] != act_fa[s]:
                 return f"not equivariant at ({a},s={s})"
     return None
 
 
 def is_linear_table(dom: Semimodule, cod: Semimodule, f) -> bool:
-    """Linearity predicate on a raw table, used by enumeration without exceptions."""
+    """Linearity predicate on a raw table over all of S, without exceptions."""
     return _linearity_problem(dom, cod, f) is None
 
 
@@ -460,10 +461,14 @@ def _hom_tables(M: Semimodule, N: Semimodule) -> tuple:
     """The sorted tables of every linear map M -> N, pruned by generator images.
 
     Candidate maps are determined by images of a greedy generating set and
-    then checked against the full linearity predicate, which also rejects
+    then checked against the linearity predicate, which also rejects
     assignments that break the generators' relations; that check is the
-    maps' only validation.
+    maps' only validation. When both modules validate, equivariance is
+    checked at the generators G of S alone, which implies it at all of S
+    (core.generators).
     """
+    spans = generators(M.semiring)
+    scalars = spans[1] if spans and _validates(M) and _validates(N) else None
     gens, order, derivation = _generating_sequence(M)
     out = []
     for images in product(range(N.size), repeat=len(gens)):
@@ -478,6 +483,12 @@ def _hom_tables(M: Semimodule, N: Semimodule) -> tuple:
                 table[m] = N.add[table[d[1]]][table[d[2]]]
             else:
                 table[m] = N.action[table[d[1]]][d[2]]
-        if is_linear_table(M, N, table):
+        if _linearity_problem(M, N, table, scalars) is None:
             out.append(tuple(table))
     return tuple(sorted(out))
+
+
+@lru_cache(maxsize=None)
+def _validates(M: Semimodule) -> bool:
+    """validate_semimodule(M).ok, once per table: M is a Semimodule.unnamed."""
+    return validate_semimodule(M).ok

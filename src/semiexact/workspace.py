@@ -261,7 +261,7 @@ class _Parser:
         hyps = []
         for bline, text in body:
             if text.startswith("hyp:"):
-                hyps.append(text[4:].strip())
+                hyps.append((bline, text[4:].strip()))
                 continue
             head, _, rest = text.partition(":")
             parts = head.split()
@@ -307,12 +307,17 @@ class _Parser:
             objs, maps = resolved
             for r, f in enumerate(maps):
                 verticals[(r, c)] = f
+        at = line  # shape and square failures are the header's, a tag's its own
         try:
-            self.ws.diagrams[name] = Diagram(name, nodes, horizontals, verticals, hyps)
+            d = Diagram(name, nodes, horizontals, verticals)
+            for at, tag in hyps:
+                d.declare(tag)
         except StructureError as exc:
-            self.error(file, line, "structural", str(exc))
+            self.error(file, at, "structural", str(exc))
         except HypothesisError as exc:
-            self.error(file, line, "hypothesis", str(exc))
+            self.error(file, at, "hypothesis", str(exc))
+        else:
+            self.ws.diagrams[name] = d
 
 
 def parse(text, file="<input>") -> Workspace:

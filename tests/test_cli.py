@@ -137,15 +137,39 @@ def test_shape_error_names_the_diagram_header(tmp_path, capsys):
     ("row-exact 2", "hypothesis tag 'row-exact 2' names no row")])
 def test_malformed_hypothesis_tag_is_located(tag, problem, tmp_path, capsys):
     """A hyp: tag of an unknown kind, or one that names no part of the grid,
-    is a structural problem at the diagram header's file:line: its kind is
-    checked before its argument is looked up."""
+    is a structural problem at the tag's own file:line: its kind is checked
+    before its argument is looked up."""
     lines = Path(DEMO).read_text(encoding="utf-8").splitlines()
     assert lines[75] == "diagram D"
     lines.insert(76, f"  hyp: {tag}")
     path = tmp_path / "tagged.sx"
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     assert run(["validate", str(path)]) == 2
-    assert f"{path}:76: structural: diagram D: {problem}\n" in capsys.readouterr().err
+    assert f"{path}:77: structural: diagram D: {problem}\n" in capsys.readouterr().err
+
+
+def test_hypothesis_tags_are_located_at_their_own_line(tmp_path, capsys):
+    """A declared tag that fails is a hypothesis problem at its own line, the
+    first failing tag only; a grid whose shape is wrong is still reported at
+    the header, whatever its tags."""
+    lines = Path(DEMO).read_text(encoding="utf-8").splitlines()
+    assert lines[75] == "diagram D" and lines[81:84] == [
+        "  hyp: surjective idz", "  hyp: cancellative Z", "end"]
+    path = tmp_path / "tagged.sx"
+    tagged = lines[:83] + ["  hyp: injective dropZ", "  hyp: surjective intoZ"] + lines[83:]
+    path.write_text("\n".join(tagged) + "\n", encoding="utf-8")
+    assert run(["validate", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert f"{path}:84: hypothesis: hypothesis diagram D: declared 'injective dropZ' " \
+           "violated (injective dropZ fails)\n" in err
+    assert f"{path}:85:" not in err
+    reshaped = tagged[:78] + ["  col 0: Z idz Z"] + tagged[79:]
+    path.write_text("\n".join(reshaped) + "\n", encoding="utf-8")
+    assert run(["validate", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert f"{path}:76: structural: diagram D: vertical at (0,0) does not match " \
+           "its nodes\n" in err
+    assert f"{path}:84:" not in err
 
 
 def test_classify_exit_and_flags(capsys):

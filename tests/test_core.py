@@ -4,18 +4,20 @@ import pytest
 from hypothesis import given, strategies as st
 
 from semiexact.core import (Element, Semimodule, Semiring, Subsemimodule,
-                            all_subsemimodules, is_cancellable,
+                            all_subsemimodules, generators, is_cancellable,
                             is_cancellative_module, is_subtractive, make_boolean,
                             make_natural_quotient, make_saturating_naturals,
                             make_truncated_minplus, make_zmod, module_from_monoid,
                             monoid_semiring, natural_action, self_module,
                             subtractive_closure, subtractive_closure_set,
                             validate_semimodule, validate_semiring, zero_module)
+from semiexact.enumeration import UniverseSpec, enumerate_semimodules
 from semiexact.errors import ParameterError, StructureError
-from semiexact.fixtures import mutated_module, mutated_semiring
+from semiexact.fixtures import builtin_semirings, mutated_module, mutated_semiring
 
 from conftest import all_semiring_fixtures, oracle_closure, oracle_semiring_laws, \
     oracle_semimodule_laws
+from full_scan import full_scan_semimodule, full_scan_semiring
 
 
 def test_builders_validate(semirings):
@@ -67,6 +69,50 @@ def test_validator_agrees_with_oracle_on_mutants():
                             continue
                         bad = mutated_semiring(s, table, i, j, v)
                         assert validate_semiring(bad).ok == (not oracle_semiring_laws(bad))
+
+
+@pytest.mark.parametrize("name", list(builtin_semirings()))
+def test_semiring_reports_match_full_scan_on_mutants(name):
+    """Every single-cell mutant of a builtin's add and mul tables gets the
+    report of the full scan, string for string: checking laws on generators
+    of S misses no violation and names the same witness."""
+    s = builtin_semirings()[name]
+    for table in ("add", "mul"):
+        for i, row in enumerate(getattr(s, table)):
+            for j, x in enumerate(row):
+                for v in range(s.size):
+                    if v != x:
+                        bad = mutated_semiring(s, table, i, j, v)
+                        assert str(validate_semiring(bad)) == str(full_scan_semiring(bad))
+
+
+@pytest.mark.parametrize("name", list(builtin_semirings()))
+def test_module_reports_match_full_scan_on_mutants(name):
+    """Every single-cell mutant of the add and action tables of each module of
+    size <= 3 over a builtin gets the report of the full scan."""
+    mutants = 0
+    for m in enumerate_semimodules(UniverseSpec(builtin_semirings()[name], 3)).modules:
+        assert str(validate_semimodule(m)) == str(full_scan_semimodule(m)) \
+            == f"module {m.name}: ok"
+        for table in ("add", "action"):
+            for i, row in enumerate(getattr(m, table)):
+                for j, x in enumerate(row):
+                    for v in range(m.size):
+                        if v != x:
+                            bad = mutated_module(m, table, i, j, v)
+                            assert str(validate_semimodule(bad)) == str(full_scan_semimodule(bad))
+                            mutants += 1
+    assert mutants > 0
+
+
+def test_generators_of_builtins():
+    gens = {name: generators(s) for name, s in builtin_semirings().items()}
+    for name in ("B", "Z2", "Z3", "Z4", "T1", "T2", "T3", "nat3", "nat4"):
+        assert gens[name] == ((1,), ()), name
+    for k in (1, 2, 3):
+        assert gens[f"minplus{k}"] == (tuple(range(1, k + 2)), (2,))
+    assert gens["BxZ2"] == ((1, 2), (1,)) and gens["T2xB"] == ((1, 2), (1, 2))
+    assert generators(mutated_semiring(make_boolean(), "add", 0, 1, 0)) is None
 
 
 def test_module_mutants_fail(sat3, max3):

@@ -23,6 +23,8 @@ from semiexact.enumeration import (PROPERTIES, Counterexample, ExhaustionReport,
 from semiexact.errors import ParameterError, PreconditionError
 from semiexact.fixtures import builtin_semirings, monoid_fixture
 
+from conftest import oracle_semimodule_laws
+
 DATA = Path(__file__).resolve().parent / "data"
 CATALOG = DATA / "catalog_outcomes.json"
 UNIVERSES = DATA / "universe_seed.json"
@@ -221,7 +223,8 @@ def test_monoid_tables_match_product_sweep():
 def test_actions_match_validation_oracle():
     """For every builtin semiring and labelled monoid table with at most 1000
     fillings of the cells outside row 0, column 0_S and column 1_S, the action
-    search returns exactly the fillings validate_semimodule accepts."""
+    search returns exactly the fillings the independent law scan accepts:
+    validate_semimodule reads the same generators of S as the search."""
     cases = grids = 0
     for semiring in builtin_semirings().values():
         free = [x for x in range(semiring.size) if x not in (semiring.zero, semiring.one)]
@@ -238,7 +241,7 @@ def test_actions_match_validation_oracle():
                     for (m, x), v in zip(cells, values):
                         grid[m][x] = v
                     table = freeze_table(grid)
-                    if validate_semimodule(Semimodule("oracle", semiring, n, add, table)).ok:
+                    if not oracle_semimodule_laws(Semimodule("oracle", semiring, n, add, table)):
                         accepted.append(table)
                 assert _actions_for_monoid(semiring, add) == accepted, (semiring.name, add)
                 cases += 1

@@ -1,6 +1,7 @@
 """Morphism machinery: kernels, images, classification, induced maps, Hom."""
 
 import dataclasses
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,13 +13,15 @@ from semiexact.core import (Semimodule, Semiring, Subsemimodule, is_cancellative
 from semiexact.enumeration import (enumerate_semimodules, is_epimorphism, is_monomorphism,
                                    universe_with_free_module, UniverseSpec)
 from semiexact.errors import PreconditionError, StructureError
-from semiexact.morphisms import (Morphism, _table, canonical_iso, classify, cokernel,
-                                 coimage, compose, enumerate_hom, factor_through_injection,
-                                 factor_through_surjection, hom_add, identity_morphism,
-                                 image, image_set, induced_from_cokernel,
-                                 induced_to_kernel, is_injective, is_isomorphism,
-                                 is_k_uniform, is_surjective, kernel, kernel_set,
-                                 submodule_as_module, zero_morphism)
+from semiexact.fixtures import builtin_semirings
+from semiexact.morphisms import (Morphism, _generating_sequence, _table, canonical_iso,
+                                 classify, cokernel, coimage, compose, enumerate_hom,
+                                 factor_through_injection, factor_through_surjection,
+                                 hom_add, identity_morphism, image, image_set,
+                                 induced_from_cokernel, induced_to_kernel, is_injective,
+                                 is_isomorphism, is_k_uniform, is_linear_table,
+                                 is_surjective, kernel, kernel_set, submodule_as_module,
+                                 zero_morphism)
 from semiexact.quotients import bourne_congruence, quotient
 
 
@@ -432,3 +435,45 @@ def test_factor_through_surjection(semiring):
     p = next(p for M in mods for p in out_of[M] if p.domain.size > 1)
     with pytest.raises(PreconditionError):
         factor_through_surjection(p, p.map[:-1], p.codomain, "short")
+
+
+def _product_hom_tables(M, N):
+    """The hom search that checks equivariance at every element of S: each
+    assignment of images to a greedy generating set of M, extended along its
+    derivation and kept when is_linear_table accepts it."""
+    gens, order, derivation = _generating_sequence(M)
+    out = []
+    for images in product(range(N.size), repeat=len(gens)):
+        table = [None] * M.size
+        for m in order:
+            d = derivation[m]
+            if d[0] == "zero":
+                table[m] = N.zero
+            elif d[0] == "gen":
+                table[m] = images[d[1]]
+            elif d[0] == "add":
+                table[m] = N.add[table[d[1]]][table[d[2]]]
+            else:
+                table[m] = N.action[table[d[1]]][d[2]]
+        if is_linear_table(M, N, table):
+            out.append(tuple(table))
+    return tuple(sorted(out))
+
+
+def test_hom_tables_match_product_search(nat4_universe):
+    """Checking equivariance at the generators G of S finds the same maps as
+    checking it at all of S, on every pair of modules of size <= 3 over each
+    builtin semiring and on every pair of nat4@4 (2,280 maps)."""
+    universes = [enumerate_semimodules(UniverseSpec(s, 3)).modules
+                 for s in builtin_semirings().values()]
+    for mods in universes:
+        for M in mods:
+            for N in mods:
+                assert morphisms._hom_tables(M.unnamed, N.unnamed) == _product_hom_tables(M, N)
+    maps = 0
+    for M in nat4_universe:
+        for N in nat4_universe:
+            tables = morphisms._hom_tables(M.unnamed, N.unnamed)
+            assert tables == _product_hom_tables(M, N)
+            maps += len(tables)
+    assert maps == 2280

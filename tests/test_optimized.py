@@ -13,6 +13,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 SLICE = ["tests/test_core.py", "tests/test_quotients.py",
          "tests/test_exactness.py::test_exact_at_matches_reference",
+         "tests/test_morphisms.py::test_hom_tables_match_product_search",
          *(f"tests/test_enumeration.py::{name}" for name in (
              "test_monoid_counts", "test_ring_module_counts",
              "test_naive_recount_matches", "test_canonical_monoid_tables",
