@@ -238,8 +238,8 @@ def cmd_corpus(args, report):
     out = Workspace()
     out.semirings[semiring.name] = semiring
     for i, m in enumerate(uni.modules):
-        out.modules[f"corpus{i}"] = type(m)(f"corpus{i}", m.semiring, m.size,
-                                            m.add, m.action, zero=m.zero)
+        out.modules[f"corpus{i}"] = m._trusted(f"corpus{i}", m.semiring, m.size,
+                                               m.add, m.action, m.zero)
     text = serialize(out)
     if args.corpus:
         _write(args.corpus, text)

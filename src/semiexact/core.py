@@ -12,27 +12,39 @@ make table typos obvious.
 
 Laws that quantify over S are checked on generators of S, generators(S):
 A generates (S, +) from 0 and G generates S under + and * from 0 and 1
-(A = {1} and G empty for B, Z_n, T_k and nat_k; G = {2} for minplus and
-{1, 2} for T2xB). Each reduction rests on laws checked in full first; when
-one of those fails, the law is scanned over all of S. A law that fails on
-the generators is scanned again over all of S in the full scan's order, so
-every report names the witness the full scan names. The proofs:
+(A = {1} and G empty for B, Z_n, T_k and nat_k; G = {2} for minplus,
+{1, 2} for T2xB and {2, 3, 5} for UT2B). A valid structure is accepted by one pass of plain loops
+over the reduced laws, which stops at the first law that fails. Only then,
+or when S itself does not validate, does the reporting scan run: each law
+once, witnessed by the first failing arguments in the full scan's order.
+It narrows a law to the generators only where the laws the reduction rests
+on hold, and scans a law that fails there again over all of S, so every
+report names the witness the full scan names. The proofs:
 
 - Two tools. Additive maps that agree on A agree on S. And the set T of
   t at which a law holds for every value of its other arguments is closed
-  under + (and under *, for the action law) and holds 0 (and 1); then T
+  under + (and under *, for the action laws) and holds 0 (and 1); then T
   holds the closure of the generators, which is S.
 - Semiring, given 0 neutral and absorbing: (a+b)+t = a+(b+t) holds at
   t = 0, and at t + u when it holds at t and u, by three uses at u and one
   at t. With + associative, a(b+t) = ab+at and (b+t)a = ba+ta hold at 0
   and are closed under +. With both distributive laws, (ab)c = a(bc) on
   A^3 spreads to S one argument at a time: in each, both sides are
-  additive maps that agree on A.
+  additive maps that agree on A. The pass checks + commutative and 0
+  neutral on S, + associative at c in A, 0 absorbing, both distributive
+  laws at c in A, * associative on A^3, 1 neutral and 0 != 1.
 - Module, given S valid, M a commutative monoid, m1 = m and m0_S = 0_M:
   m(s+t) = ms+mt holds at t = 0 and is closed under + by associativity of
   both additions. With it, (ms)t = m(st) holds at 0 and 1, is closed under
   + by left distributivity in S, and under * since
-  (ms)(tu) = ((ms)t)u = (m(st))u = m((st)u) = m(s(tu)).
+  (ms)(tu) = ((ms)t)u = (m(st))u = m((st)u) = m(s(tu)). With both,
+  (m+m')s = ms+m's holds at s = 0 (0_M + 0_M = 0_M) and s = 1, at s + t
+  when it holds at s and t, as (m+m')(s+t) = (m+m')s + (m+m')t =
+  ms+m's+mt+m't = m(s+t) + m'(s+t) in the commutative monoid M, and at st,
+  as (m+m')(st) = ((m+m')s)t = (ms+m's)t = (ms)t+(m's)t = m(st)+m'(st).
+  The pass checks M a commutative monoid on all of M, m1 = m, m0_S = 0_M
+  and 0_M s = 0_M, then m(s+t) = ms+mt for t in A, (ms)t = m(st) for t in
+  G and (m+m')s = ms+m's for s in G.
 - Maps, when both modules validate: an additive map f with f(0) = 0 is
   equivariant, f(ms) = f(m)s, at 0 and 1, at s + t when it is at s and t,
   and at st, as f(m(st)) = f((ms)t) = f(ms)t = (f(m)s)t. So the hom search
@@ -44,8 +56,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import islice, product, starmap
-from operator import indexOf
+from itertools import product
 
 from .errors import LemmaRefuted, ParameterError, StructureError
 
@@ -158,13 +169,21 @@ class Semimodule:
 
     __hash__ = hash_once
 
+    @classmethod
+    def _trusted(cls, name, semiring, size, add, action, zero=0):
+        """The module the public constructor builds from tables that are already
+        frozen and in range (a checked module's, or a search's), without
+        freezing or checking them again."""
+        m = object.__new__(cls)
+        m.__dict__.update(name=name, semiring=semiring, size=size, add=add, action=action,
+                          zero=zero)
+        return m
+
     @cached_property
     def unnamed(self):
         """This module named "", every other field (semiring and zero too) kept,
         built once: the key of caches of results that depend on tables alone."""
-        twin = object.__new__(type(self))  # fields already checked: no __post_init__
-        twin.__dict__.update({k: getattr(self, k) for k in self.__dataclass_fields__}, name="")
-        return twin
+        return self._trusted("", self.semiring, self.size, self.add, self.action, self.zero)
 
     def __repr__(self):
         return f"Semimodule({self.name!r}, size={self.size}, over={self.semiring.name!r})"
@@ -216,19 +235,17 @@ class Element:
             raise StructureError(f"element {self.index} out of range in {self.module.name}")
 
 
-def _law(law, keys, holds, ranges, narrowed=None):
-    """The Violation of holds(*args) over the product of ranges, witnessed by
-    the first failing args in that order (named by keys), or None. narrowed,
-    when given, are ranges on which the law holds exactly when it holds on
-    all of ranges: they are scanned first, and ranges only once they fail."""
-    if narrowed is not None and False not in starmap(holds, product(*narrowed)):
+def _law(law, keys, fails, ranges, narrowed=None):
+    """The Violation of a law over the product of ranges, witnessed by the
+    first failing args in that order (named by keys), or None. fails(*ranges)
+    yields the failing args in that order, the law's test written inline.
+    narrowed, when given, are ranges on which the law holds exactly when it
+    holds on all of ranges: they are scanned first, and ranges only once they
+    fail."""
+    if narrowed is not None and next(fails(*narrowed), None) is None:
         return None
-    try:
-        first = indexOf(starmap(holds, product(*ranges)), False)
-    except ValueError:
-        return None
-    bad = next(islice(product(*ranges), first, None))
-    return Violation(law, ",".join(f"{k}={v}" for k, v in zip(keys, bad)))
+    bad = next(fails(*ranges), None)
+    return None if bad is None else Violation(law, ",".join(f"{k}={v}" for k, v in zip(keys, bad)))
 
 
 def _monoid_violations(size, add, zero, label, adds=None):
@@ -236,15 +253,95 @@ def _monoid_violations(size, add, zero, label, adds=None):
     a+(b+c) is checked for c in adds, additive generators, when given."""
     rng = range(size)
     neutral = _law(f"{label} zero not neutral for addition", "a",
-                   lambda a: add[a][zero] == a and add[zero][a] == a, (rng,))
+                   lambda A: ((a,) for a in A if add[a][zero] != a or add[zero][a] != a), (rng,))
     laws = (
         _law(f"{label} addition not commutative", "ab",
-             lambda a, b: add[a][b] == add[b][a], (rng, rng)),
+             lambda A, B: ((a, b) for a in A for b in B if add[a][b] != add[b][a]), (rng, rng)),
         _law(f"{label} addition not associative", "abc",
-             lambda a, b, c: add[add[a][b]][c] == add[a][add[b][c]], (rng,) * 3,
+             lambda A, B, C: ((a, b, c) for a in A for b in B for c in C
+                              if add[add[a][b]][c] != add[a][add[b][c]]), (rng,) * 3,
              None if neutral or adds is None else (rng, rng, adds)),
         neutral)
     return [v for v in laws if v]
+
+
+def _is_monoid(add, zero, adds):
+    """Whether add is commutative with zero neutral, and associative at c in
+    adds: the monoid laws of the accepting pass."""
+    rng = range(len(add))
+    if add[zero] != tuple(rng):
+        return False
+    for a in rng:
+        ra = add[a]
+        for b in rng:
+            rb = add[b]
+            if ra[b] != rb[a]:
+                return False
+            rab = add[ra[b]]
+            for c in adds:
+                if rab[c] != ra[rb[c]]:
+                    return False
+    return True
+
+
+def _is_semiring(s: Semiring, adds):
+    """Whether s is a semiring, by one pass over the laws at the additive
+    generators adds that the proofs at the top of this file allow."""
+    add, mul, zero, one = s.add, s.mul, s.zero, s.one
+    rng = range(s.size)
+    if zero == one or not _is_monoid(add, zero, adds):
+        return False
+    if mul[zero] != (zero,) * s.size or mul[one] != tuple(rng):
+        return False
+    for a in rng:
+        ma = mul[a]
+        if ma[zero] != zero or ma[one] != a:
+            return False
+        for b in rng:
+            rb, mab, mb = add[b], add[ma[b]], mul[b]
+            for c in adds:
+                if ma[rb[c]] != mab[ma[c]] or mul[rb[c]][a] != add[mb[a]][mul[c][a]]:
+                    return False
+    for a in adds:
+        ma = mul[a]
+        for b in adds:
+            mab = mul[ma[b]]
+            mb = mul[b]
+            for c in adds:
+                if mab[c] != ma[mb[c]]:
+                    return False
+    return True
+
+
+def _is_module(m: Semimodule, adds, gens):
+    """Whether m is a module over its semiring, which validates with
+    generators (adds, gens), by one pass over the laws that the proofs at
+    the top of this file allow."""
+    s = m.semiring
+    add, act, zero = m.add, m.action, m.zero
+    sadd, smul = s.add, s.mul
+    mrng = range(m.size)
+    if not _is_monoid(add, zero, mrng) or act[zero] != (zero,) * s.size:
+        return False
+    for a in mrng:
+        row = act[a]
+        if row[s.one] != a or row[s.zero] != zero:
+            return False
+        for x in range(s.size):
+            sx, ax, arx, mx = sadd[x], add[row[x]], act[row[x]], smul[x]
+            for t in adds:
+                if row[sx[t]] != ax[row[t]]:
+                    return False
+            for t in gens:
+                if arx[t] != row[mx[t]]:
+                    return False
+    for x in gens:
+        for a in mrng:
+            ra, ax = add[a], add[act[a][x]]
+            for b in mrng:
+                if act[ra[b]][x] != ax[act[b][x]]:
+                    return False
+    return True
 
 
 def _spanning(s: Semiring, fixed, tables):
@@ -285,23 +382,31 @@ def generators(s: Semiring):
 def validate_semiring(s: Semiring) -> ValidationReport:
     """Check every semiring law, returning all violated laws with witnesses."""
     add, mul, zero, one = s.add, s.mul, s.zero, s.one
+    adds = _spanning(s, (zero,), (add,))
+    if _is_semiring(s, adds):
+        return ValidationReport(f"semiring {s.name}", ())
     rng = range(s.size)
     full = (rng,) * 3
-    adds = _spanning(s, (zero,), (add,))
     monoid = _monoid_violations(s.size, add, zero, "semiring", adds)
     absorbing = _law("zero not absorbing", "a",
-                     lambda a: mul[zero][a] == zero and mul[a][zero] == zero, (rng,))
+                     lambda A: ((a,) for a in A if mul[zero][a] != zero or mul[a][zero] != zero),
+                     (rng,))
     on_gens = None if monoid or absorbing else (rng, rng, adds)
     left = _law("left distributivity fails", "abc",
-                lambda a, b, c: mul[a][add[b][c]] == add[mul[a][b]][mul[a][c]], full, on_gens)
+                lambda A, B, C: ((a, b, c) for a in A for b in B for c in C
+                                 if mul[a][add[b][c]] != add[mul[a][b]][mul[a][c]]),
+                full, on_gens)
     right = _law("right distributivity fails", "abc",
-                 lambda a, b, c: mul[add[b][c]][a] == add[mul[b][a]][mul[c][a]], full, on_gens)
+                 lambda A, B, C: ((a, b, c) for a in A for b in B for c in C
+                                  if mul[add[b][c]][a] != add[mul[b][a]][mul[c][a]]),
+                 full, on_gens)
     laws = (
         _law("multiplication not associative", "abc",
-             lambda a, b, c: mul[mul[a][b]][c] == mul[a][mul[b][c]], full,
-             None if on_gens is None or left or right else (adds,) * 3),
+             lambda A, B, C: ((a, b, c) for a in A for b in B for c in C
+                              if mul[mul[a][b]][c] != mul[a][mul[b][c]]),
+             full, None if on_gens is None or left or right else (adds,) * 3),
         _law("one not neutral for multiplication", "a",
-             lambda a: mul[a][one] == a and mul[one][a] == a, (rng,)),
+             lambda A: ((a,) for a in A if mul[a][one] != a or mul[one][a] != a), (rng,)),
         left, right, absorbing,
         Violation("zero equals one", f"zero={zero}") if zero == one else None)
     return ValidationReport(f"semiring {s.name}", tuple(monoid + [v for v in laws if v]))
@@ -310,24 +415,34 @@ def validate_semiring(s: Semiring) -> ValidationReport:
 def validate_semimodule(m: Semimodule) -> ValidationReport:
     """Check every right-semimodule law over the module's semiring."""
     s = m.semiring
+    gens = generators(s)
+    if gens is not None and _is_module(m, *gens):
+        return ValidationReport(f"module {m.name}", ())
     add, act, zero = m.add, m.action, m.zero
     mrng, srng = range(m.size), range(s.size)
     monoid = _monoid_violations(m.size, add, zero, "module")
-    unit = _law("m.1 != m", "m", lambda a: act[a][s.one] == a, (mrng,))
-    scalar_zero = _law("m.0_S != 0_M", "m", lambda a: act[a][s.zero] == zero, (mrng,))
-    gens = None if monoid or unit or scalar_zero else generators(s)
+    unit = _law("m.1 != m", "m", lambda A: ((a,) for a in A if act[a][s.one] != a), (mrng,))
+    scalar_zero = _law("m.0_S != 0_M", "m",
+                       lambda A: ((a,) for a in A if act[a][s.zero] != zero), (mrng,))
+    if monoid or unit or scalar_zero:
+        gens = None
     sums = _law("m(s+s') != ms+ms'", "mst",
-                lambda a, x, y: act[a][s.add[x][y]] == add[act[a][x]][act[a][y]],
+                lambda A, X, Y: ((a, x, y) for a in A for x in X for y in Y
+                                 if act[a][s.add[x][y]] != add[act[a][x]][act[a][y]]),
                 (mrng, srng, srng), None if gens is None else (mrng, srng, gens[0]))
+    products = _law("(ms)s' != m(ss')", "mst",
+                    lambda A, X, Y: ((a, x, y) for a in A for x in X for y in Y
+                                     if act[act[a][x]][y] != act[a][s.mul[x][y]]),
+                    (mrng, srng, srng), None if gens is None or sums else (mrng, srng, gens[1]))
     laws = (
-        _law("(ms)s' != m(ss')", "mst",
-             lambda a, x, y: act[act[a][x]][y] == act[a][s.mul[x][y]], (mrng, srng, srng),
-             None if gens is None or sums else (mrng, srng, gens[1])),
+        products,
         _law("(m+m')s != ms+m's", "mns",
-             lambda a, b, x: act[add[a][b]][x] == add[act[a][x]][act[b][x]],
-             (mrng, mrng, srng)),
+             lambda A, B, X: ((a, b, x) for a in A for b in B for x in X
+                              if act[add[a][b]][x] != add[act[a][x]][act[b][x]]),
+             (mrng, mrng, srng),
+             None if gens is None or sums or products else (mrng, mrng, gens[1])),
         sums, unit, scalar_zero,
-        _law("0_M.s != 0_M", "s", lambda x: act[zero][x] == zero, (srng,)))
+        _law("0_M.s != 0_M", "s", lambda X: ((x,) for x in X if act[zero][x] != zero), (srng,)))
     return ValidationReport(f"module {m.name}", tuple(monoid + [v for v in laws if v]))
 
 
@@ -451,6 +566,27 @@ def make_truncated_minplus(k: int) -> Semiring:
             else:
                 mul[a][b] = idx(min(val(a) + val(b), k))
     return _built(Semiring(f"minplus{k}", n, add, mul, zero=top, one=idx(0)))
+
+
+@lru_cache(maxsize=None)
+def make_upper_triangular_boolean() -> Semiring:
+    """UT2B: the upper-triangular 2x2 Boolean matrices [[a, b], [0, d]] under
+    entrywise OR and the matrix product, a semiring whose multiplication is not
+    commutative. 0 is the zero matrix, 1 the identity, and the other six
+    follow in the lexicographic order of (a, b, d)."""
+    order = [(0, 0, 0), (1, 0, 1)]
+    order += [x for x in product((0, 1), repeat=3) if x not in order]
+    index = {x: i for i, x in enumerate(order)}
+
+    def plus(x, y):
+        return index[tuple(p | q for p, q in zip(x, y))]
+
+    def times(x, y):
+        (a, b, d), (e, f, h) = x, y
+        return index[(a & e, (a & f) | (b & h), d & h)]
+
+    return _built(Semiring("UT2B", 8, [[plus(x, y) for y in order] for x in order],
+                           [[times(x, y) for y in order] for x in order]))
 
 
 @lru_cache(maxsize=None)

@@ -22,12 +22,14 @@ enumerate_semimodules_naive, the unpruned recount oracle.
 Both generators prune partial tables: a monoid table is filled cell by cell
 and dropped at the first triple that breaks associativity, and an action
 table is propagated law by law, each law cross-checked as soon as its
-operands are known. Only the action laws at generators of S are
-propagated (core.generators); they imply the rest, so a grid that settles
-complete is a module, and validate_semimodule, which reads the same
-generators, confirms it. The tests hold the search to an independent law
-scan over all of S. Everything here is deterministic; the seed in a
-UniverseSpec only matters to downstream samplers.
+operands are known. The sum and product laws are propagated only at
+generators of S (core.generators), and (p+q)x = px + qx at every x; they
+imply the rest, so a grid that settles complete is a module.
+validate_semimodule accepts it in one pass that checks (p+q)x only at x in
+G, and the sum and product laws at the same generators. The tests hold the
+search to an independent law scan over all of S. Everything here is
+deterministic; the seed in a UniverseSpec only matters to downstream
+samplers.
 
 The counterexample catalog is one table, _CATALOG: each Property has its
 description, its candidate stream over a universe, one predicate
@@ -266,8 +268,7 @@ def _actions_for_monoid(semiring, add):
                             search(h)
                     return
         table = freeze_table(g)
-        candidate = Semimodule("cand", semiring, n, add, table)
-        if validate_semimodule(candidate).ok:
+        if validate_semimodule(Semimodule._trusted("cand", semiring, n, add, table)).ok:
             results.append(table)
 
     grid = [[None] * cols for _ in rows]
@@ -311,7 +312,7 @@ def _enumerated(semiring: Semiring, max_size: int):
                     found.append((n, add, action))
     found.sort()
     return tuple(
-        Semimodule(f"U{semiring.name}.{i}", semiring, n, add, action)
+        Semimodule._trusted(f"U{semiring.name}.{i}", semiring, n, add, action)
         for i, (n, add, action) in enumerate(found))
 
 

@@ -7,11 +7,14 @@ from semiexact.core import (Element, Semimodule, Semiring, Subsemimodule,
                             all_subsemimodules, generators, is_cancellable,
                             is_cancellative_module, is_subtractive, make_boolean,
                             make_natural_quotient, make_saturating_naturals,
-                            make_truncated_minplus, make_zmod, module_from_monoid,
+                            make_truncated_minplus, make_upper_triangular_boolean,
+                            make_zmod, module_from_monoid,
                             monoid_semiring, natural_action, self_module,
                             subtractive_closure, subtractive_closure_set,
                             validate_semimodule, validate_semiring, zero_module)
-from semiexact.enumeration import UniverseSpec, enumerate_semimodules
+from semiexact.core import _is_module, _is_semiring
+from semiexact.enumeration import (UniverseSpec, enumerate_semimodules,
+                                   enumerate_semimodules_naive)
 from semiexact.errors import ParameterError, StructureError
 from semiexact.fixtures import builtin_semirings, mutated_module, mutated_semiring
 
@@ -103,6 +106,102 @@ def test_module_reports_match_full_scan_on_mutants(name):
                             assert str(validate_semimodule(bad)) == str(full_scan_semimodule(bad))
                             mutants += 1
     assert mutants > 0
+
+
+def _mutants(x, tables):
+    """Every single-cell mutant of the named tables of a semiring or module."""
+    mutated = mutated_semiring if isinstance(x, Semiring) else mutated_module
+    for table in tables:
+        for i, row in enumerate(getattr(x, table)):
+            for j, old in enumerate(row):
+                for v in range(x.size):
+                    if v != old:
+                        yield mutated(x, table, i, j, v)
+
+
+def test_module_reports_match_full_scan_on_size4_mutants():
+    """Every single-cell mutant of each size-4 module over the builtins whose
+    G is not empty gets the report of the full scan: (m+m')s = ms + m's is
+    checked at s in G only, so a wrong reduction of it would show here."""
+    mutants = 0
+    for name in ("minplus1", "minplus2", "minplus3", "BxZ2", "T2xB"):
+        s = builtin_semirings()[name]
+        assert generators(s)[1], name
+        for m in enumerate_semimodules(UniverseSpec(s, 4)).modules:
+            if m.size == 4:
+                assert _is_module(m, *generators(s)), m.name
+                for bad in _mutants(m, ("add", "action")):
+                    assert str(validate_semimodule(bad)) == str(full_scan_semimodule(bad))
+                    mutants += 1
+    assert mutants == 5760
+
+
+def test_laws_at_generators_are_checked_at_each_generator():
+    """Tables that meet every law but one, and break it only at a later
+    element of G: the report names that law as the full scan does."""
+    t2xb, ut2b = builtin_semirings()["T2xB"], make_upper_triangular_boolean()
+    cases = [  # (m+m')s breaks at s = 2 over T2xB and at s = 5 over UT2B
+        (t2xb, ((0, 1, 2), (1, 1, 1), (2, 1, 2)),
+         ((0, 0, 0, 0, 0, 0), (0, 1, 0, 1, 0, 1), (0, 0, 2, 2, 2, 2)), "(m+m')s != ms+m's"),
+        (ut2b, ((0, 1, 2), (1, 1, 2), (2, 2, 2)),
+         ((0, 0, 0, 0, 0, 0, 0, 0), (0, 1, 0, 0, 0, 1, 1, 1), (0, 2, 2, 0, 2, 0, 0, 2)),
+         "(m+m')s != ms+m's"),
+        # (ms)t breaks at t = 2 over T2xB and at t = 3 over UT2B
+        (t2xb, ((0, 1, 2), (1, 1, 1), (2, 1, 2)),
+         ((0, 0, 0, 0, 0, 0), (0, 1, 2, 1, 2, 1), (0, 0, 2, 2, 2, 2)), "(ms)s' != m(ss')"),
+        (ut2b, ((0, 1), (1, 1)), ((0, 0, 0, 0, 0, 0, 0, 0), (0, 1, 1, 1, 1, 0, 1, 1)),
+         "(ms)s' != m(ss')")]
+    for s, add, action, law in cases:
+        bad = Semimodule("bad", s, len(add), add, action)
+        report = validate_semimodule(bad)
+        assert [v.law for v in report.violations] == [law], s.name
+        assert str(report) == str(full_scan_semimodule(bad))
+
+
+def test_accepting_pass_accepts_every_valid_structure():
+    """The one-pass check at generators accepts each valid semiring and module
+    itself, so the reporting scan runs only on invalid input."""
+    semirings = [*all_semiring_fixtures().values(), make_upper_triangular_boolean()]
+    for s in semirings:
+        adds, gens = generators(s)
+        assert _is_semiring(s, adds), s.name
+        for m in (self_module(s), *enumerate_semimodules(UniverseSpec(s, 3)).modules):
+            assert _is_module(m, adds, gens), m.name
+
+
+def test_upper_triangular_boolean_validates():
+    """UT2B's multiplication is not commutative, and G has three elements."""
+    s = make_upper_triangular_boolean()
+    assert validate_semiring(s).ok and not oracle_semiring_laws(s)
+    assert s.mul != tuple(zip(*s.mul))
+    assert generators(s) == ((1, 2, 3, 5), (2, 3, 5))
+    assert validate_semimodule(self_module(s)).ok
+
+
+def test_upper_triangular_boolean_reports_match_full_scan_on_mutants():
+    """Every single-cell mutant of UT2B's add and mul tables, and of the add
+    and action tables of its modules of size <= 3, gets the full scan's
+    report; its size <= 3 universe is the 5 modules the recount finds."""
+    s = make_upper_triangular_boolean()
+    for bad in _mutants(s, ("add", "mul")):
+        assert str(validate_semiring(bad)) == str(full_scan_semiring(bad))
+    modules = enumerate_semimodules(UniverseSpec(s, 3)).modules
+    assert len(modules) == 5 == len(enumerate_semimodules_naive(s, 3))
+    for m in modules:
+        assert str(validate_semimodule(m)) == str(full_scan_semimodule(m)) \
+            == f"module {m.name}: ok"
+        for bad in _mutants(m, ("add", "action")):
+            assert str(validate_semimodule(bad)) == str(full_scan_semimodule(bad))
+
+
+def test_trusted_modules_equal_checked_ones():
+    """Enumerated modules and their name-free twins skip only the freezing and
+    range checks: each equals, and hashes as, the module the public
+    constructor builds from its fields."""
+    for m in enumerate_semimodules(UniverseSpec(builtin_semirings()["T2xB"], 3)).modules:
+        for x in (m, m.unnamed):
+            checked = Semimodule(x.name, x.semiring, x.size, x.add, x.action, zero=x.zero)
+            assert x == checked and hash(x) == hash(checked), x.name
 
 
 def test_generators_of_builtins():
