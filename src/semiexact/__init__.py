@@ -13,10 +13,10 @@ from .core import (Element, Semimodule, Semiring, Subsemimodule, ValidationRepor
                    Violation, all_subsemimodules, generators, is_cancellable,
                    is_cancellative_module, is_subtractive, make_boolean,
                    make_natural_quotient, make_product, make_saturating_naturals,
-                   make_truncated_minplus, make_upper_triangular_boolean, make_zmod,
-                   module_from_monoid, monoid_semiring, self_module,
-                   subtractive_closure, subtractive_closure_set, validate_semimodule,
-                   validate_semiring, zero_module)
+                   make_truncated_minplus, make_zmod, module_from_monoid,
+                   monoid_semiring, self_module, subtractive_closure,
+                   subtractive_closure_set, validate_semimodule, validate_semiring,
+                   zero_module)
 from .errors import (HypothesisError, LemmaRefuted, ParameterError, PreconditionError,
                      SemiexactError, StructureError, WorkspaceError)
 from .exactness import (ExactnessVerdict, KerCokerResult, Sequence, ShortExactResult,

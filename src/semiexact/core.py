@@ -13,13 +13,11 @@ make table typos obvious.
 Laws that quantify over S are checked on generators of S, generators(S):
 A generates (S, +) from 0 and G generates S under + and * from 0 and 1
 (A = {1} and G empty for B, Z_n, T_k and nat_k; G = {2} for minplus,
-{1, 2} for T2xB and {2, 3, 5} for UT2B). A valid structure is accepted by one pass of plain loops
-over the reduced laws, which stops at the first law that fails. Only then,
-or when S itself does not validate, does the reporting scan run: each law
-once, witnessed by the first failing arguments in the full scan's order.
-It narrows a law to the generators only where the laws the reduction rests
-on hold, and scans a law that fails there again over all of S, so every
-report names the witness the full scan names. The proofs:
+{1, 2} for T2xB and {2, 3, 5} for UT2B). Each reduction rests on laws
+checked in full first; when one of those fails, the law is scanned over
+all of S. A law that fails on the generators is scanned again over all of
+S in the full scan's order, so every report names the witness the full
+scan names. The proofs:
 
 - Two tools. Additive maps that agree on A agree on S. And the set T of
   t at which a law holds for every value of its other arguments is closed
@@ -30,9 +28,7 @@ report names the witness the full scan names. The proofs:
   at t. With + associative, a(b+t) = ab+at and (b+t)a = ba+ta hold at 0
   and are closed under +. With both distributive laws, (ab)c = a(bc) on
   A^3 spreads to S one argument at a time: in each, both sides are
-  additive maps that agree on A. The pass checks + commutative and 0
-  neutral on S, + associative at c in A, 0 absorbing, both distributive
-  laws at c in A, * associative on A^3, 1 neutral and 0 != 1.
+  additive maps that agree on A.
 - Module, given S valid, M a commutative monoid, m1 = m and m0_S = 0_M:
   m(s+t) = ms+mt holds at t = 0 and is closed under + by associativity of
   both additions. With it, (ms)t = m(st) holds at 0 and 1, is closed under
@@ -42,9 +38,6 @@ report names the witness the full scan names. The proofs:
   when it holds at s and t, as (m+m')(s+t) = (m+m')s + (m+m')t =
   ms+m's+mt+m't = m(s+t) + m'(s+t) in the commutative monoid M, and at st,
   as (m+m')(st) = ((m+m')s)t = (ms+m's)t = (ms)t+(m's)t = m(st)+m'(st).
-  The pass checks M a commutative monoid on all of M, m1 = m, m0_S = 0_M
-  and 0_M s = 0_M, then m(s+t) = ms+mt for t in A, (ms)t = m(st) for t in
-  G and (m+m')s = ms+m's for s in G.
 - Maps, when both modules validate: an additive map f with f(0) = 0 is
   equivariant, f(ms) = f(m)s, at 0 and 1, at s + t when it is at s and t,
   and at st, as f(m(st)) = f((ms)t) = f(ms)t = (f(m)s)t. So the hom search
@@ -256,92 +249,15 @@ def _monoid_violations(size, add, zero, label, adds=None):
                    lambda A: ((a,) for a in A if add[a][zero] != a or add[zero][a] != a), (rng,))
     laws = (
         _law(f"{label} addition not commutative", "ab",
-             lambda A, B: ((a, b) for a in A for b in B if add[a][b] != add[b][a]), (rng, rng)),
+             lambda A, B: ((a, b) for a in A for ra in (add[a],) for b in B
+                           if ra[b] != add[b][a]), (rng, rng)),
         _law(f"{label} addition not associative", "abc",
-             lambda A, B, C: ((a, b, c) for a in A for b in B for c in C
-                              if add[add[a][b]][c] != add[a][add[b][c]]), (rng,) * 3,
+             lambda A, B, C: ((a, b, c) for a in A for ra in (add[a],)
+                              for b in B for rb in (add[b],) for rab in (add[ra[b]],)
+                              for c in C if rab[c] != ra[rb[c]]), (rng,) * 3,
              None if neutral or adds is None else (rng, rng, adds)),
         neutral)
     return [v for v in laws if v]
-
-
-def _is_monoid(add, zero, adds):
-    """Whether add is commutative with zero neutral, and associative at c in
-    adds: the monoid laws of the accepting pass."""
-    rng = range(len(add))
-    if add[zero] != tuple(rng):
-        return False
-    for a in rng:
-        ra = add[a]
-        for b in rng:
-            rb = add[b]
-            if ra[b] != rb[a]:
-                return False
-            rab = add[ra[b]]
-            for c in adds:
-                if rab[c] != ra[rb[c]]:
-                    return False
-    return True
-
-
-def _is_semiring(s: Semiring, adds):
-    """Whether s is a semiring, by one pass over the laws at the additive
-    generators adds that the proofs at the top of this file allow."""
-    add, mul, zero, one = s.add, s.mul, s.zero, s.one
-    rng = range(s.size)
-    if zero == one or not _is_monoid(add, zero, adds):
-        return False
-    if mul[zero] != (zero,) * s.size or mul[one] != tuple(rng):
-        return False
-    for a in rng:
-        ma = mul[a]
-        if ma[zero] != zero or ma[one] != a:
-            return False
-        for b in rng:
-            rb, mab, mb = add[b], add[ma[b]], mul[b]
-            for c in adds:
-                if ma[rb[c]] != mab[ma[c]] or mul[rb[c]][a] != add[mb[a]][mul[c][a]]:
-                    return False
-    for a in adds:
-        ma = mul[a]
-        for b in adds:
-            mab = mul[ma[b]]
-            mb = mul[b]
-            for c in adds:
-                if mab[c] != ma[mb[c]]:
-                    return False
-    return True
-
-
-def _is_module(m: Semimodule, adds, gens):
-    """Whether m is a module over its semiring, which validates with
-    generators (adds, gens), by one pass over the laws that the proofs at
-    the top of this file allow."""
-    s = m.semiring
-    add, act, zero = m.add, m.action, m.zero
-    sadd, smul = s.add, s.mul
-    mrng = range(m.size)
-    if not _is_monoid(add, zero, mrng) or act[zero] != (zero,) * s.size:
-        return False
-    for a in mrng:
-        row = act[a]
-        if row[s.one] != a or row[s.zero] != zero:
-            return False
-        for x in range(s.size):
-            sx, ax, arx, mx = sadd[x], add[row[x]], act[row[x]], smul[x]
-            for t in adds:
-                if row[sx[t]] != ax[row[t]]:
-                    return False
-            for t in gens:
-                if arx[t] != row[mx[t]]:
-                    return False
-    for x in gens:
-        for a in mrng:
-            ra, ax = add[a], add[act[a][x]]
-            for b in mrng:
-                if act[ra[b]][x] != ax[act[b][x]]:
-                    return False
-    return True
 
 
 def _spanning(s: Semiring, fixed, tables):
@@ -382,28 +298,29 @@ def generators(s: Semiring):
 def validate_semiring(s: Semiring) -> ValidationReport:
     """Check every semiring law, returning all violated laws with witnesses."""
     add, mul, zero, one = s.add, s.mul, s.zero, s.one
-    adds = _spanning(s, (zero,), (add,))
-    if _is_semiring(s, adds):
-        return ValidationReport(f"semiring {s.name}", ())
     rng = range(s.size)
     full = (rng,) * 3
+    adds = _spanning(s, (zero,), (add,))
     monoid = _monoid_violations(s.size, add, zero, "semiring", adds)
     absorbing = _law("zero not absorbing", "a",
                      lambda A: ((a,) for a in A if mul[zero][a] != zero or mul[a][zero] != zero),
                      (rng,))
     on_gens = None if monoid or absorbing else (rng, rng, adds)
     left = _law("left distributivity fails", "abc",
-                lambda A, B, C: ((a, b, c) for a in A for b in B for c in C
-                                 if mul[a][add[b][c]] != add[mul[a][b]][mul[a][c]]),
+                lambda A, B, C: ((a, b, c) for a in A for ma in (mul[a],)
+                                 for b in B for rb in (add[b],) for mab in (add[ma[b]],)
+                                 for c in C if ma[rb[c]] != mab[ma[c]]),
                 full, on_gens)
     right = _law("right distributivity fails", "abc",
-                 lambda A, B, C: ((a, b, c) for a in A for b in B for c in C
-                                  if mul[add[b][c]][a] != add[mul[b][a]][mul[c][a]]),
+                 lambda A, B, C: ((a, b, c) for a in A for b in B for rb in (add[b],)
+                                  for mba in (add[mul[b][a]],)
+                                  for c in C if mul[rb[c]][a] != mba[mul[c][a]]),
                  full, on_gens)
     laws = (
         _law("multiplication not associative", "abc",
-             lambda A, B, C: ((a, b, c) for a in A for b in B for c in C
-                              if mul[mul[a][b]][c] != mul[a][mul[b][c]]),
+             lambda A, B, C: ((a, b, c) for a in A for ma in (mul[a],)
+                              for b in B for mb in (mul[b],) for mab in (mul[ma[b]],)
+                              for c in C if mab[c] != ma[mb[c]]),
              full, None if on_gens is None or left or right else (adds,) * 3),
         _law("one not neutral for multiplication", "a",
              lambda A: ((a,) for a in A if mul[a][one] != a or mul[one][a] != a), (rng,)),
@@ -415,30 +332,30 @@ def validate_semiring(s: Semiring) -> ValidationReport:
 def validate_semimodule(m: Semimodule) -> ValidationReport:
     """Check every right-semimodule law over the module's semiring."""
     s = m.semiring
-    gens = generators(s)
-    if gens is not None and _is_module(m, *gens):
-        return ValidationReport(f"module {m.name}", ())
     add, act, zero = m.add, m.action, m.zero
+    sadd, smul, one = s.add, s.mul, s.one
     mrng, srng = range(m.size), range(s.size)
     monoid = _monoid_violations(m.size, add, zero, "module")
-    unit = _law("m.1 != m", "m", lambda A: ((a,) for a in A if act[a][s.one] != a), (mrng,))
+    unit = _law("m.1 != m", "m", lambda A: ((a,) for a in A if act[a][one] != a), (mrng,))
     scalar_zero = _law("m.0_S != 0_M", "m",
                        lambda A: ((a,) for a in A if act[a][s.zero] != zero), (mrng,))
-    if monoid or unit or scalar_zero:
-        gens = None
+    gens = None if monoid or unit or scalar_zero else generators(s)
     sums = _law("m(s+s') != ms+ms'", "mst",
-                lambda A, X, Y: ((a, x, y) for a in A for x in X for y in Y
-                                 if act[a][s.add[x][y]] != add[act[a][x]][act[a][y]]),
+                lambda A, X, Y: ((a, x, y) for a in A for ra in (act[a],)
+                                 for x in X for sx in (sadd[x],) for ax in (add[ra[x]],)
+                                 for y in Y if ra[sx[y]] != ax[ra[y]]),
                 (mrng, srng, srng), None if gens is None else (mrng, srng, gens[0]))
     products = _law("(ms)s' != m(ss')", "mst",
-                    lambda A, X, Y: ((a, x, y) for a in A for x in X for y in Y
-                                     if act[act[a][x]][y] != act[a][s.mul[x][y]]),
+                    lambda A, X, Y: ((a, x, y) for a in A for ra in (act[a],)
+                                     for x in X for rx in (act[ra[x]],) for mx in (smul[x],)
+                                     for y in Y if rx[y] != ra[mx[y]]),
                     (mrng, srng, srng), None if gens is None or sums else (mrng, srng, gens[1]))
     laws = (
         products,
         _law("(m+m')s != ms+m's", "mns",
-             lambda A, B, X: ((a, b, x) for a in A for b in B for x in X
-                              if act[add[a][b]][x] != add[act[a][x]][act[b][x]]),
+             lambda A, B, X: ((a, b, x) for a in A for ra in (act[a],) for ab in (add[a],)
+                              for b in B for rb in (act[b],) for rab in (act[ab[b]],)
+                              for x in X if rab[x] != add[ra[x]][rb[x]]),
              (mrng, mrng, srng),
              None if gens is None or sums or products else (mrng, mrng, gens[1])),
         sums, unit, scalar_zero,

@@ -24,9 +24,8 @@ and dropped at the first triple that breaks associativity, and an action
 table is propagated law by law, each law cross-checked as soon as its
 operands are known. The sum and product laws are propagated only at
 generators of S (core.generators), and (p+q)x = px + qx at every x; they
-imply the rest, so a grid that settles complete is a module.
-validate_semimodule accepts it in one pass that checks (p+q)x only at x in
-G, and the sum and product laws at the same generators. The tests hold the
+imply the rest (see the core docstring), so a grid that settles complete
+is a module, and validate_semimodule confirms it. The tests hold the
 search to an independent law scan over all of S. Everything here is
 deterministic; the seed in a UniverseSpec only matters to downstream
 samplers.

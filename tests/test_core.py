@@ -12,7 +12,6 @@ from semiexact.core import (Element, Semimodule, Semiring, Subsemimodule,
                             monoid_semiring, natural_action, self_module,
                             subtractive_closure, subtractive_closure_set,
                             validate_semimodule, validate_semiring, zero_module)
-from semiexact.core import _is_module, _is_semiring
 from semiexact.enumeration import (UniverseSpec, enumerate_semimodules,
                                    enumerate_semimodules_naive)
 from semiexact.errors import ParameterError, StructureError
@@ -129,7 +128,7 @@ def test_module_reports_match_full_scan_on_size4_mutants():
         assert generators(s)[1], name
         for m in enumerate_semimodules(UniverseSpec(s, 4)).modules:
             if m.size == 4:
-                assert _is_module(m, *generators(s)), m.name
+                assert validate_semimodule(m).ok, m.name
                 for bad in _mutants(m, ("add", "action")):
                     assert str(validate_semimodule(bad)) == str(full_scan_semimodule(bad))
                     mutants += 1
@@ -156,17 +155,6 @@ def test_laws_at_generators_are_checked_at_each_generator():
         report = validate_semimodule(bad)
         assert [v.law for v in report.violations] == [law], s.name
         assert str(report) == str(full_scan_semimodule(bad))
-
-
-def test_accepting_pass_accepts_every_valid_structure():
-    """The one-pass check at generators accepts each valid semiring and module
-    itself, so the reporting scan runs only on invalid input."""
-    semirings = [*all_semiring_fixtures().values(), make_upper_triangular_boolean()]
-    for s in semirings:
-        adds, gens = generators(s)
-        assert _is_semiring(s, adds), s.name
-        for m in (self_module(s), *enumerate_semimodules(UniverseSpec(s, 3)).modules):
-            assert _is_module(m, adds, gens), m.name
 
 
 def test_upper_triangular_boolean_validates():
