@@ -4,7 +4,8 @@ Elements are indices 0..n-1. Index 0 is the additive zero in every
 structure this package builds itself; hand-written inputs may declare a
 different zero and validation is relative to the declared constants.
 All tables are row-major tuples, so every structure is immutable,
-hashable and safe to share.
+hashable and safe to share. Checked values (structures, maps, congruences,
+specs) subclass Value; results such as ValidationReport are NamedTuples.
 
 Validation reports every violated law (one witness each) instead of
 stopping at the first: fixtures are authored by hand and full reports
@@ -47,9 +48,10 @@ scan names. The proofs:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import product
+from operator import itemgetter
+from typing import NamedTuple
 
 from .errors import LemmaRefuted, ParameterError, StructureError
 
@@ -58,16 +60,79 @@ def freeze_table(rows):
     return tuple(tuple(int(x) for x in row) for row in rows)
 
 
+# Fields are set one by one: reading __dict__ makes CPython 3.11 build the
+# dict, and attribute reads from a built dict are slower.
+_setattr = object.__setattr__
+
+
 def hash_once(value):
-    """The hash a frozen dataclass computes from its field tuple, computed
-    once per instance and kept in its __dict__: the fields never change, and
-    re-walking nested tables on every dict and lru_cache lookup was a large
-    share of diagram generation. Equal values still hash equal."""
+    """The hash of a Value's field tuple, computed once per instance and kept
+    in its __dict__: the fields never change, and re-walking nested tables on
+    every dict and lru_cache lookup was a large share of diagram generation.
+    Equal values still hash equal."""
     state = value.__dict__
     h = state.get("_hash")
     if h is None:
-        h = state["_hash"] = hash(tuple(state[name] for name in value.__dataclass_fields__))
+        h = state["_hash"] = hash(value._key(state))
     return h
+
+
+class Value:
+    """An immutable value, checked when built, compared and hashed by its
+    field tuple. A subclass's fields are its own annotations, in order (two
+    or more); a default is the class attribute of that name, and defaults
+    trail. The constructor binds its arguments as a def over the fields
+    would, sets them as instance attributes and calls __post_init__, the
+    subclass's check, which may normalise a field with object.__setattr__."""
+
+    def __init_subclass__(cls):
+        super().__init_subclass__()
+        fields = tuple(cls.__dict__.get("__annotations__", ()))
+        cls._fields, cls._key = fields, itemgetter(*fields)
+        cls._defaults = {n: cls.__dict__[n] for n in fields if n in cls.__dict__}
+        tail = tuple(cls._defaults.values())  # what a short positional call leaves off
+        cls._tails = {len(fields) - k: tail[len(tail) - k:] for k in range(len(tail) + 1)}
+
+    def __init__(self, *args, **kwargs):
+        tail = None if kwargs else self._tails.get(len(args))
+        for name, value in zip(self._fields,
+                               self._bind(args, kwargs) if tail is None else args + tail):
+            _setattr(self, name, value)
+        self.__post_init__()
+
+    @classmethod
+    def _bind(cls, args, kwargs):
+        """The field values of a call with keywords or with other than all or
+        all but trailing defaults positionally; TypeError for a missing,
+        unknown or repeated argument."""
+        fields, given = cls._fields, dict(zip(cls._fields, args))
+        values = {**cls._defaults, **given, **kwargs}
+        if len(args) > len(fields) or values.keys() - set(fields) or given.keys() & kwargs:
+            raise TypeError(f"{cls.__name__}() takes ({', '.join(fields)}), got "
+                            f"{len(args)} positional and keywords {list(kwargs)}")
+        missing = [n for n in fields if n not in values]
+        if missing:
+            raise TypeError(f"{cls.__name__}() missing argument(s) {', '.join(missing)}")
+        return tuple(values[n] for n in fields)
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key(self.__dict__) == self._key(other.__dict__)
+
+    __hash__ = hash_once
+
+    def __repr__(self):
+        state = self.__dict__
+        return f"{type(self).__qualname__}({', '.join(f'{n}={state[n]!r}' for n in self._fields)})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 def _check_table(table, nrows, ncols, vmax, what):
@@ -81,8 +146,7 @@ def _check_table(table, nrows, ncols, vmax, what):
                 raise StructureError(f"{what}: entry {x} in row {i} out of range 0..{vmax - 1}")
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     law: str
     witness: str
 
@@ -90,8 +154,7 @@ class Violation:
         return f"{self.law} [{self.witness}]"
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     subject: str
     violations: tuple
 
@@ -107,8 +170,7 @@ class ValidationReport:
         return "\n".join(lines)
 
 
-@dataclass(frozen=True)
-class Semiring:
+class Semiring(Value):
     """(S, +, *, 0, 1) with dense addition and multiplication tables."""
 
     name: str
@@ -129,14 +191,11 @@ class Semiring:
             if not 0 <= c < self.size:
                 raise StructureError(f"semiring {self.name}: constant {c} out of range")
 
-    __hash__ = hash_once
-
     def __repr__(self):
         return f"Semiring({self.name!r}, size={self.size})"
 
 
-@dataclass(frozen=True)
-class Semimodule:
+class Semimodule(Value):
     """Right semimodule: commutative monoid plus a right action table.
 
     action[m][s] is m acted on by semiring element s.
@@ -159,8 +218,6 @@ class Semimodule:
                       f"module {self.name} action")
         if not 0 <= self.zero < self.size:
             raise StructureError(f"module {self.name}: zero {self.zero} out of range")
-
-    __hash__ = hash_once
 
     @classmethod
     def _trusted(cls, name, semiring, size, add, action, zero=0):
@@ -185,8 +242,7 @@ class Semimodule:
         return range(self.size)
 
 
-@dataclass(frozen=True)
-class Subsemimodule:
+class Subsemimodule(Value):
     """Subset of a module carrier closed under + and the action."""
 
     parent: Semimodule
@@ -218,8 +274,7 @@ class Subsemimodule:
         return f"Subsemimodule({self.parent.name!r}, {{{','.join(map(str, self.members))}}})"
 
 
-@dataclass(frozen=True)
-class Element:
+class Element(Value):
     module: Semimodule
     index: int
 
@@ -363,20 +418,20 @@ def validate_semimodule(m: Semimodule) -> ValidationReport:
     return ValidationReport(f"module {m.name}", tuple(monoid + [v for v in laws if v]))
 
 
+def _cancellable(M: Semimodule, m) -> bool:
+    """True iff m + x = m + y forces x = y in M: row m of the add table
+    repeats no value."""
+    row = M.add[m]
+    return len(set(row)) == len(row)
+
+
 def is_cancellable(el: Element) -> bool:
     """True iff el + x = el + y forces x = y."""
-    M = el.module
-    seen = {}
-    for x in M.elements():
-        v = M.add[el.index][x]
-        if v in seen:
-            return False
-        seen[v] = x
-    return True
+    return _cancellable(el.module, el.index)
 
 
 def is_cancellative_module(M: Semimodule) -> bool:
-    return all(is_cancellable(Element(M, m)) for m in M.elements())
+    return all(_cancellable(M, m) for m in M.elements())
 
 
 def subtractive_closure_set(M: Semimodule, members) -> frozenset:

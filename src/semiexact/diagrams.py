@@ -21,11 +21,10 @@ and verticals (r,c): nodes[r][c] -> nodes[r+1][c].
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from operator import eq, itemgetter
 from typing import Callable, NamedTuple
 
-from .core import Element, is_cancellable, is_cancellative_module, subtractive_closure_set
+from .core import _cancellable, is_cancellative_module, subtractive_closure_set
 from .errors import HypothesisError, LemmaRefuted, StructureError
 from .exactness import exact_at, exact_row, short_exact_row
 from .morphisms import (Morphism, _table, classify, cokernel, factor_through_injection,
@@ -34,15 +33,13 @@ from .morphisms import (Morphism, _table, classify, cokernel, factor_through_inj
                         kernel_module, kernel_set)
 
 
-@dataclass(frozen=True)
-class Assertion:
+class Assertion(NamedTuple):
     id: str
     ok: bool
     witness: str = "-"
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(NamedTuple):
     lemma: str
     hypotheses: tuple
     conclusions: tuple
@@ -276,7 +273,7 @@ def _name(f):
 
 def _uncancellable(f):
     M = f.codomain
-    bad = next(m for m in M.elements() if not is_cancellable(Element(M, m)))
+    bad = next(m for m in M.elements() if not _cancellable(M, m))
     return f"violated by element {bad} of {M.name}"
 
 
@@ -572,8 +569,7 @@ verify_nine = _entry("nine")
 
 # --------------------------------------------------------------- Snake lemma
 
-@dataclass(frozen=True)
-class SnakeResult:
+class SnakeResult(NamedTuple):
     diagram_name: str
     f_k: Morphism
     g_k: Morphism

@@ -41,12 +41,11 @@ the universe the counterexample was found in. PROPERTIES is its public view.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations
 from typing import Callable, NamedTuple
 
-from .core import (Semimodule, Semiring, all_subsemimodules, freeze_table, generators,
+from .core import (Semimodule, Semiring, Value, all_subsemimodules, freeze_table, generators,
                    is_cancellative_module, is_subtractive, self_module,
                    subtractive_closure_set, validate_semimodule)
 from .diagrams import CLAUSES
@@ -55,8 +54,7 @@ from .morphisms import (Morphism, classify, compose, enumerate_hom, image_set, i
                         is_isomorphism, is_k_uniform, is_surjective, kernel_set)
 
 
-@dataclass(frozen=True)
-class UniverseSpec:
+class UniverseSpec(Value):
     semiring: Semiring
     max_module_size: int
     max_modules: int = 10_000
@@ -67,8 +65,7 @@ class UniverseSpec:
             raise ParameterError("UniverseSpec: max_module_size must be >= 1")
 
 
-@dataclass(frozen=True)
-class Universe:
+class Universe(NamedTuple):
     spec: UniverseSpec
     modules: tuple
     truncated: bool
@@ -446,16 +443,14 @@ def abelian_snake_delta(f1, g1, f2, g2, a1, a2, a3):
 
 # --------------------------------------------------- counterexample catalog
 
-@dataclass(frozen=True)
-class Counterexample:
+class Counterexample(NamedTuple):
     property_id: str
     witnesses: tuple
     description: str
     spec: UniverseSpec  # the universe it was found in, which a replay re-checks
 
 
-@dataclass(frozen=True)
-class ExhaustionReport:
+class ExhaustionReport(NamedTuple):
     property_id: str
     spec: UniverseSpec
     searched: int

@@ -13,9 +13,9 @@ counterexample mining is a first-class use of this package.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
-from .core import Subsemimodule, subtractive_closure_set, zero_module
+from .core import Subsemimodule, Value, subtractive_closure_set, zero_module
 from .errors import LemmaRefuted, StructureError
 from .morphisms import (Morphism, classify, cokernel, factor_through_injection, image_set,
                         induced_from_cokernel, induced_to_kernel, is_injective,
@@ -57,8 +57,7 @@ def short_exact_row(f, g):
     return True, "-"
 
 
-@dataclass(frozen=True)
-class Sequence:
+class Sequence(Value):
     name: str
     arrows: tuple
 
@@ -78,8 +77,7 @@ class Sequence:
         return f"Sequence({self.name!r}: {' -> '.join(o.name for o in self.objects)})"
 
 
-@dataclass(frozen=True)
-class PositionVerdict:
+class PositionVerdict(NamedTuple):
     position: int
     object_name: str
     chain_complex: bool
@@ -89,8 +87,7 @@ class PositionVerdict:
     witness: str
 
 
-@dataclass(frozen=True)
-class ArrowVerdict:
+class ArrowVerdict(NamedTuple):
     position: int
     arrow_name: str
     k_uniform: bool
@@ -99,8 +96,7 @@ class ArrowVerdict:
     witness: str
 
 
-@dataclass(frozen=True)
-class ExactnessVerdict:
+class ExactnessVerdict(NamedTuple):
     positions: tuple
     arrows: tuple
 
@@ -163,8 +159,7 @@ def short_sequence(f: Morphism, g: Morphism, name=None) -> Sequence:
                     (zero_morphism(z, f.domain), f, g, zero_morphism(g.codomain, z)))
 
 
-@dataclass(frozen=True)
-class ShortExactResult:
+class ShortExactResult(NamedTuple):
     ok: bool
     conditions: tuple  # (condition-id, ok, witness) triples
     clause2_ok: bool   # L ~ Ker(g) and Coker(f) ~ N via the induced maps
@@ -208,8 +203,7 @@ def is_short_exact(seq: Sequence) -> ShortExactResult:
     return ShortExactResult(ok, tuple(conds), clause2)
 
 
-@dataclass(frozen=True)
-class KerCokerResult:
+class KerCokerResult(NamedTuple):
     sequence: Sequence
     verdict: ExactnessVerdict
     image_sequence: Sequence    # 0 -> closure(im) -> Y -> Y/im -> 0, always exact
@@ -244,8 +238,7 @@ def ker_coker_sequence(gamma: Morphism) -> KerCokerResult:
     return KerCokerResult(seq, verdict, image_seq, kernel_seq)
 
 
-@dataclass(frozen=True)
-class SubobjectCharacter:
+class SubobjectCharacter(NamedTuple):
     semi_exact: bool          # 0 -> L -> M -> M/L -> 0 semi-exact (always true)
     exact_with_closure: bool  # 0 -> closure(L) -> M -> M/L -> 0 exact (always true)
     normal: bool              # L equals the kernel of its own projection

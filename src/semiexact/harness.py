@@ -43,10 +43,9 @@ product, which is never materialised.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from functools import lru_cache, partial
 
-from .core import Semiring, Subsemimodule, is_cancellative_module
+from .core import Semiring, Subsemimodule, Value, is_cancellative_module
 from .diagrams import Diagram, clause_key, lookup
 from .enumeration import UniverseSpec, enumerate_semimodules, oracle_iso_exists
 from .errors import ParameterError
@@ -57,8 +56,7 @@ from .morphisms import (Morphism, _hom_tables, _k_uniform_witness, _table, class
 from .quotients import bourne_congruence, quotient
 
 
-@dataclass(frozen=True)
-class HarnessSpec:
+class HarnessSpec(Value):
     semiring: Semiring
     max_size: int = 4
     seed: int = 0

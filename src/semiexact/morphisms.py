@@ -24,18 +24,17 @@ and is_k_uniform per (domain, codomain zero, table).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache, wraps
 from itertools import product
+from typing import NamedTuple
 
-from .core import Element, Semimodule, Subsemimodule, generators, hash_once, is_cancellable, \
+from .core import Semimodule, Subsemimodule, Value, _cancellable, generators, \
     subtractive_closure_set, validate_semimodule
 from .errors import LemmaRefuted, PreconditionError, StructureError
 from .quotients import QuotientModule, bourne_congruence, kernel_pair_congruence, quotient
 
 
-@dataclass(frozen=True)
-class Morphism:
+class Morphism(Value):
     name: str
     domain: Semimodule
     codomain: Semimodule
@@ -55,8 +54,6 @@ class Morphism:
         problem = _linearity_problem(dom, cod, self.map)
         if problem is not None:
             raise StructureError(f"morphism {self.name}: {problem}")
-
-    __hash__ = hash_once
 
     @classmethod
     def _trusted(cls, name, domain, codomain, table):
@@ -139,7 +136,7 @@ def is_isomorphism(f: Morphism) -> bool:
 
 def is_cancellative_morphism(f: Morphism) -> bool:
     """Every image element is cancellable in the codomain."""
-    return all(is_cancellable(Element(f.codomain, v)) for v in set(f.map))
+    return all(_cancellable(f.codomain, v) for v in set(f.map))
 
 
 def factor_through_injection(i: Morphism, values, domain: Semimodule, name):
@@ -301,8 +298,7 @@ def is_i_uniform(f: Morphism, witness=False):
     return (True, None) if witness else True
 
 
-@dataclass(frozen=True)
-class MorphismClassification:
+class MorphismClassification(NamedTuple):
     injective: bool
     surjective: bool
     k_uniform: bool
@@ -366,7 +362,7 @@ def classify(f: Morphism) -> MorphismClassification:
 
     cancellative = is_cancellative_morphism(f)
     if not cancellative:
-        bad = min(v for v in img if not is_cancellable(Element(cod, v)))
+        bad = min(v for v in img if not _cancellable(cod, v))
         wit["cancellative"] = f"f-image {bad} not cancellable"
 
     both_cs = is_cancellative_module(dom) and is_cancellative_module(cod)

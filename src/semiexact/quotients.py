@@ -10,9 +10,9 @@ catches hand-authored fixture bugs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
-from .core import Semimodule, Subsemimodule, subtractive_closure_set
+from .core import Semimodule, Subsemimodule, Value, subtractive_closure_set
 from .errors import LemmaRefuted, StructureError
 
 
@@ -48,8 +48,7 @@ def canonical_partition(class_ids):
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class Congruence:
+class Congruence(Value):
     module: Semimodule
     classes: tuple
 
@@ -114,8 +113,7 @@ def kernel_pair_congruence(f) -> Congruence:
     return Congruence(f.domain, canonical_partition(f.map))
 
 
-@dataclass(frozen=True)
-class QuotientModule:
+class QuotientModule(NamedTuple):
     base: Semimodule
     congruence: Congruence
     quotient: Semimodule

@@ -29,7 +29,7 @@ a file that cannot be read or is not UTF-8 is an `io` problem at line 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .core import (Semimodule, Semiring, Subsemimodule, validate_semimodule,
                    validate_semiring)
@@ -39,8 +39,7 @@ from .exactness import Sequence
 from .morphisms import Morphism
 
 
-@dataclass(frozen=True)
-class Problem:
+class Problem(NamedTuple):
     file: str
     line: int
     kind: str  # io | syntax | duplicate | dangling-reference | structural
@@ -51,15 +50,11 @@ class Problem:
         return f"{self.file}:{self.line}: {self.kind}: {self.message}"
 
 
-@dataclass
 class Workspace:
-    semirings: dict = field(default_factory=dict)
-    modules: dict = field(default_factory=dict)
-    subs: dict = field(default_factory=dict)
-    morphisms: dict = field(default_factory=dict)
-    sequences: dict = field(default_factory=dict)
-    diagrams: dict = field(default_factory=dict)
-    origins: dict = field(default_factory=dict)  # (kind, name) -> "file:line" of its header
+    def __init__(self):
+        self.semirings, self.modules, self.subs, self.morphisms = {}, {}, {}, {}
+        self.sequences, self.diagrams = {}, {}
+        self.origins = {}  # (kind, name) -> "file:line" of its header
 
     def __eq__(self, other):
         if not isinstance(other, Workspace):
@@ -82,17 +77,22 @@ def _parse_table(text):
     return tuple(tuple(int(x) for x in row.split(",")) for row in rows)
 
 
-def _parse_attrs(tokens):
+def _parse_attrs(tokens, known):
     attrs = {}
     for tok in tokens:
         if "=" not in tok:
             raise ValueError(f"expected key=value, got {tok!r}")
         k, v = tok.split("=", 1)
+        if k not in known or k in attrs:
+            raise ValueError(f"{'repeated' if k in attrs else 'unknown'} attribute {k!r}")
         attrs[k] = v
     return attrs
 
 
-_BLOCKS = ("semiring", "module", "sub", "morphism", "sequence", "diagram")
+# the header attributes of each block kind
+_ATTRS = {"semiring": ("size",), "module": ("over", "size"), "sub": ("of", "members"),
+          "morphism": ("from", "to", "map"), "sequence": ("arrows",), "diagram": ()}
+_BLOCKS = tuple(_ATTRS)
 _BODYLESS = ("sub", "morphism", "sequence")
 
 
@@ -148,7 +148,7 @@ class _Parser:
                                f"{kind} {tokens[1]!r} already defined at {first}")
                     continue
                 handler = getattr(self, f"_block_{kind}")
-                handler(file, header_line, tokens[1:], body)
+                handler(file, header_line, tokens[1], _parse_attrs(tokens[2:], _ATTRS[kind]), body)
                 self.ws.origins[(kind, tokens[1])] = f"{file}:{header_line}"
             except (ValueError, IndexError, KeyError) as exc:
                 self.error(file, header_line, "syntax", f"bad {kind} block: {exc}")
@@ -164,19 +164,25 @@ class _Parser:
             return None
         return table[name]
 
-    def _body_fields(self, body):
+    def _body_fields(self, file, body, keys):
+        """The body's `key: value` lines as {key: (line, value)}; None once an
+        unknown or repeated key is reported at its line."""
         fields = {}
         for line, text in body:
             if ":" not in text:
                 raise ValueError(f"line {line}: expected 'key: value'")
-            k, v = text.split(":", 1)
-            fields[k.strip()] = (line, v.strip())
+            k, v = (x.strip() for x in text.split(":", 1))
+            if k in fields or k not in keys:
+                self.error(file, line, "syntax", f"repeated key {k!r}, first at line {fields[k][0]}"
+                           if k in fields else f"unknown key {k!r}")
+                return None
+            fields[k] = (line, v)
         return fields
 
-    def _block_semiring(self, file, line, tokens, body):
-        name = tokens[0]
-        attrs = _parse_attrs(tokens[1:])
-        fields = self._body_fields(body)
+    def _block_semiring(self, file, line, name, attrs, body):
+        fields = self._body_fields(file, body, ("add", "mul", "zero", "one"))
+        if fields is None:
+            return
         try:
             s = Semiring(name, int(attrs["size"]),
                          _parse_table(fields["add"][1]),
@@ -193,13 +199,13 @@ class _Parser:
             return
         self.ws.semirings[name] = s
 
-    def _block_module(self, file, line, tokens, body):
-        name = tokens[0]
-        attrs = _parse_attrs(tokens[1:])
+    def _block_module(self, file, line, name, attrs, body):
         over = self._named(file, line, self.ws.semirings, attrs["over"], "semiring")
         if over is None:
             return
-        fields = self._body_fields(body)
+        fields = self._body_fields(file, body, ("add", "action", "zero"))
+        if fields is None:
+            return
         try:
             m = Semimodule(name, over, int(attrs["size"]),
                            _parse_table(fields["add"][1]),
@@ -215,9 +221,7 @@ class _Parser:
             return
         self.ws.modules[name] = m
 
-    def _block_sub(self, file, line, tokens, body):
-        name = tokens[0]
-        attrs = _parse_attrs(tokens[1:])
+    def _block_sub(self, file, line, name, attrs, body):
         parent = self._named(file, line, self.ws.modules, attrs["of"], "module")
         if parent is None:
             return
@@ -227,9 +231,7 @@ class _Parser:
         except StructureError as exc:
             self.error(file, line, "structural", str(exc))
 
-    def _block_morphism(self, file, line, tokens, body):
-        name = tokens[0]
-        attrs = _parse_attrs(tokens[1:])
+    def _block_morphism(self, file, line, name, attrs, body):
         dom = self._named(file, line, self.ws.modules, attrs["from"], "module")
         cod = self._named(file, line, self.ws.modules, attrs["to"], "module")
         if dom is None or cod is None:
@@ -240,9 +242,7 @@ class _Parser:
         except StructureError as exc:
             self.error(file, line, "structural", str(exc))
 
-    def _block_sequence(self, file, line, tokens, body):
-        name = tokens[0]
-        attrs = _parse_attrs(tokens[1:])
+    def _block_sequence(self, file, line, name, attrs, body):
         arrows = []
         for aname in attrs["arrows"].split(","):
             f = self._named(file, line, self.ws.morphisms, aname.strip(), "morphism")
@@ -254,8 +254,7 @@ class _Parser:
         except StructureError as exc:
             self.error(file, line, "structural", str(exc))
 
-    def _block_diagram(self, file, line, tokens, body):
-        name = tokens[0]
+    def _block_diagram(self, file, line, name, attrs, body):
         rows = {}
         cols = {}
         hyps = []

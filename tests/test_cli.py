@@ -269,6 +269,61 @@ def test_validate_rejects_duplicate_definitions(tmp_path, capsys):
     assert "parse.duplicate.fixtures/demo.sx:76|error|" in report.read_text()
 
 
+# one block of each kind; line 1 of the file is line 1 here
+SMALL = """semiring B size=2
+  add: 0,1; 1,1
+  mul: 0,0; 0,1
+end
+module M over=B size=2
+  add: 0,1; 1,1
+  action: 0,0; 0,1
+end
+sub L of=M members=0,1
+end
+morphism f from=M to=M map=0,1
+end
+sequence s arrows=f,f
+end
+diagram D
+  row 0: M f M
+end
+"""
+
+
+@pytest.mark.parametrize("line, text, problem", [
+    (5, "module M over=B size=2 zero=1", "5: syntax: bad module block: unknown attribute 'zero'"),
+    (1, "semiring B size=2 zero=5", "1: syntax: bad semiring block: unknown attribute 'zero'"),
+    (1, "semiring B size=2 size=3", "1: syntax: bad semiring block: repeated attribute 'size'"),
+    (5, "module M over=B over=B size=2", "5: syntax: bad module block: repeated attribute 'over'"),
+    (9, "sub L of=M members=0,1 of=M", "9: syntax: bad sub block: repeated attribute 'of'"),
+    (11, "morphism f from=M to=M map=0,1 map=0,0",
+     "11: syntax: bad morphism block: repeated attribute 'map'"),
+    (13, "sequence s arrows=f,f order=2",
+     "13: syntax: bad sequence block: unknown attribute 'order'"),
+    (15, "diagram D over=B", "15: syntax: bad diagram block: unknown attribute 'over'"),
+    (3, "  add: 0,1; 1,1", "3: syntax: repeated key 'add', first at line 2"),
+    (6, "  action: 0,0; 0,1", "7: syntax: repeated key 'action', first at line 6"),
+    (3, "  mult: 0,0; 0,1", "3: syntax: unknown key 'mult'"),
+    (6, "  one: 1", "6: syntax: unknown key 'one'"),
+], ids=["module-zero", "semiring-zero", "semiring-size-twice", "module-over-twice",
+        "sub-of-twice", "morphism-map-twice", "sequence-unknown", "diagram-unknown",
+        "semiring-key-twice", "module-action-twice", "semiring-unknown-key",
+        "module-unknown-key"])
+def test_unknown_or_repeated_attributes_are_located(line, text, problem, tmp_path, capsys):
+    """An attribute or body key the block does not take, or one given twice,
+    is a syntax problem at the line where it appears: exit 2, never a silent
+    default or overwrite. `line` of the valid SMALL is replaced by `text`."""
+    good = tmp_path / "good.sx"
+    good.write_text(SMALL)
+    assert run(["validate", str(good), "--quiet"]) == 0
+    lines = SMALL.splitlines()
+    lines[line - 1] = text
+    path = tmp_path / "bad.sx"
+    path.write_text("\n".join(lines) + "\n")
+    assert run(["validate", str(path)]) == 2
+    assert f"error: {path}:{problem}\n" in capsys.readouterr().err
+
+
 def test_lemma_verified(capsys, tmp_path):
     text = """semiring Z2 size=2
   add: 0,1; 1,0

@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from semiexact.core import (Element, Semimodule, Semiring, Subsemimodule,
+from semiexact.core import (Element, Semimodule, Semiring, Subsemimodule, _cancellable,
                             all_subsemimodules, generators, is_cancellable,
                             is_cancellative_module, is_subtractive, make_boolean,
                             make_natural_quotient, make_saturating_naturals,
@@ -268,6 +268,34 @@ def test_cancellative_module_matches_elementwise(nat3_universe):
     for m in nat3_universe:
         assert is_cancellative_module(m) == all(
             is_cancellable(Element(m, x)) for x in m.elements())
+
+
+def _cancellable_by_scan(M, m):
+    """The scan is_cancellable made before it read add rows: m + x for each
+    x, stopping at the first value seen before."""
+    seen = {}
+    for x in M.elements():
+        v = M.add[m][x]
+        if v in seen:
+            return False
+        seen[v] = x
+    return True
+
+
+def test_cancellable_rows_match_the_scan(nat4_universe):
+    """_cancellable (an add row repeats no value) is the scan's verdict on every
+    element of every module of nat4@4 and of each builtin universe at size 3,
+    and so are is_cancellable and is_cancellative_module."""
+    universes = [nat4_universe] + [enumerate_semimodules(UniverseSpec(s, 3)).modules
+                                   for s in builtin_semirings().values()]
+    count = 0
+    for M in (M for universe in universes for M in universe):
+        verdicts = [_cancellable_by_scan(M, m) for m in M.elements()]
+        assert [_cancellable(M, m) for m in M.elements()] == verdicts
+        assert [is_cancellable(Element(M, m)) for m in M.elements()] == verdicts
+        assert is_cancellative_module(M) == all(verdicts)
+        count += verdicts.count(False)
+    assert count > 100  # both verdicts occur
 
 
 def test_closure_examples(sat3):
