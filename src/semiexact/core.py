@@ -50,7 +50,7 @@ from __future__ import annotations
 import math
 from functools import cached_property, lru_cache
 from itertools import product
-from operator import itemgetter
+from operator import attrgetter
 from typing import NamedTuple
 
 from .errors import LemmaRefuted, ParameterError, StructureError
@@ -60,20 +60,18 @@ def freeze_table(rows):
     return tuple(tuple(int(x) for x in row) for row in rows)
 
 
-# Fields are set one by one: reading __dict__ makes CPython 3.11 build the
-# dict, and attribute reads from a built dict are slower.
+# Fields are set and read as attributes: a built __dict__ slows attribute reads (CPython 3.11).
 _setattr = object.__setattr__
 
 
 def hash_once(value):
-    """The hash of a Value's field tuple, computed once per instance and kept
-    in its __dict__: the fields never change, and re-walking nested tables on
-    every dict and lru_cache lookup was a large share of diagram generation.
-    Equal values still hash equal."""
-    state = value.__dict__
-    h = state.get("_hash")
+    """The hash of a Value's field tuple, kept as its _hash once computed: the
+    fields never change, and re-walking nested tables on every dict and
+    lru_cache lookup was a large share of diagram generation."""
+    h = value._hash
     if h is None:
-        h = state["_hash"] = hash(value._key(state))
+        h = hash(value._key(value))
+        _setattr(value, "_hash", h)
     return h
 
 
@@ -88,7 +86,7 @@ class Value:
     def __init_subclass__(cls):
         super().__init_subclass__()
         fields = tuple(cls.__dict__.get("__annotations__", ()))
-        cls._fields, cls._key = fields, itemgetter(*fields)
+        cls._fields, cls._key = fields, attrgetter(*fields)
         cls._defaults = {n: cls.__dict__[n] for n in fields if n in cls.__dict__}
         tail = tuple(cls._defaults.values())  # what a short positional call leaves off
         cls._tails = {len(fields) - k: tail[len(tail) - k:] for k in range(len(tail) + 1)}
@@ -120,13 +118,14 @@ class Value:
             return True
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self._key(self.__dict__) == self._key(other.__dict__)
+        return self._key(self) == self._key(other)
 
+    _hash = None
     __hash__ = hash_once
 
     def __repr__(self):
-        state = self.__dict__
-        return f"{type(self).__qualname__}({', '.join(f'{n}={state[n]!r}' for n in self._fields)})"
+        pairs = zip(self._fields, self._key(self))
+        return f"{type(self).__qualname__}({', '.join(f'{n}={v!r}' for n, v in pairs)})"
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")

@@ -197,7 +197,7 @@ def submodule_as_module(X: Subsemimodule, name=None) -> tuple[Semimodule, Morphi
     action = [[pos[M.action[a][s]] for s in range(M.semiring.size)] for a in members]
     if name is None:
         name = f"{M.name}|{{{','.join(map(str, members))}}}"
-    sub = Semimodule(name, M.semiring, len(members), add, action, zero=pos[M.zero])
+    sub = Semimodule(name, M.semiring, len(members), add, action, pos[M.zero])
     incl = Morphism._trusted(f"incl[{name}]", sub, M, members)  # linear: tables via pos
     return sub, incl
 

@@ -150,7 +150,7 @@ def quotient(M: Semimodule, rho: Congruence, name=None) -> QuotientModule:
     if name is None:
         zero_class = ",".join(map(str, members[cls[M.zero]]))
         name = f"{M.name}/{{{zero_class}}}"
-    Q = Semimodule(name, M.semiring, n, add, action, zero=cls[M.zero])
+    Q = Semimodule(name, M.semiring, n, add, action, cls[M.zero])
     pi = Morphism._trusted(f"pi[{name}]", M, Q, cls)  # linear: tables induced via cls
     return QuotientModule(M, rho, Q, pi)
 

@@ -89,9 +89,10 @@ def _parse_attrs(tokens, known):
     return attrs
 
 
-# the header attributes of each block kind
+# the header attributes of each block kind, and the body keys of those with `key: value` lines
 _ATTRS = {"semiring": ("size",), "module": ("over", "size"), "sub": ("of", "members"),
           "morphism": ("from", "to", "map"), "sequence": ("arrows",), "diagram": ()}
+_KEYS = {"semiring": ("add", "mul", "zero", "one"), "module": ("add", "action", "zero")}
 _BLOCKS = tuple(_ATTRS)
 _BODYLESS = ("sub", "morphism", "sequence")
 
@@ -180,7 +181,7 @@ class _Parser:
         return fields
 
     def _block_semiring(self, file, line, name, attrs, body):
-        fields = self._body_fields(file, body, ("add", "mul", "zero", "one"))
+        fields = self._body_fields(file, body, _KEYS["semiring"])
         if fields is None:
             return
         try:
@@ -203,7 +204,7 @@ class _Parser:
         over = self._named(file, line, self.ws.semirings, attrs["over"], "semiring")
         if over is None:
             return
-        fields = self._body_fields(file, body, ("add", "action", "zero"))
+        fields = self._body_fields(file, body, _KEYS["module"])
         if fields is None:
             return
         try:
