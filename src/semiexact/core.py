@@ -417,6 +417,14 @@ def validate_semimodule(m: Semimodule) -> ValidationReport:
     return ValidationReport(f"module {m.name}", tuple(monoid + [v for v in laws if v]))
 
 
+@lru_cache(maxsize=None)
+def _validates(m: Semimodule) -> bool:
+    """validate_semimodule(m).ok, once per table: m is name-free, a
+    Semimodule.unnamed or a module built with the name "", so the action
+    search and the hom search share one verdict per module."""
+    return validate_semimodule(m).ok
+
+
 def _cancellable(M: Semimodule, m) -> bool:
     """True iff m + x = m + y forces x = y in M: row m of the add table
     repeats no value."""

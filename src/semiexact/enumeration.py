@@ -25,7 +25,8 @@ table is propagated law by law, each law cross-checked as soon as its
 operands are known. The sum and product laws are propagated only at
 generators of S (core.generators), and (p+q)x = px + qx at every x; they
 imply the rest (see the core docstring), so a grid that settles complete
-is a module, and validate_semimodule confirms it. The tests hold the
+is a module, and validate_semimodule confirms it, once per table in the
+verdict cache the hom search reads too (core._validates). The tests hold the
 search to an independent law scan over all of S. Everything here is
 deterministic; the seed in a UniverseSpec only matters to downstream
 samplers.
@@ -45,9 +46,9 @@ from functools import lru_cache
 from itertools import permutations
 from typing import Callable, NamedTuple
 
-from .core import (Semimodule, Semiring, Value, all_subsemimodules, freeze_table, generators,
-                   is_cancellative_module, is_subtractive, self_module,
-                   subtractive_closure_set, validate_semimodule)
+from .core import (Semimodule, Semiring, Value, _validates, all_subsemimodules, freeze_table,
+                   generators, is_cancellative_module, is_subtractive, self_module,
+                   subtractive_closure_set)
 from .diagrams import CLAUSES
 from .errors import LemmaRefuted, ParameterError, PreconditionError
 from .morphisms import (Morphism, classify, compose, enumerate_hom, image_set, is_injective,
@@ -264,7 +265,7 @@ def _actions_for_monoid(semiring, add):
                             search(h)
                     return
         table = freeze_table(g)
-        if validate_semimodule(Semimodule._trusted("cand", semiring, n, add, table)).ok:
+        if _validates(Semimodule._trusted("", semiring, n, add, table)):
             results.append(table)
 
     grid = [[None] * cols for _ in rows]

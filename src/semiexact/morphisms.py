@@ -17,6 +17,9 @@ square) and factor_through_surjection descends one through a surjection
 is the table of g∘f without building the Morphism, for callers that only
 compare tables.
 
+The hom search, _hom_tables, descends over the domain's elements and checks
+each linearity law once, when the last element it reads gets its image.
+
 No result depends on names, so caches key on tables (Semimodule.unnamed):
 the hom search per pair of modules, classify per (domain, codomain, table)
 and is_k_uniform per (domain, codomain zero, table).
@@ -25,11 +28,10 @@ and is_k_uniform per (domain, codomain zero, table).
 from __future__ import annotations
 
 from functools import lru_cache, wraps
-from itertools import product
 from typing import NamedTuple
 
-from .core import Semimodule, Subsemimodule, Value, _cancellable, generators, \
-    subtractive_closure_set, validate_semimodule
+from .core import Semimodule, Subsemimodule, Value, _cancellable, _validates, generators, \
+    subtractive_closure_set
 from .errors import LemmaRefuted, PreconditionError, StructureError
 from .quotients import QuotientModule, bourne_congruence, kernel_pair_congruence, quotient
 
@@ -70,10 +72,11 @@ class Morphism(Value):
         return f"Morphism({self.name!r}: {self.domain.name} -> {self.codomain.name})"
 
 
-def _linearity_problem(dom: Semimodule, cod: Semimodule, f, scalars=None):
+def _linearity_problem(dom: Semimodule, cod: Semimodule, f):
     """Why the table f from dom to cod is not linear, the first law it breaks
-    in the order zero, additivity, equivariance at scalars (all of S when
-    None); None when it is linear."""
+    in the order zero, additivity, equivariance at every s in S; None when it
+    is linear. _hom_tables checks the same laws, one at a time, during its
+    descent."""
     if f[dom.zero] != cod.zero:
         return "does not preserve zero"
     for a in dom.elements():
@@ -83,7 +86,7 @@ def _linearity_problem(dom: Semimodule, cod: Semimodule, f, scalars=None):
                 return f"not additive at ({a},{b})"
     for a in dom.elements():
         act_a, act_fa = dom.action[a], cod.action[f[a]]
-        for s in range(dom.semiring.size) if scalars is None else scalars:
+        for s in range(dom.semiring.size):
             if f[act_a[s]] != act_fa[s]:
                 return f"not equivariant at ({a},s={s})"
     return None
@@ -409,40 +412,6 @@ def induced_from_cokernel(f: Morphism, g: Morphism, name=None) -> tuple[Morphism
     return induced, coker
 
 
-def _generating_sequence(M: Semimodule):
-    """Greedy generators plus a derivation for every element, for hom pruning."""
-    derivation = {M.zero: ("zero",)}
-    order = [M.zero]
-    gens = []
-
-    def close():
-        changed = True
-        while changed:
-            changed = False
-            for a in list(order):
-                for b in list(order):
-                    c = M.add[a][b]
-                    if c not in derivation:
-                        derivation[c] = ("add", a, b)
-                        order.append(c)
-                        changed = True
-                for s in range(M.semiring.size):
-                    c = M.action[a][s]
-                    if c not in derivation:
-                        derivation[c] = ("act", a, s)
-                        order.append(c)
-                        changed = True
-
-    close()
-    for m in M.elements():
-        if m not in derivation:
-            gens.append(m)
-            derivation[m] = ("gen", len(gens) - 1)
-            order.append(m)
-            close()
-    return gens, order, derivation
-
-
 @lru_cache(maxsize=None)
 def enumerate_hom(M: Semimodule, N: Semimodule) -> tuple:
     """Every linear map M -> N, named h<i>[M->N]; cached, as is its search."""
@@ -454,37 +423,44 @@ def enumerate_hom(M: Semimodule, N: Semimodule) -> tuple:
 
 @lru_cache(maxsize=None)
 def _hom_tables(M: Semimodule, N: Semimodule) -> tuple:
-    """The sorted tables of every linear map M -> N, pruned by generator images.
-
-    Candidate maps are determined by images of a greedy generating set and
-    then checked against the linearity predicate, which also rejects
-    assignments that break the generators' relations; that check is the
-    maps' only validation. When both modules validate, equivariance is
-    checked at the generators G of S alone, which implies it at all of S
-    (core.generators).
-    """
+    """The sorted tables of every linear map M -> N, by descent over M's
+    elements in index order: M's zero maps to N's zero, every other element
+    tries each image in N, and each law of _linearity_problem is checked
+    once, at the largest element it reads, so a partial table is dropped at
+    the first law it breaks; that is the maps' only validation. Equivariance
+    is checked at the generators G of S when both modules validate, which
+    implies it at all of S (core.generators), and at all of S otherwise."""
     spans = generators(M.semiring)
-    scalars = spans[1] if spans and _validates(M) and _validates(N) else None
-    gens, order, derivation = _generating_sequence(M)
-    out = []
-    for images in product(range(N.size), repeat=len(gens)):
-        table = [None] * M.size
-        for m in order:
-            d = derivation[m]
-            if d[0] == "zero":
-                table[m] = N.zero
-            elif d[0] == "gen":
-                table[m] = images[d[1]]
-            elif d[0] == "add":
-                table[m] = N.add[table[d[1]]][table[d[2]]]
-            else:
-                table[m] = N.action[table[d[1]]][d[2]]
-        if _linearity_problem(M, N, table, scalars) is None:
+    scalars = spans[1] if spans and _validates(M) and _validates(N) else range(M.semiring.size)
+    sums = [[] for _ in M.elements()]  # (a, b, a+b) at the largest of the three
+    acts = [[] for _ in M.elements()]  # (a, s, a.s) at the larger of a and a.s
+    for a in M.elements():
+        for b in M.elements():
+            c = M.add[a][b]
+            sums[max(a, b, c)].append((a, b, c))
+        for s in scalars:
+            c = M.action[a][s]
+            acts[max(a, c)].append((a, s, c))
+    add, act = N.add, N.action
+    table, out = [None] * M.size, []
+
+    def fits(m):
+        for a, b, c in sums[m]:
+            if table[c] != add[table[a]][table[b]]:
+                return False
+        for a, s, c in acts[m]:
+            if table[c] != act[table[a]][s]:
+                return False
+        return True
+
+    def descend(m):
+        if m == M.size:
             out.append(tuple(table))
-    return tuple(sorted(out))
+            return
+        for v in (N.zero,) if m == M.zero else N.elements():
+            table[m] = v
+            if fits(m):
+                descend(m + 1)
 
-
-@lru_cache(maxsize=None)
-def _validates(M: Semimodule) -> bool:
-    """validate_semimodule(M).ok, once per table: M is a Semimodule.unnamed."""
-    return validate_semimodule(M).ok
+    descend(0)
+    return tuple(out)

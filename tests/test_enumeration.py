@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from semiexact import enumeration
+from semiexact import core, enumeration
 from semiexact.core import (Semimodule, freeze_table, make_boolean, make_zmod,
                             make_saturating_naturals, monoid_semiring, validate_semimodule)
 from semiexact.enumeration import (PROPERTIES, Counterexample, ExhaustionReport,
@@ -251,7 +251,8 @@ def test_actions_match_validation_oracle():
 
 def test_action_search_validates_only_modules(monkeypatch):
     """Propagation rejects every grid that breaks a law, so each complete grid
-    handed to validate_semimodule passes it."""
+    handed to validate_semimodule, through the verdict cache core._validates,
+    passes it."""
     verdicts = []
 
     def counted(m):
@@ -259,14 +260,16 @@ def test_action_search_validates_only_modules(monkeypatch):
         verdicts.append(report.ok)
         return report
 
-    monkeypatch.setattr(enumeration, "validate_semimodule", counted)
+    monkeypatch.setattr(core, "validate_semimodule", counted)
     semirings = builtin_semirings()
     try:
         for name in ("minplus2", "T2xB"):
             _enumerated.cache_clear()
+            core._validates.cache_clear()
             enumerate_semimodules(UniverseSpec(semirings[name], 4))
     finally:
         _enumerated.cache_clear()
+        core._validates.cache_clear()
     assert verdicts and all(verdicts), verdicts.count(False)
 
 

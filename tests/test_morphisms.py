@@ -1,19 +1,24 @@
 """Morphism machinery: kernels, images, classification, induced maps, Hom."""
 
+import hashlib
+import json
 from itertools import product
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from semiexact import morphisms
 from semiexact.core import (Semimodule, Semiring, Subsemimodule, is_cancellative_module,
-                            make_boolean, make_saturating_naturals, make_zmod, self_module,
-                            subtractive_closure_set, zero_module)
+                            make_boolean, make_saturating_naturals,
+                            make_upper_triangular_boolean, make_zmod, monoid_semiring,
+                            self_module, subtractive_closure_set, validate_semimodule,
+                            zero_module)
 from semiexact.enumeration import (enumerate_semimodules, is_epimorphism, is_monomorphism,
                                    universe_with_free_module, UniverseSpec)
 from semiexact.errors import PreconditionError, StructureError
-from semiexact.fixtures import builtin_semirings
-from semiexact.morphisms import (Morphism, _generating_sequence, _table, canonical_iso,
+from semiexact.fixtures import builtin_modules, builtin_semirings, mutated_module
+from semiexact.morphisms import (Morphism, _table, canonical_iso,
                                  classify, cokernel, coimage, compose, enumerate_hom,
                                  factor_through_injection, factor_through_surjection,
                                  hom_add, identity_morphism, image, image_set,
@@ -437,6 +442,41 @@ def test_factor_through_surjection(semiring):
         factor_through_surjection(p, p.map[:-1], p.codomain, "short")
 
 
+def _generating_sequence(M):
+    """Greedy generators of M plus a derivation for every element: zero, a
+    generator, a sum or an action of elements derived before it."""
+    derivation = {M.zero: ("zero",)}
+    order = [M.zero]
+    gens = []
+
+    def close():
+        changed = True
+        while changed:
+            changed = False
+            for a in list(order):
+                for b in list(order):
+                    c = M.add[a][b]
+                    if c not in derivation:
+                        derivation[c] = ("add", a, b)
+                        order.append(c)
+                        changed = True
+                for s in range(M.semiring.size):
+                    c = M.action[a][s]
+                    if c not in derivation:
+                        derivation[c] = ("act", a, s)
+                        order.append(c)
+                        changed = True
+
+    close()
+    for m in M.elements():
+        if m not in derivation:
+            gens.append(m)
+            derivation[m] = ("gen", len(gens) - 1)
+            order.append(m)
+            close()
+    return gens, order, derivation
+
+
 def _product_hom_tables(M, N):
     """The hom search that checks equivariance at every element of S: each
     assignment of images to a greedy generating set of M, extended along its
@@ -460,16 +500,50 @@ def _product_hom_tables(M, N):
     return tuple(sorted(out))
 
 
+def _relabelled(M):
+    """M with every index i renamed (i + 1) mod |M|, so its zero is not 0."""
+    n = M.size
+    pos = [(i + 1) % n for i in range(n)]
+    add, action = [[0] * n for _ in range(n)], [[0] * M.semiring.size for _ in range(n)]
+    for a in M.elements():
+        for b in M.elements():
+            add[pos[a]][pos[b]] = pos[M.add[a][b]]
+        for s in range(M.semiring.size):
+            action[pos[a]][s] = pos[M.action[a][s]]
+    return Semimodule(f"{M.name}+1", M.semiring, n, add, action, zero=pos[M.zero])
+
+
+def _invalid_action_mutants(M):
+    """Every copy of M with one action cell changed that fails validation."""
+    out = []
+    for a in M.elements():
+        for s in range(M.semiring.size):
+            for v in M.elements():
+                if v != M.action[a][s]:
+                    X = mutated_module(M, "action", a, s, v)
+                    if not validate_semimodule(X).ok:
+                        out.append(X)
+    return out
+
+
+def _assert_same_homs(pairs):
+    for M, N in pairs:
+        assert morphisms._hom_tables(M.unnamed, N.unnamed) == _product_hom_tables(M, N), \
+            (M.name, N.name)
+
+
 def test_hom_tables_match_product_search(nat4_universe):
-    """Checking equivariance at the generators G of S finds the same maps as
-    checking it at all of S, on every pair of modules of size <= 3 over each
-    builtin semiring and on every pair of nat4@4 (2,280 maps)."""
-    universes = [enumerate_semimodules(UniverseSpec(s, 3)).modules
-                 for s in builtin_semirings().values()]
-    for mods in universes:
-        for M in mods:
-            for N in mods:
-                assert morphisms._hom_tables(M.unnamed, N.unnamed) == _product_hom_tables(M, N)
+    """The descent finds the maps the product search finds: on every pair of
+    modules of size <= 3 over each builtin semiring and over the
+    non-commutative UT2B, on every pair of nat4@4 (2,280 maps), on the
+    builtin fixtures with and without their elements relabelled so that zero
+    is not index 0, and between the action mutants of sat3 and T2.self that
+    fail validation, where equivariance is checked over all of S, and the
+    fixtures over their semiring."""
+    semirings = [*builtin_semirings().values(), make_upper_triangular_boolean()]
+    for s in semirings:
+        mods = enumerate_semimodules(UniverseSpec(s, 3)).modules
+        _assert_same_homs((M, N) for M in mods for N in mods)
     maps = 0
     for M in nat4_universe:
         for N in nat4_universe:
@@ -477,3 +551,29 @@ def test_hom_tables_match_product_search(nat4_universe):
             assert tables == _product_hom_tables(M, N)
             maps += len(tables)
     assert maps == 2280
+    fixtures = list(builtin_modules().values())
+    relabelled = [_relabelled(M) for M in fixtures if M.size > 1]
+    assert all(M.zero != 0 for M in relabelled)
+    both = fixtures + relabelled
+    _assert_same_homs((M, N) for M in both for N in both if M.semiring == N.semiring)
+    mutants = 0
+    for M in (builtin_modules()["sat3"], builtin_modules()["T2.self"]):
+        over = [N for N in both if N.semiring == M.semiring]
+        for X in _invalid_action_mutants(M):
+            _assert_same_homs([(X, X), *((X, N) for N in over), *((N, X) for N in over)])
+            mutants += 1
+    assert mutants == 114
+
+
+NAT5_HOMS = Path(__file__).resolve().parent / "data" / "nat5_homs.json"
+
+
+def test_nat5_hom_sweep_is_pinned():
+    """Every hom-set of nat5@5, against counts and a sha256 of the sorted
+    tables of every pair in universe order, recorded from the product search
+    (_product_hom_tables), which takes about ten times as long."""
+    mods = enumerate_semimodules(UniverseSpec(monoid_semiring(5), 5)).modules
+    homs = [morphisms._hom_tables(M.unnamed, N.unnamed) for M in mods for N in mods]
+    got = {"modules": len(mods), "maps": sum(map(len, homs)),
+           "sha256": hashlib.sha256(json.dumps(homs).encode()).hexdigest()}
+    assert got == json.loads(NAT5_HOMS.read_text(encoding="utf-8"))

@@ -10,8 +10,36 @@ import subprocess
 import sys
 from pathlib import Path
 
+from semiexact.fixtures import builtin_semirings
+
 ROOT = Path(__file__).resolve().parents[1]
-SLICE = ["tests/test_core.py", "tests/test_quotients.py",
+# every test of test_core.py but the [nat4] mutant scans, which the normal
+# pass runs (the semiring one takes about 8 s)
+CORE = [*(f"tests/test_core.py::{scan}[{name}]"
+          for scan in ("test_semiring_reports_match_full_scan_on_mutants",
+                       "test_module_reports_match_full_scan_on_mutants")
+          for name in builtin_semirings() if name != "nat4"),
+        *(f"tests/test_core.py::{name}" for name in (
+            "test_builders_validate", "test_fixture_modules_validate", "test_boolean_tables",
+            "test_patched_boolean_is_z2", "test_patched_boolean_fails_with_witness",
+            "test_validator_agrees_with_oracle_on_mutants",
+            "test_module_reports_match_full_scan_on_size4_mutants",
+            "test_laws_at_generators_are_checked_at_each_generator",
+            "test_upper_triangular_boolean_validates",
+            "test_upper_triangular_boolean_reports_match_full_scan_on_mutants",
+            "test_trusted_modules_equal_checked_ones", "test_generators_of_builtins",
+            "test_module_mutants_fail", "test_zero_must_differ_from_one",
+            "test_malformed_tables_are_structural_errors", "test_builder_parameter_errors",
+            "test_natural_quotient_specializes", "test_minplus_shape",
+            "test_cancellable_examples", "test_cancellative_module_matches_elementwise",
+            "test_cancellable_rows_match_the_scan", "test_closure_examples",
+            "test_closure_matches_oracle", "test_closure_is_closure_operator",
+            "test_closure_yields_valid_subsemimodule",
+            "test_group_subsemimodules_are_subtractive", "test_non_subtractive_example",
+            "test_subsemimodule_validation", "test_natural_action_refuses_non_generated",
+            "test_monoid_semiring_acts_on_all_small_monoids", "test_zero_module_cached",
+            "test_closure_extensive_and_monotone_random"))]
+SLICE = [*CORE, "tests/test_quotients.py",
          "tests/test_exactness.py::test_exact_at_matches_reference",
          "tests/test_morphisms.py::test_hom_tables_match_product_search",
          *(f"tests/test_enumeration.py::{name}" for name in (
