@@ -4,6 +4,9 @@ Exit codes: 0 verified/success, 1 refuted or counterexample found,
 2 hypothesis or input error. The machine report (--report) is one
 pipe-separated record per assertion, `id|status|witness|millis`, sorted by
 id; millis is pinned to 0 so reports are byte-identical across runs.
+
+Each command loads only the layers it runs (a corpus export imports no lemma
+layer); `lemma --help` and `search --help` still list every name.
 """
 
 from __future__ import annotations
@@ -15,12 +18,10 @@ from functools import lru_cache
 
 from . import __version__
 from .core import monoid_semiring
-from .diagrams import CLAUSES, lookup, snake, verify
 from .enumeration import (PROPERTIES, Counterexample, UniverseSpec, enumerate_semimodules,
                           search_counterexample)
 from .errors import (HypothesisError, ParameterError, SemiexactError, StructureError,
                      WorkspaceError)
-from .exactness import analyze
 from .fixtures import builtin_semirings
 from .morphisms import classify
 from .workspace import Workspace, parse_files, serialize
@@ -53,9 +54,6 @@ def _write(path, text):
 def _say(args, *text):
     if not args.quiet:
         print(*text)
-
-
-LEMMAS = CLAUSES
 
 
 def _load(args) -> Workspace:
@@ -116,6 +114,8 @@ def cmd_classify(args, report):
 
 
 def cmd_exactness(args, report):
+    from .exactness import analyze
+
     ws = _load(args)
     seq = _pick(ws.sequences, args.name, "sequence")
     v = analyze(seq)
@@ -152,6 +152,8 @@ def _emit_certificate(args, report, cert):
 
 
 def cmd_lemma(args, report):
+    from .diagrams import lookup, verify
+
     ws = _load(args)
     lookup(args.name, ParameterError)
     d = _pick(ws.diagrams, args.diagram, "diagram")
@@ -166,6 +168,8 @@ def cmd_lemma(args, report):
 
 
 def cmd_snake(args, report):
+    from .diagrams import snake
+
     ws = _load(args)
     d = _pick(ws.diagrams, args.diagram, "diagram")
     result = _located(ws, "diagram", args.diagram, snake, d)
@@ -252,70 +256,72 @@ def cmd_corpus(args, report):
     return 0
 
 
-def build_parser():
+def _common(p):
+    p.add_argument("files", nargs="*", help="workspace definition files")
+    p.add_argument("--report", metavar="PATH", help="write machine-readable report")
+    p.add_argument("--quiet", action="store_true", help="suppress human output")
+    p.add_argument("--max-size", type=int, default=3, metavar="N",
+                   help="module size bound for searches/corpora (default 3)")
+    p.add_argument("--seed", type=int, default=0, metavar="N")
+    p.add_argument("--corpus", metavar="PATH", help="corpus output path")
+
+
+def _lemma_args(p):
+    from .diagrams import CLAUSES
+
+    p.add_argument("name", help="one of: " + ", ".join(CLAUSES))
+    p.add_argument("diagram")
+
+
+def _search_args(p):
+    p.add_argument("name", help="one of: " + ", ".join(PROPERTIES))
+    p.add_argument("semiring", nargs="?", default="nat3",
+                   help="builtin, workspace or nat<k> semiring (default nat3)")
+
+
+# name -> (help, handler, adds the command's own arguments before the common ones)
+COMMANDS = {
+    "validate": ("parse and validate workspace files", cmd_validate, lambda p: None),
+    "classify": ("classify a morphism", cmd_classify, lambda p: p.add_argument("name")),
+    "exactness": ("analyze a sequence", cmd_exactness, lambda p: p.add_argument("name")),
+    "lemma": ("verify a diagram lemma", cmd_lemma, _lemma_args),
+    "snake": ("run the snake construction on a 2x3 diagram", cmd_snake,
+              lambda p: p.add_argument("diagram")),
+    "search": ("search the counterexample catalog", cmd_search, _search_args),
+    "corpus": ("export the enumerated module corpus", cmd_corpus,
+               lambda p: p.add_argument("semiring",
+                                        help="builtin, workspace or nat<k> semiring name")),
+}
+
+
+def build_parser(command=None):
+    """The parser of every command, or, given one, of that command alone: the
+    other subcommands get no arguments, and every help text is the full one."""
     ap = argparse.ArgumentParser(
         prog="semiexact",
         description="Exactness kernel for finite semirings and semimodules")
     ap.add_argument("--version", action="version", version=f"semiexact {__version__}")
     sub = ap.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("files", nargs="*", help="workspace definition files")
-        p.add_argument("--report", metavar="PATH", help="write machine-readable report")
-        p.add_argument("--quiet", action="store_true", help="suppress human output")
-        p.add_argument("--max-size", type=int, default=3, metavar="N",
-                       help="module size bound for searches/corpora (default 3)")
-        p.add_argument("--seed", type=int, default=0, metavar="N")
-        p.add_argument("--corpus", metavar="PATH", help="corpus output path")
-
-    p = sub.add_parser("validate", help="parse and validate workspace files")
-    common(p)
-    p.set_defaults(func=cmd_validate)
-
-    p = sub.add_parser("classify", help="classify a morphism")
-    p.add_argument("name")
-    common(p)
-    p.set_defaults(func=cmd_classify)
-
-    p = sub.add_parser("exactness", help="analyze a sequence")
-    p.add_argument("name")
-    common(p)
-    p.set_defaults(func=cmd_exactness)
-
-    p = sub.add_parser("lemma", help="verify a diagram lemma")
-    p.add_argument("name", help="one of: " + ", ".join(LEMMAS))
-    p.add_argument("diagram")
-    common(p)
-    p.set_defaults(func=cmd_lemma)
-
-    p = sub.add_parser("snake", help="run the snake construction on a 2x3 diagram")
-    p.add_argument("diagram")
-    common(p)
-    p.set_defaults(func=cmd_snake)
-
-    p = sub.add_parser("search", help="search the counterexample catalog")
-    p.add_argument("name", help="one of: " + ", ".join(PROPERTIES))
-    p.add_argument("semiring", nargs="?", default="nat3",
-                   help="builtin, workspace or nat<k> semiring (default nat3)")
-    common(p)
-    p.set_defaults(func=cmd_search)
-
-    p = sub.add_parser("corpus", help="export the enumerated module corpus")
-    p.add_argument("semiring", help="builtin, workspace or nat<k> semiring name")
-    common(p)
-    p.set_defaults(func=cmd_corpus)
+    for name, (text, handler, own_args) in COMMANDS.items():
+        p = sub.add_parser(name, help=text)
+        if command in (None, name):
+            own_args(p)
+            _common(p)
+        p.set_defaults(func=handler)
     return ap
 
 
-@lru_cache(maxsize=None)
-def _parser():
-    """build_parser(), once per process: parse_args returns a new namespace
-    on every call, and help is formatted (COLUMNS read) only when printed."""
-    return build_parser()
+@lru_cache(maxsize=len(COMMANDS) + 1)  # every command, and None
+def _parser(command):
+    """build_parser(command), once per process and command: parse_args returns
+    a new namespace on every call, and help is formatted only when printed."""
+    return build_parser(command)
 
 
 def main(argv=None):
-    args = _parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # no top-level option takes a value, so the first word is the command
+    args = _parser(next((a for a in argv if not a.startswith("-")), None)).parse_args(argv)
     report = Report()
     code = 2  # unless the command returns
     try:

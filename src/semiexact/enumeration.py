@@ -49,7 +49,6 @@ from typing import Callable, NamedTuple
 from .core import (Semimodule, Semiring, Value, _validates, all_subsemimodules, freeze_table,
                    generators, is_cancellative_module, is_subtractive, self_module,
                    subtractive_closure_set)
-from .diagrams import CLAUSES
 from .errors import LemmaRefuted, ParameterError, PreconditionError
 from .morphisms import (Morphism, classify, compose, enumerate_hom, image_set, is_injective,
                         is_isomorphism, is_k_uniform, is_surjective, kernel_set)
@@ -547,6 +546,8 @@ def _short_five_needs_i_uniform(spec, witnesses):
     squares commuting and short-five's hypotheses holding. Expected to
     exhaust: finite cancellative modules are groups, where every morphism
     is i-uniform."""
+    from .diagrams import CLAUSES  # imported by this search only
+
     (f1, g1), (f2, g2), a1, a2, a3 = witnesses
     return (is_isomorphism(a1) and is_isomorphism(a3)
             and not classify(a2).i_uniform and not is_isomorphism(a2)

@@ -33,9 +33,7 @@ from typing import NamedTuple
 
 from .core import (Semimodule, Semiring, Subsemimodule, validate_semimodule,
                    validate_semiring)
-from .diagrams import Diagram
 from .errors import HypothesisError, StructureError, WorkspaceError
-from .exactness import Sequence
 from .morphisms import Morphism
 
 
@@ -244,6 +242,8 @@ class _Parser:
             self.error(file, line, "structural", str(exc))
 
     def _block_sequence(self, file, line, name, attrs, body):
+        from .exactness import Sequence  # imported by the first sequence block only
+
         arrows = []
         for aname in attrs["arrows"].split(","):
             f = self._named(file, line, self.ws.morphisms, aname.strip(), "morphism")
@@ -256,6 +256,8 @@ class _Parser:
             self.error(file, line, "structural", str(exc))
 
     def _block_diagram(self, file, line, name, attrs, body):
+        from .diagrams import Diagram  # imported by the first diagram block only
+
         rows = {}
         cols = {}
         hyps = []

@@ -8,7 +8,8 @@ from pathlib import Path
 
 import pytest
 
-from semiexact.cli import LEMMAS, main
+from semiexact.cli import COMMANDS, build_parser, main
+from semiexact.diagrams import CLAUSES
 from semiexact.enumeration import PROPERTIES
 
 DEMO = "fixtures/demo.sx"
@@ -204,7 +205,7 @@ def test_lemma_unknown_name(capsys):
 def test_readme_and_help_name_every_lemma(capsys, monkeypatch):
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     monkeypatch.setenv("COLUMNS", "1000")  # no wrapping inside hyphenated names
-    for command, names in (("lemma", LEMMAS), ("search", PROPERTIES)):
+    for command, names in (("lemma", CLAUSES), ("search", PROPERTIES)):
         with pytest.raises(SystemExit):
             run([command, "--help"])
         help_text = capsys.readouterr().out
@@ -212,6 +213,49 @@ def test_readme_and_help_name_every_lemma(capsys, monkeypatch):
             assert f"`{name}`" in readme
             assert name in help_text
     assert "9-1.1-2" not in readme and "9-3.1-2" not in readme
+
+
+TOP_HELP = """\
+usage: semiexact [-h] [--version]
+                 {validate,classify,exactness,lemma,snake,search,corpus} ...
+
+Exactness kernel for finite semirings and semimodules
+
+positional arguments:
+  {validate,classify,exactness,lemma,snake,search,corpus}
+    validate            parse and validate workspace files
+    classify            classify a morphism
+    exactness           analyze a sequence
+    lemma               verify a diagram lemma
+    snake               run the snake construction on a 2x3 diagram
+    search              search the counterexample catalog
+    corpus              export the enumerated module corpus
+
+options:
+  -h, --help            show this help message and exit
+  --version             show program's version number and exit
+"""
+
+
+def _exit_output(parse, argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        parse(argv)
+    out = capsys.readouterr()
+    return exc.value.code, out.out, out.err
+
+
+@pytest.mark.parametrize("command", list(COMMANDS))
+def test_one_command_parser_matches_the_full_parser(command, capsys, monkeypatch):
+    """build_parser(command) gives the command the full parser's arguments
+    and help, and the top level the same help and errors; main's help and
+    errors are the full parser's."""
+    monkeypatch.setenv("COLUMNS", "80")
+    full, alone = build_parser(), build_parser(command)
+    for argv in (["--help"], [command, "--help"], [], ["bogus"], [command, "--bogus"]):
+        expected = _exit_output(full.parse_args, argv, capsys)
+        assert _exit_output(alone.parse_args, argv, capsys) == expected
+        assert _exit_output(main, argv, capsys) == expected
+    assert _exit_output(main, ["--help"], capsys) == (0, TOP_HELP, "")
 
 
 def test_lemma_hypothesis_error(tmp_path, capsys):

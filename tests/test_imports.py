@@ -4,17 +4,26 @@ __init__ re-exports its imports and is exempt. A name counts as used when it
 appears as an identifier anywhere in the module body, annotations included.
 
 Importing the CLI stays light: no package module imports dataclasses, and
-`import semiexact.cli` loads neither dataclasses nor inspect.
+`import semiexact.cli` loads neither dataclasses nor inspect. The package
+resolves its public names on first use, and no module a corpus export runs
+imports a lemma layer (diagrams, exactness, harness) when it is imported, so
+each command loads only the layers it runs.
 """
 
 import ast
+import json
 import subprocess
 import sys
+from importlib import import_module
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "semiexact"
+import semiexact
+from semiexact.cli import main
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "semiexact"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
 
@@ -64,3 +73,135 @@ def test_cli_import_leaves_out_dataclasses_and_inspect(src_env):
     proc = subprocess.run([sys.executable, "-c", code], env=src_env, capture_output=True,
                           text=True, check=True)
     assert proc.stdout.strip() == "[]"
+
+
+# the public names of the package by home module
+PUBLIC = {
+    "core": """Element Semimodule Semiring Subsemimodule ValidationReport Violation
+        all_subsemimodules generators is_cancellable is_cancellative_module is_subtractive
+        make_boolean make_natural_quotient make_product make_saturating_naturals
+        make_truncated_minplus make_zmod module_from_monoid monoid_semiring self_module
+        subtractive_closure subtractive_closure_set validate_semimodule validate_semiring
+        zero_module""",
+    "errors": """HypothesisError LemmaRefuted ParameterError PreconditionError SemiexactError
+        StructureError WorkspaceError""",
+    "exactness": """ExactnessVerdict KerCokerResult Sequence ShortExactResult SubobjectCharacter
+        analyze is_short_exact ker_coker_sequence short_sequence subobject_character""",
+    "morphisms": """Morphism MorphismClassification canonical_iso classify cokernel coimage
+        compose enumerate_hom hom_add identity_morphism image induced_from_cokernel
+        induced_to_kernel is_cancellative_morphism kernel submodule_as_module zero_morphism""",
+    "quotients": """Congruence QuotientModule bourne_congruence kernel_pair_congruence
+        projection_kernel_is_closure quotient""",
+}
+
+
+def test_all_is_the_public_names():
+    homes = {name: home for home, names in PUBLIC.items() for name in names.split()}
+    assert len(homes) == 65
+    assert set(semiexact.__all__) == homes.keys()
+    assert homes.keys() <= set(dir(semiexact))
+    for name, home in homes.items():
+        assert getattr(semiexact, name) is getattr(import_module(f"semiexact.{home}"), name)
+    with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+        getattr(semiexact, "no_such_name")
+
+
+def test_star_import_binds_no_module(src_env):
+    code = ("import json as _json, types as _types\n"
+            "from semiexact import *\n"
+            "names = [n for n in dir() if not n.startswith('_')]\n"
+            "print(_json.dumps([names, [n for n in names\n"
+            "                           if isinstance(globals()[n], _types.ModuleType)]]))")
+    proc = subprocess.run([sys.executable, "-c", code], env=src_env, capture_output=True,
+                          text=True, check=True)
+    names, modules = json.loads(proc.stdout)
+    assert names == semiexact.__all__ and modules == []
+
+
+# the lemma layers, and the modules a corpus export imports
+LEMMA_LAYERS = ("diagrams", "exactness", "harness")
+CORPUS_PATH = ("__init__.py", "core.py", "enumeration.py", "workspace.py", "fixtures.py",
+               "cli.py")
+
+
+def lemma_layer_imports(source, file):
+    """file:line of each import that runs when the module is imported (any
+    import outside a function body) and names a lemma layer."""
+    found, todo = [], list(ast.parse(source).body)
+    while todo:
+        node = todo.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        todo.extend(ast.iter_child_nodes(node))
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [getattr(node, "module", None) or ""] + [a.name for a in node.names]
+            if set(LEMMA_LAYERS) & {part for n in names for part in n.split(".")}:
+                found.append(f"{file}:{node.lineno}")
+    return sorted(found)
+
+
+@pytest.mark.parametrize("name", CORPUS_PATH)
+def test_corpus_path_imports_no_lemma_layer_at_import_time(name):
+    path = PACKAGE / name
+    assert lemma_layer_imports(path.read_text(encoding="utf-8"), path.name) == []
+
+
+def test_lemma_layer_import_is_reported():
+    source = ("from .core import Semiring\n"
+              "from .diagrams import CLAUSES\n"
+              "if True:\n"
+              "    from . import harness\n"
+              "class C:\n"
+              "    import semiexact.exactness\n"
+              "def f():\n"
+              "    from .diagrams import snake\n")
+    assert lemma_layer_imports(source, "m.py") == ["m.py:2", "m.py:4", "m.py:6"]
+
+
+RUN_COMMANDS = """\
+import json, sys
+import semiexact.cli as cli
+
+def layers():
+    return sorted(m for m in sys.modules if m in {layers!r})
+
+seen = [layers()]
+for argv in json.loads(sys.argv[1]):
+    seen.append([cli.main(argv), layers()])
+print(json.dumps(seen), file=sys.stderr)
+""".format(layers={f"semiexact.{name}" for name in LEMMA_LAYERS})
+
+
+def run_commands(calls, env):
+    """Run main on each argv of calls in one fresh interpreter: (stdout, the
+    lemma layers loaded on import, [exit code, lemma layers loaded] per call)."""
+    proc = subprocess.run([sys.executable, "-c", RUN_COMMANDS, json.dumps(calls)], env=env,
+                          capture_output=True, text=True, check=True)
+    before, *after = json.loads(proc.stderr.splitlines()[-1])
+    return proc.stdout, before, after
+
+
+def test_each_command_loads_only_its_layers(src_env, tmp_path):
+    """Module sets, not timings: importing the CLI and exporting a corpus
+    load no lemma layer; lemma and snake load diagrams and exactness. The
+    same runs one after another in one process, or in this one with every
+    layer loaded, give the same output."""
+    demo = str(ROOT / "fixtures" / "demo.sx")
+    calls = [["corpus", "B", "--max-size", "3", "--quiet", "--corpus"],
+             ["lemma", "short-five-half.1", "D", demo, "--report"],
+             ["snake", "D", demo, "--report"]]
+    lemma_loaded = ["semiexact.diagrams", "semiexact.exactness"]
+    outputs = []
+    for i, call in enumerate(calls):
+        out, before, after = run_commands([call + [str(tmp_path / f"alone{i}")]], src_env)
+        assert before == [] and after == [[0, [] if i == 0 else lemma_loaded]]
+        outputs.append(out)
+    out, _, after = run_commands([c + [str(tmp_path / f"together{i}")]
+                                       for i, c in enumerate(calls)], src_env)
+    assert after == [[0, []], [0, lemma_loaded], [0, lemma_loaded]]
+    assert out == "".join(outputs) and "verified" in outputs[1] and "delta" in outputs[2]
+    for i, call in enumerate(calls):
+        assert main(call + [str(tmp_path / f"here{i}")]) == 0
+        alone = (tmp_path / f"alone{i}").read_text(encoding="utf-8")
+        assert alone == (tmp_path / f"together{i}").read_text(encoding="utf-8")
+        assert alone == (tmp_path / f"here{i}").read_text(encoding="utf-8")
