@@ -43,6 +43,20 @@ scan names. The proofs:
   equivariant, f(ms) = f(m)s, at 0 and 1, at s + t when it is at s and t,
   and at st, as f(m(st)) = f((ms)t) = f(ms)t = (f(m)s)t. So the hom search
   checks equivariance at G only; the Morphism constructor checks all of S.
+
+The exhaustive searches (monoid tables, action grids, hom tables) are one
+backtracking engine, _completions, over a flat table in which None marks an
+unknown cell. Each search gives a cell order, the candidate values and its
+laws: laws(t, k, put) checks what the value of cell k implies wherever the
+other cells a law reads are known, fills an unknown cell a law forces by
+put(c, v), and returns False at the first known cell that disagrees. Each
+law must run from whichever of its cells is known last; then a completed
+table satisfies every law. The engine branches on the first unknown cell
+of the order, trying each value in ascending order, and keeps one trail of
+filled cells that is both the undo log and the worklist of cells whose
+laws are still to run. A forced cell is never branched on, and the tables
+under a branch agree on every cell before it in the order, so completions
+come out in lexicographic order of the order.
 """
 
 from __future__ import annotations
@@ -423,6 +437,43 @@ def _validates(m: Semimodule) -> bool:
     Semimodule.unnamed or a module built with the name "", so the action
     search and the hom search share one verdict per module."""
     return validate_semimodule(m).ok
+
+
+def _completions(table, order, values, laws, start):
+    """Every completion of a partial table that the laws accept, as a tuple,
+    in lexicographic order of the cells `order` lists (see the module
+    docstring). table is a flat list, None where a cell is unknown, and is
+    filled in place; the laws of the known cells in start run first."""
+    trail = list(start)
+
+    def put(c, v):
+        table[c] = v
+        trail.append(c)
+
+    # frames: (branch cell, its values left, trail length before it, next index of order)
+    frames, i, j, end = [], 0, 0, len(order)
+    while True:
+        while j < len(trail) and laws(table, trail[j], put):  # run the laws of trail[j:]
+            j += 1
+        if j == len(trail):
+            while i < end and table[order[i]] is not None:
+                i += 1
+            if i == end:
+                yield tuple(table)
+            else:
+                frames.append((order[i], iter(values), len(trail), i + 1))
+        while frames:  # undo to the deepest branch cell with a value left, and set it
+            k, vs, j, i = frames[-1]
+            while len(trail) > j:
+                table[trail.pop()] = None
+            v = next(vs, None)
+            if v is not None:
+                table[k] = v
+                trail.append(k)
+                break
+            frames.pop()
+        else:
+            return
 
 
 def _cancellable(M: Semimodule, m) -> bool:

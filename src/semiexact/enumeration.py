@@ -19,15 +19,13 @@ isomorphism oracle) reads the one table of relabellings per carrier size,
 _relabellings. canonical_form, the full minimum, remains the key of
 enumerate_semimodules_naive, the unpruned recount oracle.
 
-Both generators prune partial tables: a monoid table is filled cell by cell
-and dropped at the first triple that breaks associativity, and an action
-table is propagated law by law, each law cross-checked as soon as its
-operands are known. The sum and product laws are propagated only at
-generators of S (core.generators), and (p+q)x = px + qx at every x; they
-imply the rest (see the core docstring), so a grid that settles complete
-is a module, and validate_semimodule confirms it, once per table in the
-verdict cache the hom search reads too (core._validates). The tests hold the
-search to an independent law scan over all of S. Everything here is
+The monoid tables and the action tables are completed by the search engine
+of core (_completions), each with its own laws: associativity, and the
+module laws, the sum and product laws only at generators of S
+(core.generators), which imply the rest (see the core docstring). So a
+grid that completes is a module, and validate_semimodule confirms it, once
+per table in the verdict cache the hom search reads too (core._validates).
+The tests hold both searches to unpruned sweeps. Everything here is
 deterministic; the seed in a UniverseSpec only matters to downstream
 samplers.
 
@@ -46,7 +44,7 @@ from functools import lru_cache
 from itertools import permutations
 from typing import Callable, NamedTuple
 
-from .core import (Semimodule, Semiring, Value, _validates, all_subsemimodules, freeze_table,
+from .core import (Semimodule, Semiring, Value, _completions, _validates, all_subsemimodules,
                    generators, is_cancellative_module, is_subtractive, self_module,
                    subtractive_closure_set)
 from .errors import LemmaRefuted, ParameterError, PreconditionError
@@ -116,53 +114,41 @@ def _commutative_monoid_tables(n):
     """All commutative monoid tables on 0..n-1 with 0 neutral (not up to iso),
     in lexicographic order of the upper triangle read row by row.
 
-    The triangle is filled cell by cell, and a value is rejected as soon as
-    some triple whose sums are all known breaks associativity. Every triple
-    passed before the cell was set, so only those with a lookup of the new
-    cell are checked again. The table is symmetric at every step, so the
-    triple (a, b, c) makes the same four lookups as (c, b, a), and it is
-    enough to check those that read the cell as the lookup a+b or as the
-    lookup (a+b)+c, in both orientations of the cell.
+    Row and column 0 are fixed and the upper triangle is branched on. The
+    laws of a cell copy it to its mirror, so the table is symmetric whenever
+    they read it, and check the triples of associativity with a lookup of the
+    cell whose lookups are all known. The triple (a, b, c) makes the same
+    four lookups as (c, b, a) in a symmetric table, so it is enough to check
+    those that read the cell as the lookup a+b or as the lookup (a+b)+c: the
+    mirror's laws check the other orientation.
     """
-    cells = [(i, j) for i in range(1, n) for j in range(i, n)]
-    add = [[None] * n for _ in range(n)]
-    for j in range(n):
-        add[0][j] = j
-        add[j][0] = j
     rest = range(1, n)
 
-    def associative_at(i, j):
-        for x, y in ((i, j), (j, i)):
-            row_x, row_y, xy = add[x], add[y], add[x][y]
-            row_xy = add[xy]
-            for t in rest:
-                yt = row_y[t]  # (x+y)+t = x+(y+t)
-                if yt is not None:
-                    left, right = row_xy[t], row_x[yt]
-                    if left is not None and right is not None and left != right:
-                        return False
-                row_t = add[t]
-                for u in rest:
-                    if row_t[u] == x:  # (t+u)+y = t+(u+y), with t+u = x
-                        uy = add[u][y]
-                        if uy is not None:
-                            right = row_t[uy]
-                            if right is not None and right != xy:
-                                return False
+    def laws(t, k, put):
+        x, y = divmod(k, n)
+        xy, row_x, row_y = t[k], x * n, y * n
+        if t[row_y + x] is None:
+            put(row_y + x, xy)
+        for u in rest:
+            yu = t[row_y + u]  # (x+y)+u = x+(y+u)
+            if yu is not None:
+                left, right = t[xy * n + u], t[row_x + yu]
+                if left is not None and right is not None and left != right:
+                    return False
+            row_u = u * n
+            for w in rest:
+                if t[row_u + w] == x:  # (u+w)+y = u+(w+y), with u+w = x
+                    wy = t[w * n + y]
+                    if wy is not None:
+                        right = t[row_u + wy]
+                        if right is not None and right != xy:
+                            return False
         return True
 
-    def fill(k):
-        if k == len(cells):
-            yield freeze_table(add)
-            return
-        i, j = cells[k]
-        for v in range(n):
-            add[i][j] = add[j][i] = v
-            if associative_at(i, j):
-                yield from fill(k + 1)
-        add[i][j] = add[j][i] = None
-
-    yield from fill(0)
+    table = [max(i, j) if 0 in (i, j) else None for i in range(n) for j in range(n)]
+    order = [i * n + j for i in rest for j in range(i, n)]
+    for t in _completions(table, order, range(n), laws, ()):
+        yield tuple(t[i:i + n] for i in range(0, n * n, n))
 
 
 @lru_cache(maxsize=None)
@@ -191,92 +177,68 @@ def _operand_laws(s: Semiring):
 
 
 def _actions_for_monoid(semiring, add):
-    """All valid action tables for one monoid, by propagation plus backtracking.
+    """All valid action tables for one monoid, in lexicographic order.
 
     Row 0, column 0_S and column 1_S are fixed. Each remaining module law
     ties a result cell to two operand cells: m(a+b) = ma + mb,
-    m(ab) = (ma)b and (p+q)x = px + qx. When a cell becomes known, every law
-    it is an operand of and whose other operand is known is cross-checked:
-    an unknown result is filled, a known one must agree, and any
-    disagreement rejects the partial table. The rare remaining cells are
-    branched on, so a table that settles complete satisfies every law that
-    _operand_laws keeps, and by core's reduction every law.
+    m(ab) = (ma)b and (p+q)x = px + qx. The laws of a cell are those it is an
+    operand of: with the other operand known, an unknown result is filled
+    and a known one must agree. A table that completes satisfies every law
+    that _operand_laws keeps, and by core's reduction every law.
     """
-    n = len(add)
-    cols = semiring.size
-    rows = range(n)
+    n, cols = len(add), semiring.size
     sum_by, prod_by, second_by = _operand_laws(semiring)
-    madd_by = [[(q, add[p][q]) for q in range(1, n)] if p else [] for p in rows]
+    bases = range(cols, n * cols, cols)  # the first cells of the rows after row 0
+    # for row m, the first cells of rows q and m+q, for each q after 0
+    madd_by = [[(q * cols, add[m][q] * cols) for q in range(1, n)] for m in range(n)]
 
-    def settle(g, todo):
-        """Check the laws of each newly known cell in todo, filling what they
-        force, until none is left; False on any disagreement."""
-        while todo:
-            m, x = todo.pop()
-            row = g[m]
-            v = row[x]
-            for b, c in sum_by[x]:
-                if row[b] is not None:
-                    f = add[v][row[b]]
-                    if row[c] is None:
-                        row[c] = f
-                        todo.append((m, c))
-                    elif row[c] != f:
+    def laws(t, k, put):
+        m, x = divmod(k, cols)
+        v, base = t[k], k - x
+        add_v = add[v]
+        for b, c in sum_by[x]:  # m.c = m.x + m.b
+            mb = t[base + b]
+            if mb is not None:
+                c, f = base + c, add_v[mb]
+                if t[c] is None:
+                    put(c, f)
+                elif t[c] != f:
+                    return False
+        for b, c in prod_by[x]:  # m.(xb) = (m.x).b
+            f = t[v * cols + b]
+            if f is not None:
+                c += base
+                if t[c] is None:
+                    put(c, f)
+                elif t[c] != f:
+                    return False
+        for a, c in second_by[x]:  # r.(ax) = (r.a).x wherever r.a = m
+            for r in bases:
+                if t[r + a] == m:
+                    if t[r + c] is None:
+                        put(r + c, v)
+                    elif t[r + c] != v:
                         return False
-            gv = g[v]
-            for b, c in prod_by[x]:
-                f = gv[b]
-                if f is not None:
-                    if row[c] is None:
-                        row[c] = f
-                        todo.append((m, c))
-                    elif row[c] != f:
-                        return False
-            for r in range(1, n):
-                other = g[r]
-                for a, c in second_by[x]:
-                    if other[a] == m:
-                        if other[c] is None:
-                            other[c] = v
-                            todo.append((r, c))
-                        elif other[c] != v:
-                            return False
-            for q, p in madd_by[m]:
-                if g[q][x] is not None:
-                    f = add[v][g[q][x]]
-                    if g[p][x] is None:
-                        g[p][x] = f
-                        todo.append((p, x))
-                    elif g[p][x] != f:
-                        return False
+        for q, p in madd_by[m]:  # (m+q).x = m.x + q.x
+            qx = t[q + x]
+            if qx is not None:
+                c, f = p + x, add_v[qx]
+                if t[c] is None:
+                    put(c, f)
+                elif t[c] != f:
+                    return False
         return True
 
-    results = []
-
-    def search(g):
-        for m in rows:
-            for x in range(cols):
-                if g[m][x] is None:
-                    for v in rows:
-                        h = [r[:] for r in g]
-                        h[m][x] = v
-                        if settle(h, [(m, x)]):
-                            search(h)
-                    return
-        table = freeze_table(g)
-        if _validates(Semimodule._trusted("", semiring, n, add, table)):
-            results.append(table)
-
-    grid = [[None] * cols for _ in rows]
-    for c in range(cols):
-        grid[0][c] = 0
-    for m in rows:
-        grid[m][semiring.zero] = 0
-        grid[m][semiring.one] = m
-    if settle(grid, [(m, semiring.one) for m in range(1, n)]):
-        search(grid)
-    results.sort()
-    return results
+    zero, one = semiring.zero, semiring.one
+    table = [0 if m == 0 or x == zero else m if x == one else None
+             for m in range(n) for x in range(cols)]
+    out = []
+    for t in _completions(table, range(n * cols), range(n), laws,
+                          [m * cols + one for m in range(1, n)]):
+        action = tuple(t[i:i + cols] for i in range(0, n * cols, cols))
+        if _validates(Semimodule._trusted("", semiring, n, add, action)):
+            out.append(action)
+    return out
 
 
 @lru_cache(maxsize=None)

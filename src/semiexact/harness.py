@@ -145,25 +145,32 @@ _left_exact_rows = partial(_exact_rows, injective=True)
 _short_exact_rows = partial(_exact_rows, injective=True, surjective=True)
 
 
+def _verticals(seed, tag, f1, g1, f2, g2, tests):
+    """Yield (a1, a2, a3) with a2 in a seeded order and both squares of the
+    row pair (f1, g1), (f2, g2) commuting, the tests (for a1, a2, a3, each
+    skipped where it is None) passing on each part: a1 and a3 are looked up
+    by composite table."""
+    a1_test, a2_test, a3_test = tests
+    a1_by = _index(enumerate_hom(f1.domain, f2.domain), lambda h: _table(f2, h), a1_test)
+    a3_by = _index(enumerate_hom(g1.codomain, g2.codomain), lambda h: _table(h, g1), a3_test)
+    if not (a1_by and a3_by):
+        return
+    for a2 in _shuffled(enumerate_hom(f1.codomain, f2.codomain), seed, tag + "a2"):
+        if a2_test is not None and not a2_test(a2):
+            continue
+        for a1 in a1_by.get(_table(a2, f1), ()):
+            for a3 in a3_by.get(_table(g2, a2), ()):
+                yield a1, a2, a3
+
+
 def _row_pairs_with_verticals(spec, rows_top, rows_bottom, tag, tests=(None,) * 7):
     """Yield (f1, g1, f2, g2, a1, a2, a3) with both squares commuting and
     tests[i], where it is not None, passing on the i-th part."""
-    seed = spec.seed
-    rows_ok, a2_ok = _joint(tests[:4]), tests[5]
-    for top, bottom in _shuffled_pairs(rows_top, rows_bottom, seed, tag):
-        if not rows_ok(top + bottom):
-            continue
-        (f1, g1), (f2, g2) = top, bottom
-        a1_by = _index(enumerate_hom(f1.domain, f2.domain), lambda h: _table(f2, h), tests[4])
-        a3_by = _index(enumerate_hom(g1.codomain, g2.codomain), lambda h: _table(h, g1), tests[6])
-        if not (a1_by and a3_by):
-            continue
-        for a2 in _shuffled(enumerate_hom(f1.codomain, f2.codomain), seed, tag + "a2"):
-            if a2_ok is not None and not a2_ok(a2):
-                continue
-            for a1 in a1_by.get(_table(a2, f1), ()):
-                for a3 in a3_by.get(_table(g2, a2), ()):
-                    yield f1, g1, f2, g2, a1, a2, a3
+    rows_ok = _joint(tests[:4])
+    for top, bottom in _shuffled_pairs(rows_top, rows_bottom, spec.seed, tag):
+        if rows_ok(top + bottom):
+            for verts in _verticals(spec.seed, tag, *top, *bottom, tests[4:7]):
+                yield top + bottom + verts
 
 
 def _build(name, shape, parts):
@@ -320,39 +327,22 @@ def _squares_2x5(spec: HarnessSpec, tag, tests):
     """Yield the parts of 2x5 grids of exact rows with every square commuting
     and tests[i], where it is not None, passing on the i-th part."""
     rows = _exact_5rows(spec.semiring, spec.max_size)
-    seed = spec.seed
-    rows_ok, a2_ok = _joint(tests[:8]), tests[10]
-    for row1, row2 in _shuffled_pairs(rows, rows, seed, tag):
+    rows_ok = _joint(tests[:8])
+    for row1, row2 in _shuffled_pairs(rows, rows, spec.seed, tag):
         both = row1 + row2
         if not rows_ok(both):
             continue
         (d1, f1, g1, h1), (d2, f2, g2, h2) = row1, row2
-        a1_by = _index(enumerate_hom(f1.domain, f2.domain), lambda h: _table(f2, h), tests[9])
-        a3_by = _index(enumerate_hom(g1.codomain, g2.codomain), lambda h: _table(h, g1), tests[11])
-        if not (a1_by and a3_by):
-            continue
         gamma_by = delta_by = None
-        for a2 in _shuffled(enumerate_hom(f1.codomain, f2.codomain), seed, tag + "a2"):
-            if a2_ok is not None and not a2_ok(a2):
-                continue
-            a1s = a1_by.get(_table(a2, f1))
-            if not a1s:
-                continue
-            a3s = a3_by.get(_table(g2, a2))
-            if not a3s:
-                continue
+        for a1, a2, a3 in _verticals(spec.seed, tag, f1, g1, f2, g2, tests[9:12]):
             if gamma_by is None:
                 gamma_by = _index(enumerate_hom(d1.domain, d2.domain), lambda g: _table(d2, g),
                                   tests[8])
                 delta_by = _index(enumerate_hom(h1.codomain, h2.codomain),
                                   lambda dd: _table(dd, h1), tests[12])
-            for a1 in a1s:
-                gammas = gamma_by.get(_table(a1, d1), ())
-                for a3 in a3s:
-                    deltas = delta_by.get(_table(h2, a3), ())
-                    for gamma in gammas:
-                        for delta in deltas:
-                            yield both + (gamma, a1, a2, a3, delta)
+            for gamma in gamma_by.get(_table(a1, d1), ()):
+                for delta in delta_by.get(_table(h2, a3), ()):
+                    yield both + (gamma, a1, a2, a3, delta)
 
 
 def _gen_2x5(spec: HarnessSpec, clause):

@@ -17,8 +17,8 @@ square) and factor_through_surjection descends one through a surjection
 is the table of g∘f without building the Morphism, for callers that only
 compare tables.
 
-The hom search, _hom_tables, descends over the domain's elements and checks
-each linearity law once, when the last element it reads gets its image.
+The hom search, _hom_tables, completes a map's table by the search engine of
+core (_completions), with the linearity laws as its laws.
 
 No result depends on names, so caches key on tables (Semimodule.unnamed):
 the hom search per pair of modules, classify per (domain, codomain, table)
@@ -30,8 +30,8 @@ from __future__ import annotations
 from functools import lru_cache, wraps
 from typing import NamedTuple
 
-from .core import Semimodule, Subsemimodule, Value, _cancellable, _validates, generators, \
-    subtractive_closure_set
+from .core import Semimodule, Subsemimodule, Value, _cancellable, _completions, _validates, \
+    generators, subtractive_closure_set
 from .errors import LemmaRefuted, PreconditionError, StructureError
 from .quotients import QuotientModule, bourne_congruence, kernel_pair_congruence, quotient
 
@@ -75,8 +75,7 @@ class Morphism(Value):
 def _linearity_problem(dom: Semimodule, cod: Semimodule, f):
     """Why the table f from dom to cod is not linear, the first law it breaks
     in the order zero, additivity, equivariance at every s in S; None when it
-    is linear. _hom_tables checks the same laws, one at a time, during its
-    descent."""
+    is linear."""
     if f[dom.zero] != cod.zero:
         return "does not preserve zero"
     for a in dom.elements():
@@ -291,16 +290,6 @@ def _k_uniform_witness(dom: Semimodule, zero, table):
     return None
 
 
-def is_i_uniform(f: Morphism, witness=False):
-    """The image equals its subtractive closure in the codomain."""
-    img = image_set(f)
-    closure = subtractive_closure_set(f.codomain, img)
-    extra = sorted(closure - img)
-    if extra:
-        return (False, extra[0]) if witness else False
-    return (True, None) if witness else True
-
-
 class MorphismClassification(NamedTuple):
     injective: bool
     surjective: bool
@@ -349,16 +338,17 @@ def classify(f: Morphism) -> MorphismClassification:
     k_ok, k_wit = is_k_uniform(f, witness=True)
     if not k_ok:
         wit["k_uniform"] = f"pair ({k_wit[0]},{k_wit[1]})"
-    i_ok, i_wit = is_i_uniform(f, witness=True)
+    closure = subtractive_closure_set(cod, img)
+    extra = closure - img  # i-uniform: the image equals its subtractive closure
+    i_ok = not extra
     if not i_ok:
-        wit["i_uniform"] = f"{i_wit} in closure(image) only"
+        wit["i_uniform"] = f"{min(extra)} in closure(image) only"
 
     ker = kernel_set(f)
     semi_mono = ker == {dom.zero}
     if not semi_mono:
         wit["semi_mono"] = f"kernel contains {min(ker - {dom.zero})}"
 
-    closure = subtractive_closure_set(cod, img)
     semi_epi = len(closure) == cod.size
     if not semi_epi:
         wit["semi_epi"] = f"{min(set(cod.elements()) - closure)} outside closure(image)"
@@ -423,44 +413,39 @@ def enumerate_hom(M: Semimodule, N: Semimodule) -> tuple:
 
 @lru_cache(maxsize=None)
 def _hom_tables(M: Semimodule, N: Semimodule) -> tuple:
-    """The sorted tables of every linear map M -> N, by descent over M's
-    elements in index order: M's zero maps to N's zero, every other element
-    tries each image in N, and each law of _linearity_problem is checked
-    once, at the largest element it reads, so a partial table is dropped at
-    the first law it breaks; that is the maps' only validation. Equivariance
-    is checked at the generators G of S when both modules validate, which
-    implies it at all of S (core.generators), and at all of S otherwise."""
+    """The sorted tables of every linear map M -> N, completed from
+    f(0) = 0 by core._completions. The laws of a known f(a) set f(a+b) =
+    f(a)+f(b) at every known f(b) and f(a.s) = f(a).s. When both modules
+    validate, + commutes, so every sum law runs from whichever of a and b is
+    known last, and equivariance at the generators G of S implies it at all
+    of S (core.generators): the laws are the maps' only validation.
+    Otherwise equivariance runs at all of S, and a completed table is kept
+    only when _linearity_problem finds no broken law."""
     spans = generators(M.semiring)
-    scalars = spans[1] if spans and _validates(M) and _validates(N) else range(M.semiring.size)
-    sums = [[] for _ in M.elements()]  # (a, b, a+b) at the largest of the three
-    acts = [[] for _ in M.elements()]  # (a, s, a.s) at the larger of a and a.s
-    for a in M.elements():
-        for b in M.elements():
-            c = M.add[a][b]
-            sums[max(a, b, c)].append((a, b, c))
-        for s in scalars:
-            c = M.action[a][s]
-            acts[max(a, c)].append((a, s, c))
-    add, act = N.add, N.action
-    table, out = [None] * M.size, []
+    checked = spans and _validates(M) and _validates(N)
+    scalars = spans[1] if checked else range(M.semiring.size)
+    madd, mact, add, act = M.add, M.action, N.add, N.action
 
-    def fits(m):
-        for a, b, c in sums[m]:
-            if table[c] != add[table[a]][table[b]]:
-                return False
-        for a, s, c in acts[m]:
-            if table[c] != act[table[a]][s]:
+    def laws(t, a, put):
+        fa = t[a]
+        row, out = madd[a], add[fa]
+        for b, fb in enumerate(t):  # f(a+b) = f(a)+f(b)
+            if fb is not None:
+                c, f = row[b], out[fb]
+                if t[c] is None:
+                    put(c, f)
+                elif t[c] != f:
+                    return False
+        row, out = mact[a], act[fa]
+        for s in scalars:  # f(a.s) = f(a).s
+            c, f = row[s], out[s]
+            if t[c] is None:
+                put(c, f)
+            elif t[c] != f:
                 return False
         return True
 
-    def descend(m):
-        if m == M.size:
-            out.append(tuple(table))
-            return
-        for v in (N.zero,) if m == M.zero else N.elements():
-            table[m] = v
-            if fits(m):
-                descend(m + 1)
-
-    descend(0)
-    return tuple(out)
+    table = [None] * M.size
+    table[M.zero] = N.zero
+    return tuple(t for t in _completions(table, M.elements(), N.elements(), laws, (M.zero,))
+                 if checked or _linearity_problem(M, N, t) is None)

@@ -1,9 +1,12 @@
 """Semiring/semimodule validation, cancellativity, subtractive closure, builders."""
 
+from itertools import product
+
 import pytest
 from hypothesis import given, strategies as st
 
 from semiexact.core import (Element, Semimodule, Semiring, Subsemimodule, _cancellable,
+                            _completions,
                             all_subsemimodules, generators, is_cancellable,
                             is_cancellative_module, is_subtractive, make_boolean,
                             make_natural_quotient, make_saturating_naturals,
@@ -383,3 +386,55 @@ def test_closure_extensive_and_monotone_random(data):
     assert set(x.members) <= set(cx.members)
     if set(x.members) <= set(y.members):
         assert set(cx.members) <= set(cy.members)
+
+
+# ---------------------------------------------------------- search engine
+
+def _toy_laws(seen):
+    """Laws on five cells c0..c4: c3 = c0 + c1 mod 3, which forces c3 once c0
+    and c1 are known, and c2 != c0 and c4 != c1, which reject a partial
+    table; each run appends (cell, table) to seen."""
+    def laws(t, k, put):
+        seen.append((k, tuple(t)))
+        if k in (0, 1, 3) and None not in (t[0], t[1]):
+            f = (t[0] + t[1]) % 3
+            if t[3] is None:
+                put(3, f)
+            elif t[3] != f:
+                return False
+        if k in (0, 2) and t[0] is not None and t[0] == t[2]:
+            return False
+        return not (k in (1, 4) and t[1] is not None and t[1] == t[4])
+    return laws
+
+
+def _brute_completions(table, order):
+    """Every filling of the unknown cells with 0..2 that the toy laws accept
+    as whole tables, in lexicographic order of the cells in order."""
+    cells = [c for c, v in enumerate(table) if v is None]
+    out = []
+    for values in product(range(3), repeat=len(cells)):
+        t = list(table)
+        for c, v in zip(cells, values):
+            t[c] = v
+        if t[3] == (t[0] + t[1]) % 3 and t[2] != t[0] and t[4] != t[1]:
+            out.append(tuple(t))
+    return sorted(out, key=lambda t: [t[c] for c in order])
+
+
+@pytest.mark.parametrize("table, start, order", [
+    ([None] * 5, (), [0, 1, 3, 2, 4]),
+    ([None] * 5, (), [4, 2, 1, 0, 3]),
+    ([None, None, None, None, 2], (4,), [0, 1, 3, 2]),
+    ([None, 1, None, None, 2], (1, 4), [2, 3, 0]),
+    ([0, None, 0, None, None], (0, 2), [1, 3, 4]),
+])
+def test_completions_match_brute_force(table, start, order):
+    """The engine returns the fillings a sweep of every assignment accepts, in
+    lexicographic order of `order`. Once c0 and c1 are known, c3 only ever
+    holds the value they force: a forced cell is never branched on."""
+    seen = []
+    got = list(_completions(list(table), order, range(3), _toy_laws(seen), start))
+    assert got == _brute_completions(table, order)
+    assert all(t[3] == (t[0] + t[1]) % 3 for k, t in seen
+               if k == 3 and None not in (t[0], t[1]))

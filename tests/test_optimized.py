@@ -38,7 +38,8 @@ CORE = [*(f"tests/test_core.py::{scan}[{name}]"
             "test_group_subsemimodules_are_subtractive", "test_non_subtractive_example",
             "test_subsemimodule_validation", "test_natural_action_refuses_non_generated",
             "test_monoid_semiring_acts_on_all_small_monoids", "test_zero_module_cached",
-            "test_closure_extensive_and_monotone_random"))]
+            "test_closure_extensive_and_monotone_random",
+            "test_completions_match_brute_force"))]
 SLICE = [*CORE, "tests/test_quotients.py",
          "tests/test_exactness.py::test_exact_at_matches_reference",
          "tests/test_morphisms.py::test_hom_tables_match_product_search",
@@ -46,7 +47,8 @@ SLICE = [*CORE, "tests/test_quotients.py",
              "test_monoid_counts", "test_ring_module_counts",
              "test_naive_recount_matches", "test_canonical_monoid_tables",
              "test_monoid_filter_matches_canonical_form", "test_automorphisms_match_scan",
-             "test_enumerated_matches_canonical_selection")),
+             "test_enumerated_matches_canonical_selection",
+             "test_monoid_tables_match_product_sweep", "test_actions_match_validation_oracle")),
          *(f"tests/test_harness.py::{name}" for name in (
              "test_row_pools_match_named_builders",
              "test_exact_pairs_match_named_builder_at_nat4"))]
