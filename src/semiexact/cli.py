@@ -242,8 +242,7 @@ def cmd_corpus(args, report):
     out = Workspace()
     out.semirings[semiring.name] = semiring
     for i, m in enumerate(uni.modules):
-        out.modules[f"corpus{i}"] = m._trusted(f"corpus{i}", m.semiring, m.size,
-                                               m.add, m.action, m.zero)
+        out.modules[f"corpus{i}"] = m._trusted(f"corpus{i}", *m._key(m)[1:])
     text = serialize(out)
     if args.corpus:
         _write(args.corpus, text)

@@ -7,6 +7,15 @@ All tables are row-major tuples, so every structure is immutable,
 hashable and safe to share. Checked values (structures, maps, congruences,
 specs) subclass Value; results such as ValidationReport are NamedTuples.
 
+Each value is checked once, where it enters. A derived value that is valid
+by construction (an image, kernel-pair congruence, subsemimodule, quotient,
+identity, composite, hom-set member, inclusion, projection or factored map)
+is built by Value._trusted, with a proof at its call site from what its
+inputs' constructors checked, not from module laws. What needs such a law
+stays checked: kernel, subtractive_closure, bourne_congruence,
+zero_morphism, hom_add, oracle_iso_exists, snake's connecting map, every
+Diagram, and the _validates verdict on each grid of the action search.
+
 Validation reports every violated law (one witness each) instead of
 stopping at the first: fixtures are authored by hand and full reports
 make table typos obvious.
@@ -62,7 +71,7 @@ come out in lexicographic order of the order.
 from __future__ import annotations
 
 import math
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import product
 from operator import attrgetter
 from typing import NamedTuple
@@ -74,7 +83,8 @@ def freeze_table(rows):
     return tuple(tuple(int(x) for x in row) for row in rows)
 
 
-# Fields are set and read as attributes: a built __dict__ slows attribute reads (CPython 3.11).
+# Fields, _hash and _unnamed are set by object.__setattr__, never through an instance
+# __dict__: once one is built, attribute reads take a slower path (CPython 3.11).
 _setattr = object.__setattr__
 
 
@@ -111,6 +121,15 @@ class Value:
                                self._bind(args, kwargs) if tail is None else args + tail):
             _setattr(self, name, value)
         self.__post_init__()
+
+    @classmethod
+    def _trusted(cls, *args):
+        """The value the constructor builds from args, all fields or all but
+        trailing defaults, as __post_init__ would leave them, without its check."""
+        value = object.__new__(cls)
+        for name, v in zip(cls._fields, args + cls._tails[len(args)]):
+            _setattr(value, name, v)
+        return value
 
     @classmethod
     def _bind(cls, args, kwargs):
@@ -232,21 +251,15 @@ class Semimodule(Value):
         if not 0 <= self.zero < self.size:
             raise StructureError(f"module {self.name}: zero {self.zero} out of range")
 
-    @classmethod
-    def _trusted(cls, name, semiring, size, add, action, zero=0):
-        """The module the public constructor builds from tables that are already
-        frozen and in range (a checked module's, or a search's), without
-        freezing or checking them again."""
-        m = object.__new__(cls)
-        m.__dict__.update(name=name, semiring=semiring, size=size, add=add, action=action,
-                          zero=zero)
-        return m
+    _unnamed = None
 
-    @cached_property
+    @property
     def unnamed(self):
         """This module named "", every other field (semiring and zero too) kept,
-        built once: the key of caches of results that depend on tables alone."""
-        return self._trusted("", self.semiring, self.size, self.add, self.action, self.zero)
+        built once as _hash is: the key of caches of results of tables alone."""
+        if self._unnamed is None:
+            _setattr(self, "_unnamed", self._trusted("", *self._key(self)[1:]))
+        return self._unnamed
 
     def __repr__(self):
         return f"Semimodule({self.name!r}, size={self.size}, over={self.semiring.name!r})"
@@ -521,7 +534,7 @@ def all_subsemimodules(M: Semimodule):
             members = {M.zero, *extra}
             if all(M.add[a][b] in members for a in members for b in members) and \
                all(M.action[a][s] in members for a in members for s in range(M.semiring.size)):
-                out.append(Subsemimodule(M, tuple(sorted(members))))
+                out.append(Subsemimodule._trusted(M, tuple(sorted(members))))  # closed: tested
     out.sort(key=lambda X: (len(X.members), X.members))
     return out
 

@@ -80,22 +80,3 @@ def builtin_modules():
     out["max3.T2"] = _checked(module_from_monoid(((0, 1, 2), (1, 1, 2), (2, 2, 2)),
                                                  "max3.T2", t2))
     return out
-
-
-def mutated_semiring(s, table, i, j, value):
-    """Copy of s with one table cell edited; table is 'add' or 'mul'."""
-    rows = [list(r) for r in getattr(s, table)]
-    rows[i][j] = value
-    kw = {"add": s.add, "mul": s.mul}
-    kw[table] = tuple(tuple(r) for r in rows)
-    return type(s)(f"{s.name}!{table}[{i}][{j}]={value}", s.size, kw["add"], kw["mul"],
-                   zero=s.zero, one=s.one)
-
-
-def mutated_module(m, table, i, j, value):
-    rows = [list(r) for r in getattr(m, table)]
-    rows[i][j] = value
-    kw = {"add": m.add, "action": m.action}
-    kw[table] = tuple(tuple(r) for r in rows)
-    return Semimodule(f"{m.name}!{table}[{i}][{j}]={value}", m.semiring, m.size,
-                      kw["add"], kw["action"], zero=m.zero)

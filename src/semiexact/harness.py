@@ -300,7 +300,7 @@ def _onto_kernel(mods, c, k_uniform):
     for X in mods:
         for i, t in _onto(X, K, k_uniform):
             yield Morphism._trusted(f"incl[{ker}]*h{i}[{X.name}->{ker}]", X, c.domain,
-                                    map(members.__getitem__, t))
+                                    tuple(map(members.__getitem__, t)))
 
 
 @lru_cache(maxsize=None)
@@ -353,14 +353,15 @@ def _gen_2x5(spec: HarnessSpec, clause):
 
 @lru_cache(maxsize=None)
 def _bourne_quotient(M, members):
-    """M modulo the Bourne congruence of its subsemimodule `members`."""
-    return quotient(M, bourne_congruence(Subsemimodule(M, members)))
+    """M modulo the Bourne congruence of the image `members` of a map into M,
+    sorted: a subsemimodule by linearity (morphisms.image)."""
+    return quotient(M, bourne_congruence(Subsemimodule._trusted(M, members)))
 
 
 def _derive_quotient_row(f2, g2, a1, a2, a3):
     """Bottom row of a 3x3: quotients by the vertical images with the induced
     maps; None when an induced map is not well-defined."""
-    q1, q2, q3 = (_bourne_quotient(a.codomain, image_set(a)) for a in (a1, a2, a3))
+    q1, q2, q3 = (_bourne_quotient(a.codomain, tuple(sorted(image_set(a)))) for a in (a1, a2, a3))
 
     def induced(q_src, q_dst, f):
         return factor_through_surjection(q_src.projection, _table(q_dst.projection, f),
@@ -498,7 +499,7 @@ def _snake_left_rows(semiring, max_size, cap=200):
                     for i, aut in auts:
                         f2 = Morphism._trusted(
                             f"incl[{ker}]*h{i}[{ker}->{ker}]*iso[{L.name}->{ker}]", L, M,
-                            (members[aut[x]] for x in iso))
+                            tuple(members[aut[x]] for x in iso))
                         rows.append((f2, g))
                         if len(rows) >= cap:
                             return tuple(rows)

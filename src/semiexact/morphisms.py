@@ -2,10 +2,10 @@
 
 Every value of the Morphism type is a genuine map of semimodules. The public
 constructor, which the parser and user code call, validates linearity;
-values that are linear by construction (hom-set members, composites,
-subsemimodule inclusions, quotient projections and maps factored through
-an injection or a surjection) are built once by the private
-Morphism._trusted, so a derived map is not validated again.
+maps that are linear by construction (identities, hom-set members,
+composites, inclusions, projections and maps factored through an injection
+or a surjection) and images, which linearity closes, are built by
+Value._trusted, so a derived value is not checked again (see core).
 classify() evaluates the raw defining condition of each flag; the
 lemma-level equivalences these flags satisfy live in the test suite,
 keeping implementation and oracle apart.
@@ -57,14 +57,6 @@ class Morphism(Value):
         if problem is not None:
             raise StructureError(f"morphism {self.name}: {problem}")
 
-    @classmethod
-    def _trusted(cls, name, domain, codomain, table):
-        """The Morphism the public constructor builds from a table of ints that
-        is linear by construction, without re-checking it."""
-        f = object.__new__(cls)
-        f.__dict__.update(name=name, domain=domain, codomain=codomain, map=tuple(table))
-        return f
-
     def __call__(self, m):
         return self.map[m]
 
@@ -91,13 +83,8 @@ def _linearity_problem(dom: Semimodule, cod: Semimodule, f):
     return None
 
 
-def is_linear_table(dom: Semimodule, cod: Semimodule, f) -> bool:
-    """Linearity predicate on a raw table over all of S, without exceptions."""
-    return _linearity_problem(dom, cod, f) is None
-
-
 def identity_morphism(M: Semimodule) -> Morphism:
-    return Morphism(f"id[{M.name}]", M, M, tuple(range(M.size)))
+    return Morphism._trusted(f"id[{M.name}]", M, M, tuple(range(M.size)))
 
 
 def zero_morphism(M: Semimodule, N: Semimodule) -> Morphism:
@@ -187,20 +174,21 @@ def factor_through_surjection(p: Morphism, values, codomain: Semimodule, name):
             return None
     if None in table:
         return None
-    return Morphism._trusted(name, p.codomain, codomain, table)
+    return Morphism._trusted(name, p.codomain, codomain, tuple(table))
 
 
 def submodule_as_module(X: Subsemimodule, name=None) -> tuple[Semimodule, Morphism]:
-    """A subsemimodule reindexed as a module in its own right, with inclusion."""
+    """A subsemimodule reindexed as a module in its own right, with inclusion:
+    every table entry is a position, and the tables restrict M's through pos."""
     M = X.parent
     members = X.members
     pos = {m: i for i, m in enumerate(members)}
-    add = [[pos[M.add[a][b]] for b in members] for a in members]
-    action = [[pos[M.action[a][s]] for s in range(M.semiring.size)] for a in members]
+    add = tuple(tuple(pos[M.add[a][b]] for b in members) for a in members)
+    action = tuple(tuple(pos[M.action[a][s]] for s in range(M.semiring.size)) for a in members)
     if name is None:
         name = f"{M.name}|{{{','.join(map(str, members))}}}"
-    sub = Semimodule(name, M.semiring, len(members), add, action, pos[M.zero])
-    incl = Morphism._trusted(f"incl[{name}]", sub, M, members)  # linear: tables via pos
+    sub = Semimodule._trusted(name, M.semiring, len(members), add, action, pos[M.zero])
+    incl = Morphism._trusted(f"incl[{name}]", sub, M, members)
     return sub, incl
 
 
@@ -222,7 +210,8 @@ def image_set(f: Morphism) -> frozenset:
 
 
 def image(f: Morphism) -> Subsemimodule:
-    return Subsemimodule(f.codomain, tuple(sorted(image_set(f))))
+    """f(X), closed by linearity: f(a) + f(b) = f(a + b), f(a)s = f(as), f(0) = 0."""
+    return Subsemimodule._trusted(f.codomain, tuple(sorted(image_set(f))))
 
 
 def image_module(f: Morphism) -> tuple[Semimodule, Morphism]:

@@ -10,10 +10,12 @@ from pathlib import Path
 
 import pytest
 
-from semiexact.core import (make_product, make_truncated_minplus, make_zmod,
+from semiexact.core import (Semimodule, make_product, make_truncated_minplus, make_zmod,
                             monoid_semiring)
 from semiexact.enumeration import UniverseSpec, enumerate_semimodules
 from semiexact.fixtures import builtin_modules, builtin_semirings, monoid_fixture
+from semiexact.morphisms import _linearity_problem
+from semiexact.quotients import Congruence
 
 
 @pytest.fixture(scope="session")
@@ -58,6 +60,36 @@ def max3():
 @pytest.fixture(scope="session")
 def chain2():
     return monoid_fixture("chain2")
+
+
+# ------------------------------------------------------ builders for tests
+
+def mutated_semiring(s, table, i, j, value):
+    """Copy of s with one table cell edited; table is 'add' or 'mul'."""
+    rows = [list(r) for r in getattr(s, table)]
+    rows[i][j] = value
+    kw = {"add": s.add, "mul": s.mul}
+    kw[table] = tuple(tuple(r) for r in rows)
+    return type(s)(f"{s.name}!{table}[{i}][{j}]={value}", s.size, kw["add"], kw["mul"],
+                   zero=s.zero, one=s.one)
+
+
+def mutated_module(m, table, i, j, value):
+    rows = [list(r) for r in getattr(m, table)]
+    rows[i][j] = value
+    kw = {"add": m.add, "action": m.action}
+    kw[table] = tuple(tuple(r) for r in rows)
+    return Semimodule(f"{m.name}!{table}[{i}][{j}]={value}", m.semiring, m.size,
+                      kw["add"], kw["action"], zero=m.zero)
+
+
+def is_linear_table(dom, cod, f):
+    """Linearity predicate on a raw table over all of S, without exceptions."""
+    return _linearity_problem(dom, cod, f) is None
+
+
+def identity_congruence(M):
+    return Congruence(M, tuple(range(M.size)))
 
 
 # ------------------------------------------------------ independent oracles

@@ -23,8 +23,7 @@ from semiexact.enumeration import (Counterexample, ExhaustionReport, UniverseSpe
                                    is_monomorphism, replay_counterexample,
                                    search_counterexample, universe_with_free_module)
 from semiexact.exactness import ker_coker_sequence, subobject_character
-from semiexact.fixtures import builtin_modules, builtin_semirings, mutated_module, \
-    mutated_semiring
+from semiexact.fixtures import builtin_modules, builtin_semirings
 from semiexact.harness import (HarnessSpec, gen_short_five_half, gen_five,
                                gen_five_parts, gen_lemma_diagram, gen_lemma_short,
                                gen_nine, gen_nine_first, gen_nine_third,
@@ -32,6 +31,8 @@ from semiexact.harness import (HarnessSpec, gen_short_five_half, gen_five,
 from semiexact.morphisms import (classify, cokernel, enumerate_hom, image_set,
                                  is_injective, is_surjective, kernel, kernel_set)
 from semiexact.quotients import bourne_congruence, quotient
+
+from conftest import mutated_module, mutated_semiring
 
 
 @contextmanager

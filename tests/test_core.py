@@ -18,10 +18,10 @@ from semiexact.core import (Element, Semimodule, Semiring, Subsemimodule, _cance
 from semiexact.enumeration import (UniverseSpec, enumerate_semimodules,
                                    enumerate_semimodules_naive)
 from semiexact.errors import ParameterError, StructureError
-from semiexact.fixtures import builtin_semirings, mutated_module, mutated_semiring
+from semiexact.fixtures import builtin_semirings
 
-from conftest import all_semiring_fixtures, oracle_closure, oracle_semiring_laws, \
-    oracle_semimodule_laws
+from conftest import all_semiring_fixtures, mutated_module, mutated_semiring, oracle_closure, \
+    oracle_semiring_laws, oracle_semimodule_laws
 from full_scan import full_scan_semimodule, full_scan_semiring
 
 

@@ -17,16 +17,17 @@ from semiexact.core import (Semimodule, Semiring, Subsemimodule, is_cancellative
 from semiexact.enumeration import (enumerate_semimodules, is_epimorphism, is_monomorphism,
                                    universe_with_free_module, UniverseSpec)
 from semiexact.errors import PreconditionError, StructureError
-from semiexact.fixtures import builtin_modules, builtin_semirings, mutated_module
+from semiexact.fixtures import builtin_modules, builtin_semirings
 from semiexact.morphisms import (Morphism, _table, canonical_iso,
                                  classify, cokernel, coimage, compose, enumerate_hom,
                                  factor_through_injection, factor_through_surjection,
                                  hom_add, identity_morphism, image, image_set,
                                  induced_from_cokernel, induced_to_kernel, is_injective,
-                                 is_isomorphism, is_k_uniform, is_linear_table,
-                                 is_surjective, kernel, kernel_set, submodule_as_module,
+                                 is_isomorphism, is_k_uniform, is_surjective, kernel, kernel_set, submodule_as_module,
                                  zero_morphism)
 from semiexact.quotients import bourne_congruence, quotient
+
+from conftest import is_linear_table, mutated_module
 
 
 @pytest.fixture(scope="module")

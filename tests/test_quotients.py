@@ -3,17 +3,18 @@
 import pytest
 
 from semiexact.core import (Semimodule, Subsemimodule, all_subsemimodules,
-                            is_cancellative_module, is_subtractive, make_zmod, self_module,
-                            subtractive_closure, subtractive_closure_set,
+                            is_cancellative_module, is_subtractive, make_boolean, make_zmod,
+                            self_module, subtractive_closure, subtractive_closure_set,
                             validate_semimodule)
 from semiexact.errors import StructureError
-from semiexact.morphisms import (Morphism, identity_morphism, is_linear_table, kernel_set,
+from semiexact.morphisms import (Morphism, coimage, cokernel, enumerate_hom,
+                                 identity_morphism, image, image_module, kernel_set,
                                  submodule_as_module, zero_morphism)
-from semiexact.quotients import (Congruence, bourne_congruence, identity_congruence,
+from semiexact.quotients import (Congruence, _UnionFind, bourne_congruence,
                                  kernel_pair_congruence, projection_kernel_is_closure,
                                  quotient)
 
-from conftest import oracle_bourne_related
+from conftest import identity_congruence, is_linear_table, oracle_bourne_related
 
 
 def test_bourne_examples(max3, sat3):
@@ -43,6 +44,26 @@ def test_congruence_rejects_incompatible(max3):
     # (identity always is); use a partition that merges 0,2 but not 1
     with pytest.raises(StructureError):
         Congruence(max3, (0, 1, 0))
+
+
+def test_congruence_checks_addition_on_both_sides():
+    """On the right-projection monoid R3 (a + b = b for b != 0) over B, the
+    partition {0, 1}{2} is compatible with + on the right (a ~ b gives
+    a + c ~ b + c) and with the action, but not on the left: 2 + 0 = 2 and
+    2 + 1 = 1. A quotient by it would depend on the representatives."""
+    r3 = Semimodule("R3", make_boolean(), 3, ((0, 1, 2), (1, 1, 2), (2, 1, 2)),
+                    ((0, 0), (0, 1), (0, 2)))
+    cls = (0, 0, 1)
+    assert all(cls[r3.add[0][c]] == cls[r3.add[1][c]] for c in r3.elements())
+    with pytest.raises(StructureError, match=r"not compatible with add \(a=0,b=1,c=2\)"):
+        Congruence(r3, cls)
+
+
+def test_union_find_halves_the_path():
+    uf = _UnionFind(5)
+    uf.parent = [0, 0, 1, 2, 3]
+    assert uf.find(4) == 0
+    assert uf.parent == [0, 0, 0, 2, 2]
 
 
 def test_kernel_pair_examples(sat3, chain2):
@@ -142,3 +163,38 @@ def test_projections_and_inclusions_are_linear(nat3_universe):
                 assert is_linear_table(part, module, incl.map)
                 checked += 1
     assert checked == 2 * sum(len(all_subsemimodules(m)) for m in nat3_universe)
+
+
+def _representative_independent(q):
+    """The quotient tables at every pair of elements, not just at the
+    smallest members of their classes."""
+    M, cls, Q = q.base, q.congruence.classes, q.quotient
+    return all(cls[M.add[x][y]] == Q.add[cls[x]][cls[y]]
+               for x in M.elements() for y in M.elements()) and \
+        all(cls[M.action[x][s]] == Q.action[cls[x]][s]
+            for x in M.elements() for s in range(M.semiring.size))
+
+
+def test_trusted_values_equal_checked_ones(nat4_universe):
+    """The values built without a check (images, kernel-pair congruences,
+    submodules as modules, quotients and their maps, identities, the members
+    of all_subsemimodules) over every map and module of nat4@4: each equals,
+    and hashes as, the value its checked constructor builds from its fields,
+    and every coimage and cokernel is independent of its representatives."""
+    values, quotients = [], []
+    for M in nat4_universe:
+        values += (M, M.unnamed, identity_morphism(M))
+        for sub in all_subsemimodules(M):
+            q = quotient(M, bourne_congruence(sub))
+            values += (sub, *submodule_as_module(sub), q.quotient, q.projection)
+        for N in nat4_universe:
+            for f in enumerate_hom(M, N):
+                quotients += (coimage(f), cokernel(f))
+                values += (image(f), kernel_pair_congruence(f), *image_module(f))
+    assert len(quotients) == 2 * 2280
+    for q in quotients:
+        assert _representative_independent(q), q.quotient.name
+        values += (q.quotient, q.projection)
+    for x in values:
+        checked = type(x)(*x._key(x))
+        assert x == checked and hash(x) == hash(checked), x
