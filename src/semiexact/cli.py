@@ -197,29 +197,34 @@ def cmd_snake(args, report):
 # nat<k> is monoid_semiring(k), with k + lcm(1..k) elements: 66 at k = 6,
 # already 2,530 at k = 10
 NAT_MAX = 6
+# the module size bound of search and corpus: order 7 takes 186 s for its
+# commutative monoid tables alone
+MAX_SIZE = 6
 
 
-def _resolve_semiring(ws, name):
-    """A builtin or workspace semiring; otherwise nat<k>, 1 <= k <= NAT_MAX,
-    is monoid_semiring(k), and any other k is refused before it is built."""
-    table = dict(builtin_semirings())
-    table.update(ws.semirings)
-    if name in table:
-        return table[name]
-    nat = re.fullmatch(r"nat([0-9]+)", name)
-    if nat is None:
-        raise StructureError(f"no semiring named {name!r}; builtins: "
-                             + ", ".join(sorted(builtin_semirings())) + ", nat<k>")
-    k = int(nat.group(1))
-    if not 1 <= k <= NAT_MAX:
-        raise ParameterError(f"semiring {name!r}: nat<k> needs 1 <= k <= {NAT_MAX}")
-    return monoid_semiring(k)
+def _universe_spec(args):
+    """The universe of search and corpus, over a builtin or workspace semiring
+    or else nat<k> = monoid_semiring(k), 1 <= k <= NAT_MAX. Any other k, and
+    a --max-size past MAX_SIZE, are refused before anything is built."""
+    if args.max_size > MAX_SIZE:
+        raise ParameterError(f"--max-size {args.max_size}: search and corpus need "
+                             f"--max-size <= {MAX_SIZE}")
+    name, table = args.semiring, dict(builtin_semirings())
+    table.update(_load(args).semirings)
+    semiring = table.get(name)
+    if semiring is None:
+        nat = re.fullmatch(r"nat([0-9]+)", name)
+        if nat is None:
+            raise StructureError(f"no semiring named {name!r}; builtins: "
+                                 + ", ".join(sorted(builtin_semirings())) + ", nat<k>")
+        if not 1 <= int(nat.group(1)) <= NAT_MAX:
+            raise ParameterError(f"semiring {name!r}: nat<k> needs 1 <= k <= {NAT_MAX}")
+        semiring = monoid_semiring(int(nat.group(1)))
+    return UniverseSpec(semiring, args.max_size, seed=args.seed)
 
 
 def cmd_search(args, report):
-    ws = _load(args)
-    semiring = _resolve_semiring(ws, args.semiring)
-    spec = UniverseSpec(semiring, args.max_size, seed=args.seed)
+    spec = _universe_spec(args)
     outcome = search_counterexample(args.name, spec)
     if isinstance(outcome, Counterexample):
         report.add(f"search.{args.name}", "fail", outcome.description)
@@ -231,14 +236,13 @@ def cmd_search(args, report):
     report.add(f"search.{args.name}", "ok",
                f"exhausted after {outcome.searched} instances")
     _say(args, f"search {args.name}: exhausted after {outcome.searched} instances "
-               f"over {semiring.name} (size <= {args.max_size}); no counterexample")
+               f"over {spec.semiring.name} (size <= {args.max_size}); no counterexample")
     return 0
 
 
 def cmd_corpus(args, report):
-    ws = _load(args)
-    semiring = _resolve_semiring(ws, args.semiring)
-    uni = enumerate_semimodules(UniverseSpec(semiring, args.max_size, seed=args.seed))
+    uni = enumerate_semimodules(_universe_spec(args))
+    semiring = uni.spec.semiring
     out = Workspace()
     out.semirings[semiring.name] = semiring
     for i, m in enumerate(uni.modules):

@@ -36,6 +36,8 @@ text of a found counterexample. A search returns the first candidate that
 holds, counting every candidate inspected; a replay is the same predicate
 on the stored spec and witnesses, so it re-checks the whole property over
 the universe the counterexample was found in. PROPERTIES is its public view.
+The candidate streams of maps and composable pairs walk the universe's
+hom-sets by maps_among, the one walk the harness's row pools read too.
 """
 
 from __future__ import annotations
@@ -319,6 +321,15 @@ def universe_with_free_module(spec: UniverseSpec):
     return tuple(mods)
 
 
+def maps_among(mods, codomains=None):
+    """Every map from a module of mods to one of codomains (mods itself when
+    None), by domain, then codomain, then hom-set order: the one walk over
+    a pool's hom-sets, which the catalog and the harness's row pools read."""
+    for M in mods:
+        for N in mods if codomains is None else codomains:
+            yield from enumerate_hom(M, N)
+
+
 def is_monomorphism(f: Morphism, test_modules) -> bool:
     """Brute-force: no pair h1 != h2 with f∘h1 = f∘h2 over the test modules."""
     for Z in test_modules:
@@ -435,31 +446,19 @@ def _subobjects(spec):
             yield M, L
 
 
-def _maps_among(mods):
-    for M in mods:
-        for N in mods:
-            for f in enumerate_hom(M, N):
-                yield (f,)
-
-
 def _maps(spec):
-    return _maps_among(enumerate_semimodules(spec).modules)
+    return ((f,) for f in maps_among(enumerate_semimodules(spec).modules))
 
 
 def _cancellative_maps(spec):
-    return _maps_among([M for M in enumerate_semimodules(spec).modules
-                        if is_cancellative_module(M)])
+    return ((f,) for f in maps_among([M for M in enumerate_semimodules(spec).modules
+                                      if is_cancellative_module(M)]))
 
 
 def _composable_pairs(spec):
     """(f, g) for L -f-> M -g-> N, by g first, then by f."""
     mods = enumerate_semimodules(spec).modules
-    for M in mods:
-        for N in mods:
-            for g in enumerate_hom(M, N):
-                for L in mods:
-                    for f in enumerate_hom(L, M):
-                        yield f, g
+    return ((f, g) for g in maps_among(mods) for f in maps_among(mods, (g.domain,)))
 
 
 def _short_five_tuples(spec):

@@ -2,12 +2,16 @@
 
 Rows are built constructively (surjections onto kernel submodules give
 exact stretches by construction), verticals are drawn from hom-sets, which
-morphisms caches by tables, as it does classifications. The row pools are
-built from hom tables once per kernel structure, not once per map (_onto,
-_isos_and_automorphisms), and only the maps of their rows are named, by
-Morphism._trusted, under the names kernel_module and compose give them.
-The exact-row pools (right exact, left exact, short exact, each optionally
-with cancellative middles) are filtered once per (semiring, bound).
+morphisms caches by tables, as it does classifications. The row pools walk
+the pool's hom-sets by enumeration.maps_among, as the catalog does. Each
+capped pool is a cached view of an uncapped ordered stream, named with
+"_stream" added: _any_rows, _exact_5rows and _snake_left_rows keep its
+first 400, 600 and 200 rows. Rows are built from hom tables once per
+kernel structure, not once per map (_onto, _isos_and_automorphisms), and
+only the maps of their rows are named, by Morphism._trusted, under the
+names kernel_module and compose give them. The exact-row pools (right
+exact, left exact, short exact, each optionally with cancellative middles)
+are filtered once per (semiring, bound).
 Each generator draws for one entry of diagrams.CLAUSES and keeps the
 candidates that pass the clause's hypotheses, minus those its construction
 guarantees, which each generator lists by id (row exactness from the
@@ -44,10 +48,11 @@ from __future__ import annotations
 
 import random
 from functools import lru_cache, partial
+from itertools import islice
 
 from .core import Semiring, Subsemimodule, Value, is_cancellative_module
 from .diagrams import Diagram, clause_key, lookup
-from .enumeration import UniverseSpec, enumerate_semimodules, oracle_iso_exists
+from .enumeration import UniverseSpec, enumerate_semimodules, maps_among, oracle_iso_exists
 from .errors import ParameterError
 from .morphisms import (Morphism, _hom_tables, _k_uniform_witness, _table, classify,
                         enumerate_hom, factor_through_injection, factor_through_surjection,
@@ -117,17 +122,12 @@ def _joint(tests):
 @lru_cache(maxsize=None)
 def _exact_pairs(semiring, max_size):
     """(f, g) with image(f) = Ker(g) and g k-uniform, over the module pool,
-    by M, N, g, L, f: the maps into each M are indexed by image once, and
-    each g looks up its kernel."""
+    by g, then f, in maps_among order: the maps into each module are indexed
+    by image once, and each g looks up its kernel."""
     mods = _pool(semiring, max_size)
-    out = []
-    for M in mods:
-        by_image = _index((f for L in mods for f in enumerate_hom(L, M)), image_set)
-        for N in mods:
-            for g in enumerate_hom(M, N):
-                if is_k_uniform(g):
-                    out.extend((f, g) for f in by_image.get(kernel_set(g), ()))
-    return tuple(out)
+    by_image = {M: _index(maps_among(mods, (M,)), image_set) for M in mods}
+    return tuple((f, g) for g in maps_among(mods) if is_k_uniform(g)
+                 for f in by_image[g.domain].get(kernel_set(g), ()))
 
 
 @lru_cache(maxsize=None)
@@ -214,22 +214,19 @@ def vertical_triples(spec: UniverseSpec, require_cancellative_mid=False):
 _EXACT_ROWS = ("first row exact", "second row exact")
 
 
-@lru_cache(maxsize=None)
-def _any_rows(semiring, max_size, cap=400):
-    """Composable (f, g) pairs with g∘f = 0, capped, for non-exact rows."""
+def _any_rows_stream(semiring, max_size):
+    """Every composable (f, g) over the pool with g∘f = 0, by g, then f, in
+    maps_among order; Ker(g) is found once per g."""
     mods = _pool(semiring, max_size)
-    out = []
-    for M in mods:
-        for N in mods:
-            for g in enumerate_hom(M, N):
-                ker = kernel_set(g)
-                for L in mods:
-                    for f in enumerate_hom(L, M):
-                        if image_set(f) <= ker:
-                            out.append((f, g))
-                            if len(out) >= cap:
-                                return tuple(out)
-    return tuple(out)
+    for g in maps_among(mods):
+        ker = kernel_set(g)
+        yield from ((f, g) for f in maps_among(mods, (g.domain,)) if image_set(f) <= ker)
+
+
+@lru_cache(maxsize=None)
+def _any_rows(semiring, max_size):
+    """The first 400 rows of _any_rows_stream, for non-exact rows."""
+    return tuple(islice(_any_rows_stream(semiring, max_size), 400))
 
 
 def _gen_rows(spec: HarnessSpec, clause):
@@ -303,24 +300,22 @@ def _onto_kernel(mods, c, k_uniform):
                                     tuple(map(members.__getitem__, t)))
 
 
-@lru_cache(maxsize=None)
-def _exact_5rows(semiring, max_size, cap=600):
-    """Rows U -d-> L -f-> M -g-> N -h-> V exact at L, M, N, built right to
-    left: g, f and d map onto the kernels of h, g and f."""
+def _exact_5rows_stream(semiring, max_size):
+    """Every row U -d-> L -f-> M -g-> N -h-> V exact at L, M, N, by h in
+    maps_among order, built right to left: g, f and d map onto the kernels
+    of h, g and f."""
     mods = _pool(semiring, max_size)
-    rows = []
-    for N in mods:
-        for V in mods:
-            for h in enumerate_hom(N, V):
-                if not is_k_uniform(h):
-                    continue
-                for g in _onto_kernel(mods, h, True):
-                    for f in _onto_kernel(mods, g, True):
-                        for d in _onto_kernel(mods, f, False):
-                            rows.append((d, f, g, h))
-                            if len(rows) >= cap:
-                                return tuple(rows)
-    return tuple(rows)
+    for h in maps_among(mods):
+        if is_k_uniform(h):
+            for g in _onto_kernel(mods, h, True):
+                for f in _onto_kernel(mods, g, True):
+                    yield from ((d, f, g, h) for d in _onto_kernel(mods, f, False))
+
+
+@lru_cache(maxsize=None)
+def _exact_5rows(semiring, max_size):
+    """The first 600 rows of _exact_5rows_stream."""
+    return tuple(islice(_exact_5rows_stream(semiring, max_size), 600))
 
 
 def _squares_2x5(spec: HarnessSpec, tag, tests):
@@ -404,7 +399,7 @@ def _squares_3x3(spec: HarnessSpec, clause, tests):
     def tops(c, target):
         inj = injective[c]
         if (target, inj) not in tops_by:
-            tops_by[target, inj] = [a for X in mods for a in enumerate_hom(X, target)
+            tops_by[target, inj] = [a for a in maps_among(mods, (target,))
                                     if classify(a).i_uniform
                                     and (not inj or classify(a).injective)]
         return tops_by[target, inj]
@@ -479,31 +474,29 @@ def _isos_and_automorphisms(semiring, max_size, K):
             [(i, t) for i, t in enumerate(_hom_tables(K, K)) if len(set(t)) == K.size])
 
 
+def _snake_left_rows_stream(semiring, max_size):
+    """Every row 0 -> L2 -f2-> M2 -g2-> N2 with f2 injective onto Ker(g2), by
+    g2 in maps_among order: f2 is incl∘aut∘iso for each pool module L with
+    an isomorphism iso onto the kernel structure and each automorphism aut
+    of it, both found once per structure, and named as
+    compose(incl, compose(aut, iso)) names it."""
+    for g in maps_among(_pool(semiring, max_size)):
+        if not is_k_uniform(g):
+            continue
+        members, K = _kernel(g)
+        isos, auts = _isos_and_automorphisms(semiring, max_size, K)
+        ker = f"Ker({g.name})"
+        for L, iso in isos:
+            for i, aut in auts:
+                yield Morphism._trusted(
+                    f"incl[{ker}]*h{i}[{ker}->{ker}]*iso[{L.name}->{ker}]", L, g.domain,
+                    tuple(members[aut[x]] for x in iso)), g
+
+
 @lru_cache(maxsize=None)
-def _snake_left_rows(semiring, max_size, cap=200):
-    """Rows 0 -> L2 -f2-> M2 -g2-> N2 with f2 injective onto Ker(g2): f2 is
-    incl∘aut∘iso for each pool module L with an isomorphism iso onto the
-    kernel structure and each automorphism aut of it, both found once per
-    structure, and named as compose(incl, compose(aut, iso)) names it."""
-    mods = _pool(semiring, max_size)
-    rows = []
-    for M in mods:
-        for N in mods:
-            for g in enumerate_hom(M, N):
-                if not is_k_uniform(g):
-                    continue
-                members, K = _kernel(g)
-                isos, auts = _isos_and_automorphisms(semiring, max_size, K)
-                ker = f"Ker({g.name})"
-                for L, iso in isos:
-                    for i, aut in auts:
-                        f2 = Morphism._trusted(
-                            f"incl[{ker}]*h{i}[{ker}->{ker}]*iso[{L.name}->{ker}]", L, M,
-                            tuple(members[aut[x]] for x in iso))
-                        rows.append((f2, g))
-                        if len(rows) >= cap:
-                            return tuple(rows)
-    return tuple(rows)
+def _snake_left_rows(semiring, max_size):
+    """The first 200 rows of _snake_left_rows_stream."""
+    return tuple(islice(_snake_left_rows_stream(semiring, max_size), 200))
 
 
 def gen_snake(spec: HarnessSpec):

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .core import (Semimodule, Semiring, Subsemimodule, validate_semimodule,
+from .core import (Semimodule, Semiring, Subsemimodule, _validates, validate_semimodule,
                    validate_semiring)
 from .errors import HypothesisError, StructureError, WorkspaceError
 from .morphisms import Morphism
@@ -213,9 +213,8 @@ class _Parser:
         except StructureError as exc:
             self.error(file, line, "structural", str(exc))
             return
-        report = validate_semimodule(m)
-        if not report.ok:
-            for v in report.violations:
+        if not _validates(m.unnamed):  # the verdict cache the searches read
+            for v in validate_semimodule(m).violations:
                 self.error(file, line, "axiom-violation", f"module {name}: {v}")
             return
         self.ws.modules[name] = m

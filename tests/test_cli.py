@@ -487,6 +487,23 @@ def test_nat_k_out_of_range_exits_2_before_building(name, monkeypatch, capsys):
             capsys.readouterr().err
 
 
+@pytest.mark.parametrize("size", [7, 8, 100])
+def test_max_size_past_bound_exits_2_before_building(size, monkeypatch, capsys):
+    """search and corpus refuse --max-size past MAX_SIZE = 6 before a
+    semiring or universe is built: order 7 takes minutes for its monoid
+    tables alone."""
+    def unreachable(*args):
+        raise AssertionError("built a semiring or universe past MAX_SIZE")
+    monkeypatch.setattr("semiexact.cli.monoid_semiring", unreachable)
+    monkeypatch.setattr("semiexact.cli.enumerate_semimodules", unreachable)
+    monkeypatch.setattr("semiexact.cli.search_counterexample", unreachable)
+    for semiring in ("B", "nat3"):
+        for args in (["corpus", semiring], ["search", "mono-not-injective", semiring]):
+            assert run(args + ["--max-size", str(size), "--quiet"]) == 2
+            assert (f"error: --max-size {size}: search and corpus need --max-size <= 6"
+                    in capsys.readouterr().err)
+
+
 def test_corpus_nat5_at_order_5(tmp_path):
     """nat5, resolved to monoid_semiring(5), acts on every commutative monoid
     of order <= 5: 1 + 2 + 5 + 19 + 78 = 105 modules."""

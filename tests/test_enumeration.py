@@ -76,6 +76,42 @@ def test_ring_module_counts():
     assert len(z4.modules) == 4  # 0, Z2, Z4, Z2 x Z2
 
 
+def _module_counts(name, max_size):
+    """The number of modules of each exact size 1..max_size in the universe
+    of the builtin semiring `name`."""
+    mods = enumerate_semimodules(UniverseSpec(builtin_semirings()[name], max_size)).modules
+    return [sum(m.size == n for m in mods) for n in range(1, max_size + 1)]
+
+
+@pytest.mark.parametrize("name", ["B", "T1"])
+def test_boolean_universes_count_lattices(name):
+    """A B-module is a finite join-semilattice with a least element (the
+    action is forced), that is, a finite lattice; T1 is B under another name.
+    Sizes 1-5 give the number of lattices, OEIS A006966."""
+    assert _module_counts(name, 5) == [1, 1, 1, 2, 5]
+
+
+def _abelian_groups(order, exponent, least=1):
+    """The number of abelian groups of this order whose exponent divides
+    `exponent`: chains of invariant factors least | d1 | d2 | ... with each
+    d > 1 and product `order`, the last dividing `exponent`."""
+    if order == 1:
+        return 1
+    return sum(_abelian_groups(order // d, exponent, d) for d in range(2, order + 1)
+               if order % d == 0 and d % least == 0 and exponent % d == 0)
+
+
+@pytest.mark.parametrize("n, counts", [(2, [1, 1, 0, 1, 0]), (3, [1, 0, 1, 0, 0]),
+                                       (4, [1, 1, 0, 2, 0])])
+def test_zmod_universes_count_abelian_groups(n, counts):
+    """A Z_n-module is an abelian group whose exponent divides n: at sizes
+    1-5, the number of abelian groups of each order with exponent dividing n,
+    by the invariant factor decomposition (Z4: Z2 at order 2; Z4 and
+    Z2 x Z2 at order 4)."""
+    assert [_abelian_groups(order, n) for order in range(1, 6)] == counts
+    assert _module_counts(f"Z{n}", 5) == counts
+
+
 def test_universes_match_snapshot():
     """Every builtin semiring's universe, module names and tables included,
     equals the one recorded before the action search was pruned."""

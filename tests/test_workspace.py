@@ -180,3 +180,40 @@ def test_repeated_diagram_line_is_located():
     probs = err.value.problems
     assert [(p.line, p.kind) for p in probs] == [(81, "syntax")]
     assert "repeated" in probs[0].message
+
+
+def test_parser_reads_the_validity_cache(tmp_path, monkeypatch):
+    """Modules this process has validated already, here by a corpus export,
+    are not validated again when their file is parsed: the parser asks the
+    verdict cache the searches read (core._validates) first."""
+    from semiexact import core, workspace
+    from semiexact.cli import main
+
+    out = tmp_path / "nat4.sx"
+    assert main(["corpus", "nat4", "--max-size", "4", "--corpus", str(out), "--quiet"]) == 0
+    validate, calls = core.validate_semimodule, []
+
+    def counted(m):
+        calls.append(m.name)
+        return validate(m)
+    monkeypatch.setattr(core, "validate_semimodule", counted)
+    monkeypatch.setattr(workspace, "validate_semimodule", counted)
+    assert len(parse_files([out]).modules) == 27
+    assert calls == []
+
+
+def test_module_axiom_violations_located():
+    """An invalid module is reported with every violation of
+    validate_semimodule, in order, at its header line, on a first parse
+    and again once its verdict is cached."""
+    from semiexact.core import Semimodule, make_boolean, validate_semimodule
+
+    text = ("semiring B size=2\n  add: 0,1; 1,1\n  mul: 0,0; 0,1\nend\n"
+            "module M over=B size=2\n  add: 0,1; 1,0\n  action: 0,0; 0,1\nend\n")
+    expected = [("t", 5, "axiom-violation", f"module M: {v}") for v in validate_semimodule(
+        Semimodule("M", make_boolean(), 2, ((0, 1), (1, 0)), ((0, 0), (0, 1)))).violations]
+    assert expected
+    for _ in range(2):
+        with pytest.raises(WorkspaceError) as err:
+            parse(text, file="t")
+        assert [(p.file, p.line, p.kind, p.message) for p in err.value.problems] == expected
