@@ -5,8 +5,9 @@ Exit codes: 0 verified/success, 1 refuted or counterexample found,
 pipe-separated record per assertion, `id|status|witness|millis`, sorted by
 id; millis is pinned to 0 so reports are byte-identical across runs.
 
-Each command loads only the layers it runs (a corpus export imports no lemma
-layer); `lemma --help` and `search --help` still list every name.
+Each command loads only the layers it runs (a corpus export imports neither a
+lemma layer nor morphisms, quotients or the catalog); `lemma --help` and
+`search --help` still list every name.
 """
 
 from __future__ import annotations
@@ -18,12 +19,10 @@ from functools import lru_cache
 
 from . import __version__
 from .core import monoid_semiring
-from .enumeration import (PROPERTIES, Counterexample, UniverseSpec, enumerate_semimodules,
-                          search_counterexample)
+from .enumeration import UniverseSpec, enumerate_semimodules
 from .errors import (HypothesisError, ParameterError, SemiexactError, StructureError,
                      WorkspaceError)
 from .fixtures import builtin_semirings
-from .morphisms import classify
 from .workspace import Workspace, parse_files, serialize
 
 
@@ -96,6 +95,8 @@ def cmd_validate(args, report):
 
 
 def cmd_classify(args, report):
+    from .morphisms import classify
+
     ws = _load(args)
     f = _pick(ws.morphisms, args.name, "morphism")
     c = classify(f)
@@ -224,6 +225,8 @@ def _universe_spec(args):
 
 
 def cmd_search(args, report):
+    from .catalog import Counterexample, search_counterexample
+
     spec = _universe_spec(args)
     outcome = search_counterexample(args.name, spec)
     if isinstance(outcome, Counterexample):
@@ -277,6 +280,8 @@ def _lemma_args(p):
 
 
 def _search_args(p):
+    from .catalog import PROPERTIES
+
     p.add_argument("name", help="one of: " + ", ".join(PROPERTIES))
     p.add_argument("semiring", nargs="?", default="nat3",
                    help="builtin, workspace or nat<k> semiring (default nat3)")

@@ -34,7 +34,6 @@ from typing import NamedTuple
 from .core import (Semimodule, Semiring, Subsemimodule, _validates, validate_semimodule,
                    validate_semiring)
 from .errors import HypothesisError, StructureError, WorkspaceError
-from .morphisms import Morphism
 
 
 class Problem(NamedTuple):
@@ -84,13 +83,23 @@ def _parse_attrs(tokens, known):
         if k not in known or k in attrs:
             raise ValueError(f"{'repeated' if k in attrs else 'unknown'} attribute {k!r}")
         attrs[k] = v
+    _require("attribute", [k for k in known if k not in attrs])
     return attrs
 
 
-# the header attributes of each block kind, and the body keys of those with `key: value` lines
+def _require(what, missing):
+    """ValueError naming each missing attribute or body key, if any."""
+    if missing:
+        raise ValueError(f"missing {what}{'s' if len(missing) > 1 else ''} "
+                         + ", ".join(map(repr, missing)))
+
+
+# the header attributes of each block kind, all required, and the body keys of those
+# with `key: value` lines, all required but zero and one
 _ATTRS = {"semiring": ("size",), "module": ("over", "size"), "sub": ("of", "members"),
           "morphism": ("from", "to", "map"), "sequence": ("arrows",), "diagram": ()}
 _KEYS = {"semiring": ("add", "mul", "zero", "one"), "module": ("add", "action", "zero")}
+_OPTIONAL_KEYS = ("zero", "one")
 _BLOCKS = tuple(_ATTRS)
 _BODYLESS = ("sub", "morphism", "sequence")
 
@@ -140,6 +149,9 @@ class _Parser:
             if kind in _BODYLESS:
                 for bline, text in body:
                     self.error(file, bline, "syntax", f"{kind} block takes no body line, got {text!r}")
+            if len(tokens) < 2:
+                self.error(file, header_line, "syntax", f"{kind} block needs a name")
+                continue
             try:
                 first = self.ws.origins.get((kind, tokens[1]))
                 if first is not None:
@@ -176,6 +188,7 @@ class _Parser:
                            if k in fields else f"unknown key {k!r}")
                 return None
             fields[k] = (line, v)
+        _require("key", [k for k in keys if k not in fields and k not in _OPTIONAL_KEYS])
         return fields
 
     def _block_semiring(self, file, line, name, attrs, body):
@@ -230,6 +243,8 @@ class _Parser:
             self.error(file, line, "structural", str(exc))
 
     def _block_morphism(self, file, line, name, attrs, body):
+        from .morphisms import Morphism  # imported by the first morphism block only
+
         dom = self._named(file, line, self.ws.modules, attrs["from"], "module")
         cod = self._named(file, line, self.ws.modules, attrs["to"], "module")
         if dom is None or cod is None:

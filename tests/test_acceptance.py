@@ -10,6 +10,9 @@ from contextlib import contextmanager
 
 import pytest
 
+from semiexact.catalog import (Counterexample, ExhaustionReport, is_monomorphism,
+                               replay_counterexample, search_counterexample,
+                               universe_with_free_module)
 from semiexact.core import (all_subsemimodules, make_boolean, make_product,
                             make_saturating_naturals, make_truncated_minplus,
                             make_zmod, monoid_semiring, subtractive_closure_set,
@@ -18,10 +21,7 @@ from semiexact.diagrams import (snake, verify_short_five_half, verify_five,
                                 verify_five_parts, verify_lemma_diagram,
                                 verify_lemma_short, verify_nine, verify_nine_first,
                                 verify_nine_third, verify_short_five)
-from semiexact.enumeration import (Counterexample, ExhaustionReport, UniverseSpec,
-                                   abelian_snake_delta, enumerate_semimodules,
-                                   is_monomorphism, replay_counterexample,
-                                   search_counterexample, universe_with_free_module)
+from semiexact.enumeration import UniverseSpec, abelian_snake_delta, enumerate_semimodules
 from semiexact.exactness import ker_coker_sequence, subobject_character
 from semiexact.fixtures import builtin_modules, builtin_semirings
 from semiexact.harness import (HarnessSpec, gen_short_five_half, gen_five,

@@ -10,7 +10,7 @@ import pytest
 
 from semiexact.cli import COMMANDS, build_parser, main
 from semiexact.diagrams import CLAUSES
-from semiexact.enumeration import PROPERTIES
+from semiexact.catalog import PROPERTIES
 
 DEMO = "fixtures/demo.sx"
 
@@ -360,12 +360,30 @@ def test_unknown_or_repeated_attributes_are_located(line, text, problem, tmp_pat
     good = tmp_path / "good.sx"
     good.write_text(SMALL)
     assert run(["validate", str(good), "--quiet"]) == 0
+    assert_small_problem(line, text, problem, tmp_path, capsys)
+
+
+def assert_small_problem(line, text, problem, tmp_path, capsys):
+    """validate exits 2 on SMALL with `line` replaced by `text`, reporting problem."""
     lines = SMALL.splitlines()
     lines[line - 1] = text
     path = tmp_path / "bad.sx"
     path.write_text("\n".join(lines) + "\n")
     assert run(["validate", str(path)]) == 2
     assert f"error: {path}:{problem}\n" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line, text, problem", [
+    (1, "semiring", "1: syntax: semiring block needs a name"),
+    (5, "module M size=2", "5: syntax: bad module block: missing attribute 'over'"),
+    (2, "  one: 1", "1: syntax: bad semiring block: missing key 'add'"),
+    (9, "sub L of=M", "9: syntax: bad sub block: missing attribute 'members'"),
+    (11, "morphism f from=M", "11: syntax: bad morphism block: missing attributes 'to', 'map'"),
+], ids=["no-name", "module-over", "semiring-add", "sub-members", "morphism-to-map"])
+def test_missing_parts_are_named(line, text, problem, tmp_path, capsys):
+    """A header with no name, or a block without a required attribute or body
+    key, is a syntax problem at the block's header that says what is missing."""
+    assert_small_problem(line, text, problem, tmp_path, capsys)
 
 
 def test_lemma_verified(capsys, tmp_path):
@@ -480,7 +498,7 @@ def test_nat_k_out_of_range_exits_2_before_building(name, monkeypatch, capsys):
         raise AssertionError("built a semiring or universe for a refused nat<k>")
     monkeypatch.setattr("semiexact.cli.monoid_semiring", unreachable)
     monkeypatch.setattr("semiexact.cli.enumerate_semimodules", unreachable)
-    monkeypatch.setattr("semiexact.cli.search_counterexample", unreachable)
+    monkeypatch.setattr("semiexact.catalog.search_counterexample", unreachable)
     for args in (["corpus", name], ["search", "mono-not-injective", name]):
         assert run(args + ["--max-size", "5", "--quiet"]) == 2
         assert f"error: semiring {name!r}: nat<k> needs 1 <= k <= 6" in \
@@ -496,7 +514,7 @@ def test_max_size_past_bound_exits_2_before_building(size, monkeypatch, capsys):
         raise AssertionError("built a semiring or universe past MAX_SIZE")
     monkeypatch.setattr("semiexact.cli.monoid_semiring", unreachable)
     monkeypatch.setattr("semiexact.cli.enumerate_semimodules", unreachable)
-    monkeypatch.setattr("semiexact.cli.search_counterexample", unreachable)
+    monkeypatch.setattr("semiexact.catalog.search_counterexample", unreachable)
     for semiring in ("B", "nat3"):
         for args in (["corpus", semiring], ["search", "mono-not-injective", semiring]):
             assert run(args + ["--max-size", str(size), "--quiet"]) == 2

@@ -9,17 +9,16 @@ from pathlib import Path
 
 import pytest
 
-from semiexact import core, enumeration
+from semiexact import catalog, core
+from semiexact.catalog import (PROPERTIES, Counterexample, ExhaustionReport,
+                               replay_counterexample, search_counterexample)
 from semiexact.core import (Semimodule, freeze_table, make_boolean, make_zmod,
                             make_saturating_naturals, monoid_semiring, validate_semimodule)
-from semiexact.enumeration import (PROPERTIES, Counterexample, ExhaustionReport,
-                                   UniverseSpec, _actions_for_monoid, _automorphisms,
+from semiexact.enumeration import (UniverseSpec, _actions_for_monoid, _automorphisms,
                                    _canonical_monoid_tables, _commutative_monoid_tables,
-                                   _enumerated,
-                                   abelian_snake_delta, canonical_form,
+                                   _enumerated, abelian_snake_delta, canonical_form,
                                    enumerate_semimodules, enumerate_semimodules_naive,
-                                   oracle_iso_exists, replay_counterexample,
-                                   search_counterexample)
+                                   oracle_iso_exists)
 from semiexact.errors import ParameterError, PreconditionError
 from semiexact.fixtures import builtin_semirings, monoid_fixture
 
@@ -483,7 +482,7 @@ def test_whole_tuple_filter_tests_single_part_hypotheses():
     # every other conjunct of the predicate holds
     assert is_isomorphism(a1) and is_isomorphism(a3)
     assert not classify(a2).i_uniform and not is_isomorphism(a2)
-    assert not enumeration._short_five_needs_i_uniform(spec, ((f1, g1), (f2, g2), a1, a2, a3))
+    assert not catalog._short_five_needs_i_uniform(spec, ((f1, g1), (f2, g2), a1, a2, a3))
 
 
 def test_catalog_matches_snapshot():

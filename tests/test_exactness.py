@@ -2,9 +2,9 @@
 
 import pytest
 
+from semiexact.catalog import is_epimorphism, is_monomorphism, universe_with_free_module
 from semiexact.core import Subsemimodule, make_zmod, self_module, zero_module
-from semiexact.enumeration import (UniverseSpec, enumerate_semimodules, is_epimorphism,
-                                   is_monomorphism, universe_with_free_module)
+from semiexact.enumeration import UniverseSpec, enumerate_semimodules
 from semiexact.errors import StructureError
 from semiexact.exactness import (Sequence, analyze, exact_at, exact_row, is_short_exact,
                                  ker_coker_sequence, short_exact_row, short_sequence,

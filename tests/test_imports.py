@@ -6,8 +6,12 @@ appears as an identifier anywhere in the module body, annotations included.
 Importing the CLI stays light: no package module imports dataclasses, and
 `import semiexact.cli` loads neither dataclasses nor inspect. The package
 resolves its public names on first use, and no module a corpus export runs
-imports a lemma layer (diagrams, exactness, harness) when it is imported, so
-each command loads only the layers it runs.
+imports a lemma layer (diagrams, exactness, harness) or a map layer
+(morphisms, quotients, catalog) when it is imported, so each command loads
+only the layers it runs.
+
+The catalog's names that perfbench still reads from enumeration resolve
+there to the catalog's own objects.
 """
 
 import ast
@@ -118,15 +122,16 @@ def test_star_import_binds_no_module(src_env):
     assert names == semiexact.__all__ and modules == []
 
 
-# the lemma layers, and the modules a corpus export imports
+# the lemma layers, the layers of maps, and the modules a corpus export imports
 LEMMA_LAYERS = ("diagrams", "exactness", "harness")
+MAP_LAYERS = ("morphisms", "quotients", "catalog")
 CORPUS_PATH = ("__init__.py", "core.py", "enumeration.py", "workspace.py", "fixtures.py",
                "cli.py")
 
 
-def lemma_layer_imports(source, file):
+def import_time_imports(source, file, layers):
     """file:line of each import that runs when the module is imported (any
-    import outside a function body) and names a lemma layer."""
+    import outside a function body) and names one of layers."""
     found, todo = [], list(ast.parse(source).body)
     while todo:
         node = todo.pop()
@@ -135,7 +140,7 @@ def lemma_layer_imports(source, file):
         todo.extend(ast.iter_child_nodes(node))
         if isinstance(node, (ast.Import, ast.ImportFrom)):
             names = [getattr(node, "module", None) or ""] + [a.name for a in node.names]
-            if set(LEMMA_LAYERS) & {part for n in names for part in n.split(".")}:
+            if set(layers) & {part for n in names for part in n.split(".")}:
                 found.append(f"{file}:{node.lineno}")
     return sorted(found)
 
@@ -143,7 +148,15 @@ def lemma_layer_imports(source, file):
 @pytest.mark.parametrize("name", CORPUS_PATH)
 def test_corpus_path_imports_no_lemma_layer_at_import_time(name):
     path = PACKAGE / name
-    assert lemma_layer_imports(path.read_text(encoding="utf-8"), path.name) == []
+    assert import_time_imports(path.read_text(encoding="utf-8"), path.name,
+                               LEMMA_LAYERS) == []
+
+
+@pytest.mark.parametrize("name", CORPUS_PATH)
+def test_corpus_path_imports_no_map_layer_at_import_time(name):
+    path = PACKAGE / name
+    assert import_time_imports(path.read_text(encoding="utf-8"), path.name,
+                               MAP_LAYERS) == []
 
 
 def test_lemma_layer_import_is_reported():
@@ -155,7 +168,9 @@ def test_lemma_layer_import_is_reported():
               "    import semiexact.exactness\n"
               "def f():\n"
               "    from .diagrams import snake\n")
-    assert lemma_layer_imports(source, "m.py") == ["m.py:2", "m.py:4", "m.py:6"]
+    assert import_time_imports(source, "m.py", LEMMA_LAYERS) == ["m.py:2", "m.py:4", "m.py:6"]
+    assert import_time_imports(source + "from .catalog import PROPERTIES\n", "m.py",
+                               MAP_LAYERS) == ["m.py:9"]
 
 
 RUN_COMMANDS = """\
@@ -169,12 +184,13 @@ seen = [layers()]
 for argv in json.loads(sys.argv[1]):
     seen.append([cli.main(argv), layers()])
 print(json.dumps(seen), file=sys.stderr)
-""".format(layers={f"semiexact.{name}" for name in LEMMA_LAYERS})
+""".format(layers={f"semiexact.{name}" for name in LEMMA_LAYERS + MAP_LAYERS})
 
 
 def run_commands(calls, env):
     """Run main on each argv of calls in one fresh interpreter: (stdout, the
-    lemma layers loaded on import, [exit code, lemma layers loaded] per call)."""
+    lemma and map layers loaded on import, [exit code, those layers loaded]
+    per call)."""
     proc = subprocess.run([sys.executable, "-c", RUN_COMMANDS, json.dumps(calls)], env=env,
                           capture_output=True, text=True, check=True)
     before, *after = json.loads(proc.stderr.splitlines()[-1])
@@ -183,25 +199,69 @@ def run_commands(calls, env):
 
 def test_each_command_loads_only_its_layers(src_env, tmp_path):
     """Module sets, not timings: importing the CLI and exporting a corpus
-    load no lemma layer; lemma and snake load diagrams and exactness. The
-    same runs one after another in one process, or in this one with every
-    layer loaded, give the same output."""
+    load no lemma or map layer; the demo workspace's diagrams and sequence
+    load the lemma layers and morphisms and quotients, and a search the
+    catalog too. The same runs one after another in one process, or in this
+    one with every layer loaded, give the same output."""
     demo = str(ROOT / "fixtures" / "demo.sx")
     calls = [["corpus", "B", "--max-size", "3", "--quiet", "--corpus"],
              ["lemma", "short-five-half.1", "D", demo, "--report"],
-             ["snake", "D", demo, "--report"]]
-    lemma_loaded = ["semiexact.diagrams", "semiexact.exactness"]
+             ["snake", "D", demo, "--report"],
+             ["classify", "squash", demo, "--report"],
+             ["search", "semi-mono-not-mono", "T2", demo, "--report"]]
+    demo_loaded = sorted(f"semiexact.{name}" for name in ("diagrams", "exactness",
+                                                          "morphisms", "quotients"))
+    expected = [[0, []], [0, demo_loaded], [0, demo_loaded], [0, demo_loaded],
+                [1, sorted(demo_loaded + ["semiexact.catalog"])]]
     outputs = []
     for i, call in enumerate(calls):
         out, before, after = run_commands([call + [str(tmp_path / f"alone{i}")]], src_env)
-        assert before == [] and after == [[0, [] if i == 0 else lemma_loaded]]
+        assert before == [] and after == [expected[i]]
         outputs.append(out)
     out, _, after = run_commands([c + [str(tmp_path / f"together{i}")]
                                        for i, c in enumerate(calls)], src_env)
-    assert after == [[0, []], [0, lemma_loaded], [0, lemma_loaded]]
+    assert after == expected
     assert out == "".join(outputs) and "verified" in outputs[1] and "delta" in outputs[2]
+    assert "semi_mono          true" in outputs[3]
+    assert "counterexample found for semi-mono-not-mono" in outputs[4]
     for i, call in enumerate(calls):
-        assert main(call + [str(tmp_path / f"here{i}")]) == 0
+        assert main(call + [str(tmp_path / f"here{i}")]) == expected[i][0]
         alone = (tmp_path / f"alone{i}").read_text(encoding="utf-8")
         assert alone == (tmp_path / f"together{i}").read_text(encoding="utf-8")
         assert alone == (tmp_path / f"here{i}").read_text(encoding="utf-8")
+
+
+# the names perfbench/workloads.py and perfbench/tracing.py read from enumeration
+MOVED = ("Counterexample", "is_epimorphism", "is_monomorphism", "replay_counterexample",
+         "search_counterexample", "universe_with_free_module", "PROPERTIES")
+
+
+def test_moved_names_are_the_catalogs_own_objects():
+    enumeration, catalog = (import_module(f"semiexact.{m}") for m in ("enumeration", "catalog"))
+    for name in MOVED:
+        assert getattr(enumeration, name) is getattr(catalog, name), name
+    with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+        getattr(enumeration, "no_such_name")
+    with pytest.raises(AttributeError, match="has no attribute 'Property'"):
+        getattr(enumeration, "Property")  # moved, but read from the catalog only
+
+
+def test_search_calls_a_searcher_rebound_through_enumeration(monkeypatch):
+    """perfbench's tracer counts searched instances by rebinding entries of
+    enumeration.PROPERTIES in place; a search must call the rebound one."""
+    from semiexact.core import make_boolean
+    from semiexact.enumeration import UniverseSpec
+
+    enumeration, catalog = (import_module(f"semiexact.{m}") for m in ("enumeration", "catalog"))
+    pid = "mono-not-injective"
+    description, searcher, replay = enumeration.PROPERTIES[pid]
+    calls = []
+
+    def counted(spec):
+        calls.append(spec)
+        return searcher(spec)
+
+    monkeypatch.setitem(enumeration.PROPERTIES, pid, (description, counted, replay))
+    spec = UniverseSpec(make_boolean(), 2)
+    outcome = catalog.search_counterexample(pid, spec)
+    assert calls == [spec] and outcome.searched == searcher(spec)[1]

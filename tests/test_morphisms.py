@@ -9,13 +9,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from semiexact import morphisms
+from semiexact.catalog import is_epimorphism, is_monomorphism, universe_with_free_module
 from semiexact.core import (Semimodule, Semiring, Subsemimodule, is_cancellative_module,
                             make_boolean, make_saturating_naturals,
                             make_upper_triangular_boolean, make_zmod, monoid_semiring,
                             self_module, subtractive_closure_set, validate_semimodule,
                             zero_module)
-from semiexact.enumeration import (enumerate_semimodules, is_epimorphism, is_monomorphism,
-                                   universe_with_free_module, UniverseSpec)
+from semiexact.enumeration import enumerate_semimodules, UniverseSpec
 from semiexact.errors import PreconditionError, StructureError
 from semiexact.fixtures import builtin_modules, builtin_semirings
 from semiexact.morphisms import (Morphism, _table, canonical_iso,

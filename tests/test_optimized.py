@@ -57,7 +57,12 @@ SLICE = [*CORE, "tests/test_quotients.py",
              "test_streams_match_uncapped_references")),
          "tests/test_workspace.py::test_parser_reads_the_validity_cache",
          "tests/test_workspace.py::test_module_axiom_violations_located",
-         "tests/test_cli.py::test_max_size_past_bound_exits_2_before_building"]
+         "tests/test_cli.py::test_max_size_past_bound_exits_2_before_building",
+         "tests/test_cli.py::test_missing_parts_are_named",
+         *(f"tests/test_imports.py::{name}" for name in (
+             "test_corpus_path_imports_no_map_layer_at_import_time",
+             "test_moved_names_are_the_catalogs_own_objects",
+             "test_search_calls_a_searcher_rebound_through_enumeration"))]
 
 
 def test_slice_passes_under_optimize(src_env):
