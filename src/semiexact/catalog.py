@@ -117,7 +117,7 @@ def _short_five_tuples(spec):
     and commuting verticals."""
     from .harness import vertical_triples  # a lemma layer, loaded by this search only
 
-    for row1, row2, verts in vertical_triples(spec, require_cancellative_mid=True):
+    for row1, row2, verts in vertical_triples(spec):
         yield (row1, row2, *verts)
 
 

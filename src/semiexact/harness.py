@@ -9,22 +9,22 @@ capped pool is a cached view of an uncapped ordered stream, named with
 first 400, 600 and 200 rows. Rows are built from hom tables once per
 kernel structure, not once per map (_onto, _isos_and_automorphisms), and
 only the maps of their rows are named, by Morphism._trusted, under the
-names kernel_module and compose give them. The exact-row pools (right
-exact, left exact, short exact, each optionally with cancellative middles)
-are filtered once per (semiring, bound).
-Each generator draws for one entry of diagrams.CLAUSES and keeps the
-candidates that pass the clause's hypotheses, minus those its construction
-guarantees, which each generator lists by id (row exactness from the
-exact-row pools, cancellative middles from the filtered pools, column
-exactness from the quotient row). The hypotheses run on the raw arrows,
-before a Diagram is built, split by Clause.split: one that reads a single
-part (`alpha1 surjective`, `g1 surjective`, `M1 cancellative`) runs as soon
-as that part is drawn, on a row pair once it is drawn, on a2 once it comes
-out of its shuffle, and on the members of a hom-set as _index groups them;
-the rest run on the whole tuple. Only drawn parts and unshuffled hom-set
-groups are tested early, never a pool before its shuffle, so the accepted
-candidates are the same, in the same order, as with every test on the
-whole tuple. The 3x3 stream tests its whole tuples, which are cheap.
+names kernel_module and compose give them. The exact-row pools
+(_exact_rows) are filtered once per (semiring, bound).
+The generator of a clause's shape draws for its entry of diagrams.CLAUSES
+and keeps the candidates that pass its hypotheses, minus those the
+construction guarantees: the hypotheses listed in _ROW_POOLS choose a 2x3
+row pool, which guarantees those that chose it when the row is exact; 2x5
+rows guarantee their exactness, the 3x3 quotient row the ids of
+_QUOTIENT_ROW. The hypotheses run on the raw arrows, before a Diagram is
+built, split by Clause.split: one that reads a single part
+(`alpha1 surjective`, `g1 surjective`, `M1 cancellative`) runs as soon as
+that part is drawn, on a row pair once it is drawn, on a2 once it comes
+out of its shuffle, and on the members of a hom-set as _index groups
+them; the rest run on the whole tuple. Only drawn parts and unshuffled
+hom-set groups are tested early, never a pool before its shuffle, so the
+accepted candidates are the same, in the same order, as with every test
+on the whole tuple. The 3x3 stream tests its whole tuples, which are cheap.
 
 Squares are filled by a hash join on composite tables: for a fixed arrow
 such as f2, the hom-set of candidate a1 is indexed once by the table of
@@ -139,12 +139,6 @@ def _exact_rows(semiring, max_size, cancellative=False, injective=False, surject
                  and (not cancellative or is_cancellative_module(f.codomain)))
 
 
-# Rows L -f-> M -g-> N -> 0, 0 -> L -f-> M -g-> N and 0 -> L -f-> M -g-> N -> 0.
-_right_exact_rows = partial(_exact_rows, surjective=True)
-_left_exact_rows = partial(_exact_rows, injective=True)
-_short_exact_rows = partial(_exact_rows, injective=True, surjective=True)
-
-
 def _verticals(seed, tag, f1, g1, f2, g2, tests):
     """Yield (a1, a2, a3) with a2 in a seeded order and both squares of the
     row pair (f1, g1), (f2, g2) commuting, the tests (for a1, a2, a3, each
@@ -197,21 +191,18 @@ def _collect(spec, clause, stream, guaranteed):
     return out
 
 
-def vertical_triples(spec: UniverseSpec, require_cancellative_mid=False):
-    """Short-exact row pairs with commuting verticals over the universe's
-    modules; used by the dropped-hypothesis searches."""
-    rows = _short_exact_rows(spec.semiring, spec.max_module_size)
-    hspec = HarnessSpec(spec.semiring, spec.max_module_size, spec.seed)
-    mid = (lambda f: is_cancellative_module(f.codomain)) if require_cancellative_mid else None
-    tests = (mid, None, mid, None, None, None, None)
-    for f1, g1, f2, g2, a1, a2, a3 in _row_pairs_with_verticals(hspec, rows, rows, "vt",
-                                                                tests):
-        yield (f1, g1), (f2, g2), (a1, a2, a3)
-
-
 # ----------------------------------------------------------- 2x3 generators
 
-_EXACT_ROWS = ("first row exact", "second row exact")
+# Each hypothesis id that chooses a 2x3 row pool: (row, condition). Ids that
+# choose none (`f2 injective`, say) stay filters: as pools they would change
+# a pool's length, and with it the shuffle.
+_ROW_POOLS = {
+    "first row exact": (0, "exact"), "first row exact at middle": (0, "exact"),
+    "first row: f injective": (0, "injective"), "first row: g surjective": (0, "surjective"),
+    "M1 cancellative": (0, "cancellative"),
+    "second row exact": (1, "exact"), "second row exact at middle": (1, "exact"),
+    "second row: f injective": (1, "injective"), "second row: g surjective": (1, "surjective"),
+    "M2 cancellative": (1, "cancellative")}
 
 
 def _any_rows_stream(semiring, max_size):
@@ -229,37 +220,40 @@ def _any_rows(semiring, max_size):
     return tuple(islice(_any_rows_stream(semiring, max_size), 400))
 
 
-def _gen_rows(spec: HarnessSpec, clause):
-    """Short and diagram clauses: a row the clause assumes exact is drawn
-    from the exact rows, any other from all rows with g∘f = 0."""
-    s, n = spec.semiring, spec.max_size
-    exact = _exact_pairs(s, n)
-    top, bottom = (exact if row in clause.ids else tuple(dict.fromkeys(exact + _any_rows(s, n)))
-                   for row in _EXACT_ROWS)
+def _row_pools(semiring, max_size, ids):
+    """(top, bottom, guaranteed): the row pools that a 2x3 clause's
+    hypothesis ids choose through _ROW_POOLS, and the ids they guarantee. A
+    row the clause assumes exact is drawn from _exact_rows with the row's
+    other conditions, and guarantees the ids that chose it; any other row
+    from all rows with g∘f = 0, exact pairs first, and its ids stay filters."""
+    pools, guaranteed = [], set()
+    for row in (0, 1):
+        chosen = [i for i in ids if _ROW_POOLS.get(i, (None,))[0] == row]
+        conditions = {_ROW_POOLS[i][1] for i in chosen}
+        if "exact" in conditions:
+            keywords = dict.fromkeys(sorted(conditions - {"exact"}), True)
+            pools.append(_exact_rows(semiring, max_size, **keywords))
+            guaranteed.update(chosen)
+        else:
+            rows = _exact_pairs(semiring, max_size) + _any_rows(semiring, max_size)
+            pools.append(tuple(dict.fromkeys(rows)))
+    return (*pools, frozenset(guaranteed))
+
+
+def _gen_2x3(spec: HarnessSpec, clause):
+    top, bottom, guaranteed = _row_pools(spec.semiring, spec.max_size, clause.ids)
     return _collect(spec, clause, partial(_row_pairs_with_verticals, spec, top, bottom,
-                                          clause.tag), _EXACT_ROWS)
+                                          clause.tag), guaranteed)
 
 
-# What the short-five row pools guarantee: cancellative middles, a right
-# exact top row and a left exact bottom row, or two short exact rows.
-_HALF_ROWS = ("M1 cancellative", "M2 cancellative", "first row exact at middle",
-              "first row: g surjective", "second row: f injective",
-              "second row exact at middle")
-_SHORT_FIVE_ROWS = _HALF_ROWS + ("first row: f injective", "second row: g surjective")
-
-
-def _gen_half(spec: HarnessSpec, clause):
-    s, n = spec.semiring, spec.max_size
-    right = _right_exact_rows(s, n, cancellative=True)
-    left = _left_exact_rows(s, n, cancellative=True)
-    return _collect(spec, clause, partial(_row_pairs_with_verticals, spec, right, left,
-                                          clause.tag), _HALF_ROWS)
-
-
-def _gen_short_five(spec: HarnessSpec, clause):
-    rows = _short_exact_rows(spec.semiring, spec.max_size, cancellative=True)
-    return _collect(spec, clause, partial(_row_pairs_with_verticals, spec, rows, rows,
-                                          clause.tag), _SHORT_FIVE_ROWS)
+def vertical_triples(spec: UniverseSpec):
+    """The short-five clause's row pairs with commuting verticals over the
+    universe's modules; used by the dropped-hypothesis searches."""
+    s, n = spec.semiring, spec.max_module_size
+    top, bottom, _ = _row_pools(s, n, lookup("short-five").ids)
+    for f1, g1, f2, g2, a1, a2, a3 in _row_pairs_with_verticals(HarnessSpec(s, n, spec.seed),
+                                                                top, bottom, "vt"):
+        yield (f1, g1), (f2, g2), (a1, a2, a3)
 
 
 # ----------------------------------------------------------- 2x5 generators
@@ -341,7 +335,8 @@ def _squares_2x5(spec: HarnessSpec, tag, tests):
 
 
 def _gen_2x5(spec: HarnessSpec, clause):
-    return _collect(spec, clause, partial(_squares_2x5, spec, clause.tag), _EXACT_ROWS)
+    exact = {i for i in clause.ids if _ROW_POOLS.get(i, (None, None))[1] == "exact"}
+    return _collect(spec, clause, partial(_squares_2x5, spec, clause.tag), exact)
 
 
 # ----------------------------------------------------------- 3x3 generators
@@ -390,7 +385,7 @@ def _squares_3x3(spec: HarnessSpec, clause, tests):
     parts_ok = _joint(tests)
     s, n = spec.semiring, spec.max_size
     mods = _pool(s, n)
-    mid_rows = _short_exact_rows(s, n)
+    mid_rows = _exact_rows(s, n, injective=True, surjective=True)
     injective = [f"alpha{c + 1} injective" in clause.ids
                  or f"column {c} short exact" in clause.ids for c in range(3)]
 
@@ -441,24 +436,28 @@ def _gen_3x3(spec: HarnessSpec, clause):
     return _collect(spec, clause, partial(_squares_3x3, spec, clause), _QUOTIENT_ROW)
 
 
-def _generator(family, gen):
+_GENERATORS = {(2, 3): _gen_2x3, (2, 5): _gen_2x5, (3, 3): _gen_3x3}
+
+
+def _generator(family):
     """gen_*: the corpus of the table entry `diagrams.clause_key(family,
-    clause)`, the clause the family's verify_* reads; ParameterError for an
-    unknown clause."""
+    clause)`, the clause the family's verify_* reads, drawn by the generator
+    of its shape; ParameterError for an unknown clause."""
     def generate(spec: HarnessSpec, clause=None):
-        return gen(spec, lookup(clause_key(family, clause), ParameterError))
+        entry = lookup(clause_key(family, clause), ParameterError)
+        return _GENERATORS[entry.shape](spec, entry)
     return generate
 
 
-gen_lemma_short = _generator("short", _gen_rows)
-gen_lemma_diagram = _generator("diagram", _gen_rows)
-gen_short_five_half = _generator("short-five-half", _gen_half)
-gen_short_five = _generator("short-five", _gen_short_five)
-gen_five_parts = _generator("five-parts", _gen_2x5)
-gen_five = _generator("five", _gen_2x5)
-gen_nine_first = _generator("nine-first", _gen_3x3)
-gen_nine_third = _generator("nine-third", _gen_3x3)
-gen_nine = _generator("nine", _gen_3x3)
+gen_lemma_short = _generator("short")
+gen_lemma_diagram = _generator("diagram")
+gen_short_five_half = _generator("short-five-half")
+gen_short_five = _generator("short-five")
+gen_five_parts = _generator("five-parts")
+gen_five = _generator("five")
+gen_nine_first = _generator("nine-first")
+gen_nine_third = _generator("nine-third")
+gen_nine = _generator("nine")
 
 
 # --------------------------------------------------------- snake generation
@@ -505,7 +504,7 @@ def gen_snake(spec: HarnessSpec):
     derived from alpha2 through the squares, factored through the injective
     f2 and the surjective g1, so only alpha2 is enumerated."""
     s, n = spec.semiring, spec.max_size
-    top_rows = _right_exact_rows(s, n)
+    top_rows = _exact_rows(s, n, surjective=True)
     bottom_rows = _snake_left_rows(s, n)
     seed = spec.seed
     out = []

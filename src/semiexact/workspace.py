@@ -69,9 +69,48 @@ class Workspace:
                 for name, d in self.diagrams.items()}
 
 
-def _parse_table(text):
+class _BadValue(ValueError):
+    """A value that its key cannot hold, reported at the key's line."""
+
+    def __init__(self, line, message):
+        super().__init__(message)
+        self.line = line
+
+
+def _not_integers(line, text, what, tokens):
+    """_BadValue at `line`: the value `text` of `what` (say "key 'add'") is
+    empty, or the first of its `tokens` that is not an integer is named."""
+    if text.strip():
+        for token in tokens:
+            try:
+                int(token)
+            except ValueError:
+                return _BadValue(line, f"{what}: {token.strip()!r} is not an integer")
+    return _BadValue(line, f"{what} is empty")
+
+
+def _int(line, text, what):
+    try:
+        return int(text)
+    except ValueError:
+        raise _not_integers(line, text, what, [text]) from None
+
+
+def _ints(line, text, what):
+    """Comma-separated integers."""
+    try:
+        return tuple(int(x) for x in text.split(","))
+    except ValueError:
+        raise _not_integers(line, text, what, text.split(",")) from None
+
+
+def _parse_table(line, text, what):
+    """Rows of comma-separated integers joined by semicolons."""
     rows = [r.strip() for r in text.split(";") if r.strip()]
-    return tuple(tuple(int(x) for x in row.split(",")) for row in rows)
+    try:
+        return tuple(tuple(int(x) for x in row.split(",")) for row in rows)
+    except ValueError:
+        raise _not_integers(line, text, what, ",".join(rows).split(",")) from None
 
 
 def _parse_attrs(tokens, known):
@@ -162,7 +201,8 @@ class _Parser:
                 handler(file, header_line, tokens[1], _parse_attrs(tokens[2:], _ATTRS[kind]), body)
                 self.ws.origins[(kind, tokens[1])] = f"{file}:{header_line}"
             except (ValueError, IndexError, KeyError) as exc:
-                self.error(file, header_line, "syntax", f"bad {kind} block: {exc}")
+                self.error(file, getattr(exc, "line", header_line), "syntax",
+                           f"bad {kind} block: {exc}")
 
     def finish(self):
         if self.problems:
@@ -196,11 +236,11 @@ class _Parser:
         if fields is None:
             return
         try:
-            s = Semiring(name, int(attrs["size"]),
-                         _parse_table(fields["add"][1]),
-                         _parse_table(fields["mul"][1]),
-                         zero=int(fields["zero"][1]) if "zero" in fields else 0,
-                         one=int(fields["one"][1]) if "one" in fields else 1)
+            s = Semiring(name, _int(line, attrs["size"], "attribute 'size'"),
+                         _parse_table(*fields["add"], "key 'add'"),
+                         _parse_table(*fields["mul"], "key 'mul'"),
+                         zero=_int(*fields["zero"], "key 'zero'") if "zero" in fields else 0,
+                         one=_int(*fields["one"], "key 'one'") if "one" in fields else 1)
         except StructureError as exc:
             self.error(file, line, "structural", str(exc))
             return
@@ -219,10 +259,10 @@ class _Parser:
         if fields is None:
             return
         try:
-            m = Semimodule(name, over, int(attrs["size"]),
-                           _parse_table(fields["add"][1]),
-                           _parse_table(fields["action"][1]),
-                           zero=int(fields["zero"][1]) if "zero" in fields else 0)
+            m = Semimodule(name, over, _int(line, attrs["size"], "attribute 'size'"),
+                           _parse_table(*fields["add"], "key 'add'"),
+                           _parse_table(*fields["action"], "key 'action'"),
+                           zero=_int(*fields["zero"], "key 'zero'") if "zero" in fields else 0)
         except StructureError as exc:
             self.error(file, line, "structural", str(exc))
             return
@@ -236,7 +276,7 @@ class _Parser:
         parent = self._named(file, line, self.ws.modules, attrs["of"], "module")
         if parent is None:
             return
-        members = tuple(int(x) for x in attrs["members"].split(","))
+        members = _ints(line, attrs["members"], "attribute 'members'")
         try:
             self.ws.subs[name] = Subsemimodule(parent, members)
         except StructureError as exc:
@@ -249,7 +289,7 @@ class _Parser:
         cod = self._named(file, line, self.ws.modules, attrs["to"], "module")
         if dom is None or cod is None:
             return
-        table = tuple(int(x) for x in attrs["map"].split(","))
+        table = _ints(line, attrs["map"], "attribute 'map'")
         try:
             self.ws.morphisms[name] = Morphism(name, dom, cod, table)
         except StructureError as exc:
@@ -286,7 +326,7 @@ class _Parser:
                 self.error(file, bline, "syntax", f"bad diagram line {text!r}")
                 return
             target = rows if parts[0] == "row" else cols
-            index = int(parts[1])
+            index = _int(bline, parts[1], f"{parts[0]} number")
             if index in target:
                 self.error(file, bline, "syntax",
                            f"repeated diagram line {head!r}, first at line {target[index][0]}")
@@ -305,10 +345,14 @@ class _Parser:
                 (objs if j % 2 == 0 else maps).append(obj)
             return objs, maps
 
+        for k, r in enumerate(sorted(rows)):
+            if r != k:  # rows are numbered 0, 1, 2, ... in any order, with no gap
+                self.error(file, rows[r][0], "syntax", f"diagram row {r} where row {k} is due")
+                return
         nodes = []
         horizontals = {}
         verticals = {}
-        for r in sorted(rows):
+        for r in range(len(rows)):
             resolved = resolve_chain(*rows[r])
             if resolved is None:
                 return

@@ -386,6 +386,43 @@ def test_missing_parts_are_named(line, text, problem, tmp_path, capsys):
     assert_small_problem(line, text, problem, tmp_path, capsys)
 
 
+@pytest.mark.parametrize("text, problem", [
+    ("  row 0: M\n  row 5: M", "17: syntax: diagram row 5 where row 1 is due"),
+    ("  row 0: M f M\n  row 2: M f M", "17: syntax: diagram row 2 where row 1 is due"),
+    ("  row 1: M f M", "16: syntax: diagram row 1 where row 0 is due"),
+    ("  row x: M f M", "16: syntax: bad diagram block: row number: 'x' is not an integer"),
+], ids=["one-node-rows", "arrow-rows", "no-row-0", "not-a-number"])
+def test_row_numbering_gaps_are_located(text, problem, tmp_path, capsys):
+    """Diagram rows are numbered 0, 1, 2, ... (in any order): a gap is a
+    syntax problem at the first row line past it, never a silent renumbering
+    or a shape failure at the header. Line 16 of SMALL is `row 0: M f M`."""
+    assert_small_problem(16, text, problem, tmp_path, capsys)
+
+
+@pytest.mark.parametrize("line, text, problem", [
+    (6, "  add: 0,1; 1,x", "6: syntax: bad module block: key 'add': 'x' is not an integer"),
+    (7, "  action: 0,0; 0,", "7: syntax: bad module block: key 'action': '' is not an integer"),
+    (3, "  mul: 0,0; 0,1.5", "3: syntax: bad semiring block: key 'mul': '1.5' is not an integer"),
+    (2, "  add: 0,1; 1,1\n  zero: z",
+     "3: syntax: bad semiring block: key 'zero': 'z' is not an integer"),
+    (2, "  add: 0,1; 1,1\n  one:", "3: syntax: bad semiring block: key 'one' is empty"),
+    (7, "  action: 0,0; 0,1\n  zero: -", "8: syntax: bad module block: key 'zero': '-' is not an integer"),
+    (1, "semiring B size=two",
+     "1: syntax: bad semiring block: attribute 'size': 'two' is not an integer"),
+    (9, "sub L of=M members=", "9: syntax: bad sub block: attribute 'members' is empty"),
+    (9, "sub L of=M members=0,1x",
+     "9: syntax: bad sub block: attribute 'members': '1x' is not an integer"),
+    (11, "morphism f from=M to=M map=0,q",
+     "11: syntax: bad morphism block: attribute 'map': 'q' is not an integer"),
+], ids=["add", "action", "mul", "semiring-zero", "one", "module-zero", "size", "members-empty",
+        "members", "map"])
+def test_bad_integers_are_located(line, text, problem, tmp_path, capsys):
+    """A value that is not an integer is a syntax problem at the line of the
+    key that holds it (the body line, or the header for an attribute) that
+    names the key and the token, or says that the value is empty."""
+    assert_small_problem(line, text, problem, tmp_path, capsys)
+
+
 def test_lemma_verified(capsys, tmp_path):
     text = """semiring Z2 size=2
   add: 0,1; 1,0

@@ -257,7 +257,7 @@ def _compose_filter(spec, rows_top, rows_bottom, tag):
 def test_row_pairs_match_compose_filter(semiring, seed):
     spec = HarnessSpec(semiring, 3, seed=seed)
     top = harness._exact_pairs(semiring, 3)
-    bottom = harness._short_exact_rows(semiring, 3)
+    bottom = harness._exact_rows(semiring, 3, injective=True, surjective=True)
     expected = list(_compose_filter(spec, top, bottom, "eq"))
     assert len(expected) > 30
     assert list(harness._row_pairs_with_verticals(spec, top, bottom, "eq")) == expected
@@ -426,13 +426,93 @@ def test_unknown_clause_rejected(z2spec, name, clause):
         getattr(diagrams, f"verify_{name}")(gen_short_five(z2spec)[0], clause)
 
 
-@pytest.mark.parametrize("guaranteed", ["_EXACT_ROWS", "_HALF_ROWS", "_SHORT_FIVE_ROWS",
-                                        "_QUOTIENT_ROW"])
+# What the hand-picked 2x3 pools guarantee: exactness of an exact-pairs row;
+# cancellative middles, a right exact top row and a left exact bottom row;
+# or two short exact rows with cancellative middles.
+_EXACT_ROWS = ("first row exact", "second row exact")
+_HALF_ROWS = ("M1 cancellative", "M2 cancellative", "first row exact at middle",
+              "first row: g surjective", "second row: f injective", "second row exact at middle")
+_SHORT_FIVE_ROWS = _HALF_ROWS + ("first row: f injective", "second row: g surjective")
+
+GUARANTEED = {"_EXACT_ROWS": _EXACT_ROWS, "_HALF_ROWS": _HALF_ROWS,
+              "_SHORT_FIVE_ROWS": _SHORT_FIVE_ROWS, "_QUOTIENT_ROW": harness._QUOTIENT_ROW,
+              "_ROW_POOLS": harness._ROW_POOLS}
+
+
+@pytest.mark.parametrize("guaranteed", list(GUARANTEED))
 def test_guaranteed_ids_are_table_hypotheses(guaranteed):
     """A misspelt guaranteed id would silently leave its hypothesis in the
-    filter; every one must name a hypothesis of some clause."""
+    filter, or, in a hand-kept tuple, drop out of the comparison with the
+    pools _ROW_POOLS chooses; every one must name a hypothesis of some
+    clause."""
     ids = set().union(*(c.ids for c in CLAUSES.values()))
-    assert set(getattr(harness, guaranteed)) <= ids
+    assert set(GUARANTEED[guaranteed]) <= ids
+
+
+def _hand_picked_pools(semiring, n, key):
+    """(top, bottom, guaranteed) as three generators once picked them by hand
+    for the 2x3 clause `key`: the exact pairs for a row the clause assumes
+    exact and the exact pairs plus _any_rows for any other; right and left
+    exact rows with cancellative middles for short-five-half; short exact
+    rows with cancellative middles for short-five."""
+    exact = harness._exact_pairs(semiring, n)
+    if key.startswith("short-five-half"):
+        return (harness._exact_rows(semiring, n, surjective=True, cancellative=True),
+                harness._exact_rows(semiring, n, injective=True, cancellative=True), _HALF_ROWS)
+    if key == "short-five":
+        rows = harness._exact_rows(semiring, n, injective=True, surjective=True,
+                                   cancellative=True)
+        return rows, rows, _SHORT_FIVE_ROWS
+    any_rows = tuple(dict.fromkeys(exact + harness._any_rows(semiring, n)))
+    return (*(exact if row in CLAUSES[key].ids else any_rows for row in _EXACT_ROWS), _EXACT_ROWS)
+
+
+TWO_BY_THREE = [key for key, clause in CLAUSES.items() if clause.shape == (2, 3)]
+
+
+@pytest.mark.parametrize("semiring", [make_zmod(2), make_saturating_naturals(2)],
+                         ids=lambda s: s.name)
+def test_row_pools_are_the_hand_picked_pools(semiring):
+    """For every 2x3 clause, the pools its hypotheses choose through
+    _ROW_POOLS are the hand-picked ones, the same maps in the same order (so
+    the shuffles draw the same pairs), and they guarantee the hand-kept ids
+    that the clause has. On T2 the cancellative pools are proper subsets."""
+    assert len(TWO_BY_THREE) == 11
+    for key in TWO_BY_THREE:
+        ids = CLAUSES[key].ids
+        top, bottom, guaranteed = harness._row_pools(semiring, 3, ids)
+        hand_top, hand_bottom, hand_guaranteed = _hand_picked_pools(semiring, 3, key)
+        assert (top, bottom) == (hand_top, hand_bottom), key  # maps compare by name too
+        assert guaranteed == set(hand_guaranteed) & ids, key
+    if semiring.name == "T2":
+        half_top = harness._row_pools(semiring, 3, CLAUSES["short-five-half.1"].ids)[0]
+        assert 0 < len(half_top) < len(harness._exact_rows(semiring, 3, surjective=True))
+
+
+def test_dropped_exactness_widens_the_row_pool():
+    """short-five-half.1 without `first row exact at middle` draws its top
+    row from every row with g∘f = 0; `M1 cancellative` and `first row: g
+    surjective` then stay filters, so every diagram meets them, and some top
+    row is not exact."""
+    full = CLAUSES["short-five-half.1"]
+    dropped = "first row exact at middle"
+    widened = diagrams.Clause((2, 3), "cs5.1-widened",
+                              [h.id for h in full.hypotheses if h.id != dropped], ())
+    semiring = make_zmod(2)
+    top, bottom, guaranteed = harness._row_pools(semiring, 3, widened.ids)
+    assert top == tuple(dict.fromkeys(harness._exact_pairs(semiring, 3)
+                                      + harness._any_rows(semiring, 3)))
+    assert bottom == harness._row_pools(semiring, 3, full.ids)[1]
+    assert guaranteed == {"M2 cancellative", "second row: f injective",
+                          "second row exact at middle"}
+    ds = harness._gen_2x3(HarnessSpec(semiring, 3, seed=5, quota=5), widened)
+    assert len(ds) == 5
+    tests = {h.id: h.test for h in full.hypotheses}
+    for d in ds:
+        parts = d.parts()
+        assert tests["M1 cancellative"](parts) and tests["first row: g surjective"](parts)
+        assert widened.filter(())(parts)
+    assert not all(tests[dropped](d.parts()) for d in ds)
 
 
 SNAKE_SNAPSHOT = DATA / "snake_seed11.json"

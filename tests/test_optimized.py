@@ -54,11 +54,15 @@ SLICE = [*CORE, "tests/test_quotients.py",
              "test_row_pools_match_named_builders",
              "test_exact_pairs_match_named_builder_at_nat4",
              "test_capped_pools_are_views_over_their_streams",
-             "test_streams_match_uncapped_references")),
+             "test_streams_match_uncapped_references",
+             "test_row_pools_are_the_hand_picked_pools",
+             "test_dropped_exactness_widens_the_row_pool")),
          "tests/test_workspace.py::test_parser_reads_the_validity_cache",
          "tests/test_workspace.py::test_module_axiom_violations_located",
          "tests/test_cli.py::test_max_size_past_bound_exits_2_before_building",
          "tests/test_cli.py::test_missing_parts_are_named",
+         "tests/test_cli.py::test_row_numbering_gaps_are_located",
+         "tests/test_cli.py::test_bad_integers_are_located",
          *(f"tests/test_imports.py::{name}" for name in (
              "test_corpus_path_imports_no_map_layer_at_import_time",
              "test_moved_names_are_the_catalogs_own_objects",
