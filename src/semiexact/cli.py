@@ -266,10 +266,12 @@ def _common(p):
     p.add_argument("files", nargs="*", help="workspace definition files")
     p.add_argument("--report", metavar="PATH", help="write machine-readable report")
     p.add_argument("--quiet", action="store_true", help="suppress human output")
+
+
+def _universe_args(p):  # the universe options that search and corpus read
     p.add_argument("--max-size", type=int, default=3, metavar="N",
                    help="module size bound for searches/corpora (default 3)")
     p.add_argument("--seed", type=int, default=0, metavar="N")
-    p.add_argument("--corpus", metavar="PATH", help="corpus output path")
 
 
 def _lemma_args(p):
@@ -285,6 +287,13 @@ def _search_args(p):
     p.add_argument("name", help="one of: " + ", ".join(PROPERTIES))
     p.add_argument("semiring", nargs="?", default="nat3",
                    help="builtin, workspace or nat<k> semiring (default nat3)")
+    _universe_args(p)
+
+
+def _corpus_args(p):
+    p.add_argument("semiring", help="builtin, workspace or nat<k> semiring name")
+    _universe_args(p)
+    p.add_argument("--corpus", metavar="PATH", help="corpus output path")
 
 
 # name -> (help, handler, adds the command's own arguments before the common ones)
@@ -296,9 +305,7 @@ COMMANDS = {
     "snake": ("run the snake construction on a 2x3 diagram", cmd_snake,
               lambda p: p.add_argument("diagram")),
     "search": ("search the counterexample catalog", cmd_search, _search_args),
-    "corpus": ("export the enumerated module corpus", cmd_corpus,
-               lambda p: p.add_argument("semiring",
-                                        help="builtin, workspace or nat<k> semiring name")),
+    "corpus": ("export the enumerated module corpus", cmd_corpus, _corpus_args),
 }
 
 

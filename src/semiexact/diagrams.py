@@ -52,17 +52,12 @@ class Certificate(NamedTuple):
         return tuple(a for a in self.conclusions if not a.ok)
 
 
-class _Check:
-    """The conclusions of one snake certificate, in order."""
-
-    def __init__(self, lemma):
-        self.lemma, self.concls = lemma, []
-
-    def conclude(self, cond, aid, witness="-"):
-        self.concls.append(Assertion(aid, bool(cond), "-" if cond else witness))
-
-    def done(self):
-        return Certificate(self.lemma, (), tuple(self.concls))
+def _certificate(lemma, *checks):
+    """The Certificate of a snake clause with these checks (id, ok, witness)
+    as its conclusions, in order; a check's witness is reported only where
+    it fails."""
+    return Certificate(lemma, (), tuple(Assertion(aid, bool(ok), "-" if ok else witness)
+                                        for aid, ok, witness in checks))
 
 
 # ------------------------------------------------------------ the vocabulary
@@ -421,7 +416,9 @@ def _i_uniform_iso(aid, holds):
     return Relation(aid, "alpha2 i-uniform", "alpha2 isomorphism", holds, "lhs rhs")
 
 
-# Keyed by certificate name. Snake is not here: it is a construction.
+# Keyed by certificate name. Snake is not here: it is a construction. Its
+# gates are the clause _SNAKE_GATES, which gen_snake filters by too, and
+# snake() builds its own certificates with _certificate.
 CLAUSES = {
     # 2x3, alpha1 surjective and alpha3 injective: exactness of one row
     # transfers to the other along the middle vertical.
@@ -614,12 +611,7 @@ def snake(d: Diagram) -> SnakeResult:
     _SNAKE_GATES.gate("snake.gates", parts)
     columns_exact = all(classify(a).uniform for a in (a1, a2, a3))
 
-    kmods = []
-    kincls = []
-    for a in (a1, a2, a3):
-        km, ki = kernel_module(a)
-        kmods.append(km)
-        kincls.append(ki)
+    kmods, kincls = zip(*(kernel_module(a) for a in (a1, a2, a3)))
     cokers = tuple(cokernel(a) for a in (a1, a2, a3))
 
     def restrict(f, src_incl, dst_incl, name):
@@ -640,82 +632,61 @@ def snake(d: Diagram) -> SnakeResult:
     f_c = descend(f2, cokers[0], cokers[1], "f_C")
     g_c = descend(g2, cokers[1], cokers[2], "g_C")
 
-    ind = _Check("snake.1")
-    ind.conclude(_table(f1, kincls[0]) == _table(kincls[1], f_k),
-                 "kernel square over f commutes")
-    ind.conclude(_table(g1, kincls[1]) == _table(kincls[2], g_k),
-                 "kernel square over g commutes")
-    ind.conclude(_table(f_c, cokers[0].projection) == _table(cokers[1].projection, f2),
-                 "cokernel square under f commutes")
-    ind.conclude(_table(g_c, cokers[1].projection) == _table(cokers[2].projection, g2),
-                 "cokernel square under g commutes")
     # uniqueness: forced pointwise by injective inclusions / surjective projections
-    ind.conclude(all(is_injective(ki) for ki in kincls), "kernel inclusions injective")
-    ind.conclude(all(is_surjective(q.projection) for q in cokers),
-                 "cokernel projections surjective")
-    cert_induced = ind.done()
+    cert_induced = _certificate(
+        "snake.1",
+        ("kernel square over f commutes", _table(f1, kincls[0]) == _table(kincls[1], f_k), "-"),
+        ("kernel square over g commutes", _table(g1, kincls[1]) == _table(kincls[2], g_k), "-"),
+        ("cokernel square under f commutes",
+         _table(f_c, cokers[0].projection) == _table(cokers[1].projection, f2), "-"),
+        ("cokernel square under g commutes",
+         _table(g_c, cokers[1].projection) == _table(cokers[2].projection, g2), "-"),
+        ("kernel inclusions injective", all(is_injective(ki) for ki in kincls), "-"),
+        ("cokernel projections surjective",
+         all(is_surjective(q.projection) for q in cokers), "-"))
 
-    # connecting morphism by exhaustive lifting
-    kmod3 = kmods[2]
-    delta_table = [None] * kmod3.size
-    well_defined = True
-    bad_witness = "-"
+    # connecting morphism by exhaustive lifting: each n1 in Ker(alpha3) is
+    # g1(m1), and each alpha2(m1) is f2(l2); delta(n1) is the class of l2
+    kmod3, project = kmods[2], cokers[0].projection.map
+    delta_table, bad_witness = [], "-"
     for ki, n1 in enumerate(kincls[2].map):
-        classes = set()
-        for m1 in g1.domain.elements():
-            if g1.map[m1] != n1:
-                continue
-            target = a2.map[m1]
-            for l2 in f2.domain.elements():
-                if f2.map[l2] == target:
-                    classes.add(cokers[0].projection.map[l2])
+        classes = {project[l2] for m1 in g1.domain.elements() if g1.map[m1] == n1
+                   for l2 in f2.domain.elements() if f2.map[l2] == a2.map[m1]}
         if not classes:
             raise LemmaRefuted("snake: no admissible lift; gates should prevent this")
         if len(classes) > 1:
-            well_defined = False
             bad_witness = f"kernel element {ki} maps to classes {sorted(classes)}"
-        delta_table[ki] = min(classes)
+        delta_table.append(min(classes))
     try:
         delta = Morphism("delta", kmod3, cokers[0].quotient, delta_table)
     except StructureError as exc:
         raise LemmaRefuted(f"snake: connecting map not linear: {exc}") from exc
 
-    cd = _Check("snake.4")
-    cd.conclude(well_defined, "delta independent of lift choice", bad_witness)
     ker_delta = kernel_set(delta)
-    gk_image = image_set(g_k)
-    closure_gk = subtractive_closure_set(kmod3, gk_image)
-    cd.conclude(ker_delta == closure_gk, "Ker(delta) = closure(g_K(Ker alpha2))",
-                f"ker={sorted(ker_delta)} closure={sorted(closure_gk)}")
-    cd.conclude(image_set(delta) == kernel_set(f_c), "delta(Ker alpha3) = Ker(f_C)",
-                f"im={sorted(image_set(delta))} ker={sorted(kernel_set(f_c))}")
+    closure_gk = subtractive_closure_set(kmod3, image_set(g_k))
+    im_delta, ker_fc = image_set(delta), kernel_set(f_c)
     k_ok, k_wit = is_k_uniform(delta, witness=True)
-    cd.conclude(k_ok, "delta k-uniform", f"pair {k_wit}")
-    cert_delta = cd.done()
+    cert_delta = _certificate(
+        "snake.4",
+        ("delta independent of lift choice", bad_witness == "-", bad_witness),
+        ("Ker(delta) = closure(g_K(Ker alpha2))", ker_delta == closure_gk,
+         f"ker={sorted(ker_delta)} closure={sorted(closure_gk)}"),
+        ("delta(Ker alpha3) = Ker(f_C)", im_delta == ker_fc,
+         f"im={sorted(im_delta)} ker={sorted(ker_fc)}"),
+        ("delta k-uniform", k_ok, f"pair {k_wit}"))
 
-    cert_kernel_row = None
+    cert_kernel_row = cert_cokernel_row = cert_four_term = None
     if is_cancellative_morphism(f1):
-        c = _Check("snake.2")
-        ok, wit = exact_at(f_k, g_k)
-        c.conclude(ok, "kernel row exact at Ker(alpha2)", wit)
-        cert_kernel_row = c.done()
-
-    cert_cokernel_row = None
+        cert_kernel_row = _certificate(
+            "snake.2", ("kernel row exact at Ker(alpha2)", *exact_at(f_k, g_k)))
     if classify(f_c).i_uniform:
-        c = _Check("snake.3")
-        ok, wit = exact_at(f_c, g_c)
-        c.conclude(ok, "cokernel row exact at Coker(alpha2)", wit)
-        cert_cokernel_row = c.done()
-
-    cert_four_term = None
+        cert_cokernel_row = _certificate(
+            "snake.3", ("cokernel row exact at Coker(alpha2)", *exact_at(f_c, g_c)))
     if is_cancellative_morphism(a2) and classify(g_k).i_uniform:
-        c = _Check("snake.5")
-        ok, wit = exact_at(g_k, delta)
-        c.conclude(ok, "four-term sequence exact at Ker(alpha3)", wit)
-        ok, wit = exact_at(delta, f_c)
-        c.conclude(ok, "four-term sequence exact at Coker(alpha1)", wit)
-        cert_four_term = c.done()
+        cert_four_term = _certificate(
+            "snake.5", ("four-term sequence exact at Ker(alpha3)", *exact_at(g_k, delta)),
+            ("four-term sequence exact at Coker(alpha1)", *exact_at(delta, f_c)))
 
-    return SnakeResult(d.name, f_k, g_k, f_c, g_c, delta, tuple(kincls), cokers,
+    return SnakeResult(d.name, f_k, g_k, f_c, g_c, delta, kincls, cokers,
                        columns_exact, cert_induced, cert_kernel_row,
                        cert_cokernel_row, cert_delta, cert_four_term)

@@ -11,13 +11,14 @@ kernel structure, not once per map (_onto, _isos_and_automorphisms), and
 only the maps of their rows are named, by Morphism._trusted, under the
 names kernel_module and compose give them. The exact-row pools
 (_exact_rows) are filtered once per (semiring, bound).
-The generator of a clause's shape draws for its entry of diagrams.CLAUSES
-and keeps the candidates that pass its hypotheses, minus those the
-construction guarantees: the hypotheses listed in _ROW_POOLS choose a 2x3
-row pool, which guarantees those that chose it when the row is exact; 2x5
-rows guarantee their exactness, the 3x3 quotient row the ids of
-_QUOTIENT_ROW. The hypotheses run on the raw arrows, before a Diagram is
-built, split by Clause.split: one that reads a single part
+The generator of a clause's shape draws for its entry of diagrams.CLAUSES,
+gen_snake for diagrams._SNAKE_GATES, and _collect keeps the candidates that
+pass the hypotheses, minus those the construction guarantees: the
+hypotheses listed in _ROW_POOLS choose a 2x3 row pool (the snake's pools
+hold its gates listed there), which guarantees those that chose it when
+the row is exact; 2x5 rows guarantee their exactness, the 3x3 quotient row
+the ids of _QUOTIENT_ROW. The hypotheses run on the raw arrows, before a
+Diagram is built, split by Clause.split: one that reads a single part
 (`alpha1 surjective`, `g1 surjective`, `M1 cancellative`) runs as soon as
 that part is drawn, on a row pair once it is drawn, on a2 once it comes
 out of its shuffle, and on the members of a hom-set as _index groups
@@ -26,14 +27,15 @@ hom-set groups are tested early, never a pool before its shuffle, so the
 accepted candidates are the same, in the same order, as with every test
 on the whole tuple. The 3x3 stream tests its whole tuples, which are cheap.
 
-Squares are filled by a hash join on composite tables: for a fixed arrow
-such as f2, the hom-set of candidate a1 is indexed once by the table of
-f2∘a1 (morphisms._table), and the other side of the square, a2∘f1, is
-looked up as a plain tuple. No Morphism is built to test a square;
-Diagram.from_arrows still checks every square of every diagram it is handed.
-Maps forced by a square (the 3x3 quotient row, snake's outer verticals) are
-factored through the square's injection or surjection by
-morphisms.factor_through_injection and factor_through_surjection.
+Every 2x3 and 2x5 grid is filled by one join, _two_row_join, by hash joins
+on composite tables: for a fixed arrow such as f2, the hom-set of
+candidate a1 is indexed once by the table of f2∘a1 (morphisms._table), and
+the other side of the square, a2∘f1, is looked up as a plain tuple. No
+Morphism is built to test a square; Diagram.from_arrows still checks every
+square of every diagram it is handed. Maps forced by a square (the 3x3
+quotient row, snake's outer verticals) are factored through the square's
+injection or surjection by morphisms.factor_through_injection and
+factor_through_surjection.
 
 Given the same spec (semiring, bound, seed) the generated corpus is
 identical run to run; the seed only shuffles the candidate order so corpora
@@ -51,7 +53,7 @@ from functools import lru_cache, partial
 from itertools import islice
 
 from .core import Semiring, Subsemimodule, Value, is_cancellative_module
-from .diagrams import Diagram, clause_key, lookup
+from .diagrams import _SNAKE_GATES, Diagram, clause_key, lookup
 from .enumeration import UniverseSpec, enumerate_semimodules, maps_among, oracle_iso_exists
 from .errors import ParameterError
 from .morphisms import (Morphism, _hom_tables, _k_uniform_witness, _table, classify,
@@ -103,6 +105,10 @@ def _shuffled_pairs(left, right, seed, tag):
     return ((left[k // m], right[k % m]) for k in _permutation(len(left) * m, seed, tag))
 
 
+def _passes(test, part):
+    return test is None or test(part)
+
+
 def _index(homs, key, test=None):
     """Members of a hom-set that pass test (all of them when it is None),
     grouped by key(h), each group in hom-set order."""
@@ -139,32 +145,59 @@ def _exact_rows(semiring, max_size, cancellative=False, injective=False, surject
                  and (not cancellative or is_cancellative_module(f.codomain)))
 
 
-def _verticals(seed, tag, f1, g1, f2, g2, tests):
-    """Yield (a1, a2, a3) with a2 in a seeded order and both squares of the
-    row pair (f1, g1), (f2, g2) commuting, the tests (for a1, a2, a3, each
-    skipped where it is None) passing on each part: a1 and a3 are looked up
-    by composite table."""
-    a1_test, a2_test, a3_test = tests
-    a1_by = _index(enumerate_hom(f1.domain, f2.domain), lambda h: _table(f2, h), a1_test)
-    a3_by = _index(enumerate_hom(g1.codomain, g2.codomain), lambda h: _table(h, g1), a3_test)
-    if not (a1_by and a3_by):
-        return
-    for a2 in _shuffled(enumerate_hom(f1.codomain, f2.codomain), seed, tag + "a2"):
-        if a2_test is not None and not a2_test(a2):
-            continue
-        for a1 in a1_by.get(_table(a2, f1), ()):
-            for a3 in a3_by.get(_table(g2, a2), ()):
-                yield a1, a2, a3
+def _square_index(top, bottom, c, n, test):
+    """The members of the hom-set at column c that pass test, grouped by the
+    table of their side of the square they close with column n."""
+    if c < n:
+        t, b = top[c], bottom[c]
+        return _index(enumerate_hom(t.domain, b.domain), lambda h: _table(b, h), test)
+    t, b = top[n], bottom[n]
+    return _index(enumerate_hom(t.codomain, b.codomain), lambda h: _table(h, t), test)
 
 
-def _row_pairs_with_verticals(spec, rows_top, rows_bottom, tag, tests=(None,) * 7):
-    """Yield (f1, g1, f2, g2, a1, a2, a3) with both squares commuting and
-    tests[i], where it is not None, passing on the i-th part."""
-    rows_ok = _joint(tests[:4])
+def _two_row_join(spec, rows_top, rows_bottom, tag, tests):
+    """Yield the parts of two-row grids with a middle column (2x3, 2x5) whose
+    squares all commute and tests[i], where it is not None, passes on the
+    i-th part: a row pair from _shuffled_pairs, the middle vertical from its
+    shuffled hom-set, then the others outward from it, inner before outer
+    and left before right (alpha1, alpha3, then gamma, delta), each looked up
+    in the _square_index of the square it closes with its neighbour toward
+    the middle, by the table of that square's other side."""
+    k = len(tests) // 3  # arrows per row: the grid has 2k horizontals, k + 1 verticals
+    mid, rows_ok, vtests = (k + 1) // 2, _joint(tests[:2 * k]), tests[2 * k:]
+    # the verticals in the order they are drawn: (column, neighbour toward the middle)
+    order = [(mid, None)] + [(c, c + 1 if c < mid else c - 1)
+                             for j in range(1, mid + 1) for c in (mid - j, mid + j)]
     for top, bottom in _shuffled_pairs(rows_top, rows_bottom, spec.seed, tag):
-        if rows_ok(top + bottom):
-            for verts in _verticals(spec.seed, tag, *top, *bottom, tests[4:7]):
-                yield top + bottom + verts
+        if not rows_ok(top + bottom):
+            continue
+        # every middle vertical needs the squares beside it; an outer square
+        # is indexed once a vertical next to it is found
+        indexes = {c: _square_index(top, bottom, c, n, vtests[c]) for c, n in order[1:3]}
+        if not all(indexes.values()):
+            continue
+        verts = [None] * (k + 1)
+
+        def candidates(i):
+            """The verticals at order[i] that close its square with verts."""
+            c, n = order[i]
+            if c not in indexes:
+                indexes[c] = _square_index(top, bottom, c, n, vtests[c])
+            side = _table(verts[n], top[c]) if c < n else _table(bottom[n], verts[n])
+            return indexes[c].get(side, ())
+
+        def fill(i, found):
+            """verts completed by each of `found` at order[i], then by the
+            verticals after it."""
+            c = order[i][0]
+            for v in found:
+                verts[c] = v
+                if i + 1 == len(order):
+                    yield top + bottom + tuple(verts)
+                elif more := candidates(i + 1):
+                    yield from fill(i + 1, more)
+        a2s = _shuffled(enumerate_hom(top[mid].domain, bottom[mid].domain), spec.seed, tag + "a2")
+        yield from fill(0, a2s if vtests[mid] is None else filter(vtests[mid], a2s))
 
 
 def _build(name, shape, parts):
@@ -242,8 +275,8 @@ def _row_pools(semiring, max_size, ids):
 
 def _gen_2x3(spec: HarnessSpec, clause):
     top, bottom, guaranteed = _row_pools(spec.semiring, spec.max_size, clause.ids)
-    return _collect(spec, clause, partial(_row_pairs_with_verticals, spec, top, bottom,
-                                          clause.tag), guaranteed)
+    return _collect(spec, clause, partial(_two_row_join, spec, top, bottom, clause.tag),
+                    guaranteed)
 
 
 def vertical_triples(spec: UniverseSpec):
@@ -251,9 +284,8 @@ def vertical_triples(spec: UniverseSpec):
     universe's modules; used by the dropped-hypothesis searches."""
     s, n = spec.semiring, spec.max_module_size
     top, bottom, _ = _row_pools(s, n, lookup("short-five").ids)
-    for f1, g1, f2, g2, a1, a2, a3 in _row_pairs_with_verticals(HarnessSpec(s, n, spec.seed),
-                                                                top, bottom, "vt"):
-        yield (f1, g1), (f2, g2), (a1, a2, a3)
+    for parts in _two_row_join(HarnessSpec(s, n, spec.seed), top, bottom, "vt", (None,) * 7):
+        yield parts[:2], parts[2:4], parts[4:]
 
 
 # ----------------------------------------------------------- 2x5 generators
@@ -312,31 +344,10 @@ def _exact_5rows(semiring, max_size):
     return tuple(islice(_exact_5rows_stream(semiring, max_size), 600))
 
 
-def _squares_2x5(spec: HarnessSpec, tag, tests):
-    """Yield the parts of 2x5 grids of exact rows with every square commuting
-    and tests[i], where it is not None, passing on the i-th part."""
-    rows = _exact_5rows(spec.semiring, spec.max_size)
-    rows_ok = _joint(tests[:8])
-    for row1, row2 in _shuffled_pairs(rows, rows, spec.seed, tag):
-        both = row1 + row2
-        if not rows_ok(both):
-            continue
-        (d1, f1, g1, h1), (d2, f2, g2, h2) = row1, row2
-        gamma_by = delta_by = None
-        for a1, a2, a3 in _verticals(spec.seed, tag, f1, g1, f2, g2, tests[9:12]):
-            if gamma_by is None:
-                gamma_by = _index(enumerate_hom(d1.domain, d2.domain), lambda g: _table(d2, g),
-                                  tests[8])
-                delta_by = _index(enumerate_hom(h1.codomain, h2.codomain),
-                                  lambda dd: _table(dd, h1), tests[12])
-            for gamma in gamma_by.get(_table(a1, d1), ()):
-                for delta in delta_by.get(_table(h2, a3), ()):
-                    yield both + (gamma, a1, a2, a3, delta)
-
-
 def _gen_2x5(spec: HarnessSpec, clause):
+    rows = _exact_5rows(spec.semiring, spec.max_size)
     exact = {i for i in clause.ids if _ROW_POOLS.get(i, (None, None))[1] == "exact"}
-    return _collect(spec, clause, partial(_squares_2x5, spec, clause.tag), exact)
+    return _collect(spec, clause, partial(_two_row_join, spec, rows, rows, clause.tag), exact)
 
 
 # ----------------------------------------------------------- 3x3 generators
@@ -498,30 +509,32 @@ def _snake_left_rows(semiring, max_size):
     return tuple(islice(_snake_left_rows_stream(semiring, max_size), 200))
 
 
-def gen_snake(spec: HarnessSpec):
-    """Snake inputs: top row right-exact, bottom row left-exact, verticals
-    with alpha1/alpha3 k-uniform and alpha2 uniform; alpha1 and alpha3 are
-    derived from alpha2 through the squares, factored through the injective
-    f2 and the surjective g1, so only alpha2 is enumerated."""
-    s, n = spec.semiring, spec.max_size
-    top_rows = _exact_rows(s, n, surjective=True)
-    bottom_rows = _snake_left_rows(s, n)
-    seed = spec.seed
-    out = []
-    for (f1, g1), (f2, g2) in _shuffled_pairs(top_rows, bottom_rows, seed, "snake"):
+def _snake_squares(spec: HarnessSpec, tests):
+    """Yield snake inputs, right exact top rows over _snake_left_rows, with
+    tests[i], where it is not None, passing on the i-th part: only alpha2 is
+    enumerated; alpha1 and alpha3 are derived from it through the squares,
+    factored through the injective f2 and the surjective g1."""
+    s, n, seed = spec.semiring, spec.max_size, spec.seed
+    rows_ok, (a1_test, a2_test, a3_test) = _joint(tests[:4]), tests[4:]
+    for (f1, g1), (f2, g2) in _shuffled_pairs(_exact_rows(s, n, surjective=True),
+                                              _snake_left_rows(s, n), seed, "snake"):
+        if not rows_ok((f1, g1, f2, g2)):
+            continue
         for a2 in _shuffled(enumerate_hom(f1.codomain, f2.codomain), seed, "snake.a2"):
-            if not classify(a2).uniform:
+            if not _passes(a2_test, a2):
                 continue
             a1 = factor_through_injection(f2, _table(a2, f1), f1.domain,
                                           f"a1[{f1.domain.name}->{f2.domain.name}]")
-            if a1 is None or not classify(a1).k_uniform:
+            if a1 is None or not _passes(a1_test, a1):
                 continue
             a3 = factor_through_surjection(g1, _table(g2, a2), g2.codomain,
                                            f"a3[{g1.codomain.name}->{g2.codomain.name}]")
-            if a3 is None or not classify(a3).k_uniform:
-                continue
-            out.append(_build(f"snake.{len(out)}", (2, 3), (f1, g1, f2, g2, a1, a2, a3)))
-            if len(out) >= spec.quota:
-                return out
-    return out
+            if a3 is not None and _passes(a3_test, a3):
+                yield f1, g1, f2, g2, a1, a2, a3
 
+
+def gen_snake(spec: HarnessSpec):
+    """Snake inputs that pass diagrams._SNAKE_GATES; the row pools guarantee
+    the gates that choose a row pool in _ROW_POOLS."""
+    return _collect(spec, _SNAKE_GATES, partial(_snake_squares, spec),
+                    _SNAKE_GATES.ids & _ROW_POOLS.keys())

@@ -221,7 +221,7 @@ class _Parser:
         fields = {}
         for line, text in body:
             if ":" not in text:
-                raise ValueError(f"line {line}: expected 'key: value'")
+                raise _BadValue(line, f"expected 'key: value', got {text!r}")
             k, v = (x.strip() for x in text.split(":", 1))
             if k in fields or k not in keys:
                 self.error(file, line, "syntax", f"repeated key {k!r}, first at line {fields[k][0]}"
@@ -361,7 +361,12 @@ class _Parser:
             for c, f in enumerate(maps):
                 horizontals[(r, c)] = f
         for c in sorted(cols):
-            resolved = resolve_chain(*cols[c])
+            bline, names = cols[c]
+            span = len(names) // 2 + 1  # the rows the column runs through
+            if span > len(nodes) or not all(0 <= c < len(row) for row in nodes[:span]):
+                self.error(file, bline, "structural", f"diagram {name}: col {c} is past the grid")
+                return
+            resolved = resolve_chain(bline, names)
             if resolved is None:
                 return
             objs, maps = resolved

@@ -349,10 +349,12 @@ end
     (6, "  action: 0,0; 0,1", "7: syntax: repeated key 'action', first at line 6"),
     (3, "  mult: 0,0; 0,1", "3: syntax: unknown key 'mult'"),
     (6, "  one: 1", "6: syntax: unknown key 'one'"),
+    (3, "  mul 0,0; 0,1",
+     "3: syntax: bad semiring block: expected 'key: value', got 'mul 0,0; 0,1'"),
 ], ids=["module-zero", "semiring-zero", "semiring-size-twice", "module-over-twice",
         "sub-of-twice", "morphism-map-twice", "sequence-unknown", "diagram-unknown",
         "semiring-key-twice", "module-action-twice", "semiring-unknown-key",
-        "module-unknown-key"])
+        "module-unknown-key", "body-line-without-colon"])
 def test_unknown_or_repeated_attributes_are_located(line, text, problem, tmp_path, capsys):
     """An attribute or body key the block does not take, or one given twice,
     is a syntax problem at the line where it appears: exit 2, never a silent
@@ -391,11 +393,14 @@ def test_missing_parts_are_named(line, text, problem, tmp_path, capsys):
     ("  row 0: M f M\n  row 2: M f M", "17: syntax: diagram row 2 where row 1 is due"),
     ("  row 1: M f M", "16: syntax: diagram row 1 where row 0 is due"),
     ("  row x: M f M", "16: syntax: bad diagram block: row number: 'x' is not an integer"),
-], ids=["one-node-rows", "arrow-rows", "no-row-0", "not-a-number"])
+    ("  row 0: M f M\n  col 3: M f M",
+     "17: structural: diagram D: col 3 is past the grid"),
+], ids=["one-node-rows", "arrow-rows", "no-row-0", "not-a-number", "col-past-grid"])
 def test_row_numbering_gaps_are_located(text, problem, tmp_path, capsys):
     """Diagram rows are numbered 0, 1, 2, ... (in any order): a gap is a
     syntax problem at the first row line past it, never a silent renumbering
-    or a shape failure at the header. Line 16 of SMALL is `row 0: M f M`."""
+    or a shape failure at the header; so is a column past the grid, at its
+    own line. Line 16 of SMALL is `row 0: M f M`."""
     assert_small_problem(16, text, problem, tmp_path, capsys)
 
 
@@ -525,6 +530,20 @@ def test_repeated_main_calls_match_lone_calls(tmp_path, capsys, src_env):
                                "--report", str(report)],
                               capture_output=True, text=True, env=src_env)
         assert (proc.returncode, proc.stdout, report.read_text(encoding="utf-8")) == seen[i]
+
+
+@pytest.mark.parametrize("args", [
+    ["validate", DEMO, "--max-size", "3"], ["classify", "f", DEMO, "--seed", "1"],
+    ["exactness", "s", DEMO, "--corpus", "c.sx"], ["lemma", "short.1", "D", "--seed", "1"],
+    ["snake", "D", "--max-size", "3"], ["search", "mono-not-injective", "B", "--corpus", "c.sx"],
+])
+def test_universe_flags_only_where_read(args, capsys):
+    """--max-size and --seed belong to search and corpus, --corpus to corpus
+    alone: any other command refuses them as argparse does, with exit 2."""
+    with pytest.raises(SystemExit) as exc:
+        run(args + ["--quiet"])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {args[-2]} {args[-1]}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("name", ["nat0", "nat7", "nat10", "nat2530"])

@@ -237,9 +237,11 @@ def test_harness_spec_rejects_nonpositive_bounds(field, value):
 
 def _compose_filter(spec, rows_top, rows_bottom, tag):
     """Square filling by composing every candidate: the reference for the
-    hash join in _row_pairs_with_verticals."""
+    hash join in _two_row_join, over rows (f, g) or (d, f, g, h)."""
     pairs = [(r1, r2) for r1 in rows_top for r2 in rows_bottom]
-    for (f1, g1), (f2, g2) in harness._shuffled(pairs, spec.seed, tag):
+    for top, bottom in harness._shuffled(pairs, spec.seed, tag):
+        wide = len(top) == 4
+        (f1, g1), (f2, g2) = top[wide:wide + 2], bottom[wide:wide + 2]
         for a2 in harness._shuffled(enumerate_hom(f1.codomain, f2.codomain),
                                     spec.seed, tag + "a2"):
             lefts = [a1 for a1 in enumerate_hom(f1.domain, f2.domain)
@@ -248,19 +250,37 @@ def _compose_filter(spec, rows_top, rows_bottom, tag):
                       if compose(a3, g1).map == compose(g2, a2).map]
             for a1 in lefts:
                 for a3 in rights:
-                    yield f1, g1, f2, g2, a1, a2, a3
+                    if not wide:
+                        yield top + bottom + (a1, a2, a3)
+                        continue
+                    (d1, h1), (d2, h2) = top[::3], bottom[::3]
+                    gammas = [c for c in enumerate_hom(d1.domain, d2.domain)
+                              if compose(d2, c).map == compose(a1, d1).map]
+                    deltas = [c for c in enumerate_hom(h1.codomain, h2.codomain)
+                              if compose(c, h1).map == compose(h2, a3).map]
+                    for gamma in gammas:
+                        for delta in deltas:
+                            yield top + bottom + (gamma, a1, a2, a3, delta)
 
 
-@pytest.mark.parametrize("semiring", [make_zmod(2), make_saturating_naturals(2)],
-                         ids=lambda s: s.name)
-@pytest.mark.parametrize("seed", [3, 8])
-def test_row_pairs_match_compose_filter(semiring, seed):
+@pytest.mark.parametrize("semiring, seed, width", [
+    (make_zmod(2), 3, 3), (make_saturating_naturals(2), 3, 3),
+    (make_zmod(2), 8, 3), (make_saturating_naturals(2), 8, 3), (make_zmod(2), 3, 5)],
+    ids=["3-Z2", "3-T2", "8-Z2", "8-T2", "3-Z2-2x5"])
+def test_row_pairs_match_compose_filter(semiring, seed, width):
+    """The join, on the exact pairs over short exact rows for 2x3 grids and
+    on the exact five-term rows for 2x5 grids, yields the reference's grids
+    in the reference's order."""
     spec = HarnessSpec(semiring, 3, seed=seed)
-    top = harness._exact_pairs(semiring, 3)
-    bottom = harness._exact_rows(semiring, 3, injective=True, surjective=True)
+    if width == 3:
+        top = harness._exact_pairs(semiring, 3)
+        bottom = harness._exact_rows(semiring, 3, injective=True, surjective=True)
+    else:
+        top = bottom = harness._exact_5rows(semiring, 3)
     expected = list(_compose_filter(spec, top, bottom, "eq"))
     assert len(expected) > 30
-    assert list(harness._row_pairs_with_verticals(spec, top, bottom, "eq")) == expected
+    tests = (None,) * len(diagrams._PART_NAMES[2, width])
+    assert list(harness._two_row_join(spec, top, bottom, "eq", tests)) == expected
 
 
 # Every generator, at seed 11 and quota 4. The stored digests of all but
@@ -349,16 +369,17 @@ def test_corpus_arrows_equal_their_public_rebuilds(snapshot_corpora):
 
 @pytest.mark.parametrize("seed", [3, 29])
 def test_single_part_tests_keep_the_whole_tuple_corpora(monkeypatch, seed):
-    """Every snapshot clause over Z2 and T2: testing single-part hypotheses
-    as their parts are drawn gives the corpora of the oracle, the unfiltered
-    stream with every hypothesis tested on whole tuples."""
+    """Every snapshot clause over Z2 and T2, and the snake's gates: testing
+    single-part hypotheses as their parts are drawn gives the corpora of the
+    oracle, the unfiltered stream with every hypothesis tested on whole
+    tuples."""
     specs = (HarnessSpec(make_zmod(2), 4, seed=seed, quota=4),
              HarnessSpec(make_saturating_naturals(2), 3, seed=seed, quota=4))
-    gens = [(getattr(harness, name), clause) for name, clause in SNAPSHOT_CORPORA
-            if name != "gen_snake"]
+    gens = [(getattr(harness, name), clause) for name, clause in SNAPSHOT_CORPORA]
 
     def corpora():
-        return [_tables(gen(spec, clause)) for spec in specs for gen, clause in gens]
+        return [_tables(gen(spec) if clause is None else gen(spec, clause))
+                for spec in specs for gen, clause in gens]
     split = corpora()
 
     def whole_tuple(clause, guaranteed):
@@ -513,6 +534,23 @@ def test_dropped_exactness_widens_the_row_pool():
         assert tests["M1 cancellative"](parts) and tests["first row: g surjective"](parts)
         assert widened.filter(())(parts)
     assert not all(tests[dropped](d.parts()) for d in ds)
+
+
+@pytest.mark.parametrize("semiring", [make_zmod(2), make_saturating_naturals(2)],
+                         ids=lambda s: s.name)
+def test_snake_pools_hold_the_gates_gen_snake_skips(semiring):
+    """gen_snake leaves out of its filter the snake gates that choose a row
+    pool in _ROW_POOLS, the right exact top row and the left exact bottom
+    row; every row of its two pools must satisfy them."""
+    guaranteed = diagrams._SNAKE_GATES.ids & harness._ROW_POOLS.keys()
+    assert guaranteed == set(diagrams._RIGHT_LEFT)
+    tops = harness._exact_rows(semiring, 3, surjective=True)
+    bottoms = harness._snake_left_rows(semiring, 3)
+    assert tops and bottoms
+    pairs = [(top, bottoms[0]) for top in tops] + [(tops[0], bottom) for bottom in bottoms]
+    for h in diagrams._SNAKE_GATES.hypotheses:
+        if h.id in guaranteed:
+            assert all(h.test(top + bottom + (None,) * 3) for top, bottom in pairs), h.id
 
 
 SNAKE_SNAPSHOT = DATA / "snake_seed11.json"

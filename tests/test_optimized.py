@@ -56,7 +56,8 @@ SLICE = [*CORE, "tests/test_quotients.py",
              "test_capped_pools_are_views_over_their_streams",
              "test_streams_match_uncapped_references",
              "test_row_pools_are_the_hand_picked_pools",
-             "test_dropped_exactness_widens_the_row_pool")),
+             "test_dropped_exactness_widens_the_row_pool",
+             "test_row_pairs_match_compose_filter", "test_snake_matches_snapshot")),
          "tests/test_workspace.py::test_parser_reads_the_validity_cache",
          "tests/test_workspace.py::test_module_axiom_violations_located",
          "tests/test_cli.py::test_max_size_past_bound_exits_2_before_building",
