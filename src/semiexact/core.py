@@ -14,7 +14,11 @@ is built by Value._trusted, with a proof at its call site from what its
 inputs' constructors checked, not from module laws. What needs such a law
 stays checked: kernel, subtractive_closure, bourne_congruence,
 zero_morphism, hom_add, oracle_iso_exists, snake's connecting map, every
-Diagram, and the _validates verdict on each grid of the action search.
+Diagram, and the _validates verdict on each grid of the action search and
+on each forced action (natural_action) that takes its place. A semiring is
+validated once: _semiring_validates keeps the verdict that the builders,
+generators and the parser read, and the full report is built only when it
+is False.
 
 Validation reports every violated law (one witness each) instead of
 stopping at the first: fixtures are authored by hand and full reports
@@ -80,7 +84,7 @@ from .errors import LemmaRefuted, ParameterError, StructureError
 
 
 def freeze_table(rows):
-    return tuple(tuple(int(x) for x in row) for row in rows)
+    return tuple(tuple(map(int, row)) for row in rows)
 
 
 # Fields, _hash and _unnamed are set by object.__setattr__, never through an instance
@@ -170,7 +174,10 @@ class Value:
 def _check_table(table, nrows, ncols, vmax, what):
     if len(table) != nrows:
         raise StructureError(f"{what}: expected {nrows} rows, got {len(table)}")
-    for i, row in enumerate(table):
+    if (all(len(row) == ncols for row in table)
+            and min(map(min, table)) >= 0 and max(map(max, table)) < vmax):
+        return
+    for i, row in enumerate(table):  # name the first bad row or entry
         if len(row) != ncols:
             raise StructureError(f"{what}: row {i} has {len(row)} entries, expected {ncols}")
         for x in row:
@@ -371,7 +378,7 @@ def _spanning(s: Semiring, fixed, tables):
 def generators(s: Semiring):
     """(A, G): A generates (S, +) with 0, G generates S under + and * with 0
     and 1, each picked greedily in element order; None unless s validates."""
-    if not validate_semiring(s).ok:
+    if not _semiring_validates(s):
         return None
     return _spanning(s, (s.zero,), (s.add,)), _spanning(s, (s.zero, s.one), (s.add, s.mul))
 
@@ -442,6 +449,14 @@ def validate_semimodule(m: Semimodule) -> ValidationReport:
         sums, unit, scalar_zero,
         _law("0_M.s != 0_M", "s", lambda X: ((x,) for x in X if act[zero][x] != zero), (srng,)))
     return ValidationReport(f"module {m.name}", tuple(monoid + [v for v in laws if v]))
+
+
+@lru_cache(maxsize=None)
+def _semiring_validates(s: Semiring) -> bool:
+    """validate_semiring(s).ok, once per semiring: the builders, generators
+    and the parser read this verdict and build the full report only when it
+    is False."""
+    return validate_semiring(s).ok
 
 
 @lru_cache(maxsize=None)
@@ -542,9 +557,8 @@ def all_subsemimodules(M: Semimodule):
 # ---------------------------------------------------------------- builders
 
 def _built(s: Semiring) -> Semiring:
-    report = validate_semiring(s)
-    if not report.ok:
-        raise LemmaRefuted(f"builder produced an invalid semiring:\n{report}")
+    if not _semiring_validates(s):
+        raise LemmaRefuted(f"builder produced an invalid semiring:\n{validate_semiring(s)}")
     return s
 
 
@@ -683,31 +697,38 @@ def monoid_semiring(max_size: int) -> Semiring:
     return make_natural_quotient(max_size, math.lcm(*range(1, max_size + 1)))
 
 
+@lru_cache(maxsize=None)
+def _counts_of_one(semiring: Semiring):
+    """For each s, the least j with s = 1 + ... + 1 (j ones, 0 for 0_S), or
+    None when 1 does not additively generate the semiring."""
+    reach = {semiring.zero: 0}
+    x = semiring.zero
+    while True:
+        x = semiring.add[x][semiring.one]
+        if x in reach:
+            break
+        reach[x] = len(reach)
+    if len(reach) != semiring.size:
+        return None
+    return tuple(map(reach.__getitem__, range(semiring.size)))
+
+
 def natural_action(semiring: Semiring, add, zero=0):
     """Action forced by repeated addition, for semirings additively generated by 1.
 
     Returns the action table, or None when 1 does not additively generate
     the semiring (then actions are genuinely free choices).
     """
-    reach = {semiring.zero: 0}
-    x, j = semiring.zero, 0
-    while True:
-        x = semiring.add[x][semiring.one]
-        j += 1
-        if x in reach:
-            break
-        reach[x] = j
-    if len(reach) != semiring.size:
+    counts = _counts_of_one(semiring)
+    if counts is None:
         return None
-    n = len(add)
-    action = [[0] * semiring.size for _ in range(n)]
-    for m in range(n):
-        folds = [zero]
-        for _ in range(max(reach.values())):
+    action = []
+    for m in range(len(add)):
+        folds = [zero]  # folds[j] = m + ... + m, j terms
+        for _ in range(max(counts)):
             folds.append(add[folds[-1]][m])
-        for s, j in reach.items():
-            action[m][s] = folds[j]
-    return freeze_table(action)
+        action.append(tuple(map(folds.__getitem__, counts)))
+    return tuple(action)
 
 
 def module_from_monoid(add, name, semiring=None) -> Semimodule:

@@ -7,16 +7,19 @@ That key compares the add table before the action, so a kept module's add
 table is its own canonical form: the action search runs only on those
 tables, one per commutative monoid up to isomorphism (1, 2, 5, 19, 78 for
 orders 1-5), found once per carrier size and shared by every semiring. A
-table is dropped from that filter as soon as some relabelling's first
-differing row is smaller. A canonical add table is strictly smaller than
-its image under every relabelling that is not one of its automorphisms, so
-(add, action) is canonical exactly when no automorphism of add turns the
-action into a smaller one: each action is compared only against the
-automorphisms of its add table, computed once per table. Every
-relabelling loop (this filter, the automorphisms, canonical_form and the
-isomorphism oracle) reads the one table of relabellings per carrier size,
-_relabellings. canonical_form, the full minimum, remains the key of
-enumerate_semimodules_naive, the unpruned recount oracle.
+table is dropped from that filter at the first relabelling that makes it
+smaller. A canonical add table is strictly smaller than its image under
+every relabelling that is not one of its automorphisms, so (add, action)
+is canonical exactly when no automorphism of add turns the action into a
+smaller one: each action is compared only against the automorphisms of
+its add table, computed once per table. Every relabelling loop (this
+filter, the automorphisms, canonical_form and the isomorphism oracle)
+reads one kernel, _relabellings: per carrier size, and per column count
+for actions, each relabelling as a gather of a flat table's cells and a
+map of their values, built on first use. A relabelled table is compared
+with another at the first cell where they differ. canonical_form, the full
+minimum, remains the key of enumerate_semimodules_naive, the unpruned
+recount oracle.
 
 The monoid tables and the action tables are completed by the search engine
 of core (_completions), each with its own laws: associativity, and the
@@ -24,9 +27,12 @@ module laws, the sum and product laws only at generators of S
 (core.generators), which imply the rest (see the core docstring). So a
 grid that completes is a module, and validate_semimodule confirms it, once
 per table in the verdict cache the hom search reads too (core._validates).
-The tests hold both searches to unpruned sweeps. Everything here is
-deterministic; the seed in a UniverseSpec only matters to downstream
-samplers.
+Over a semiring that 1 additively generates (B, Z_n, T_k, nat_k) the
+action is forced, m.s being a sum of copies of m, so the one candidate table
+(core.natural_action) is checked and sent to the same verdict cache
+instead of searched; _actions_for_monoid has the proof. The tests hold
+both paths to unpruned sweeps. Everything here is deterministic; the seed
+in a UniverseSpec only matters to downstream samplers.
 
 The oracles are the isomorphism test, the walk over a pool's hom-sets
 (maps_among) that the catalog and the harness's row pools read, and the
@@ -39,10 +45,12 @@ took from here still resolve here, to the catalog's own objects.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import permutations
+from itertools import chain, permutations
+from operator import itemgetter
 from typing import NamedTuple
 
-from .core import Semimodule, Semiring, Value, _completions, _validates, generators
+from .core import (Semimodule, Semiring, Value, _completions, _validates, generators,
+                   natural_action)
 from .errors import LemmaRefuted, ParameterError, PreconditionError
 
 
@@ -63,45 +71,64 @@ class Universe(NamedTuple):
     truncated: bool
 
 
+def _flat(table):
+    """A table's cells in row-major order, as bytes: the relabelling kernel
+    gathers and maps them in C, and bytes compare as the tuples of their
+    values do. Values stay below 256, since relabelling a carrier that large
+    is out of reach anyway."""
+    return bytes(chain.from_iterable(table))
+
+
 @lru_cache(maxsize=None)
-def _relabellings(n):
-    """Every relabelling of 0..n-1 that fixes 0, as (perm, inv) with
-    perm[old] = new and inv its inverse: the identity first, then in the
-    order of itertools.permutations. Built once per carrier size."""
+def _relabellings(n, cols=None):
+    """Every relabelling of 0..n-1 that fixes 0, as (perm, take, table) with
+    perm[old] = new: the identity first, then in the order of
+    itertools.permutations. A flat table (_flat) relabelled is
+    bytes(take(flat)).translate(table) (_relabel): take gathers the cells in
+    their new order, and table, perm padded to 256 bytes, maps the values.
+    Row i comes from row perm^-1(i), and so does column j of an add table
+    (cols None); an action table with cols columns keeps its columns. Built
+    on first use, once per carrier size and column count."""
     out = []
     for tail in permutations(range(1, n)):
         perm = (0,) + tail
         inv = [0] * n
         for old, new in enumerate(perm):
             inv[new] = old
-        out.append((perm, tuple(inv)))
+        src = ([inv[i] * n + inv[j] for i in range(n) for j in range(n)] if cols is None
+               else [inv[i] * cols + x for i in range(n) for x in range(cols)])
+        # itemgetter of one index returns the value, not a 1-tuple: a one-cell
+        # table (n = 1, add) is its own gather
+        take = itemgetter(*src) if len(src) > 1 else bytes
+        out.append((perm, take, bytes(perm).ljust(256, b"\0")))
     return tuple(out)
 
 
-def _rows(table, perm, inv, by_column):
-    """The rows of table relabelled by perm (inv its inverse), lazily: row i
-    is old row inv[i] mapped through perm, its columns also taken through inv
-    when by_column (an add table), kept as they are otherwise (an action)."""
-    get = perm.__getitem__
-    for old in map(table.__getitem__, inv):
-        yield tuple(map(get, map(old.__getitem__, inv) if by_column else old))
+def _relabel(flat, move):
+    """The flat table relabelled by one move (perm, take, table) of
+    _relabellings. Compared with flat, it is decided at the first cell where
+    they differ."""
+    _, take, table = move
+    return bytes(take(flat)).translate(table)
 
 
-def _sign(rows, table):
-    """-1, 0 or 1 as rows is smaller than, equal to or larger than table in
-    row-major order, decided at the first row that differs."""
-    for new, row in zip(rows, table):
-        if new != row:
-            return -1 if new < row else 1
-    return 0
+def _least(flat, moves):
+    """True when no relabelling among moves makes the flat table smaller,
+    decided at the first relabelling that does (_relabel, written out)."""
+    for _, take, table in moves:
+        if bytes(take(flat)).translate(table) < flat:
+            return False
+    return True
 
 
 def canonical_form(add, action):
     """Lexicographically minimal (add, action) flattening over permutations fixing 0."""
-    tables = ((add, True), (action, False)) if action else ((add, True),)
-    return min(tuple(x for table, by_column in tables
-                     for row in _rows(table, perm, inv, by_column) for x in row)
-               for perm, inv in _relabellings(len(add)))
+    n, flat = len(add), _flat(add)
+    if not action:
+        return tuple(min(_relabel(flat, move) for move in _relabellings(n)))
+    acts = _flat(action)
+    return tuple(min(_relabel(flat, move) + _relabel(acts, act_move) for move, act_move
+                     in zip(_relabellings(n), _relabellings(n, len(action[0])))))
 
 
 def _commutative_monoid_tables(n):
@@ -173,6 +200,31 @@ def _operand_laws(s: Semiring):
 def _actions_for_monoid(semiring, add):
     """All valid action tables for one monoid, in lexicographic order.
 
+    When 1 additively generates S (core.natural_action is not None) there is
+    at most one, the table natural_action builds: each s is a sum of j ones
+    for the least such j, and m.0 = 0, m.1 = m and m(s+1) = ms + m.1 =
+    ms + m give ms = m + ... + m (j terms). That table is an action only if
+    m(s+1) = ms + m also holds where the sums of ones come round to an
+    element already reached (in Z_n, or in nat_k past its index), so the law
+    is checked at every m and s, and a table that passes goes to the verdict
+    cache, as a grid the search completes does. The other semirings are
+    searched (_searched_actions).
+    """
+    forced = natural_action(semiring, add)
+    if forced is None:
+        return _searched_actions(semiring, add)
+    succ = [row[semiring.one] for row in semiring.add]  # s -> s + 1
+    # m(s+1) = ms + m in each row m, reading ms + m as m + ms in the symmetric add
+    if (all(list(map(row.__getitem__, succ)) == list(map(add[m].__getitem__, row))
+            for m, row in enumerate(forced))
+            and _validates(Semimodule._trusted("", semiring, len(add), add, forced))):
+        return [forced]
+    return []
+
+
+def _searched_actions(semiring, add):
+    """All valid action tables for one monoid, in lexicographic order, by search.
+
     Row 0, column 0_S and column 1_S are fixed. Each remaining module law
     ties a result cell to two operand cells: m(a+b) = ma + mb,
     m(ab) = (ma)b and (p+q)x = px + qx. The laws of a cell are those it is an
@@ -241,26 +293,27 @@ def _canonical_monoid_tables(n):
     per commutative monoid up to isomorphism, shared by every semiring. A
     table is dropped at the first relabelling that makes it smaller."""
     others = _relabellings(n)[1:]
-    return tuple(add for add in _commutative_monoid_tables(n)
-                 if all(_sign(_rows(add, perm, inv, True), add) >= 0 for perm, inv in others))
+    return tuple(add for add in _commutative_monoid_tables(n) if _least(_flat(add), others))
 
 
 @lru_cache(maxsize=None)
 def _automorphisms(add):
-    """The relabellings (perm, inv) that fix the add table, identity first."""
-    return tuple((perm, inv) for perm, inv in _relabellings(len(add))
-                 if _sign(_rows(add, perm, inv, True), add) == 0)
+    """The positions in _relabellings(len(add)) of the relabellings that fix
+    the add table: 0, the identity, first."""
+    flat = _flat(add)
+    return tuple(i for i, move in enumerate(_relabellings(len(add)))
+                 if _relabel(flat, move) == flat)
 
 
 @lru_cache(maxsize=None)
 def _enumerated(semiring: Semiring, max_size: int):
     found = []
     for n in range(1, max_size + 1):
+        moves = _relabellings(n, semiring.size)
         for add in _canonical_monoid_tables(n):
-            others = _automorphisms(add)[1:]
+            others = [moves[i] for i in _automorphisms(add)[1:]]
             for action in _actions_for_monoid(semiring, add):
-                if all(_sign(_rows(action, perm, inv, False), action) >= 0
-                       for perm, inv in others):
+                if not others or _least(_flat(action), others):
                     found.append((n, add, action))
     found.sort()
     return tuple(
@@ -295,10 +348,10 @@ def oracle_iso_exists(M: Semimodule, N: Semimodule):
 
     if M.semiring != N.semiring or M.size != N.size:
         return None
-    for perm, inv in _relabellings(M.size):
-        if (_sign(_rows(M.add, perm, inv, True), N.add) == 0
-                and _sign(_rows(M.action, perm, inv, False), N.action) == 0):
-            return Morphism(f"iso[{M.name}->{N.name}]", M, N, perm)
+    add, action, N_add, N_action = map(_flat, (M.add, M.action, N.add, N.action))
+    for move, act_move in zip(_relabellings(M.size), _relabellings(M.size, M.semiring.size)):
+        if _relabel(add, move) == N_add and _relabel(action, act_move) == N_action:
+            return Morphism(f"iso[{M.name}->{N.name}]", M, N, move[0])
     return None
 
 

@@ -31,8 +31,8 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .core import (Semimodule, Semiring, Subsemimodule, _validates, validate_semimodule,
-                   validate_semiring)
+from .core import (Semimodule, Semiring, Subsemimodule, _semiring_validates, _validates,
+                   validate_semimodule, validate_semiring)
 from .errors import HypothesisError, StructureError, WorkspaceError
 
 
@@ -108,7 +108,7 @@ def _parse_table(line, text, what):
     """Rows of comma-separated integers joined by semicolons."""
     rows = [r.strip() for r in text.split(";") if r.strip()]
     try:
-        return tuple(tuple(int(x) for x in row.split(",")) for row in rows)
+        return tuple(tuple(map(int, row.split(","))) for row in rows)
     except ValueError:
         raise _not_integers(line, text, what, ",".join(rows).split(",")) from None
 
@@ -244,9 +244,8 @@ class _Parser:
         except StructureError as exc:
             self.error(file, line, "structural", str(exc))
             return
-        report = validate_semiring(s)
-        if not report.ok:
-            for v in report.violations:
+        if not _semiring_validates(s):  # the verdict the builders and generators read
+            for v in validate_semiring(s).violations:
                 self.error(file, line, "axiom-violation", f"semiring {name}: {v}")
             return
         self.ws.semirings[name] = s
@@ -371,6 +370,12 @@ class _Parser:
                 return
             objs, maps = resolved
             for r, f in enumerate(maps):
+                if (f.domain, f.codomain) != (objs[r], objs[r + 1]):
+                    left, arrow, right = names[2 * r:2 * r + 3]
+                    self.error(file, bline, "structural",
+                               f"diagram {name}: col {c} reads {left} {arrow} {right}, but "
+                               f"{arrow} runs {f.domain.name} -> {f.codomain.name}")
+                    return
                 verticals[(r, c)] = f
         at = line  # shape and square failures are the header's, a tag's its own
         try:
@@ -405,7 +410,7 @@ def parse_files(paths) -> Workspace:
 
 
 def _fmt_table(table):
-    return "; ".join(",".join(str(x) for x in row) for row in table)
+    return "; ".join(",".join(map(str, row)) for row in table)
 
 
 def serialize(ws: Workspace) -> str:

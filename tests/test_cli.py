@@ -395,12 +395,18 @@ def test_missing_parts_are_named(line, text, problem, tmp_path, capsys):
     ("  row x: M f M", "16: syntax: bad diagram block: row number: 'x' is not an integer"),
     ("  row 0: M f M\n  col 3: M f M",
      "17: structural: diagram D: col 3 is past the grid"),
-], ids=["one-node-rows", "arrow-rows", "no-row-0", "not-a-number", "col-past-grid"])
+    ("  row 0: M f M\nend\nmodule N over=B size=1\n  add: 0\n  action: 0,0\nend\n"
+     "diagram E\n  row 0: M f M\n  row 1: M f M\n  col 0: N f N\n  col 1: N f N",
+     "25: structural: diagram E: col 0 reads N f N, but f runs M -> M"),
+], ids=["one-node-rows", "arrow-rows", "no-row-0", "not-a-number", "col-past-grid",
+        "col-names-not-its-arrows"])
 def test_row_numbering_gaps_are_located(text, problem, tmp_path, capsys):
     """Diagram rows are numbered 0, 1, 2, ... (in any order): a gap is a
     syntax problem at the first row line past it, never a silent renumbering
     or a shape failure at the header; so is a column past the grid, at its
-    own line. Line 16 of SMALL is `row 0: M f M`."""
+    own line, and so is a column whose module names are not the ends of its
+    arrows (here a one-element N around f: M -> M), which the grid's own
+    nodes would otherwise pass. Line 16 of SMALL is `row 0: M f M`."""
     assert_small_problem(16, text, problem, tmp_path, capsys)
 
 

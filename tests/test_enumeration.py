@@ -13,10 +13,12 @@ from semiexact import catalog, core
 from semiexact.catalog import (PROPERTIES, Counterexample, ExhaustionReport,
                                replay_counterexample, search_counterexample)
 from semiexact.core import (Semimodule, freeze_table, make_boolean, make_zmod,
-                            make_saturating_naturals, monoid_semiring, validate_semimodule)
+                            make_saturating_naturals, make_upper_triangular_boolean,
+                            monoid_semiring, natural_action, validate_semimodule)
 from semiexact.enumeration import (UniverseSpec, _actions_for_monoid, _automorphisms,
                                    _canonical_monoid_tables, _commutative_monoid_tables,
-                                   _enumerated, abelian_snake_delta, canonical_form,
+                                   _enumerated, _relabel, _relabellings,
+                                   _searched_actions, abelian_snake_delta, canonical_form,
                                    enumerate_semimodules, enumerate_semimodules_naive,
                                    oracle_iso_exists)
 from semiexact.errors import ParameterError, PreconditionError
@@ -202,6 +204,83 @@ def test_monoid_tables_match_rescanning_generator():
     assert len(tables) == 1486
 
 
+def _rows(table, perm, inv, by_column):
+    """The rows of table relabelled by perm (inv its inverse), lazily: row i
+    is old row inv[i] mapped through perm, its columns also taken through inv
+    when by_column (an add table), kept as they are otherwise (an action).
+    The row-by-row relabelling that enumeration's flat kernel replaced."""
+    get = perm.__getitem__
+    for old in map(table.__getitem__, inv):
+        yield tuple(map(get, map(old.__getitem__, inv) if by_column else old))
+
+
+def _sign(rows, table):
+    """-1, 0 or 1 as rows is smaller than, equal to or larger than table in
+    row-major order, decided at the first row that differs."""
+    for new, row in zip(rows, table):
+        if new != row:
+            return -1 if new < row else 1
+    return 0
+
+
+def _assert_flat_kernel_matches_rows(table, moves, by_column):
+    flat = bytes(_flat(table))
+    for move in moves:
+        perm = move[0]
+        inv = tuple(sorted(range(len(perm)), key=perm.__getitem__))
+        new = _relabel(flat, move)
+        assert tuple(new) == _flat(_rows(table, perm, inv, by_column)), (table, perm)
+        assert (new > flat) - (new < flat) == _sign(_rows(table, perm, inv, by_column), table)
+
+
+def test_flat_kernel_matches_row_relabelling():
+    """Each flat relabelling of _relabellings is the table the row-by-row
+    reference builds, and orders against the original as the reference's
+    first differing row does: every relabelling of every labelled monoid
+    table of order <= 4, and of every action in the 14 builtin universes."""
+    tables = 0
+    for n in range(1, 5):
+        for add in _commutative_monoid_tables(n):
+            _assert_flat_kernel_matches_rows(add, _relabellings(n), True)
+            tables += 1
+    for name, semiring in builtin_semirings().items():
+        spec = UniverseSpec(semiring, 3 if name in SIZE_3_ONLY else 4)
+        for m in enumerate_semimodules(spec).modules:
+            _assert_flat_kernel_matches_rows(m.action, _relabellings(m.size, semiring.size),
+                                             False)
+            tables += 1
+    assert tables == 106 + 157
+
+
+# the builtins that 1 additively generates, where an action is forced
+FORCED = ("B", "Z2", "Z3", "Z4", "T1", "T2", "T3", "nat3", "nat4")
+
+
+def test_forced_actions_match_the_search():
+    """Over a semiring that 1 additively generates, the forced table of
+    core.natural_action, checked, is what the action search returns: for
+    each such builtin and every canonical monoid table of order <= 4 (some
+    with one action, some with none). Over the other builtins and UT2B,
+    natural_action is None and the actions are searched."""
+    semirings = builtin_semirings()
+    outcomes = set()
+    for name in FORCED:
+        semiring = semirings[name]
+        for n in range(1, 5):
+            for add in _canonical_monoid_tables(n):
+                assert natural_action(semiring, add) is not None
+                actions = _actions_for_monoid(semiring, add)
+                assert actions == _searched_actions(semiring, add), (name, add)
+                outcomes.add(len(actions))
+    assert outcomes == {0, 1}
+    searched = [semirings[name] for name in semirings if name not in FORCED]
+    assert [s.name for s in searched] == ["minplus1", "minplus2", "minplus3", "BxZ2", "T2xB"]
+    for semiring in searched + [make_upper_triangular_boolean()]:
+        for n in range(1, 5):
+            for add in _canonical_monoid_tables(n):
+                assert natural_action(semiring, add) is None, (semiring.name, add)
+
+
 def test_automorphisms_match_scan():
     """_automorphisms equals a scan of every zero-fixing relabelling, for
     every canonical monoid table up to order 4."""
@@ -210,7 +289,7 @@ def test_automorphisms_match_scan():
             scan = [p for p in ((0,) + t for t in permutations(range(1, n)))
                     if all(p[add[a][b]] == add[p[a]][p[b]]
                            for a in range(n) for b in range(n))]
-            assert [perm for perm, _ in _automorphisms(add)] == scan, add
+            assert [_relabellings(n)[i][0] for i in _automorphisms(add)] == scan, add
 
 
 def _canonical_selection(semiring, max_size):

@@ -49,7 +49,8 @@ SLICE = [*CORE, "tests/test_quotients.py",
              "test_naive_recount_matches", "test_canonical_monoid_tables",
              "test_monoid_filter_matches_canonical_form", "test_automorphisms_match_scan",
              "test_enumerated_matches_canonical_selection",
-             "test_monoid_tables_match_product_sweep", "test_actions_match_validation_oracle")),
+             "test_monoid_tables_match_product_sweep", "test_actions_match_validation_oracle",
+             "test_flat_kernel_matches_row_relabelling", "test_forced_actions_match_the_search")),
          *(f"tests/test_harness.py::{name}" for name in (
              "test_row_pools_match_named_builders",
              "test_exact_pairs_match_named_builder_at_nat4",
