@@ -198,8 +198,8 @@ def cmd_snake(args, report):
 # nat<k> is monoid_semiring(k), with k + lcm(1..k) elements: 66 at k = 6,
 # already 2,530 at k = 10
 NAT_MAX = 6
-# the module size bound of search and corpus: order 7 takes 186 s for its
-# commutative monoid tables alone
+# the module size bound of search and corpus: order 7's monoid tables take about
+# 5 s, but the hom-sets a search walks already take about a minute at order 6
 MAX_SIZE = 6
 
 

@@ -222,6 +222,9 @@ class Semiring(Value):
     def __post_init__(self):
         object.__setattr__(self, "add", freeze_table(self.add))
         object.__setattr__(self, "mul", freeze_table(self.mul))
+        self._check()
+
+    def _check(self):  # shape and range, on frozen tables (the parser's are)
         if self.size < 1:
             raise StructureError(f"semiring {self.name}: size must be >= 1")
         _check_table(self.add, self.size, self.size, self.size, f"semiring {self.name} add")
@@ -250,6 +253,9 @@ class Semimodule(Value):
     def __post_init__(self):
         object.__setattr__(self, "add", freeze_table(self.add))
         object.__setattr__(self, "action", freeze_table(self.action))
+        self._check()
+
+    def _check(self):  # shape and range, on frozen tables (the parser's are)
         if self.size < 1:
             raise StructureError(f"module {self.name}: size must be >= 1")
         _check_table(self.add, self.size, self.size, self.size, f"module {self.name} add")
@@ -467,11 +473,13 @@ def _validates(m: Semimodule) -> bool:
     return validate_semimodule(m).ok
 
 
-def _completions(table, order, values, laws, start):
+def _completions(table, order, values, laws, start, prune=None):
     """Every completion of a partial table that the laws accept, as a tuple,
     in lexicographic order of the cells `order` lists (see the module
     docstring). table is a flat list, None where a cell is unknown, and is
-    filled in place; the laws of the known cells in start run first."""
+    filled in place; the laws of the known cells in start run first. A hook
+    prune(table), if given, runs after the laws before each branch (never on
+    a complete table): True drops the partial table and all its completions."""
     trail = list(start)
 
     def put(c, v):
@@ -488,7 +496,7 @@ def _completions(table, order, values, laws, start):
                 i += 1
             if i == end:
                 yield tuple(table)
-            else:
+            elif prune is None or not prune(table):
                 frames.append((order[i], iter(values), len(trail), i + 1))
         while frames:  # undo to the deepest branch cell with a value left, and set it
             k, vs, j, i = frames[-1]

@@ -5,21 +5,16 @@ module is kept when its (add, action) tables, flattened row by row, are the
 lexicographically smallest among all carrier relabellings fixing zero.
 That key compares the add table before the action, so a kept module's add
 table is its own canonical form: the action search runs only on those
-tables, one per commutative monoid up to isomorphism (1, 2, 5, 19, 78 for
-orders 1-5), found once per carrier size and shared by every semiring. A
-table is dropped from that filter at the first relabelling that makes it
-smaller. A canonical add table is strictly smaller than its image under
-every relabelling that is not one of its automorphisms, so (add, action)
-is canonical exactly when no automorphism of add turns the action into a
-smaller one: each action is compared only against the automorphisms of
-its add table, computed once per table. Every relabelling loop (this
-filter, the automorphisms, canonical_form and the isomorphism oracle)
-reads one kernel, _relabellings: per carrier size, and per column count
-for actions, each relabelling as a gather of a flat table's cells and a
-map of their values, built on first use. A relabelled table is compared
-with another at the first cell where they differ. canonical_form, the full
-minimum, remains the key of enumerate_semimodules_naive, the unpruned
-recount oracle.
+tables, one per commutative monoid up to isomorphism (1, 2, 5, 19, 78, 421
+for orders 1-6), generated orderly once per carrier size and shared by
+every semiring. A canonical add table is strictly smaller than its image
+under every relabelling but its automorphisms, so (add, action) is
+canonical exactly when no automorphism of add, computed once per table,
+makes the action smaller. Every relabelling loop reads one kernel,
+_relabellings: each relabelling as a gather of a flat table's cells and a
+map of their values, built on first use per carrier size and column
+count. canonical_form, the full minimum, remains the key of
+enumerate_semimodules_naive, the unpruned recount oracle.
 
 The monoid tables and the action tables are completed by the search engine
 of core (_completions), each with its own laws: associativity, and the
@@ -74,8 +69,8 @@ class Universe(NamedTuple):
 def _flat(table):
     """A table's cells in row-major order, as bytes: the relabelling kernel
     gathers and maps them in C, and bytes compare as the tuples of their
-    values do. Values stay below 256, since relabelling a carrier that large
-    is out of reach anyway."""
+    values do. Values stay below 255, an unknown cell of a partial table:
+    relabelling a carrier that large is out of reach anyway."""
     return bytes(chain.from_iterable(table))
 
 
@@ -85,7 +80,7 @@ def _relabellings(n, cols=None):
     perm[old] = new: the identity first, then in the order of
     itertools.permutations. A flat table (_flat) relabelled is
     bytes(take(flat)).translate(table) (_relabel): take gathers the cells in
-    their new order, and table, perm padded to 256 bytes, maps the values.
+    their new order, and table, perm padded to 256 bytes, 255 fixed, maps the values.
     Row i comes from row perm^-1(i), and so does column j of an add table
     (cols None); an action table with cols columns keeps its columns. Built
     on first use, once per carrier size and column count."""
@@ -100,7 +95,7 @@ def _relabellings(n, cols=None):
         # itemgetter of one index returns the value, not a 1-tuple: a one-cell
         # table (n = 1, add) is its own gather
         take = itemgetter(*src) if len(src) > 1 else bytes
-        out.append((perm, take, bytes(perm).ljust(256, b"\0")))
+        out.append((perm, take, bytes(perm).ljust(255, b"\0") + b"\xff"))
     return tuple(out)
 
 
@@ -131,9 +126,9 @@ def canonical_form(add, action):
                      in zip(_relabellings(n), _relabellings(n, len(action[0])))))
 
 
-def _commutative_monoid_tables(n):
+def _commutative_monoid_tables(n, prune=None):
     """All commutative monoid tables on 0..n-1 with 0 neutral (not up to iso),
-    in lexicographic order of the upper triangle read row by row.
+    in lexicographic order of the upper triangle read row by row, less those prune drops.
 
     Row and column 0 are fixed and the upper triangle is branched on. The
     laws of a cell copy it to its mirror, so the table is symmetric whenever
@@ -168,7 +163,7 @@ def _commutative_monoid_tables(n):
 
     table = [max(i, j) if 0 in (i, j) else None for i in range(n) for j in range(n)]
     order = [i * n + j for i in rest for j in range(i, n)]
-    for t in _completions(table, order, range(n), laws, ()):
+    for t in _completions(table, order, range(n), laws, (), prune):
         yield tuple(t[i:i + n] for i in range(0, n * n, n))
 
 
@@ -289,11 +284,36 @@ def _searched_actions(semiring, add):
 
 @lru_cache(maxsize=None)
 def _canonical_monoid_tables(n):
-    """The monoid tables of order n that are their own canonical form: one
-    per commutative monoid up to isomorphism, shared by every semiring. A
-    table is dropped at the first relabelling that makes it smaller."""
+    """The monoid tables of order n that are their own canonical form, one per
+    commutative monoid up to isomorphism, made orderly (Read, 1978): a partial
+    table goes, with its completions, at the first relabelling that makes it
+    smaller up to the first cell unknown (255) in it or its image, a prefix its
+    completions keep. A stack of the tables kept holds the relabellings open
+    on each, with the cell that keeps each open."""
     others = _relabellings(n)[1:]
-    return tuple(add for add in _commutative_monoid_tables(n) if _least(_flat(add), others))
+    stack = [(b"", [(take(range(n * n)), take, table, 0) for _, take, table in others])]
+
+    def prune(t):
+        flat = bytes([255 if v is None else v for v in t])
+        cut = flat.index(255)
+        while not flat.startswith(stack[-1][0]):  # back to the nearest ancestor
+            stack.pop()
+        still = []
+        for move in stack[-1][1]:  # (cell sources, take, table, the cell keeping it open)
+            src, take, table, watch = move
+            if flat[watch] == 255:
+                still.append(move)
+                continue
+            image = bytes(take(flat)).translate(table)
+            k = min(image.index(255), cut)
+            if image[:k] < flat[:k]:
+                return True
+            if image[:k] == flat[:k]:
+                still.append((src, take, table, src[k]))
+        stack.append((flat[:cut], still))
+        return False
+
+    return tuple(add for add in _commutative_monoid_tables(n, prune) if _least(_flat(add), others))
 
 
 @lru_cache(maxsize=None)

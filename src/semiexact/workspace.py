@@ -104,11 +104,22 @@ def _ints(line, text, what):
         raise _not_integers(line, text, what, text.split(",")) from None
 
 
-def _parse_table(line, text, what):
-    """Rows of comma-separated integers joined by semicolons."""
+class _Memo(dict):
+    """fn of each key, computed at its first lookup and kept, unless fn raises."""
+
+    def __init__(self, fn):
+        self.fn = fn
+
+    def __missing__(self, key):
+        value = self[key] = self.fn(key)
+        return value
+
+
+def _parse_table(line, text, what, parsed):
+    """Rows of comma-separated integers joined by semicolons, each read once through parsed."""
     rows = [r.strip() for r in text.split(";") if r.strip()]
     try:
-        return tuple(tuple(map(int, row.split(","))) for row in rows)
+        return tuple(map(parsed.__getitem__, rows))
     except ValueError:
         raise _not_integers(line, text, what, ",".join(rows).split(",")) from None
 
@@ -147,6 +158,7 @@ class _Parser:
     def __init__(self):
         self.ws = Workspace()
         self.problems = []
+        self.rows = _Memo(lambda row: tuple(map(int, row.split(","))))  # each distinct row once
 
     def error(self, file, line, kind, message):
         self.problems.append(Problem(file, line, kind, message))
@@ -235,12 +247,13 @@ class _Parser:
         fields = self._body_fields(file, body, _KEYS["semiring"])
         if fields is None:
             return
+        s = Semiring._trusted(name, _int(line, attrs["size"], "attribute 'size'"),
+                              _parse_table(*fields["add"], "key 'add'", self.rows),
+                              _parse_table(*fields["mul"], "key 'mul'", self.rows),
+                              _int(*fields["zero"], "key 'zero'") if "zero" in fields else 0,
+                              _int(*fields["one"], "key 'one'") if "one" in fields else 1)
         try:
-            s = Semiring(name, _int(line, attrs["size"], "attribute 'size'"),
-                         _parse_table(*fields["add"], "key 'add'"),
-                         _parse_table(*fields["mul"], "key 'mul'"),
-                         zero=_int(*fields["zero"], "key 'zero'") if "zero" in fields else 0,
-                         one=_int(*fields["one"], "key 'one'") if "one" in fields else 1)
+            s._check()
         except StructureError as exc:
             self.error(file, line, "structural", str(exc))
             return
@@ -257,11 +270,12 @@ class _Parser:
         fields = self._body_fields(file, body, _KEYS["module"])
         if fields is None:
             return
+        m = Semimodule._trusted(name, over, _int(line, attrs["size"], "attribute 'size'"),
+                                _parse_table(*fields["add"], "key 'add'", self.rows),
+                                _parse_table(*fields["action"], "key 'action'", self.rows),
+                                _int(*fields["zero"], "key 'zero'") if "zero" in fields else 0)
         try:
-            m = Semimodule(name, over, _int(line, attrs["size"], "attribute 'size'"),
-                           _parse_table(*fields["add"], "key 'add'"),
-                           _parse_table(*fields["action"], "key 'action'"),
-                           zero=_int(*fields["zero"], "key 'zero'") if "zero" in fields else 0)
+            m._check()
         except StructureError as exc:
             self.error(file, line, "structural", str(exc))
             return
@@ -409,28 +423,26 @@ def parse_files(paths) -> Workspace:
     return p.finish()
 
 
-def _fmt_table(table):
-    return "; ".join(",".join(map(str, row)) for row in table)
-
-
 def serialize(ws: Workspace) -> str:
     """Canonical text for a workspace; parse(serialize(ws)) == ws."""
     out = []
+    rows = _Memo(lambda row: ",".join(map(str, row)))  # each distinct row printed once
+    printed = _Memo(lambda table: "; ".join(map(rows.__getitem__, table)))
     for name in sorted(ws.semirings):
         s = ws.semirings[name]
         out.append(f"semiring {name} size={s.size}")
         out.append(f"  zero: {s.zero}")
         out.append(f"  one: {s.one}")
-        out.append(f"  add: {_fmt_table(s.add)}")
-        out.append(f"  mul: {_fmt_table(s.mul)}")
+        out.append(f"  add: {printed[s.add]}")
+        out.append(f"  mul: {printed[s.mul]}")
         out.append("end")
     for name in sorted(ws.modules):
         m = ws.modules[name]
         over = next(k for k, v in ws.semirings.items() if v == m.semiring)
         out.append(f"module {name} over={over} size={m.size}")
         out.append(f"  zero: {m.zero}")
-        out.append(f"  add: {_fmt_table(m.add)}")
-        out.append(f"  action: {_fmt_table(m.action)}")
+        out.append(f"  add: {printed[m.add]}")
+        out.append(f"  action: {printed[m.action]}")
         out.append("end")
     module_name = {v: k for k, v in ws.modules.items()}
     for name in sorted(ws.subs):

@@ -438,3 +438,22 @@ def test_completions_match_brute_force(table, start, order):
     assert got == _brute_completions(table, order)
     assert all(t[3] == (t[0] + t[1]) % 3 for k, t in seen
                if k == 3 and None not in (t[0], t[1]))
+
+
+@pytest.mark.parametrize("order", [[0, 1, 3, 2, 4], [4, 2, 1, 0, 3]])
+def test_completions_prune_drops_partial_tables(order):
+    """A prune hook runs once the laws have run (c3 is forced wherever c0 and
+    c1 are known), before each branch and never on a complete table; True
+    drops the partial table with all its completions, here each table whose
+    first cell in the order holds 1."""
+    calls = []
+
+    def prune(t):
+        calls.append(tuple(t))
+        return t[order[0]] == 1
+
+    got = list(_completions([None] * 5, order, range(3), _toy_laws([]), (), prune))
+    assert got == [t for t in _brute_completions([None] * 5, order) if t[order[0]] != 1]
+    assert any(t[order[0]] == 1 for t in calls)
+    assert all(None in t for t in calls)
+    assert all(t[3] == (t[0] + t[1]) % 3 for t in calls if None not in (t[0], t[1]))

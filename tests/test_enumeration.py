@@ -17,7 +17,7 @@ from semiexact.core import (Semimodule, freeze_table, make_boolean, make_zmod,
                             monoid_semiring, natural_action, validate_semimodule)
 from semiexact.enumeration import (UniverseSpec, _actions_for_monoid, _automorphisms,
                                    _canonical_monoid_tables, _commutative_monoid_tables,
-                                   _enumerated, _relabel, _relabellings,
+                                   _enumerated, _least, _relabel, _relabellings,
                                    _searched_actions, abelian_snake_delta, canonical_form,
                                    enumerate_semimodules, enumerate_semimodules_naive,
                                    oracle_iso_exists)
@@ -92,6 +92,13 @@ def test_boolean_universes_count_lattices(name):
     assert _module_counts(name, 5) == [1, 1, 1, 2, 5]
 
 
+@pytest.mark.parametrize("name", ["B", "T1"])
+def test_boolean_universes_count_lattices_of_order_6(name):
+    """15 lattices of order 6 (OEIS A006966), a size the orderly monoid
+    generator makes cheap."""
+    assert _module_counts(name, 6) == [1, 1, 1, 2, 5, 15]
+
+
 def _abelian_groups(order, exponent, least=1):
     """The number of abelian groups of this order whose exponent divides
     `exponent`: chains of invariant factors least | d1 | d2 | ... with each
@@ -155,6 +162,24 @@ def test_monoid_filter_matches_canonical_form():
         assert _canonical_monoid_tables(n) == tuple(
             add for add in tables if canonical_form(add, ()) == _flat(add)), n
     assert len(tables) == 1486
+
+
+def test_orderly_generation_keeps_the_filtered_tables():
+    """The pruned generator yields exactly the tables of the unpruned one that
+    _least keeps, in the same order, at orders 1-5."""
+    for n in range(1, 6):
+        others = _relabellings(n)[1:]
+        assert _canonical_monoid_tables(n) == tuple(
+            add for add in _commutative_monoid_tables(n) if _least(bytes(_flat(add)), others)), n
+
+
+def test_canonical_monoid_tables_of_order_6():
+    """421 commutative monoids of order 6 up to isomorphism (OEIS A058131): the
+    tables are distinct, in lexicographic order, and each its own canonical_form."""
+    tables = _canonical_monoid_tables(6)
+    assert len(tables) == 421
+    assert list(tables) == sorted(set(tables), key=_flat)
+    assert all(canonical_form(add, ()) == _flat(add) for add in tables)
 
 
 def _rescanning_monoid_tables(n):

@@ -47,6 +47,23 @@ def test_morphism_validation(sat3, chain2):
         Morphism("bad", z2, chain2, (0, 1))  # different semirings
 
 
+def test_map_value_equal_to_codomain_size_is_out_of_range(chain2):
+    """The range check is strict: a value equal to the codomain's size is
+    refused by name, before the linearity check would index past the table."""
+    with pytest.raises(StructureError, match="value 2 out of range"):
+        Morphism("bad", chain2, chain2, (0, 2))
+
+
+def test_hom_add_needs_both_ends_shared(chain2, max3):
+    """Maps that share only their domain or only their codomain are in
+    different hom-sets, in either order."""
+    f = zero_morphism(chain2, chain2)
+    for g in (zero_morphism(chain2, max3), zero_morphism(max3, chain2)):
+        for pair in ((f, g), (g, f)):
+            with pytest.raises(PreconditionError, match="mismatched hom-set"):
+                hom_add(*pair)
+
+
 def test_kernel_image_examples(squash, sat3, max3):
     z2 = self_module(make_zmod(2))
     assert kernel(identity_morphism(z2)).members == (0,)

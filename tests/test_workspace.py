@@ -3,6 +3,7 @@
 import pytest
 
 from semiexact.errors import WorkspaceError
+from semiexact.fixtures import builtin_semirings
 from semiexact.workspace import parse, parse_files, serialize
 
 DEMO = "fixtures/demo.sx"
@@ -217,3 +218,57 @@ def test_module_axiom_violations_located():
         with pytest.raises(WorkspaceError) as err:
             parse(text, file="t")
         assert [(p.file, p.line, p.kind, p.message) for p in err.value.problems] == expected
+
+
+@pytest.mark.parametrize("name", list(builtin_semirings()))
+def test_corpus_export_round_trips(name, tmp_path):
+    """A corpus export, parse_files and serialize agree byte for byte on every
+    builtin at the universe-export bounds (size 4, T2xB and minplus3 at 3),
+    with each distinct row parsed and printed once."""
+    from semiexact.cli import main
+
+    path = tmp_path / f"{name}.sx"
+    bound = 3 if name in ("T2xB", "minplus3") else 4
+    assert main(["corpus", name, "--max-size", str(bound), "--corpus", str(path), "--quiet"]) == 0
+    text = path.read_text(encoding="utf-8")
+    ws = parse_files([path])
+    assert serialize(ws) == text
+    assert parse(text) == ws
+
+
+_B = "semiring B size=2\n  add: 0,1; 1,1\n  mul: 0,0; 0,1\nend\n"
+
+
+def test_repeated_malformed_row_is_located_each_time():
+    """The parser's row memo keeps only rows that parsed: a malformed row,
+    repeated in one table and again in a later block, is reported in each
+    block at its key's line."""
+    text = (_B + "module M over=B size=2\n  add: 0,1; 1,x; 1,x\n  action: 0,0; 0,1\nend\n"
+            "module N over=B size=2\n  add: 0,1; 1,1\n  action: 0,0; 1,x\nend\n")
+    with pytest.raises(WorkspaceError) as err:
+        parse(text, file="t")
+    assert [(p.line, p.kind, p.message) for p in err.value.problems] == [
+        (6, "syntax", "bad module block: key 'add': 'x' is not an integer"),
+        (11, "syntax", "bad module block: key 'action': 'x' is not an integer")]
+
+
+@pytest.mark.parametrize("text, problem", [
+    ("semiring S size=2\n  add: 0,1; 1\n  mul: 0,0; 0,1\nend\n",
+     (1, "semiring S add: row 1 has 1 entries, expected 2")),
+    ("semiring S size=2\n  add: 0,1; 1,1\n  mul: 0,0; 0,2\nend\n",
+     (1, "semiring S mul: entry 2 in row 1 out of range 0..1")),
+    (_B + "module M over=B size=2\n  add: 0,1; 1,1\n  action: 0,0; 0\nend\n",
+     (5, "module M action: row 1 has 1 entries, expected 2")),
+    (_B + "module M over=B size=2\n  add: 0,1; 1,5\n  action: 0,0; 0,1\nend\n",
+     (5, "module M add: entry 5 in row 1 out of range 0..1")),
+    (_B + "module M over=B size=2\n  add: 0,1; 1,1; 1,1\n  action: 0,0; 0,1\nend\n",
+     (5, "module M add: expected 2 rows, got 3")),
+])
+def test_parsed_table_shapes_are_checked(text, problem):
+    """A parsed semiring or module is built from its int tables without the
+    constructor and then checked: a bad row length, row count or entry is a
+    structural problem at its header line."""
+    with pytest.raises(WorkspaceError) as err:
+        parse(text, file="t")
+    assert [(p.line, p.kind, p.message) for p in err.value.problems] == [
+        (problem[0], "structural", problem[1])]
