@@ -24,8 +24,8 @@ from .core import (all_subsemimodules, is_cancellative_module, is_subtractive, s
                    subtractive_closure_set)
 from .enumeration import UniverseSpec, enumerate_semimodules, maps_among, oracle_iso_exists
 from .errors import ParameterError
-from .morphisms import (Morphism, classify, compose, enumerate_hom, image_set, is_injective,
-                        is_isomorphism, is_k_uniform, is_surjective, kernel_set)
+from .morphisms import (Morphism, _hom_tables, classify, compose, image_set, is_injective,
+                        is_isomorphism, is_k_uniform, kernel_set)
 
 
 @lru_cache(maxsize=None)
@@ -43,28 +43,21 @@ def universe_with_free_module(spec: UniverseSpec):
 
 def is_monomorphism(f: Morphism, test_modules) -> bool:
     """Brute-force: no pair h1 != h2 with f∘h1 = f∘h2 over the test modules."""
-    for Z in test_modules:
-        homs = enumerate_hom(Z, f.domain)
-        seen = {}
-        for h in homs:
-            key = tuple(f.map[v] for v in h.map)
-            if key in seen:
-                return False
-            seen[key] = h
-    return True
+    return not any(_collapses(_hom_tables(Z.unnamed, f.domain.unnamed),
+                              lambda h: tuple(map(f.map.__getitem__, h)))
+                   for Z in test_modules)
 
 
 def is_epimorphism(f: Morphism, test_modules) -> bool:
     """Brute-force: no pair g1 != g2 with g1∘f = g2∘f over the test modules."""
-    for Z in test_modules:
-        homs = enumerate_hom(f.codomain, Z)
-        seen = {}
-        for g in homs:
-            key = tuple(g.map[v] for v in f.map)
-            if key in seen:
-                return False
-            seen[key] = g
-    return True
+    return not any(_collapses(_hom_tables(f.codomain.unnamed, Z.unnamed),
+                              lambda g: tuple(map(g.__getitem__, f.map)))
+                   for Z in test_modules)
+
+
+def _collapses(tables, composite) -> bool:
+    """Whether two of the distinct hom tables have the same composite."""
+    return len(set(map(composite, tables))) < len(tables)
 
 
 class Counterexample(NamedTuple):
@@ -125,11 +118,8 @@ def _cancellative_epi_not_onto(spec, witnesses):
     """Epi in the cancellative category (the image's subtractive closure is
     the codomain) but not onto: the naturals inside the integers. Expected
     absent at desk scale, since finite cancellative monoids are groups."""
-    (f,) = witnesses
-    N = f.codomain
-    return (len(subtractive_closure_set(N, image_set(f))) == N.size
-            and not is_surjective(f)
-            and is_cancellative_module(f.domain) and is_cancellative_module(N))
+    c = classify(witnesses[0])
+    return c.epimorphism_in_cs is True and not c.surjective
 
 
 def _bimorphism_not_iso(spec, witnesses):

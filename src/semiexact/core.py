@@ -18,7 +18,8 @@ Diagram, and the _validates verdict on each grid of the action search and
 on each forced action (natural_action) that takes its place. A semiring is
 validated once: _semiring_validates keeps the verdict that the builders,
 generators and the parser read, and the full report is built only when it
-is False.
+is False. Each semiring value is one object: the builders and the parser
+hand out _kept(s), the first equal semiring this process kept.
 
 Validation reports every violated law (one witness each) instead of
 stopping at the first: fixtures are authored by hand and full reports
@@ -564,7 +565,16 @@ def all_subsemimodules(M: Semimodule):
 
 # ---------------------------------------------------------------- builders
 
+@lru_cache(maxsize=None)
+def _kept(s: Semiring) -> Semiring:
+    """The first semiring equal to s that this process kept: one object per
+    semiring value, so a cache keyed on modules over it compares the
+    semiring by identity instead of walking its tables."""
+    return s
+
+
 def _built(s: Semiring) -> Semiring:
+    s = _kept(s)
     if not _semiring_validates(s):
         raise LemmaRefuted(f"builder produced an invalid semiring:\n{validate_semiring(s)}")
     return s

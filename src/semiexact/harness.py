@@ -311,7 +311,7 @@ def _onto(X, K, k_uniform):
     hom-set, as enumerate_hom names it."""
     return tuple((i, t) for i, t in enumerate(_hom_tables(X.unnamed, K))
                  if len(set(t)) == K.size
-                 and (not k_uniform or _k_uniform_witness(X, K.zero, t) is None))
+                 and (not k_uniform or _k_uniform_witness(X.unnamed, K.zero, t) is None))
 
 
 def _onto_kernel(mods, c, k_uniform):

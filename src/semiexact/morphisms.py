@@ -20,14 +20,16 @@ compare tables.
 The hom search, _hom_tables, completes a map's table by the search engine of
 core (_completions), with the linearity laws as its laws.
 
-No result depends on names, so caches key on tables (Semimodule.unnamed):
-the hom search per pair of modules, classify per (domain, codomain, table)
-and is_k_uniform per (domain, codomain zero, table).
+No result depends on names, so each cache is an lru_cache on name-free
+arguments (Semimodule.unnamed and a table): _hom_tables per pair of
+modules, _classified per (domain, codomain, table) and _k_uniform_witness
+per (domain, codomain zero, table). classify and is_k_uniform only pass a
+map's modules and table to them.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache, wraps
+from functools import lru_cache
 from typing import NamedTuple
 
 from .core import Semimodule, Subsemimodule, Value, _cancellable, _completions, _validates, \
@@ -238,34 +240,18 @@ def canonical_iso(f: Morphism) -> Morphism:
     return d
 
 
-def _per_structure(key):
-    """Decorate fn(f, ...), whose results name nothing, to compute once per
-    key(f) and further arguments; fn stays as __wrapped__."""
-    def decorate(fn):
-        cache = {}
-
-        @wraps(fn)
-        def cached(f, *args, **kwargs):
-            k = (key(f), *args, *kwargs.items())
-            if k not in cache:
-                cache[k] = fn(f, *args, **kwargs)
-            return cache[k]
-        return cached
-    return decorate
-
-
-@_per_structure(lambda f: (f.domain.unnamed, f.codomain.zero, f.map))
 def is_k_uniform(f: Morphism, witness=False):
     """Equal images are explained by kernel elements:
     f(x1) = f(x2) implies x1 + k1 = x2 + k2 with k1, k2 in the kernel."""
-    pair = _k_uniform_witness(f.domain, f.codomain.zero, f.map)
+    pair = _k_uniform_witness(f.domain.unnamed, f.codomain.zero, f.map)
     ok = pair is None
     return (ok, pair) if witness else ok
 
 
+@lru_cache(maxsize=None)
 def _k_uniform_witness(dom: Semimodule, zero, table):
     """is_k_uniform on the table of a map from dom to a module whose zero is
-    `zero`, uncached: None when it holds, else a pair (x1, x2) it fails on."""
+    `zero`: None when it holds, else a pair (x1, x2) it fails on."""
     ker = [x for x in dom.elements() if table[x] == zero]
     by_value = {}
     for x in dom.elements():
@@ -300,31 +286,36 @@ class MorphismClassification(NamedTuple):
         return out
 
 
-@_per_structure(lambda f: (f.domain.unnamed, f.codomain.unnamed, f.map))
 def classify(f: Morphism) -> MorphismClassification:
     """All flags from their raw defining conditions, with witnesses for failures."""
+    return _classified(f.domain.unnamed, f.codomain.unnamed, f.map)
+
+
+@lru_cache(maxsize=None)
+def _classified(dom: Semimodule, cod: Semimodule, table) -> MorphismClassification:
+    """classify on the table of a map from dom to cod."""
     from .core import is_cancellative_module
 
-    dom, cod = f.domain, f.codomain
     wit = {}
 
     injective = True
     seen = {}
     for x in dom.elements():
-        v = f.map[x]
+        v = table[x]
         if v in seen:
             injective = False
             wit["injective"] = f"f({seen[v]})=f({x})={v}"
             break
         seen[v] = x
 
-    img = image_set(f)
+    img = frozenset(table)
     surjective = len(img) == cod.size
     if not surjective:
         missing = min(set(cod.elements()) - img)
         wit["surjective"] = f"{missing} not in image"
 
-    k_ok, k_wit = is_k_uniform(f, witness=True)
+    k_wit = _k_uniform_witness(dom, cod.zero, table)
+    k_ok = k_wit is None
     if not k_ok:
         wit["k_uniform"] = f"pair ({k_wit[0]},{k_wit[1]})"
     closure = subtractive_closure_set(cod, img)
@@ -333,7 +324,7 @@ def classify(f: Morphism) -> MorphismClassification:
     if not i_ok:
         wit["i_uniform"] = f"{min(extra)} in closure(image) only"
 
-    ker = kernel_set(f)
+    ker = {x for x in dom.elements() if table[x] == cod.zero}
     semi_mono = ker == {dom.zero}
     if not semi_mono:
         wit["semi_mono"] = f"kernel contains {min(ker - {dom.zero})}"
@@ -342,7 +333,7 @@ def classify(f: Morphism) -> MorphismClassification:
     if not semi_epi:
         wit["semi_epi"] = f"{min(set(cod.elements()) - closure)} outside closure(image)"
 
-    cancellative = is_cancellative_morphism(f)
+    cancellative = all(_cancellable(cod, v) for v in img)
     if not cancellative:
         bad = min(v for v in img if not _cancellable(cod, v))
         wit["cancellative"] = f"f-image {bad} not cancellable"

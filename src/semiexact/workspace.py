@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .core import (Semimodule, Semiring, Subsemimodule, _semiring_validates, _validates,
+from .core import (Semimodule, Semiring, Subsemimodule, _kept, _semiring_validates, _validates,
                    validate_semimodule, validate_semiring)
 from .errors import HypothesisError, StructureError, WorkspaceError
 
@@ -257,6 +257,7 @@ class _Parser:
         except StructureError as exc:
             self.error(file, line, "structural", str(exc))
             return
+        s = _kept(s)
         if not _semiring_validates(s):  # the verdict the builders and generators read
             for v in validate_semiring(s).violations:
                 self.error(file, line, "axiom-violation", f"semiring {name}: {v}")

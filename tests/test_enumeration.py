@@ -173,6 +173,36 @@ def test_orderly_generation_keeps_the_filtered_tables():
             add for add in _commutative_monoid_tables(n) if _least(bytes(_flat(add)), others)), n
 
 
+def test_orderly_prune_drops_only_tables_a_known_prefix_rules_out(monkeypatch):
+    """Every partial table the orderly prune drops at orders 4 and 5 has a
+    relabelling whose image is smaller within the prefix known (not 255) on
+    both sides, so all its completions are too; and no canonical table
+    extends a dropped one."""
+    from semiexact import enumeration
+
+    dropped, generate = [], enumeration._commutative_monoid_tables
+
+    def recording(n, prune):
+        def recorded(t):
+            drop = prune(t)
+            if drop:
+                dropped.append(bytes(255 if v is None else v for v in t))
+            return drop
+        return generate(n, recorded)
+
+    monkeypatch.setattr(enumeration, "_commutative_monoid_tables", recording)
+    for n in (4, 5):
+        dropped.clear()
+        canonical = [_flat(add) for add in _canonical_monoid_tables.__wrapped__(n)]
+        assert dropped and len(canonical) == {4: 19, 5: 78}[n]
+        for flat in dropped:
+            assert any(image[:k] < flat[:k] for image in (
+                _relabel(flat, move) for move in _relabellings(n)[1:])
+                for k in [min(image.index(255), flat.index(255))]), flat
+            known = [i for i, v in enumerate(flat) if v != 255]
+            assert not any(all(c[i] == flat[i] for i in known) for c in canonical), flat
+
+
 def test_canonical_monoid_tables_of_order_6():
     """421 commutative monoids of order 6 up to isomorphism (OEIS A058131): the
     tables are distinct, in lexicographic order, and each its own canonical_form."""

@@ -42,6 +42,34 @@ def test_analyze_non_proper_row(sat3):
     assert p.witness != "-"
 
 
+def test_analyze_position_witnesses(sat3, chain2):
+    """An exact position's witness is "-"; a proper exact one that is not
+    exact names the pair its map is not k-uniform at."""
+    g = Morphism("squash", sat3, chain2, (0, 1, 1))
+    _, incl = submodule_as_module(Subsemimodule(sat3, (0,)), name="Ker(squash)")
+    v = analyze(short_sequence(incl, g))
+    assert [(p.proper_exact, p.exact, p.witness) for p in v.positions] == [
+        (True, True, "-"), (True, False, "squash not k-uniform at pair (1, 2)"),
+        (True, True, "-")]
+
+
+def test_analyze_arrow_witnesses_are_uniformity_only(sat3, chain2):
+    """An arrow's witness keeps classify's k-uniform and i-uniform witnesses
+    only: not the injective, surjective or cancellative ones."""
+    g = Morphism("squash", sat3, chain2, (0, 1, 1))
+    _, incl = submodule_as_module(Subsemimodule(sat3, (0, 2)))
+    v = analyze(Sequence("s", (incl, g)))
+    assert [a.witness for a in v.arrows] == ["i_uniform: 1 in closure(image) only",
+                                             "k_uniform: pair (1,2)"]
+
+
+def test_short_sequence_names(max3):
+    """A short sequence is named after its two maps unless a name is given."""
+    f = g = zero_morphism(max3, max3)
+    assert short_sequence(f, g).name == f"short({f.name},{g.name})"
+    assert short_sequence(f, g, "s").name == "s"
+
+
 def test_implication_chain(nat3_universe):
     for M in nat3_universe:
         for N in nat3_universe:

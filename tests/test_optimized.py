@@ -1,10 +1,11 @@
-"""A slice of the suite under `python -O`.
+"""A slice of the suite under `python -O`, and a scan of the package for asserts.
 
 The package's invariants are explicit raises, so they must hold with
 assert statements stripped. Pytest still rewrites the asserts of test
 modules into raises under -O, so the tests keep checking.
 """
 
+import ast
 import re
 import subprocess
 import sys
@@ -43,7 +44,11 @@ CORE = [*(f"tests/test_core.py::{scan}[{name}]"
             "test_completions_prune_drops_partial_tables"))]
 SLICE = [*CORE, "tests/test_quotients.py",
          "tests/test_exactness.py::test_exact_at_matches_reference",
+         "tests/test_exactness.py::test_analyze_position_witnesses",
+         "tests/test_exactness.py::test_analyze_arrow_witnesses_are_uniformity_only",
+         "tests/test_exactness.py::test_short_sequence_names",
          "tests/test_morphisms.py::test_hom_tables_match_product_search",
+         "tests/test_morphisms.py::test_induced_to_kernel_names",
          *(f"tests/test_enumeration.py::{name}" for name in (
              "test_monoid_counts", "test_ring_module_counts",
              "test_boolean_universes_count_lattices", "test_zmod_universes_count_abelian_groups",
@@ -54,6 +59,7 @@ SLICE = [*CORE, "tests/test_quotients.py",
              "test_flat_kernel_matches_row_relabelling", "test_forced_actions_match_the_search",
              "test_boolean_universes_count_lattices_of_order_6",
              "test_orderly_generation_keeps_the_filtered_tables",
+             "test_orderly_prune_drops_only_tables_a_known_prefix_rules_out",
              "test_canonical_monoid_tables_of_order_6")),
          *(f"tests/test_harness.py::{name}" for name in (
              "test_row_pools_match_named_builders",
@@ -64,6 +70,7 @@ SLICE = [*CORE, "tests/test_quotients.py",
              "test_dropped_exactness_widens_the_row_pool",
              "test_row_pairs_match_compose_filter", "test_snake_matches_snapshot")),
          "tests/test_workspace.py::test_parser_reads_the_validity_cache",
+         "tests/test_workspace.py::test_parsed_semirings_are_the_builders_objects",
          "tests/test_workspace.py::test_module_axiom_violations_located",
          "tests/test_workspace.py::test_corpus_export_round_trips",
          "tests/test_workspace.py::test_repeated_malformed_row_is_located_each_time",
@@ -86,3 +93,13 @@ def test_slice_passes_under_optimize(src_env):
     assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
     # everything collected passed: nothing failed, errored, skipped or deselected
     assert re.fullmatch(r"\d+ passed(, \d+ warnings?)? in .*", summary), summary
+
+
+def test_package_has_no_assert_statements():
+    """The same rule read statically: no assert statement anywhere in the
+    package, since python -O strips them."""
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted((ROOT / "src" / "semiexact").glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Assert)]
+    assert found == []

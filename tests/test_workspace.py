@@ -203,6 +203,20 @@ def test_parser_reads_the_validity_cache(tmp_path, monkeypatch):
     assert calls == []
 
 
+def test_parsed_semirings_are_the_builders_objects(tmp_path):
+    """Each semiring value is one object: the modules parsed from a corpus
+    export are over the builder's semiring itself, not an equal copy, so the
+    verdict cache compares their semiring by identity."""
+    from semiexact.cli import main
+    from semiexact.core import monoid_semiring
+
+    out = tmp_path / "nat4.sx"
+    assert main(["corpus", "nat4", "--max-size", "4", "--corpus", str(out), "--quiet"]) == 0
+    modules = parse_files([out]).modules.values()
+    assert len(modules) == 27
+    assert all(m.semiring is monoid_semiring(4) for m in modules)
+
+
 def test_module_axiom_violations_located():
     """An invalid module is reported with every violation of
     validate_semimodule, in order, at its header line, on a first parse
