@@ -580,31 +580,23 @@ def _built(s: Semiring) -> Semiring:
     return s
 
 
-@lru_cache(maxsize=None)
 def make_boolean() -> Semiring:
-    """Two-element lattice: OR as addition, AND as multiplication."""
-    return _built(Semiring("B", 2, ((0, 1), (1, 1)), ((0, 0), (0, 1))))
+    """Two-element lattice: OR as addition, AND as multiplication (N(1, 1))."""
+    return _natural_quotient("B", 1, 1)
 
 
-@lru_cache(maxsize=None)
 def make_zmod(n: int) -> Semiring:
-    """The ring of integers mod n presented as tables."""
+    """The ring of integers mod n presented as tables (N(0, n))."""
     if n < 2:
         raise ParameterError("make_zmod: n must be >= 2")
-    add = [[(a + b) % n for b in range(n)] for a in range(n)]
-    mul = [[(a * b) % n for b in range(n)] for a in range(n)]
-    return _built(Semiring(f"Z{n}", n, add, mul))
+    return _natural_quotient(f"Z{n}", 0, n)
 
 
-@lru_cache(maxsize=None)
 def make_saturating_naturals(k: int) -> Semiring:
-    """T_k: carrier 0..k with addition and multiplication clamped at k."""
+    """T_k: carrier 0..k with addition and multiplication clamped at k (N(k, 1))."""
     if k < 1:
         raise ParameterError("make_saturating_naturals: k must be >= 1")
-    n = k + 1
-    add = [[min(a + b, k) for b in range(n)] for a in range(n)]
-    mul = [[min(a * b, k) for b in range(n)] for a in range(n)]
-    return _built(Semiring(f"T{k}", n, add, mul))
+    return _natural_quotient(f"T{k}", k, 1)
 
 
 @lru_cache(maxsize=None)
@@ -686,7 +678,6 @@ def make_product(s1: Semiring, s2: Semiring) -> Semiring:
                            zero=pack(s1.zero, s2.zero), one=pack(s1.one, s2.one)))
 
 
-@lru_cache(maxsize=None)
 def make_natural_quotient(index: int, period: int) -> Semiring:
     """Quotient of the natural numbers by identifying index with index+period.
 
@@ -696,6 +687,13 @@ def make_natural_quotient(index: int, period: int) -> Semiring:
     """
     if index < 0 or period < 1 or index + period < 2:
         raise ParameterError("make_natural_quotient: need index >= 0, period >= 1, size >= 2")
+    return _natural_quotient(f"N{index}_{period}", index, period)
+
+
+@lru_cache(maxsize=None)
+def _natural_quotient(name, index, period) -> Semiring:
+    """N(index, period) under name: the one construction of make_natural_quotient,
+    make_boolean, make_zmod and make_saturating_naturals."""
     n = index + period
 
     def rep(x):
@@ -703,7 +701,7 @@ def make_natural_quotient(index: int, period: int) -> Semiring:
 
     add = [[rep(a + b) for b in range(n)] for a in range(n)]
     mul = [[rep(a * b) for b in range(n)] for a in range(n)]
-    return _built(Semiring(f"N{index}_{period}", n, add, mul))
+    return _built(Semiring(name, n, add, mul))
 
 
 @lru_cache(maxsize=None)

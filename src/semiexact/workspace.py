@@ -6,6 +6,16 @@ collects every problem it can find (syntax, dangling reference, axiom
 violation, failed hypothesis), each with its file and line, before raising;
 a file that cannot be read or is not UTF-8 is an `io` problem at line 0.
 
+A problem that drops a block is raised where it is found and reported once,
+by `_Parser.feed`: a `StructureError` as `structural` at the block's header,
+a `_Located` as its own kind at its own line, and a `ValueError` as `syntax`
+(a value that is not an integer, a malformed, unknown, repeated or missing
+header attribute, a missing body key, a body line that is not `key: value`).
+A block dropped for a `ValueError` leaves its name free; one dropped for any
+other problem claims it, so a later block of that kind and name is a
+`duplicate`. Only a morphism's two unknown ends, and a structure's axiom
+violations, pile up as several problems of one block.
+
     semiring T2 size=3
       add: 0,1,2; 1,2,2; 2,2,2
       mul: 0,0,0; 0,1,2; 0,2,2
@@ -102,6 +112,14 @@ def _ints(line, text, what):
         return tuple(int(x) for x in text.split(","))
     except ValueError:
         raise _not_integers(line, text, what, text.split(",")) from None
+
+
+class _Located(Exception):
+    """A problem of `kind` at `line` that drops its block."""
+
+    def __init__(self, kind, message, line):
+        super().__init__(message)
+        self.kind, self.line = kind, line
 
 
 class _Memo(dict):
@@ -203,60 +221,56 @@ class _Parser:
             if len(tokens) < 2:
                 self.error(file, header_line, "syntax", f"{kind} block needs a name")
                 continue
+            first = self.ws.origins.get((kind, tokens[1]))
+            if first is not None:
+                self.error(file, header_line, "duplicate",
+                           f"{kind} {tokens[1]!r} already defined at {first}")
+                continue
             try:
-                first = self.ws.origins.get((kind, tokens[1]))
-                if first is not None:
-                    self.error(file, header_line, "duplicate",
-                               f"{kind} {tokens[1]!r} already defined at {first}")
-                    continue
                 handler = getattr(self, f"_block_{kind}")
                 handler(file, header_line, tokens[1], _parse_attrs(tokens[2:], _ATTRS[kind]), body)
-                self.ws.origins[(kind, tokens[1])] = f"{file}:{header_line}"
             except (ValueError, IndexError, KeyError) as exc:
                 self.error(file, getattr(exc, "line", header_line), "syntax",
                            f"bad {kind} block: {exc}")
+                continue  # a block dropped for a ValueError leaves its name free
+            except StructureError as exc:
+                self.error(file, header_line, "structural", str(exc))
+            except _Located as exc:
+                self.error(file, exc.line, exc.kind, str(exc))
+            self.ws.origins[(kind, tokens[1])] = f"{file}:{header_line}"
 
     def finish(self):
         if self.problems:
             raise WorkspaceError(self.problems)
         return self.ws
 
-    def _named(self, file, line, table, name, what):
+    def _named(self, line, table, name, what):
         if name not in table:
-            self.error(file, line, "dangling-reference", f"unknown {what} {name!r}")
-            return None
+            raise _Located("dangling-reference", f"unknown {what} {name!r}", line)
         return table[name]
 
-    def _body_fields(self, file, body, keys):
-        """The body's `key: value` lines as {key: (line, value)}; None once an
-        unknown or repeated key is reported at its line."""
+    def _body_fields(self, body, keys):
+        """The body's `key: value` lines as {key: (line, value)}."""
         fields = {}
         for line, text in body:
             if ":" not in text:
                 raise _BadValue(line, f"expected 'key: value', got {text!r}")
             k, v = (x.strip() for x in text.split(":", 1))
             if k in fields or k not in keys:
-                self.error(file, line, "syntax", f"repeated key {k!r}, first at line {fields[k][0]}"
-                           if k in fields else f"unknown key {k!r}")
-                return None
+                raise _Located("syntax", f"repeated key {k!r}, first at line {fields[k][0]}"
+                               if k in fields else f"unknown key {k!r}", line)
             fields[k] = (line, v)
         _require("key", [k for k in keys if k not in fields and k not in _OPTIONAL_KEYS])
         return fields
 
     def _block_semiring(self, file, line, name, attrs, body):
-        fields = self._body_fields(file, body, _KEYS["semiring"])
-        if fields is None:
-            return
+        fields = self._body_fields(body, _KEYS["semiring"])
         s = Semiring._trusted(name, _int(line, attrs["size"], "attribute 'size'"),
                               _parse_table(*fields["add"], "key 'add'", self.rows),
                               _parse_table(*fields["mul"], "key 'mul'", self.rows),
                               _int(*fields["zero"], "key 'zero'") if "zero" in fields else 0,
                               _int(*fields["one"], "key 'one'") if "one" in fields else 1)
-        try:
-            s._check()
-        except StructureError as exc:
-            self.error(file, line, "structural", str(exc))
-            return
+        s._check()
         s = _kept(s)
         if not _semiring_validates(s):  # the verdict the builders and generators read
             for v in validate_semiring(s).violations:
@@ -265,21 +279,13 @@ class _Parser:
         self.ws.semirings[name] = s
 
     def _block_module(self, file, line, name, attrs, body):
-        over = self._named(file, line, self.ws.semirings, attrs["over"], "semiring")
-        if over is None:
-            return
-        fields = self._body_fields(file, body, _KEYS["module"])
-        if fields is None:
-            return
+        over = self._named(line, self.ws.semirings, attrs["over"], "semiring")
+        fields = self._body_fields(body, _KEYS["module"])
         m = Semimodule._trusted(name, over, _int(line, attrs["size"], "attribute 'size'"),
                                 _parse_table(*fields["add"], "key 'add'", self.rows),
                                 _parse_table(*fields["action"], "key 'action'", self.rows),
                                 _int(*fields["zero"], "key 'zero'") if "zero" in fields else 0)
-        try:
-            m._check()
-        except StructureError as exc:
-            self.error(file, line, "structural", str(exc))
-            return
+        m._check()
         if not _validates(m.unnamed):  # the verdict cache the searches read
             for v in validate_semimodule(m).violations:
                 self.error(file, line, "axiom-violation", f"module {name}: {v}")
@@ -287,41 +293,28 @@ class _Parser:
         self.ws.modules[name] = m
 
     def _block_sub(self, file, line, name, attrs, body):
-        parent = self._named(file, line, self.ws.modules, attrs["of"], "module")
-        if parent is None:
-            return
-        members = _ints(line, attrs["members"], "attribute 'members'")
-        try:
-            self.ws.subs[name] = Subsemimodule(parent, members)
-        except StructureError as exc:
-            self.error(file, line, "structural", str(exc))
+        parent = self._named(line, self.ws.modules, attrs["of"], "module")
+        self.ws.subs[name] = Subsemimodule(parent, _ints(line, attrs["members"],
+                                                         "attribute 'members'"))
 
     def _block_morphism(self, file, line, name, attrs, body):
         from .morphisms import Morphism  # imported by the first morphism block only
 
-        dom = self._named(file, line, self.ws.modules, attrs["from"], "module")
-        cod = self._named(file, line, self.ws.modules, attrs["to"], "module")
-        if dom is None or cod is None:
-            return
-        table = _ints(line, attrs["map"], "attribute 'map'")
-        try:
-            self.ws.morphisms[name] = Morphism(name, dom, cod, table)
-        except StructureError as exc:
-            self.error(file, line, "structural", str(exc))
+        ends = attrs["from"], attrs["to"]
+        unknown = [end for end in ends if end not in self.ws.modules]
+        for end in unknown:  # both ends are reported, so neither is raised
+            self.error(file, line, "dangling-reference", f"unknown module {end!r}")
+        if not unknown:
+            dom, cod = (self.ws.modules[end] for end in ends)
+            self.ws.morphisms[name] = Morphism(name, dom, cod,
+                                               _ints(line, attrs["map"], "attribute 'map'"))
 
     def _block_sequence(self, file, line, name, attrs, body):
         from .exactness import Sequence  # imported by the first sequence block only
 
-        arrows = []
-        for aname in attrs["arrows"].split(","):
-            f = self._named(file, line, self.ws.morphisms, aname.strip(), "morphism")
-            if f is None:
-                return
-            arrows.append(f)
-        try:
-            self.ws.sequences[name] = Sequence(name, tuple(arrows))
-        except StructureError as exc:
-            self.error(file, line, "structural", str(exc))
+        self.ws.sequences[name] = Sequence(name, tuple(
+            self._named(line, self.ws.morphisms, aname.strip(), "morphism")
+            for aname in attrs["arrows"].split(",")))
 
     def _block_diagram(self, file, line, name, attrs, body):
         from .diagrams import Diagram  # imported by the first diagram block only
@@ -337,40 +330,29 @@ class _Parser:
             parts = head.split()
             names = rest.split()
             if len(parts) != 2 or parts[0] not in ("row", "col") or len(names) % 2 == 0:
-                self.error(file, bline, "syntax", f"bad diagram line {text!r}")
-                return
+                raise _Located("syntax", f"bad diagram line {text!r}", bline)
             target = rows if parts[0] == "row" else cols
             index = _int(bline, parts[1], f"{parts[0]} number")
             if index in target:
-                self.error(file, bline, "syntax",
-                           f"repeated diagram line {head!r}, first at line {target[index][0]}")
-                return
+                raise _Located("syntax", f"repeated diagram line {head!r}, "
+                               f"first at line {target[index][0]}", bline)
             target[index] = (bline, names)
 
         def resolve_chain(bline, names):
-            objs = []
-            maps = []
-            for j, nm in enumerate(names):
-                table = self.ws.modules if j % 2 == 0 else self.ws.morphisms
-                obj = self._named(file, bline, table,
-                                  nm, "module" if j % 2 == 0 else "morphism")
-                if obj is None:
-                    return None
-                (objs if j % 2 == 0 else maps).append(obj)
-            return objs, maps
+            """The chain's modules and morphisms; the first unknown name is raised."""
+            chain = [self._named(bline, self.ws.morphisms, nm, "morphism") if j % 2 else
+                     self._named(bline, self.ws.modules, nm, "module")
+                     for j, nm in enumerate(names)]
+            return chain[::2], chain[1::2]
 
         for k, r in enumerate(sorted(rows)):
             if r != k:  # rows are numbered 0, 1, 2, ... in any order, with no gap
-                self.error(file, rows[r][0], "syntax", f"diagram row {r} where row {k} is due")
-                return
+                raise _Located("syntax", f"diagram row {r} where row {k} is due", rows[r][0])
         nodes = []
         horizontals = {}
         verticals = {}
         for r in range(len(rows)):
-            resolved = resolve_chain(*rows[r])
-            if resolved is None:
-                return
-            objs, maps = resolved
+            objs, maps = resolve_chain(*rows[r])
             nodes.append(objs)
             for c, f in enumerate(maps):
                 horizontals[(r, c)] = f
@@ -378,19 +360,14 @@ class _Parser:
             bline, names = cols[c]
             span = len(names) // 2 + 1  # the rows the column runs through
             if span > len(nodes) or not all(0 <= c < len(row) for row in nodes[:span]):
-                self.error(file, bline, "structural", f"diagram {name}: col {c} is past the grid")
-                return
-            resolved = resolve_chain(bline, names)
-            if resolved is None:
-                return
-            objs, maps = resolved
+                raise _Located("structural", f"diagram {name}: col {c} is past the grid", bline)
+            objs, maps = resolve_chain(bline, names)
             for r, f in enumerate(maps):
                 if (f.domain, f.codomain) != (objs[r], objs[r + 1]):
                     left, arrow, right = names[2 * r:2 * r + 3]
-                    self.error(file, bline, "structural",
-                               f"diagram {name}: col {c} reads {left} {arrow} {right}, but "
-                               f"{arrow} runs {f.domain.name} -> {f.codomain.name}")
-                    return
+                    raise _Located("structural", f"diagram {name}: col {c} reads {left} {arrow} "
+                                   f"{right}, but {arrow} runs {f.domain.name} -> "
+                                   f"{f.codomain.name}", bline)
                 verticals[(r, c)] = f
         at = line  # shape and square failures are the header's, a tag's its own
         try:
@@ -398,11 +375,10 @@ class _Parser:
             for at, tag in hyps:
                 d.declare(tag)
         except StructureError as exc:
-            self.error(file, at, "structural", str(exc))
+            raise _Located("structural", str(exc), at)
         except HypothesisError as exc:
-            self.error(file, at, "hypothesis", str(exc))
-        else:
-            self.ws.diagrams[name] = d
+            raise _Located("hypothesis", str(exc), at)
+        self.ws.diagrams[name] = d
 
 
 def parse(text, file="<input>") -> Workspace:
@@ -425,7 +401,12 @@ def parse_files(paths) -> Workspace:
 
 
 def serialize(ws: Workspace) -> str:
-    """Canonical text for a workspace; parse(serialize(ws)) == ws."""
+    """Canonical text for a workspace; parse(serialize(ws)) == ws.
+
+    A diagram the format cannot write is refused with a StructureError naming
+    it: a row with a missing horizontal, or a column whose verticals do not
+    run from row 0 without a gap (each `row` and `col` line is a full chain).
+    """
     out = []
     rows = _Memo(lambda row: ",".join(map(str, row)))  # each distinct row printed once
     printed = _Memo(lambda table: "; ".join(map(rows.__getitem__, table)))
@@ -467,6 +448,9 @@ def serialize(ws: Workspace) -> str:
         for r, row in enumerate(d.nodes):
             parts = [module_name[row[0]]]
             for c in range(len(row) - 1):
+                if (r, c) not in d.horizontals:
+                    raise StructureError(f"diagram {name}: row {r} has no horizontal at "
+                                         f"column {c}")
                 parts.append(morphism_name[d.horizontals[(r, c)]])
                 parts.append(module_name[row[c + 1]])
             out.append(f"  row {r}: {' '.join(parts)}")
@@ -475,6 +459,9 @@ def serialize(ws: Workspace) -> str:
             by_col.setdefault(c, []).append((r, f))
         for c in sorted(by_col):
             chain = by_col[c]
+            gap = next((k for k, (r, _) in enumerate(chain) if r != k), None)
+            if gap is not None:
+                raise StructureError(f"diagram {name}: col {c} has no vertical at row {gap}")
             parts = [module_name[chain[0][1].domain]]
             for _, f in chain:
                 parts.append(morphism_name[f])

@@ -75,6 +75,7 @@ SLICE = [*CORE, "tests/test_quotients.py",
          "tests/test_workspace.py::test_corpus_export_round_trips",
          "tests/test_workspace.py::test_repeated_malformed_row_is_located_each_time",
          "tests/test_workspace.py::test_parsed_table_shapes_are_checked",
+         "tests/test_codec.py",
          "tests/test_cli.py::test_max_size_past_bound_exits_2_before_building",
          "tests/test_cli.py::test_missing_parts_are_named",
          "tests/test_cli.py::test_row_numbering_gaps_are_located",
