@@ -17,11 +17,10 @@ from typing import NamedTuple
 
 from .core import Subsemimodule, Value, subtractive_closure_set, zero_module
 from .errors import LemmaRefuted, StructureError
-from .morphisms import (Morphism, classify, cokernel, factor_through_injection, image_set,
-                        induced_from_cokernel, induced_to_kernel, is_injective,
+from .morphisms import (Morphism, bourne_quotient, classify, cokernel, factor_through_injection,
+                        image_set, induced_from_cokernel, induced_to_kernel, is_injective,
                         is_isomorphism, is_k_uniform, is_surjective, kernel, kernel_module,
                         kernel_set, submodule_as_module, zero_morphism)
-from .quotients import bourne_congruence, quotient
 
 
 def exact_at(f, g):
@@ -229,8 +228,7 @@ def ker_coker_sequence(gamma: Morphism) -> KerCokerResult:
     cmod, cincl = submodule_as_module(
         Subsemimodule(gamma.codomain, tuple(sorted(closure))), name=f"ImCl({gamma.name})")
     image_seq = short_sequence(cincl, coker.projection, name=f"imageseq({gamma.name})")
-    dom_q = quotient(gamma.domain, bourne_congruence(kernel(gamma)),
-                     name=f"{gamma.domain.name}/Ker({gamma.name})")
+    dom_q = bourne_quotient(gamma.domain, kincl.map, f"{gamma.domain.name}/Ker({gamma.name})")
     kernel_seq = short_sequence(kincl, dom_q.projection, name=f"kernelseq({gamma.name})")
     for kind, s in (("image", image_seq), ("kernel", kernel_seq)):
         if not is_short_exact(s).ok:
@@ -250,7 +248,7 @@ def subobject_character(L: Subsemimodule) -> SubobjectCharacter:
     """Evaluate the subobject characterizations independently and check that
     the five equivalent conditions agree."""
     M = L.parent
-    q = quotient(M, bourne_congruence(L))
+    q = bourne_quotient(M, L.members)
     lmod, lincl = submodule_as_module(L)
 
     v = analyze(short_sequence(lincl, q.projection, name=f"sub({lmod.name})"))

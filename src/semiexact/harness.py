@@ -4,13 +4,23 @@ Rows are built constructively (surjections onto kernel submodules give
 exact stretches by construction), verticals are drawn from hom-sets, which
 morphisms caches by tables, as it does classifications. The row pools walk
 the pool's hom-sets by enumeration.maps_among, as the catalog does. Each
-capped pool is a cached view of an uncapped ordered stream, named with
-"_stream" added: _any_rows, _exact_5rows and _snake_left_rows keep its
-first 400, 600 and 200 rows. Rows are built from hom tables once per
-kernel structure, not once per map (_onto, _isos_and_automorphisms), and
-only the maps of their rows are named, by Morphism._trusted, under the
-names kernel_module and compose give them. The exact-row pools
-(_exact_rows) are filtered once per (semiring, bound).
+capped pool is a view of an uncapped ordered stream, named with "_stream"
+added: _any_rows, _exact_5rows and _snake_left_rows keep its first 400,
+600 and 200 rows. Rows are built from hom tables once per kernel
+structure, not once per map (_onto, _isos_and_automorphisms), and only
+the maps of their rows are named, by Morphism._trusted, under the names
+kernel_module and compose give them: _exact_5rows and _snake_left_rows
+keep their rows' keys (tables and hom-set positions) and build and name a
+row only when it is first read (_Rows), as a generator draws only a few.
+The caches, all lru_caches: _pool per (semiring, bound); the row pools,
+_exact_pairs, _exact_rows (per set of conditions too), _any_rows,
+_exact_5rows and _snake_left_rows, and _k_uniform_maps, the maps that end
+their rows, per (semiring, bound); _onto per (pool module, kernel
+structure, k-uniform), _onto_chains per kernel structure and cap, and
+_isos_and_automorphisms per kernel structure. Kernel structures and the
+3x3 quotient row's Bourne quotients come from morphisms' structure cache
+(_substructures, bourne_quotient), and hom-sets and classifications from
+its caches too.
 The generator of a clause's shape draws for its entry of diagrams.CLAUSES,
 gen_snake for diagrams._SNAKE_GATES, and _collect keeps the candidates that
 pass the hypotheses, minus those the construction guarantees: the
@@ -49,18 +59,18 @@ product, which is never materialised.
 from __future__ import annotations
 
 import random
+from collections.abc import Sequence
 from functools import lru_cache, partial
 from itertools import islice
 
-from .core import Semiring, Subsemimodule, Value, is_cancellative_module
+from .core import Semiring, Value, is_cancellative_module
 from .diagrams import _SNAKE_GATES, Diagram, clause_key, lookup
 from .enumeration import UniverseSpec, enumerate_semimodules, maps_among, oracle_iso_exists
 from .errors import ParameterError
-from .morphisms import (Morphism, _hom_tables, _k_uniform_witness, _table, classify,
-                        enumerate_hom, factor_through_injection, factor_through_surjection,
-                        image_set, is_injective, is_k_uniform, is_surjective, kernel_set,
-                        submodule_as_module)
-from .quotients import bourne_congruence, quotient
+from .morphisms import (Morphism, _hom_tables, _k_uniform_witness, _substructures, _table,
+                        bourne_quotient, classify, enumerate_hom, factor_through_injection,
+                        factor_through_surjection, image_set, is_injective, is_k_uniform,
+                        is_surjective, kernel_set)
 
 
 class HarnessSpec(Value):
@@ -126,23 +136,35 @@ def _joint(tests):
 
 
 @lru_cache(maxsize=None)
+def _k_uniform_maps(semiring, max_size):
+    """(g, members) of each k-uniform map g over the pool, in maps_among
+    order, members its kernel, sorted: the maps that end an exact stretch
+    (g of an exact pair, g2 of a snake row, h of a 5-row), found once per
+    pool."""
+    return tuple((g, tuple(sorted(kernel_set(g)))) for g in maps_among(_pool(semiring, max_size))
+                 if is_k_uniform(g))
+
+
+@lru_cache(maxsize=None)
 def _exact_pairs(semiring, max_size):
     """(f, g) with image(f) = Ker(g) and g k-uniform, over the module pool,
     by g, then f, in maps_among order: the maps into each module are indexed
     by image once, and each g looks up its kernel."""
     mods = _pool(semiring, max_size)
     by_image = {M: _index(maps_among(mods, (M,)), image_set) for M in mods}
-    return tuple((f, g) for g in maps_among(mods) if is_k_uniform(g)
-                 for f in by_image[g.domain].get(kernel_set(g), ()))
+    return tuple((f, g) for g, ker in _k_uniform_maps(semiring, max_size)
+                 for f in by_image[g.domain].get(frozenset(ker), ()))
 
 
 @lru_cache(maxsize=None)
 def _exact_rows(semiring, max_size, cancellative=False, injective=False, surjective=False):
     """The pairs of _exact_pairs, in order, with f injective, g surjective
     and a cancellative middle module where those are asked for."""
+    middles = {M for M in _pool(semiring, max_size)
+               if not cancellative or is_cancellative_module(M)}
     return tuple((f, g) for f, g in _exact_pairs(semiring, max_size)
                  if (not injective or is_injective(f)) and (not surjective or is_surjective(g))
-                 and (not cancellative or is_cancellative_module(f.codomain)))
+                 and f.codomain in middles)
 
 
 def _square_index(top, bottom, c, n, test):
@@ -240,11 +262,13 @@ _ROW_POOLS = {
 
 def _any_rows_stream(semiring, max_size):
     """Every composable (f, g) over the pool with g∘f = 0, by g, then f, in
-    maps_among order; Ker(g) is found once per g."""
+    maps_among order; Ker(g) is found once per g and each image once per
+    map."""
     mods = _pool(semiring, max_size)
+    into = {M: [(f, image_set(f)) for f in maps_among(mods, (M,))] for M in mods}
     for g in maps_among(mods):
         ker = kernel_set(g)
-        yield from ((f, g) for f in maps_among(mods, (g.domain,)) if image_set(f) <= ker)
+        yield from ((f, g) for f, image in into[g.domain] if image <= ker)
 
 
 @lru_cache(maxsize=None)
@@ -290,18 +314,11 @@ def vertical_triples(spec: UniverseSpec):
 
 # ----------------------------------------------------------- 2x5 generators
 
-@lru_cache(maxsize=None)
-def _kernel_structure(P, members):
-    """P's subsemimodule `members` as a module named "" (Semimodule.unnamed):
-    built, and its closure checked, once however many maps have it as
-    kernel; equal tables give equal structures, whatever P is."""
-    return submodule_as_module(Subsemimodule(P, members))[0].unnamed
-
-
-def _kernel(c):
-    """The members of Ker(c), sorted, and its kernel structure."""
-    members = tuple(sorted(kernel_set(c)))
-    return members, _kernel_structure(c.domain, members)
+def _kernel(P, table, zero):
+    """The sorted kernel of a map from P with this table into a module whose
+    zero is `zero`, and its kernel structure."""
+    members = tuple(x for x, v in enumerate(table) if v == zero)
+    return members, _substructures(P.unnamed, members).module
 
 
 @lru_cache(maxsize=None)
@@ -314,34 +331,81 @@ def _onto(X, K, k_uniform):
                  and (not k_uniform or _k_uniform_witness(X.unnamed, K.zero, t) is None))
 
 
-def _onto_kernel(mods, c, k_uniform):
-    """incl∘q for each map q from a pool module onto Ker(c), k-uniform too
-    where k_uniform is set: the maps whose image is Ker(c), by domain and
-    then hom-set position, each named as compose(incl, q) names it, with
-    incl and q from kernel_module(c) and enumerate_hom."""
-    (members, K), ker = _kernel(c), f"Ker({c.name})"
-    for X in mods:
-        for i, t in _onto(X, K, k_uniform):
-            yield Morphism._trusted(f"incl[{ker}]*h{i}[{X.name}->{ker}]", X, c.domain,
-                                    tuple(map(members.__getitem__, t)))
+def _onto_kernel(mods, K, k_uniform):
+    """(X, i, t) of each map of _onto from a pool module X onto K, by X."""
+    return ((X, i, t) for X in mods for i, t in _onto(X, K, k_uniform))
+
+
+class _Rows(Sequence):
+    """A capped pool: the keys of its rows, each row built from its key by
+    build when it is first read, so that only drawn rows are named."""
+
+    def __init__(self, keys, build):
+        self._keys, self._build, self._rows = keys, build, {}
+
+    def __len__(self):
+        return len(self._keys)
+
+    def __getitem__(self, i):
+        row = self._rows.get(i)
+        if row is None:
+            row = self._rows[i] = self._build(self._keys[i])
+        return row
+
+
+def _exact_5row_keys(semiring, max_size, cap=None):
+    """The keys (h, members, chain) of the rows U -d-> L -f-> M -g-> N -h-> V
+    exact at L, M, N, by h in maps_among order: members is Ker(h)'s and
+    chain one of the first `cap` (all when None) _onto_chains of its kernel
+    structure."""
+    for h, members in _k_uniform_maps(semiring, max_size):
+        K = _substructures(h.domain.unnamed, members).module
+        yield from ((h, members, chain) for chain in _onto_chains(semiring, max_size, K, cap))
+
+
+@lru_cache(maxsize=None)
+def _onto_chains(semiring, max_size, K, cap):
+    """The first `cap` chains (g, f, d) that end a 5-row whose h has the
+    kernel structure K, built right to left: g, f and d map onto K, the
+    kernel of g and the kernel of f, g and f k-uniform. Each is (X, i, t),
+    the map h<i> from the pool module X with table t, and f and d add the
+    members of the kernel they map onto. Found once per structure, however
+    many maps h have it as kernel."""
+    mods = _pool(semiring, max_size)
+
+    def chains():
+        for Xg, ig, tg in _onto_kernel(mods, K, True):
+            mg, Kg = _kernel(Xg, tg, K.zero)
+            for Xf, i_f, tf in _onto_kernel(mods, Kg, True):
+                mf, Kf = _kernel(Xf, tf, Kg.zero)
+                yield from (((Xg, ig, tg), (Xf, i_f, tf, mg), (Xd, i_d, td, mf))
+                            for Xd, i_d, td in _onto_kernel(mods, Kf, False))
+    return tuple(islice(chains(), cap))
+
+
+def _exact_5row(key):
+    """The row (d, f, g, h) of a key of _exact_5row_keys: each of g, f, d is
+    incl∘h<i>, named as compose(incl, h<i>) names it, with incl and h<i>
+    from kernel_module and enumerate_hom."""
+    h, members, (g, f, d) = key
+    row = [h]
+    for X, i, t, kernel in ((*g, members), f, d):
+        ker = f"Ker({row[-1].name})"
+        row.append(Morphism._trusted(f"incl[{ker}]*h{i}[{X.name}->{ker}]", X, row[-1].domain,
+                                     tuple(map(kernel.__getitem__, t))))
+    return tuple(reversed(row))
 
 
 def _exact_5rows_stream(semiring, max_size):
-    """Every row U -d-> L -f-> M -g-> N -h-> V exact at L, M, N, by h in
-    maps_among order, built right to left: g, f and d map onto the kernels
-    of h, g and f."""
-    mods = _pool(semiring, max_size)
-    for h in maps_among(mods):
-        if is_k_uniform(h):
-            for g in _onto_kernel(mods, h, True):
-                for f in _onto_kernel(mods, g, True):
-                    yield from ((d, f, g, h) for d in _onto_kernel(mods, f, False))
+    """Every row U -d-> L -f-> M -g-> N -h-> V exact at L, M, N, in the
+    order of _exact_5row_keys."""
+    return map(_exact_5row, _exact_5row_keys(semiring, max_size))
 
 
 @lru_cache(maxsize=None)
 def _exact_5rows(semiring, max_size):
-    """The first 600 rows of _exact_5rows_stream."""
-    return tuple(islice(_exact_5rows_stream(semiring, max_size), 600))
+    """The first 600 rows of _exact_5rows_stream, each built when drawn."""
+    return _Rows(tuple(islice(_exact_5row_keys(semiring, max_size, 600), 600)), _exact_5row)
 
 
 def _gen_2x5(spec: HarnessSpec, clause):
@@ -352,17 +416,10 @@ def _gen_2x5(spec: HarnessSpec, clause):
 
 # ----------------------------------------------------------- 3x3 generators
 
-@lru_cache(maxsize=None)
-def _bourne_quotient(M, members):
-    """M modulo the Bourne congruence of the image `members` of a map into M,
-    sorted: a subsemimodule by linearity (morphisms.image)."""
-    return quotient(M, bourne_congruence(Subsemimodule._trusted(M, members)))
-
-
 def _derive_quotient_row(f2, g2, a1, a2, a3):
     """Bottom row of a 3x3: quotients by the vertical images with the induced
     maps; None when an induced map is not well-defined."""
-    q1, q2, q3 = (_bourne_quotient(a.codomain, tuple(sorted(image_set(a)))) for a in (a1, a2, a3))
+    q1, q2, q3 = (bourne_quotient(a.codomain, tuple(sorted(image_set(a)))) for a in (a1, a2, a3))
 
     def induced(q_src, q_dst, f):
         return factor_through_surjection(q_src.projection, _table(q_dst.projection, f),
@@ -484,29 +541,37 @@ def _isos_and_automorphisms(semiring, max_size, K):
             [(i, t) for i, t in enumerate(_hom_tables(K, K)) if len(set(t)) == K.size])
 
 
-def _snake_left_rows_stream(semiring, max_size):
-    """Every row 0 -> L2 -f2-> M2 -g2-> N2 with f2 injective onto Ker(g2), by
-    g2 in maps_among order: f2 is incl∘aut∘iso for each pool module L with
-    an isomorphism iso onto the kernel structure and each automorphism aut
-    of it, both found once per structure, and named as
+def _snake_left_keys(semiring, max_size):
+    """The keys (g2, members, L, iso, i, aut) of the rows 0 -> L2 -f2-> M2
+    -g2-> N2 with f2 injective onto Ker(g2), by g2 in maps_among order: f2
+    is incl∘aut∘iso for each pool module L with an isomorphism iso onto the
+    kernel structure and each automorphism aut = h<i> of it, both found once
+    per structure; members is the kernel's."""
+    for g, members in _k_uniform_maps(semiring, max_size):
+        isos, auts = _isos_and_automorphisms(semiring, max_size,
+                                             _substructures(g.domain.unnamed, members).module)
+        yield from ((g, members, L, iso, i, aut) for L, iso in isos for i, aut in auts)
+
+
+def _snake_left_row(key):
+    """The row (f2, g2) of a key of _snake_left_keys, f2 named as
     compose(incl, compose(aut, iso)) names it."""
-    for g in maps_among(_pool(semiring, max_size)):
-        if not is_k_uniform(g):
-            continue
-        members, K = _kernel(g)
-        isos, auts = _isos_and_automorphisms(semiring, max_size, K)
-        ker = f"Ker({g.name})"
-        for L, iso in isos:
-            for i, aut in auts:
-                yield Morphism._trusted(
-                    f"incl[{ker}]*h{i}[{ker}->{ker}]*iso[{L.name}->{ker}]", L, g.domain,
-                    tuple(members[aut[x]] for x in iso)), g
+    g, members, L, iso, i, aut = key
+    ker = f"Ker({g.name})"
+    return Morphism._trusted(f"incl[{ker}]*h{i}[{ker}->{ker}]*iso[{L.name}->{ker}]", L,
+                             g.domain, tuple(members[aut[x]] for x in iso)), g
+
+
+def _snake_left_rows_stream(semiring, max_size):
+    """Every row 0 -> L2 -f2-> M2 -g2-> N2 with f2 injective onto Ker(g2),
+    in the order of _snake_left_keys."""
+    return map(_snake_left_row, _snake_left_keys(semiring, max_size))
 
 
 @lru_cache(maxsize=None)
 def _snake_left_rows(semiring, max_size):
-    """The first 200 rows of _snake_left_rows_stream."""
-    return tuple(islice(_snake_left_rows_stream(semiring, max_size), 200))
+    """The first 200 rows of _snake_left_rows_stream, each built when drawn."""
+    return _Rows(tuple(islice(_snake_left_keys(semiring, max_size), 200)), _snake_left_row)
 
 
 def _snake_squares(spec: HarnessSpec, tests):

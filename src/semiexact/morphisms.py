@@ -20,22 +20,33 @@ compare tables.
 The hom search, _hom_tables, completes a map's table by the search engine of
 core (_completions), with the linearity laws as its laws.
 
-No result depends on names, so each cache is an lru_cache on name-free
-arguments (Semimodule.unnamed and a table): _hom_tables per pair of
-modules, _classified per (domain, codomain, table) and _k_uniform_witness
-per (domain, codomain zero, table). classify and is_k_uniform only pass a
-map's modules and table to them.
+No result depends on names, so the caches are lru_caches on name-free
+arguments (Semimodule.unnamed, a table, a member tuple), and a result is
+named per call; only enumerate_hom caches named maps, per pair of named
+modules. The caches:
+- _hom_tables per pair of modules;
+- _classified per (domain, codomain, table): a MorphismClassification,
+  whose flags are computed when first read and kept;
+- _k_uniform_witness per (domain, codomain zero, table);
+- _cancellables per module, which classify and is_cancellative_morphism
+  read;
+- _substructures per (module, members): the subsemimodule as a module
+  (kernel_module, image_module, submodule_as_module and the harness's
+  kernel structures) and the Bourne quotient it gives, checked by
+  Congruence (cokernel, bourne_quotient and the harness's quotient row),
+  each built when first read, with the last naming submodule_as_module
+  and bourne_quotient gave each.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
-from typing import NamedTuple
+from functools import cached_property, lru_cache
 
 from .core import Semimodule, Subsemimodule, Value, _cancellable, _completions, _validates, \
     generators, subtractive_closure_set
 from .errors import LemmaRefuted, PreconditionError, StructureError
-from .quotients import QuotientModule, bourne_congruence, kernel_pair_congruence, quotient
+from .quotients import Congruence, QuotientModule, bourne_congruence, kernel_pair_congruence, \
+    quotient
 
 
 class Morphism(Value):
@@ -127,7 +138,7 @@ def is_isomorphism(f: Morphism) -> bool:
 
 def is_cancellative_morphism(f: Morphism) -> bool:
     """Every image element is cancellable in the codomain."""
-    return all(_cancellable(f.codomain, v) for v in set(f.map))
+    return image_set(f) <= _cancellables(f.codomain.unnamed)
 
 
 def factor_through_injection(i: Morphism, values, domain: Semimodule, name):
@@ -181,17 +192,55 @@ def factor_through_surjection(p: Morphism, values, codomain: Semimodule, name):
 
 def submodule_as_module(X: Subsemimodule, name=None) -> tuple[Semimodule, Morphism]:
     """A subsemimodule reindexed as a module in its own right, with inclusion:
-    every table entry is a position, and the tables restrict M's through pos."""
-    M = X.parent
-    members = X.members
-    pos = {m: i for i, m in enumerate(members)}
-    add = tuple(tuple(pos[M.add[a][b]] for b in members) for a in members)
-    action = tuple(tuple(pos[M.action[a][s]] for s in range(M.semiring.size)) for a in members)
-    if name is None:
-        name = f"{M.name}|{{{','.join(map(str, members))}}}"
-    sub = Semimodule._trusted(name, M.semiring, len(members), add, action, pos[M.zero])
-    incl = Morphism._trusted(f"incl[{name}]", sub, M, members)
-    return sub, incl
+    the tables are _substructures', and the last naming is kept there too,
+    as the snake asks for the same kernel again and again."""
+    M, members = X.parent, X.members
+    structures = _substructures(M.unnamed, members)
+    if structures.named_module[0] != (M, name):
+        label = f"{M.name}|{{{','.join(map(str, members))}}}" if name is None else name
+        sub = _named(structures.module, label)
+        incl = Morphism._trusted(f"incl[{label}]", sub, M, members)
+        structures.named_module = (M, name), (sub, incl)
+    return structures.named_module[1]
+
+
+def _named(M: Semimodule, name) -> Semimodule:
+    return Semimodule._trusted(name, *M._key(M)[1:])
+
+
+@lru_cache(maxsize=None)
+def _substructures(M: Semimodule, members):
+    return _Substructures(M, members)
+
+
+class _Substructures:
+    """What the subsemimodule `members`, sorted, of the name-free module M
+    gives, each value built when first read and named "": the one cache of
+    kernels, images and cokernels, by _substructures, once per (module
+    table, members)."""
+
+    def __init__(self, M, members):
+        self._M, self._members = M, members
+        # the last ((M named, name), value) of submodule_as_module and bourne_quotient
+        self.named_module = self.named_quotient = (None, None)
+
+    @cached_property
+    def module(self) -> Semimodule:
+        """The subsemimodule, its closure checked, as a module: every table
+        entry is a position, and the tables restrict M's through it."""
+        M, members = self._M, Subsemimodule(self._M, self._members).members
+        pos = {m: i for i, m in enumerate(members)}
+        add = tuple(tuple(pos[M.add[a][b]] for b in members) for a in members)
+        action = tuple(tuple(pos[M.action[a][s]] for s in range(M.semiring.size))
+                       for a in members)
+        return Semimodule._trusted("", M.semiring, len(members), add, action, pos[M.zero])
+
+    @cached_property
+    def quotient(self) -> QuotientModule:
+        """M modulo the Bourne congruence of the subsemimodule, checked by
+        Congruence (bourne_quotient's callers pass images, kernels and
+        checked subsemimodules)."""
+        return quotient(self._M, bourne_congruence(Subsemimodule._trusted(self._M, self._members)))
 
 
 def kernel_set(f: Morphism) -> frozenset:
@@ -204,7 +253,10 @@ def kernel(f: Morphism) -> Subsemimodule:
 
 
 def kernel_module(f: Morphism) -> tuple[Semimodule, Morphism]:
-    return submodule_as_module(kernel(f), name=f"Ker({f.name})")
+    """Ker(f) as a module, with inclusion; its closure is checked by
+    _substructures once per (domain table, kernel)."""
+    members = tuple(sorted(kernel_set(f)))
+    return submodule_as_module(Subsemimodule._trusted(f.domain, members), f"Ker({f.name})")
 
 
 def image_set(f: Morphism) -> frozenset:
@@ -222,7 +274,22 @@ def image_module(f: Morphism) -> tuple[Semimodule, Morphism]:
 
 def cokernel(f: Morphism) -> QuotientModule:
     """Codomain modulo the Bourne congruence of the image."""
-    return quotient(f.codomain, bourne_congruence(image(f)), name=f"Coker({f.name})")
+    return bourne_quotient(f.codomain, tuple(sorted(image_set(f))), f"Coker({f.name})")
+
+
+def bourne_quotient(M: Semimodule, members, name=None) -> QuotientModule:
+    """M modulo the Bourne congruence of its subsemimodule `members`, sorted,
+    named as quotient names it: the congruence, checked once, and the tables
+    are _substructures', and the last naming is kept there too, as the 3x3
+    quotient row asks for the same quotient again and again."""
+    structures = _substructures(M.unnamed, members)
+    if structures.named_quotient[0] != (M, name):
+        _, rho, Q, _ = structures.quotient
+        Q = _named(Q, M.name + Q.name if name is None else name)  # quotient's M.name/{zero class}
+        structures.named_quotient = (M, name), QuotientModule(
+            M, Congruence._trusted(M, rho.classes), Q,
+            Morphism._trusted(f"pi[{Q.name}]", M, Q, rho.classes))
+    return structures.named_quotient[1]
 
 
 def coimage(f: Morphism) -> QuotientModule:
@@ -265,25 +332,8 @@ def _k_uniform_witness(dom: Semimodule, zero, table):
     return None
 
 
-class MorphismClassification(NamedTuple):
-    injective: bool
-    surjective: bool
-    k_uniform: bool
-    i_uniform: bool
-    uniform: bool
-    semi_mono: bool
-    semi_epi: bool
-    semi_iso: bool
-    cancellative: bool
-    epimorphism_in_cs: object  # bool when both modules cancellative, else None
-    witnesses: tuple  # (flag, witness-string) pairs for the false flags
-
-    def flags(self):
-        out = {k: getattr(self, k) for k in
-               ("injective", "surjective", "k_uniform", "i_uniform", "uniform",
-                "semi_mono", "semi_epi", "semi_iso", "cancellative")}
-        out["epimorphism_in_cs"] = self.epimorphism_in_cs
-        return out
+_FLAGS = ("injective", "surjective", "k_uniform", "i_uniform", "uniform", "semi_mono",
+          "semi_epi", "semi_iso", "cancellative", "epimorphism_in_cs")
 
 
 def classify(f: Morphism) -> MorphismClassification:
@@ -294,64 +344,101 @@ def classify(f: Morphism) -> MorphismClassification:
 @lru_cache(maxsize=None)
 def _classified(dom: Semimodule, cod: Semimodule, table) -> MorphismClassification:
     """classify on the table of a map from dom to cod."""
-    from .core import is_cancellative_module
+    return MorphismClassification(dom, cod, table)
 
-    wit = {}
 
-    injective = True
-    seen = {}
-    for x in dom.elements():
-        v = table[x]
-        if v in seen:
-            injective = False
-            wit["injective"] = f"f({seen[v]})=f({x})={v}"
-            break
-        seen[v] = x
+@lru_cache(maxsize=None)
+def _cancellables(M: Semimodule) -> frozenset:
+    """The cancellable elements of the name-free module M."""
+    return frozenset(m for m in M.elements() if _cancellable(M, m))
 
-    img = frozenset(table)
-    surjective = len(img) == cod.size
-    if not surjective:
-        missing = min(set(cod.elements()) - img)
-        wit["surjective"] = f"{missing} not in image"
 
-    k_wit = _k_uniform_witness(dom, cod.zero, table)
-    k_ok = k_wit is None
-    if not k_ok:
-        wit["k_uniform"] = f"pair ({k_wit[0]},{k_wit[1]})"
-    closure = subtractive_closure_set(cod, img)
-    extra = closure - img  # i-uniform: the image equals its subtractive closure
-    i_ok = not extra
-    if not i_ok:
-        wit["i_uniform"] = f"{min(extra)} in closure(image) only"
+class MorphismClassification:
+    """classify's flags on the table of a map from dom to cod, each computed
+    when first read and kept, with a witness for each that fails
+    (witnesses). epimorphism_in_cs is a bool when both modules are
+    cancellative, else None. Equal when every flag and witness is."""
 
-    ker = {x for x in dom.elements() if table[x] == cod.zero}
-    semi_mono = ker == {dom.zero}
-    if not semi_mono:
-        wit["semi_mono"] = f"kernel contains {min(ker - {dom.zero})}"
+    def __init__(self, dom: Semimodule, cod: Semimodule, table):
+        self._dom, self._cod, self._table, self._image = dom, cod, table, frozenset(table)
+        self._failed = {}  # flag -> witness, for each false flag read so far
 
-    semi_epi = len(closure) == cod.size
-    if not semi_epi:
-        wit["semi_epi"] = f"{min(set(cod.elements()) - closure)} outside closure(image)"
+    def _fails(self, flag, witness):
+        self._failed[flag] = witness
+        return False
 
-    cancellative = all(_cancellable(cod, v) for v in img)
-    if not cancellative:
-        bad = min(v for v in img if not _cancellable(cod, v))
-        wit["cancellative"] = f"f-image {bad} not cancellable"
+    @cached_property
+    def injective(self):
+        seen = {}
+        for x, v in enumerate(self._table):
+            if v in seen:
+                return self._fails("injective", f"f({seen[v]})=f({x})={v}")
+            seen[v] = x
+        return True
 
-    both_cs = is_cancellative_module(dom) and is_cancellative_module(cod)
-    return MorphismClassification(
-        injective=injective,
-        surjective=surjective,
-        k_uniform=k_ok,
-        i_uniform=i_ok,
-        uniform=k_ok and i_ok,
-        semi_mono=semi_mono,
-        semi_epi=semi_epi,
-        semi_iso=semi_mono and semi_epi,
-        cancellative=cancellative,
-        epimorphism_in_cs=semi_epi if both_cs else None,
-        witnesses=tuple(sorted(wit.items())),
-    )
+    @cached_property
+    def surjective(self):
+        missing = set(self._cod.elements()) - self._image
+        return not missing or self._fails("surjective", f"{min(missing)} not in image")
+
+    @cached_property
+    def k_uniform(self):
+        pair = _k_uniform_witness(self._dom, self._cod.zero, self._table)
+        return pair is None or self._fails("k_uniform", f"pair ({pair[0]},{pair[1]})")
+
+    @cached_property
+    def _closure(self):
+        return subtractive_closure_set(self._cod, self._image)
+
+    @cached_property
+    def i_uniform(self):  # the image equals its subtractive closure
+        extra = self._closure - self._image
+        return not extra or self._fails("i_uniform", f"{min(extra)} in closure(image) only")
+
+    @cached_property
+    def uniform(self):
+        return self.k_uniform and self.i_uniform
+
+    @cached_property
+    def semi_mono(self):
+        zero, ker = self._dom.zero, {x for x, v in enumerate(self._table) if v == self._cod.zero}
+        return ker == {zero} or self._fails("semi_mono", f"kernel contains {min(ker - {zero})}")
+
+    @cached_property
+    def semi_epi(self):
+        outside = set(self._cod.elements()) - self._closure
+        return not outside or self._fails("semi_epi", f"{min(outside)} outside closure(image)")
+
+    @cached_property
+    def semi_iso(self):
+        return self.semi_mono and self.semi_epi
+
+    @cached_property
+    def cancellative(self):
+        bad = self._image - _cancellables(self._cod)
+        return not bad or self._fails("cancellative", f"f-image {min(bad)} not cancellable")
+
+    @cached_property
+    def epimorphism_in_cs(self):
+        both_cs = all(len(_cancellables(M)) == M.size for M in (self._dom, self._cod))
+        return self.semi_epi if both_cs else None
+
+    @cached_property
+    def witnesses(self):
+        """(flag, witness-string) pairs for the false flags, by flag."""
+        self.flags()
+        return tuple(sorted(self._failed.items()))
+
+    def flags(self):
+        return {flag: getattr(self, flag) for flag in _FLAGS}
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.flags() == other.flags() and self.witnesses == other.witnesses
+
+    def __repr__(self):
+        return f"MorphismClassification({self.flags()}, witnesses={self.witnesses})"
 
 
 def induced_to_kernel(f: Morphism, g: Morphism, name=None) -> Morphism:

@@ -406,7 +406,18 @@ def serialize(ws: Workspace) -> str:
     A diagram the format cannot write is refused with a StructureError naming
     it: a row with a missing horizontal, or a column whose verticals do not
     run from row 0 without a gap (each `row` and `col` line is a full chain).
+    So is a part that refers to a semiring, module or morphism the workspace
+    lacks, a dangling reference that only code can build.
     """
+    def names(kind, table):
+        """part, value -> the name of value in table; StructureError naming
+        part when the workspace lacks it."""
+        def name(part, value):
+            if value not in table:
+                raise StructureError(f"{part}: {kind} {value.name} is not in the workspace")
+            return table[value]
+        return name
+
     out = []
     rows = _Memo(lambda row: ",".join(map(str, row)))  # each distinct row printed once
     printed = _Memo(lambda table: "; ".join(map(rows.__getitem__, table)))
@@ -418,41 +429,43 @@ def serialize(ws: Workspace) -> str:
         out.append(f"  add: {printed[s.add]}")
         out.append(f"  mul: {printed[s.mul]}")
         out.append("end")
+    semiring_name = names("semiring", {v: k for k, v in reversed(ws.semirings.items())})
     for name in sorted(ws.modules):
         m = ws.modules[name]
-        over = next(k for k, v in ws.semirings.items() if v == m.semiring)
-        out.append(f"module {name} over={over} size={m.size}")
+        out.append(f"module {name} over={semiring_name(f'module {name}', m.semiring)} "
+                   f"size={m.size}")
         out.append(f"  zero: {m.zero}")
         out.append(f"  add: {printed[m.add]}")
         out.append(f"  action: {printed[m.action]}")
         out.append("end")
-    module_name = {v: k for k, v in ws.modules.items()}
+    module_name = names("module", {v: k for k, v in ws.modules.items()})
     for name in sorted(ws.subs):
-        x = ws.subs[name]
-        out.append(f"sub {name} of={module_name[x.parent]} "
+        x, part = ws.subs[name], f"sub {name}"
+        out.append(f"sub {name} of={module_name(part, x.parent)} "
                    f"members={','.join(str(i) for i in x.members)}")
         out.append("end")
     for name in sorted(ws.morphisms):
-        f = ws.morphisms[name]
-        out.append(f"morphism {name} from={module_name[f.domain]} "
-                   f"to={module_name[f.codomain]} map={','.join(str(v) for v in f.map)}")
+        f, part = ws.morphisms[name], f"morphism {name}"
+        out.append(f"morphism {name} from={module_name(part, f.domain)} "
+                   f"to={module_name(part, f.codomain)} map={','.join(str(v) for v in f.map)}")
         out.append("end")
-    morphism_name = {v: k for k, v in ws.morphisms.items()}
+    morphism_name = names("morphism", {v: k for k, v in ws.morphisms.items()})
     for name in sorted(ws.sequences):
-        seq = ws.sequences[name]
-        out.append(f"sequence {name} arrows={','.join(morphism_name[a] for a in seq.arrows)}")
+        seq, part = ws.sequences[name], f"sequence {name}"
+        out.append(f"sequence {name} "
+                   f"arrows={','.join(morphism_name(part, a) for a in seq.arrows)}")
         out.append("end")
     for name in sorted(ws.diagrams):
-        d = ws.diagrams[name]
+        d, part = ws.diagrams[name], f"diagram {name}"
         out.append(f"diagram {name}")
         for r, row in enumerate(d.nodes):
-            parts = [module_name[row[0]]]
+            parts = [module_name(part, row[0])]
             for c in range(len(row) - 1):
                 if (r, c) not in d.horizontals:
                     raise StructureError(f"diagram {name}: row {r} has no horizontal at "
                                          f"column {c}")
-                parts.append(morphism_name[d.horizontals[(r, c)]])
-                parts.append(module_name[row[c + 1]])
+                parts.append(morphism_name(part, d.horizontals[(r, c)]))
+                parts.append(module_name(part, row[c + 1]))
             out.append(f"  row {r}: {' '.join(parts)}")
         by_col = {}
         for (r, c), f in sorted(d.verticals.items()):
@@ -462,10 +475,10 @@ def serialize(ws: Workspace) -> str:
             gap = next((k for k, (r, _) in enumerate(chain) if r != k), None)
             if gap is not None:
                 raise StructureError(f"diagram {name}: col {c} has no vertical at row {gap}")
-            parts = [module_name[chain[0][1].domain]]
+            parts = [module_name(part, chain[0][1].domain)]
             for _, f in chain:
-                parts.append(morphism_name[f])
-                parts.append(module_name[f.codomain])
+                parts.append(morphism_name(part, f))
+                parts.append(module_name(part, f.codomain))
             out.append(f"  col {c}: {' '.join(parts)}")
         for tag in d.hypotheses:
             out.append(f"  hyp: {tag}")

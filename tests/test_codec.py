@@ -2,8 +2,11 @@
 parsed block is dropped for, where they are reported, and whether the
 dropped block still claims its name."""
 
+import re
+
 import pytest
 
+from semiexact.core import Semimodule, make_zmod
 from semiexact.diagrams import Diagram
 from semiexact.errors import StructureError, WorkspaceError
 from semiexact.workspace import parse, parse_files, serialize
@@ -30,6 +33,34 @@ def test_serialize_refuses_a_column_that_skips_row_0():
 def test_serialize_refuses_a_row_with_a_missing_horizontal():
     ws = _with_diagram([[0, 0, 0]], [(0, 0)], [])
     with pytest.raises(StructureError, match=r"diagram E: row 0 has no horizontal at column 1"):
+        serialize(ws)
+
+
+def _add_module_over_z3(ws):
+    ws.modules["W"] = Semimodule("W", make_zmod(3), 1, ((0,),), ((0, 0, 0),))
+
+
+def _add_diagram_over_a_module_it_lacks(ws):
+    z = ws.modules["Z"]
+    other = Semimodule("Z'", z.semiring, z.size, z.add, z.action, z.zero)
+    ws.diagrams["E"] = Diagram("E", [[other]], {}, {})
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda ws: ws.modules.pop("C3"), "sub L: module C3 is not in the workspace"),
+    (lambda ws: ws.modules.pop("Q2"), "morphism incl: module Q2 is not in the workspace"),
+    (lambda ws: ws.morphisms.pop("incl"), "sequence quot: morphism incl is not in the workspace"),
+    (lambda ws: ws.morphisms.pop("intoZ"), "diagram D: morphism intoZ is not in the workspace"),
+    (_add_diagram_over_a_module_it_lacks, "diagram E: module Z' is not in the workspace"),
+    (_add_module_over_z3, "module W: semiring Z3 is not in the workspace"),
+], ids=["sub-module", "morphism-module", "sequence-morphism", "diagram-morphism",
+        "diagram-module", "module-semiring"])
+def test_serialize_names_the_part_with_a_dangling_reference(edit, message):
+    """A code-built workspace whose part refers to a semiring, module or
+    morphism it lacks is refused with a StructureError naming that part."""
+    ws = parse_files([DEMO])
+    edit(ws)
+    with pytest.raises(StructureError, match=f"^{re.escape(message)}$"):
         serialize(ws)
 
 

@@ -12,6 +12,7 @@ import subprocess
 import sys
 import typing
 from functools import lru_cache, partial
+from itertools import islice
 from pathlib import Path
 
 import pytest
@@ -179,11 +180,13 @@ def test_exact_5rows_searches_each_pair_of_tables_once(monkeypatch):
     """_exact_5rows(Z2, 4) asks again and again for the maps from a pool
     module onto a kernel structure, which many maps share, and searches them
     once per (pool module, kernel structure); the hom search runs once per
-    pair of tables, and the rows are the same."""
-    expected = harness._exact_5rows(make_zmod(2), 4)
-    asked, searched = [], []
+    pair of tables, each kernel structure is built once per (module table,
+    members) by the structure cache, and the rows are the same."""
+    expected = tuple(harness._exact_5rows(make_zmod(2), 4))
+    asked, searched, built = [], [], []
     search = morphisms._hom_tables.__wrapped__
     onto = lru_cache(maxsize=None)(harness._onto.__wrapped__)
+    structures = morphisms._substructures.__wrapped__
 
     def asking(M, N):
         asked.append((M.unnamed, N.unnamed))
@@ -196,21 +199,32 @@ def test_exact_5rows_searches_each_pair_of_tables_once(monkeypatch):
     def counted(M, N):
         searched.append((M, N))
         return search(M, N)
+
+    def counted_structures(M, members):
+        built.append((M, members))
+        return structures(M, members)
     tables = lru_cache(maxsize=None)(counted)
+    cache = lru_cache(maxsize=None)(counted_structures)
     monkeypatch.setattr(harness, "enumerate_hom", asking)
     monkeypatch.setattr(harness, "_onto", onto_asking)
+    for name in ("_onto_chains", "_k_uniform_maps"):
+        fresh = lru_cache(maxsize=None)(getattr(harness, name).__wrapped__)
+        monkeypatch.setattr(harness, name, fresh)
     for module in (harness, morphisms):
         monkeypatch.setattr(module, "_hom_tables", tables)
-    assert harness._exact_5rows.__wrapped__(make_zmod(2), 4) == expected
+        monkeypatch.setattr(module, "_substructures", cache)
+    assert tuple(harness._exact_5rows.__wrapped__(make_zmod(2), 4)) == expected
     assert sorted(searched, key=repr) == sorted(set(asked), key=repr)
     assert 0 < onto.cache_info().misses < onto.cache_info().hits
+    assert len(set(built)) == len(built) and 0 < len(built) < cache.cache_info().hits
 
 
 def test_gen_nine_builds_each_quotient_once(monkeypatch):
-    """The 3x3 quotient row takes each vertical's Bourne quotient from a cache
-    keyed by (codomain, image): one quotient per pair, though verticals repeat."""
+    """The 3x3 quotient row takes each vertical's Bourne quotient from the
+    structure cache, keyed by (codomain table, image): one Bourne congruence
+    per pair, though verticals repeat."""
     built, rows = [], 0
-    bourne, derive = harness.bourne_congruence, harness._derive_quotient_row
+    bourne, derive = morphisms.bourne_congruence, harness._derive_quotient_row
 
     def counted_bourne(L):
         built.append((L.parent, L.members))
@@ -220,10 +234,10 @@ def test_gen_nine_builds_each_quotient_once(monkeypatch):
         nonlocal rows
         rows += 1
         return derive(*parts)
-    monkeypatch.setattr(harness, "bourne_congruence", counted_bourne)
+    monkeypatch.setattr(morphisms, "bourne_congruence", counted_bourne)
     monkeypatch.setattr(harness, "_derive_quotient_row", counted_derive)
-    monkeypatch.setattr(harness, "_bourne_quotient",
-                        lru_cache(maxsize=None)(harness._bourne_quotient.__wrapped__))
+    monkeypatch.setattr(morphisms, "_substructures",
+                        lru_cache(maxsize=None)(morphisms._substructures.__wrapped__))
     assert len(gen_nine(HarnessSpec(make_zmod(2), 4, seed=11, quota=4))) == 4
     assert len(set(built)) == len(built)
     assert 0 < len(built) < 3 * rows
@@ -553,6 +567,19 @@ def test_snake_pools_hold_the_gates_gen_snake_skips(semiring):
             assert all(h.test(top + bottom + (None,) * 3) for top, bottom in pairs), h.id
 
 
+def test_snake_squares_test_every_vertical_they_yield():
+    """_snake_squares runs the test of each vertical on every candidate it
+    yields: a1, factored through f2, a2, drawn from its hom-set, and a3,
+    factored through g1."""
+    seen = {4: [], 5: [], 6: []}
+    tests = (None,) * 4 + tuple(lambda a, i=i: seen[i].append(a) or True for i in seen)
+    got = list(islice(harness._snake_squares(HarnessSpec(make_zmod(2), 4, seed=11), tests), 5))
+    assert len(got) == 5
+    for parts in got:
+        for i, tested in seen.items():
+            assert any(a is parts[i] for a in tested), i
+
+
 SNAKE_SNAPSHOT = DATA / "snake_seed11.json"
 
 
@@ -721,10 +748,33 @@ def test_capped_pools_are_views_over_their_streams(semiring, size):
     lengths = []
     for view, stream, cap in POOL_VIEWS:
         rows = tuple(stream(semiring, size))
-        assert view(semiring, size) == rows[:cap], view.__name__
+        assert tuple(view(semiring, size)) == rows[:cap], view.__name__
         lengths.append(len(rows))
     if semiring.name == "B":
         assert lengths == [1919, 9007, 90]
+
+
+LAZY_CASES = [(make_zmod(2), 4), (make_zmod(4), 4), (make_saturating_naturals(2), 3),
+              (make_boolean(), 4)]
+
+
+@pytest.mark.parametrize("semiring, size", LAZY_CASES,
+                         ids=[f"{s.name}@{n}" for s, n in LAZY_CASES])
+def test_lazy_pools_equal_their_eager_streams(semiring, size):
+    """_exact_5rows and _snake_left_rows build a row only when it is read.
+    Read back to front, each row equals the row at its index of the eagerly
+    built stream, names and tables included, is built once and kept, and the
+    lengths agree."""
+    for pool, stream, cap in ((harness._exact_5rows, harness._exact_5rows_stream, 600),
+                              (harness._snake_left_rows, harness._snake_left_rows_stream, 200)):
+        expected = _pool_rows(islice(stream(semiring, size), cap))
+        rows = pool.__wrapped__(semiring, size)
+        assert len(rows) == len(expected) > 0 and not rows._rows, pool.__name__
+        for i in reversed(range(len(rows))):
+            assert _pool_rows([rows[i]]) == [expected[i]], (pool.__name__, i)
+            assert rows[i] is rows[i]
+        with pytest.raises(IndexError):
+            rows[len(rows)]
 
 
 @pytest.mark.parametrize("semiring", [make_zmod(2), make_saturating_naturals(2)],

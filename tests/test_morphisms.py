@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+from functools import lru_cache
 from itertools import product
 from pathlib import Path
 
@@ -12,7 +13,8 @@ from semiexact import morphisms
 from semiexact.catalog import is_epimorphism, is_monomorphism, universe_with_free_module
 from semiexact.core import (Semimodule, Semiring, Subsemimodule, is_cancellative_module,
                             make_boolean, make_saturating_naturals,
-                            make_upper_triangular_boolean, make_zmod, monoid_semiring,
+                            make_upper_triangular_boolean, make_zmod, module_from_monoid,
+                            monoid_semiring,
                             self_module, subtractive_closure_set, validate_semimodule,
                             zero_module)
 from semiexact.enumeration import enumerate_semimodules, UniverseSpec
@@ -113,6 +115,18 @@ def test_classify_examples(squash, sat3):
     ident = classify(identity_morphism(sat3))
     assert ident.injective and ident.surjective and ident.uniform \
         and ident.semi_iso and ident.cancellative is not None
+
+
+def test_classifications_compare_every_flag_and_witness():
+    """The zero maps into Z2 from Z2 and from the two-element chain agree on
+    every flag with a witness and on every witness; they differ only in
+    epimorphism_in_cs (False, None), which has none, and are unequal."""
+    z2 = module_from_monoid(((0, 1), (1, 0)), "Z2")
+    chain = module_from_monoid(((0, 1), (1, 1)), "C2")
+    from_z2, from_chain = classify(zero_morphism(z2, z2)), classify(zero_morphism(chain, z2))
+    assert from_z2.witnesses == from_chain.witnesses and from_z2.witnesses
+    assert (from_z2.epimorphism_in_cs, from_chain.epimorphism_in_cs) == (False, None)
+    assert from_z2 != from_chain and from_z2 == _uncached_classify(zero_morphism(z2, z2))
 
 
 def test_classification_invariants(nat3_universe):
@@ -236,6 +250,14 @@ def test_induced_from_cokernel_examples(max3):
     z = zero_module(z2.semiring)
     gz, _ = induced_from_cokernel(zero_morphism(z, z2), identity_morphism(z2))
     assert is_isomorphism(gz)
+
+
+def test_induced_from_cokernel_names(max3):
+    """g'' is named after g unless a name is given."""
+    _, incl = submodule_as_module(Subsemimodule(max3, (0, 1)))
+    q = quotient(max3, bourne_congruence(Subsemimodule(max3, (0, 1))), name="Q")
+    assert induced_from_cokernel(incl, q.projection)[0].name == "pi[Q]''"
+    assert induced_from_cokernel(incl, q.projection, "k")[0].name == "k"
 
 
 def test_induced_preconditions(max3):
@@ -419,6 +441,44 @@ def test_structure_caches_separate_semiring_and_zero():
         for f in fs:
             assert classify(f) == _uncached_classify(f)
             assert is_k_uniform(f, witness=True) == _uncached_k_uniform(f)
+
+
+def _uncached_kernel_module(f):
+    """Ker(f) as a module with its inclusion, every table built here."""
+    M, members, name = f.domain, kernel(f).members, f"Ker({f.name})"
+    pos = {m: i for i, m in enumerate(members)}
+    sub = Semimodule(name, M.semiring, len(members),
+                     [[pos[M.add[a][b]] for b in members] for a in members],
+                     [[pos[M.action[a][s]] for s in range(M.semiring.size)] for a in members],
+                     pos[M.zero])
+    return sub, Morphism(f"incl[{name}]", sub, M, members)
+
+
+@pytest.mark.parametrize("semiring", [make_zmod(2), make_boolean()], ids=lambda s: s.name)
+def test_kernels_and_cokernels_come_from_one_structure_cache(monkeypatch, semiring):
+    """kernel_module and cokernel of every map of the @4 pool equal an
+    uncached construction, names, tables and congruence classes included,
+    and the structure cache checks each kernel's closure and each Bourne
+    congruence once per (module table, members)."""
+    mods = enumerate_semimodules(UniverseSpec(semiring, 4)).modules
+    maps = [f for M in mods for N in mods for f in enumerate_hom(M, N)]
+    checks = {"closure": 0, "bourne": 0}
+    for cls, kind in ((Subsemimodule, "closure"), (morphisms.Congruence, "bourne")):
+        def counted(self, check=cls.__post_init__, kind=kind):
+            checks[kind] += 1
+            check(self)
+        monkeypatch.setattr(cls, "__post_init__", counted)
+    monkeypatch.setattr(morphisms, "_substructures",
+                        lru_cache(maxsize=None)(morphisms._substructures.__wrapped__))
+    built = [(kernel_module(f), cokernel(f)) for f in maps for _ in range(2)]
+    assert checks == {
+        "closure": len({(f.domain.unnamed, tuple(sorted(kernel_set(f)))) for f in maps}),
+        "bourne": len({(f.codomain.unnamed, tuple(sorted(image_set(f)))) for f in maps})}
+    monkeypatch.undo()
+    for f, (kmod, coker) in zip([f for f in maps for _ in range(2)], built):
+        assert kmod == _uncached_kernel_module(f), f.name
+        assert coker == quotient(f.codomain, bourne_congruence(image(f)), name=f"Coker({f.name})")
+        assert coker.quotient.name == f"Coker({f.name})", f.name
 
 
 def test_derived_maps_skip_validation(monkeypatch, nat3_universe):
