@@ -1,11 +1,15 @@
 """The counterexample catalog, and the bounded mono and epi tests it reads.
 
-The catalog is one table, _CATALOG: each Property has its description, its
-candidate stream over a universe, one predicate holds(spec, witnesses) that
-runs its cheap, selective tests first, and the text of a found
-counterexample. A search returns the first candidate that holds, counting
-every candidate inspected; a replay is the same predicate on the stored spec
-and witnesses, so it re-checks the whole property over the universe the
+The catalog is one table, _CATALOG, of rows: each Property has its
+description, its candidate stream over a universe, its tests and the text of
+a found counterexample. The tests are (name, expected value) pairs, cheap and
+selective ones first, and Property.holds reads them in order. The names come
+from one vocabulary, TESTS: morphisms.PREDICATES on the first witness, the
+universe tests (bounded mono and epi, epi among cancellative modules), the
+subobject test, the tests of a pair (f, g), and the short five's one
+composite test. A search returns the first candidate that holds, counting
+every candidate inspected; a replay is holds on the stored spec and
+witnesses, so it re-checks the whole property over the universe the
 counterexample was found in. PROPERTIES is its public view. The candidate
 streams of maps and composable pairs walk the universe's hom-sets by
 enumeration.maps_among, the one walk the harness's row pools read too.
@@ -24,7 +28,7 @@ from .core import (all_subsemimodules, is_cancellative_module, is_subtractive, s
                    subtractive_closure_set)
 from .enumeration import UniverseSpec, enumerate_semimodules, maps_among, oracle_iso_exists
 from .errors import ParameterError
-from .morphisms import (Morphism, _hom_tables, classify, compose, image_set, is_injective,
+from .morphisms import (PREDICATES, Morphism, _hom_tables, classify, compose, image_set,
                         is_isomorphism, is_k_uniform, kernel_set)
 
 
@@ -75,13 +79,18 @@ class ExhaustionReport(NamedTuple):
 
 
 class Property(NamedTuple):
-    """One catalog entry: candidates(spec) yields witness tuples in search
-    order, holds(spec, witnesses) is the whole property over the universe,
+    """One catalog row: candidates(spec) yields witness tuples in search
+    order, tests are (TESTS name, expected value) pairs in evaluation order,
     and found(*witnesses) is the text of a counterexample."""
     description: str
     candidates: Callable
-    holds: Callable
+    tests: tuple
     found: Callable
+
+    def holds(self, spec, witnesses) -> bool:
+        """The whole property over the universe: each test in turn gives
+        its expected value."""
+        return all(TESTS[name](spec, witnesses) == expected for name, expected in self.tests)
 
 
 def _subobjects(spec):
@@ -114,35 +123,6 @@ def _short_five_tuples(spec):
         yield (row1, row2, *verts)
 
 
-def _cancellative_epi_not_onto(spec, witnesses):
-    """Epi in the cancellative category (the image's subtractive closure is
-    the codomain) but not onto: the naturals inside the integers. Expected
-    absent at desk scale, since finite cancellative monoids are groups."""
-    c = classify(witnesses[0])
-    return c.epimorphism_in_cs is True and not c.surjective
-
-
-def _bimorphism_not_iso(spec, witnesses):
-    (f,) = witnesses
-    return (not is_isomorphism(f) and is_injective(f)
-            and is_epimorphism(f, pool := universe_with_free_module(spec))
-            and is_monomorphism(f, pool))
-
-
-def _proper_exact_not_exact(spec, witnesses):
-    f, g = witnesses
-    return (f.codomain == g.domain and image_set(f) == kernel_set(g)
-            and not is_k_uniform(g))
-
-
-def _semi_exact_not_proper(spec, witnesses):
-    f, g = witnesses
-    if f.codomain != g.domain:
-        return False
-    img, ker = image_set(f), kernel_set(g)
-    return img != ker and subtractive_closure_set(g.domain, img) == ker
-
-
 def _short_five_needs_i_uniform(spec, witnesses):
     """Outer verticals isomorphisms and a2 neither i-uniform nor iso, both
     squares commuting and short-five's hypotheses holding. Expected to
@@ -158,48 +138,67 @@ def _short_five_needs_i_uniform(spec, witnesses):
             and CLAUSES["short-five"].filter(())((f1, g1, f2, g2, a1, a2, a3)))
 
 
+def _first(test):
+    return lambda spec, w: test(w[0])
+
+
+# name -> test(spec, witnesses): the vocabulary of the rows' tests
+TESTS = {
+    **{name: _first(test) for name, test in PREDICATES.items()},
+    "bounded-mono": lambda spec, w: is_monomorphism(w[0], universe_with_free_module(spec)),
+    "bounded-epi": lambda spec, w: is_epimorphism(w[0], universe_with_free_module(spec)),
+    "cs-epi": lambda spec, w: classify(w[0]).epimorphism_in_cs,  # None unless cancellative
+    "subtractive": lambda spec, w: is_subtractive(w[1]),  # of (M, L)
+    "composable": lambda spec, w: w[0].codomain == w[1].domain,  # of (f, g) from here on
+    "image=kernel": lambda spec, w: image_set(w[0]) == kernel_set(w[1]),
+    "closure(image)=kernel": lambda spec, w: (
+        subtractive_closure_set(w[1].domain, image_set(w[0])) == kernel_set(w[1])),
+    "g k-uniform": lambda spec, w: is_k_uniform(w[1]),
+    "short-five without i-uniform": _short_five_needs_i_uniform,
+}
+
+
 _CATALOG = {
     "non-subtractive-subsemimodule": Property(
         "a subsemimodule strictly below its subtractive closure", _subobjects,
-        lambda spec, w: not is_subtractive(w[1]),
+        (("subtractive", False),),
         lambda M, L: f"{{{','.join(map(str, L.members))}}} <= {M.name} "
                      "is strictly smaller than its subtractive closure"),
     "semi-mono-not-mono": Property(
         "zero kernel without injectivity", _maps,
-        lambda spec, w: (classify(w[0]).semi_mono and not is_injective(w[0])
-                         and not is_monomorphism(w[0], universe_with_free_module(spec))),
+        (("semi-mono", True), ("injective", False), ("bounded-mono", False)),
         lambda f: f"{f.name} has zero kernel yet identifies two elements"),
     "mono-not-injective": Property(
         "bounded-universe monomorphism that is not injective (expected absent)", _maps,
-        lambda spec, w: (not is_injective(w[0])
-                         and is_monomorphism(w[0], universe_with_free_module(spec))),
+        (("injective", False), ("bounded-mono", True)),
         lambda f: f"{f.name} is a bounded-universe monomorphism but not injective"),
+    # epi in the cancellative category but not onto, as the naturals in the
+    # integers: absent at desk scale, as finite cancellative monoids are groups
     "cancellative-epi-not-surjective": Property(
         "non-surjective epimorphism of cancellative modules (expected absent)",
-        _cancellative_maps, _cancellative_epi_not_onto,
+        _cancellative_maps, (("cs-epi", True), ("surjective", False)),
         lambda f: f"{f.name} is epi in the cancellative category but not onto"),
     "non-i-uniform-bimorphism-cs": Property(
         "cancellative bimorphism that is not i-uniform (expected absent)",
         _cancellative_maps,
-        lambda spec, w: (is_injective(w[0]) and _cancellative_epi_not_onto(spec, w)
-                         and not classify(w[0]).i_uniform),
+        (("injective", True), ("cs-epi", True), ("surjective", False), ("i-uniform", False)),
         lambda f: f"{f.name} is a bimorphism in the cancellative category "
                   "but not i-uniform"),
     "bimorphism-not-iso": Property(
         "bimorphism over the bounded universe that is not an isomorphism", _maps,
-        _bimorphism_not_iso,
+        (("iso", False), ("injective", True), ("bounded-epi", True), ("bounded-mono", True)),
         lambda f: f"{f.name} is mono and epi over the bounded universe but not iso"),
     "proper-exact-not-exact": Property(
         "image equals kernel without k-uniformity", _composable_pairs,
-        _proper_exact_not_exact,
+        (("composable", True), ("image=kernel", True), ("g k-uniform", False)),
         lambda f, g: "image equals kernel but the right map is not k-uniform"),
     "semi-exact-not-proper-exact": Property(
         "closure of image equals kernel while the image does not", _composable_pairs,
-        _semi_exact_not_proper,
+        (("composable", True), ("image=kernel", False), ("closure(image)=kernel", True)),
         lambda f, g: "closure of the image is the kernel but the image is not"),
     "short-five-needs-i-uniform": Property(
         "short-five middle hypothesis dropped (expected absent at desk scale)",
-        _short_five_tuples, _short_five_needs_i_uniform,
+        _short_five_tuples, (("short-five without i-uniform", True),),
         lambda *w: "outer isomorphisms with a non-i-uniform, non-iso middle"),
 }
 

@@ -27,9 +27,9 @@ from typing import Callable, NamedTuple
 from .core import _cancellable, is_cancellative_module, subtractive_closure_set
 from .errors import HypothesisError, LemmaRefuted, StructureError
 from .exactness import exact_at, exact_row, short_exact_row
-from .morphisms import (Morphism, _table, classify, cokernel, factor_through_injection,
-                        factor_through_surjection, image_set, is_cancellative_morphism,
-                        is_injective, is_isomorphism, is_k_uniform, is_surjective,
+from .morphisms import (PREDICATES, Morphism, _table, classify, cokernel,
+                        factor_through_injection, factor_through_surjection, image_set,
+                        is_cancellative_morphism, is_injective, is_k_uniform, is_surjective,
                         kernel_module, kernel_set)
 
 
@@ -60,24 +60,6 @@ def _certificate(lemma, *checks):
                                         for aid, ok, witness in checks))
 
 
-# ------------------------------------------------------------ the vocabulary
-
-# The predicates of declared hypothesis tags and of the clause table; all but
-# `cancellative` (a module) take a morphism.
-PREDICATES = {
-    "injective": is_injective,
-    "surjective": is_surjective,
-    "iso": is_isomorphism,
-    "k-uniform": lambda f: classify(f).k_uniform,
-    "i-uniform": lambda f: classify(f).i_uniform,
-    "uniform": lambda f: classify(f).uniform,
-    "semi-mono": lambda f: classify(f).semi_mono,
-    "semi-epi": lambda f: classify(f).semi_epi,
-    "cancellative-morphism": lambda f: classify(f).cancellative,
-    "cancellative": is_cancellative_module,
-}
-
-
 # The part of the grid a declared hypothesis tag names, where it is no morphism.
 _TAGS = {"row-exact": "row", "col-exact": "column", "cancellative": "module"}
 
@@ -86,11 +68,11 @@ class Diagram:
     """Labeled grid of semimodules and morphisms.
 
     Every complete square is checked to commute on the nose at
-    construction time, and every declared hypothesis tag is re-verified;
-    both failures raise HypothesisError.
+    construction time, and declare re-verifies each hypothesis tag; both
+    failures raise HypothesisError.
     """
 
-    def __init__(self, name, nodes, horizontals, verticals, hypotheses=()):
+    def __init__(self, name, nodes, horizontals, verticals):
         self.name = name
         self.nodes = tuple(tuple(row) for row in nodes)
         self.horizontals = dict(horizontals)
@@ -100,11 +82,9 @@ class Diagram:
         self.cols = max((len(r) for r in self.nodes), default=0)
         self._validate_shape()
         self._check_squares()
-        for tag in hypotheses:
-            self.declare(tag)
 
     @classmethod
-    def from_arrows(cls, name, row_arrows, gap_verticals, hypotheses=()):
+    def from_arrows(cls, name, row_arrows, gap_verticals):
         """Build a full grid from per-row horizontal lists and per-gap vertical lists."""
         nodes = []
         horizontals = {}
@@ -117,7 +97,7 @@ class Diagram:
         for r, verts in enumerate(gap_verticals):
             for c, v in enumerate(verts):
                 verticals[(r, c)] = v
-        return cls(name, nodes, horizontals, verticals, hypotheses)
+        return cls(name, nodes, horizontals, verticals)
 
     def node(self, r, c):
         return self.nodes[r][c]

@@ -20,6 +20,10 @@ compare tables.
 The hom search, _hom_tables, completes a map's table by the search engine of
 core (_completions), with the linearity laws as its laws.
 
+PREDICATES names the map tests (injective, k-uniform, semi-mono, ...) and
+module cancellativity: the one vocabulary of the diagrams' hypothesis tags
+and clause table and of the counterexample catalog's rows.
+
 No result depends on names, so the caches are lru_caches on name-free
 arguments (Semimodule.unnamed, a table, a member tuple), and a result is
 named per call; only enumerate_hom caches named maps, per pair of named
@@ -43,7 +47,7 @@ from __future__ import annotations
 from functools import cached_property, lru_cache
 
 from .core import Semimodule, Subsemimodule, Value, _cancellable, _completions, _validates, \
-    generators, subtractive_closure_set
+    generators, is_cancellative_module, subtractive_closure_set
 from .errors import LemmaRefuted, PreconditionError, StructureError
 from .quotients import Congruence, QuotientModule, bourne_congruence, kernel_pair_congruence, \
     quotient
@@ -439,6 +443,21 @@ class MorphismClassification:
 
     def __repr__(self):
         return f"MorphismClassification({self.flags()}, witnesses={self.witnesses})"
+
+
+# all but `cancellative` (a module) take a morphism
+PREDICATES = {
+    "injective": is_injective,
+    "surjective": is_surjective,
+    "iso": is_isomorphism,
+    "k-uniform": lambda f: classify(f).k_uniform,
+    "i-uniform": lambda f: classify(f).i_uniform,
+    "uniform": lambda f: classify(f).uniform,
+    "semi-mono": lambda f: classify(f).semi_mono,
+    "semi-epi": lambda f: classify(f).semi_epi,
+    "cancellative-morphism": lambda f: classify(f).cancellative,
+    "cancellative": is_cancellative_module,
+}
 
 
 def induced_to_kernel(f: Morphism, g: Morphism, name=None) -> Morphism:

@@ -1,11 +1,13 @@
 """Congruences on semimodules and quotient construction.
 
 Congruences are stored as flattened partitions (class id per element),
-built with a union-find pass and renumbered canonically: class ids follow
-the order of each class's smallest member, which keeps the class of zero
-at id 0. Congruence checks compatibility with + on both sides and with the
-action, which makes quotient tables independent of the representatives
-(x ~ a, y ~ b give x + y ~ a + y ~ a + b), so quotient does not check them.
+renumbered canonically: class ids follow the order of each class's smallest
+member, which keeps the class of zero at id 0. Congruence checks
+compatibility with + on both sides and with the action, which makes
+quotient tables independent of the representatives (x ~ a, y ~ b give
+x + y ~ a + y ~ a + b), so quotient does not check them. A Bourne
+congruence names each class by its least member, read off the reach sets
+{m + l | l in L}.
 """
 
 from __future__ import annotations
@@ -14,28 +16,6 @@ from typing import NamedTuple
 
 from .core import Semimodule, Subsemimodule, Value, subtractive_closure_set
 from .errors import StructureError
-
-
-class _UnionFind:
-    def __init__(self, n):
-        self.parent = list(range(n))
-
-    def find(self, x):
-        p = self.parent
-        while p[x] != x:
-            p[x] = p[p[x]]  # path halving
-            x = p[x]
-        return x
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            if rb < ra:
-                ra, rb = rb, ra
-            self.parent[rb] = ra
-
-    def flatten(self):
-        return [self.find(x) for x in range(len(self.parent))]
 
 
 def canonical_partition(class_ids):
@@ -92,18 +72,14 @@ class Congruence(Value):
 def bourne_congruence(L: Subsemimodule) -> Congruence:
     """m1 ~ m2 iff m1 + l1 = m2 + l2 for some l1, l2 in L.
 
-    The pairwise relation is already transitive because L is closed under
-    addition; union-find only flattens it into a partition.
+    The relation is already an equivalence, as 0 is in L and L is closed
+    under addition, so each element's class is named by its least member:
+    the least a <= m whose reach set {a + l} meets m's.
     """
     M = L.parent
-    uf = _UnionFind(M.size)
-    members = L.members
-    for m1 in M.elements():
-        reach1 = {M.add[m1][l] for l in members}
-        for m2 in range(m1 + 1, M.size):
-            if any(M.add[m2][l] in reach1 for l in members):
-                uf.union(m1, m2)
-    return Congruence(M, tuple(uf.flatten()))
+    reach = [{M.add[m][l] for l in L.members} for m in M.elements()]
+    return Congruence(M, tuple(next(a for a in M.elements() if not reach[a].isdisjoint(r))
+                               for r in reach))
 
 
 def kernel_pair_congruence(f) -> Congruence:

@@ -92,28 +92,32 @@ def test_broken_commutativity_is_hypothesis_error(z2mod):
                             [[ident, zero, ident]])
 
 
+def _declared(d, tags):
+    for tag in tags:
+        d.declare(tag)
+    return d
+
+
 def test_declared_tag_verified(z2mod, z2zero):
     ident = identity_morphism(z2mod)
     zero = zero_morphism(z2mod, z2mod)
     with pytest.raises(HypothesisError):
         Diagram.from_arrows("tagged", [[zero, zero], [zero, zero]],
-                            [[zero, zero, zero]],
-                            hypotheses=("surjective " + zero.name,))
-    d = Diagram.from_arrows("tagged2", [[ident, ident], [ident, ident]],
-                            [[ident, ident, ident]],
-                            hypotheses=(f"iso {ident.name}", "commutes",
-                                        f"cancellative {z2mod.name}"))
+                            [[zero, zero, zero]]).declare("surjective " + zero.name)
+    d = _declared(Diagram.from_arrows("tagged2", [[ident, ident], [ident, ident]],
+                                      [[ident, ident, ident]]),
+                  (f"iso {ident.name}", "commutes", f"cancellative {z2mod.name}"))
     assert d.hypotheses
     # row-exact and col-exact tags: every row and column of the 3x3 corner
     # grid is exact with identity maps, and 0 -> Z2 -0-> Z2 is not
     lines = [f"{kind}-exact {i}" for kind in ("row", "col") for i in range(3)]
-    assert Diagram.from_arrows("corner", *_corner_3x3(z2mod, z2zero, ident),
-                               hypotheses=lines).hypotheses == tuple(lines)
-    Diagram.from_arrows("zero-corner", *_corner_3x3(z2mod, z2zero, zero),
-                        hypotheses=("row-exact 0", "col-exact 0"))
+    corner = Diagram.from_arrows("corner", *_corner_3x3(z2mod, z2zero, ident))
+    assert _declared(corner, lines).hypotheses == tuple(lines)
+    _declared(Diagram.from_arrows("zero-corner", *_corner_3x3(z2mod, z2zero, zero)),
+              ("row-exact 0", "col-exact 0"))
     for tag in ("row-exact 1", "row-exact 2", "col-exact 1", "col-exact 2"):
         with pytest.raises(HypothesisError) as exc:
-            Diagram.from_arrows("zero-corner", *_corner_3x3(z2mod, z2zero, zero), hypotheses=(tag,))
+            Diagram.from_arrows("zero-corner", *_corner_3x3(z2mod, z2zero, zero)).declare(tag)
         assert exc.value.witness == f"{tag} fails"
 
 

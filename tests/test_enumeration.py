@@ -588,6 +588,53 @@ def test_short_five_replay_rechecks_the_property():
         assert not replay_counterexample(tampered)
 
 
+# the tests of each row that nat3@3 has a witness failing alone; in
+# semi-mono-not-mono, injective and bounded mono agree on every map (the free
+# module separates), so neither fails alone
+FAILS_ALONE_AT_NAT3 = {
+    "non-subtractive-subsemimodule": {"subtractive"},
+    "semi-mono-not-mono": {"semi-mono"},
+    "proper-exact-not-exact": {"composable", "image=kernel", "g k-uniform"},
+    "semi-exact-not-proper-exact": {"composable", "image=kernel", "closure(image)=kernel"},
+}
+
+
+def test_replay_rechecks_every_test_of_the_row(monkeypatch):
+    """Every test a row names is in the vocabulary, which holds every
+    predicate of morphisms.PREDICATES. For each property nat3@3 finds, a
+    stored witness that fails exactly one test of its row does not replay;
+    pairs are drawn from all pairs whose middle modules have one size, so
+    that `composable` can fail alone. And with any one test of the row
+    negated, the found counterexample does not replay either."""
+    from semiexact.morphisms import PREDICATES
+
+    assert PREDICATES.keys() <= catalog.TESTS.keys()
+    for prop in catalog._CATALOG.values():
+        assert all(name in catalog.TESTS and expected in (True, False)
+                   for name, expected in prop.tests), prop.description
+    spec = UniverseSpec(monoid_semiring(3), 3)
+    maps = list(catalog._maps(spec))
+    pairs = [(f, g) for (f,) in maps for (g,) in maps if f.codomain.size == g.domain.size]
+    for pid, fails_alone in FAILS_ALONE_AT_NAT3.items():
+        row = catalog._CATALOG[pid]
+        found = search_counterexample(pid, spec)
+        assert isinstance(found, Counterexample) and replay_counterexample(found)
+        pool = pairs if row.candidates is catalog._composable_pairs else row.candidates(spec)
+        alone = {}
+        for w in pool:
+            missed = [name for name, expected in row.tests
+                      if catalog.TESTS[name](spec, w) != expected]
+            if len(missed) == 1:
+                alone[missed[0]] = w
+                assert not replay_counterexample(Counterexample(pid, w, "tampered", spec))
+        assert alone.keys() == fails_alone, pid
+        for name, _ in row.tests:
+            test = catalog.TESTS[name]
+            monkeypatch.setitem(catalog.TESTS, name, lambda spec, w, test=test: not test(spec, w))
+            assert not replay_counterexample(found), (pid, name)
+            monkeypatch.setitem(catalog.TESTS, name, test)
+
+
 def test_whole_tuple_filter_tests_single_part_hypotheses():
     """short-five's filter(()) still tests the hypotheses that read one part:
     over B@4, two short exact rows with non-cancellative middles, isomorphic

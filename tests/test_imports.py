@@ -201,18 +201,22 @@ def test_each_command_loads_only_its_layers(src_env, tmp_path):
     """Module sets, not timings: importing the CLI and exporting a corpus
     load no lemma or map layer; the demo workspace's diagrams and sequence
     load the lemma layers and morphisms and quotients, and a search the
-    catalog too. The same runs one after another in one process, or in this
-    one with every layer loaded, give the same output."""
+    catalog too; a search with no workspace loads the map layers only. The
+    same runs one after another in one process (where each loads the union
+    of its own layers and those before), or in this one with every layer
+    loaded, give the same output."""
     demo = str(ROOT / "fixtures" / "demo.sx")
     calls = [["corpus", "B", "--max-size", "3", "--quiet", "--corpus"],
+             ["search", "semi-mono-not-mono", "nat3", "--report"],
              ["lemma", "short-five-half.1", "D", demo, "--report"],
              ["snake", "D", demo, "--report"],
              ["classify", "squash", demo, "--report"],
              ["search", "semi-mono-not-mono", "T2", demo, "--report"]]
+    maps_loaded = sorted(f"semiexact.{name}" for name in MAP_LAYERS)
     demo_loaded = sorted(f"semiexact.{name}" for name in ("diagrams", "exactness",
                                                           "morphisms", "quotients"))
-    expected = [[0, []], [0, demo_loaded], [0, demo_loaded], [0, demo_loaded],
-                [1, sorted(demo_loaded + ["semiexact.catalog"])]]
+    expected = [[0, []], [1, maps_loaded], [0, demo_loaded], [0, demo_loaded],
+                [0, demo_loaded], [1, sorted(demo_loaded + ["semiexact.catalog"])]]
     outputs = []
     for i, call in enumerate(calls):
         out, before, after = run_commands([call + [str(tmp_path / f"alone{i}")]], src_env)
@@ -220,10 +224,11 @@ def test_each_command_loads_only_its_layers(src_env, tmp_path):
         outputs.append(out)
     out, _, after = run_commands([c + [str(tmp_path / f"together{i}")]
                                        for i, c in enumerate(calls)], src_env)
-    assert after == expected
-    assert out == "".join(outputs) and "verified" in outputs[1] and "delta" in outputs[2]
-    assert "semi_mono          true" in outputs[3]
-    assert "counterexample found for semi-mono-not-mono" in outputs[4]
+    assert after == [[code, sorted({m for _, ms in expected[:i + 1] for m in ms})]
+                     for i, (code, _) in enumerate(expected)]
+    assert out == "".join(outputs) and "verified" in outputs[2] and "delta" in outputs[3]
+    assert "semi_mono          true" in outputs[4]
+    assert all("counterexample found for semi-mono-not-mono" in outputs[i] for i in (1, 5))
     for i, call in enumerate(calls):
         assert main(call + [str(tmp_path / f"here{i}")]) == expected[i][0]
         alone = (tmp_path / f"alone{i}").read_text(encoding="utf-8")

@@ -10,9 +10,8 @@ from semiexact.errors import StructureError
 from semiexact.morphisms import (Morphism, coimage, cokernel, enumerate_hom,
                                  identity_morphism, image, image_module, kernel_set,
                                  submodule_as_module, zero_morphism)
-from semiexact.quotients import (Congruence, _UnionFind, bourne_congruence,
-                                 kernel_pair_congruence, projection_kernel_is_closure,
-                                 quotient)
+from semiexact.quotients import (Congruence, bourne_congruence, kernel_pair_congruence,
+                                 projection_kernel_is_closure, quotient)
 
 from conftest import identity_congruence, is_linear_table, oracle_bourne_related
 
@@ -28,8 +27,8 @@ def test_bourne_examples(max3, sat3):
 
 
 def test_bourne_matches_raw_relation(nat3_universe):
-    """The pairwise defining condition is already an equivalence; union-find
-    flattening must not add pairs."""
+    """The pairwise defining condition is already an equivalence; naming each
+    class by its least member must neither add nor drop pairs."""
     for m in nat3_universe:
         for sub in all_subsemimodules(m):
             rho = bourne_congruence(sub)
@@ -57,13 +56,6 @@ def test_congruence_checks_addition_on_both_sides():
     assert all(cls[r3.add[0][c]] == cls[r3.add[1][c]] for c in r3.elements())
     with pytest.raises(StructureError, match=r"not compatible with add \(a=0,b=1,c=2\)"):
         Congruence(r3, cls)
-
-
-def test_union_find_halves_the_path():
-    uf = _UnionFind(5)
-    uf.parent = [0, 0, 1, 2, 3]
-    assert uf.find(4) == 0
-    assert uf.parent == [0, 0, 0, 2, 2]
 
 
 def test_kernel_pair_examples(sat3, chain2):

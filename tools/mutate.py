@@ -10,8 +10,10 @@ operator of it swapped) or a `not` that the mutant drops. Each mutant
 changes one site of a scratch copy of the tree, never the tree itself; Tier-1
 runs in the copy with -x and without the `python -O` slice, and a mutant is
 killed when that run fails or outlasts ten times the unmutated run. One row
-is printed per site: module, line, operator, killed or survived. Stdlib
-only; Tier-1 does not run the sweep.
+is printed per site: module, line, operator, killed or survived. An
+interrupt or a SIGTERM stops the sweep, its Tier-1 run and that run's
+subprocesses, and removes the scratch copy. Stdlib only; Tier-1 does not
+run the sweep.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ import ast
 import os
 import re
 import shutil
+import signal
 import subprocess
 import sys
 import tempfile
@@ -92,15 +95,26 @@ def mutant(text, site):
 
 
 def tier1(copy, timeout=None):
-    """True when Tier-1 passes in copy; False when it fails or times out."""
+    """True when Tier-1 passes in copy; False when it fails or times out.
+    The run has its own process group, which a timeout, or an interrupt or
+    termination of the sweep, kills whole, subprocesses of tests included."""
     env = dict(os.environ, PYTHONPATH=str(copy / "src"), PYTHONDONTWRITEBYTECODE="1")
+    proc = subprocess.Popen([sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
+                             "--deselect", SLICE], cwd=copy, env=env, start_new_session=True,
+                            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
     try:
-        proc = subprocess.run([sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
-                               "--deselect", SLICE], cwd=copy, env=env, timeout=timeout,
-                              stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+        return proc.wait(timeout) == 0
     except subprocess.TimeoutExpired:
         return False
-    return proc.returncode == 0
+    finally:
+        if proc.returncode is None:  # not reaped, so its group is still there
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.wait()
+
+
+def _terminated(signum, frame):
+    """SIGTERM unwinds like an interrupt, so the scratch copy is removed."""
+    raise SystemExit(128 + signum)
 
 
 def main(argv=None):
@@ -116,6 +130,7 @@ def main(argv=None):
             print(f"{module}\t{s.line}\t{s.operator}")
         print(f"{len(chosen)} sites")
         return 0
+    signal.signal(signal.SIGTERM, _terminated)
     with tempfile.TemporaryDirectory(prefix="mutate-") as scratch:
         copy = Path(scratch) / "tree"
         shutil.copytree(ROOT, copy, ignore=IGNORED)
