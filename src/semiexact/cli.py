@@ -6,8 +6,11 @@ pipe-separated record per assertion, `id|status|witness|millis`, sorted by
 id; millis is pinned to 0 so reports are byte-identical across runs.
 
 Each command loads only the layers it runs (a corpus export imports neither a
-lemma layer nor morphisms, quotients or the catalog); `lemma --help` and
-`search --help` still list every name.
+lemma layer nor morphisms, quotients or the catalog), and importing this
+module loads neither workspace nor fixtures: _load, cmd_corpus and
+_universe_spec, which read or write files or resolve a semiring name, import
+them. main builds the parser of the invoked command alone; `lemma --help`
+and `search --help` still list every name.
 """
 
 from __future__ import annotations
@@ -22,8 +25,6 @@ from .core import monoid_semiring
 from .enumeration import UniverseSpec, enumerate_semimodules
 from .errors import (HypothesisError, ParameterError, SemiexactError, StructureError,
                      WorkspaceError)
-from .fixtures import builtin_semirings
-from .workspace import Workspace, parse_files, serialize
 
 
 class Report:
@@ -55,7 +56,9 @@ def _say(args, *text):
         print(*text)
 
 
-def _load(args) -> Workspace:
+def _load(args):
+    from .workspace import Workspace, parse_files
+
     if not args.files:
         return Workspace()
     return parse_files(args.files)
@@ -207,6 +210,8 @@ def _universe_spec(args):
     """The universe of search and corpus, over a builtin or workspace semiring
     or else nat<k> = monoid_semiring(k), 1 <= k <= NAT_MAX. Any other k, and
     a --max-size past MAX_SIZE, are refused before anything is built."""
+    from .fixtures import builtin_semirings
+
     if args.max_size > MAX_SIZE:
         raise ParameterError(f"--max-size {args.max_size}: search and corpus need "
                              f"--max-size <= {MAX_SIZE}")
@@ -244,6 +249,8 @@ def cmd_search(args, report):
 
 
 def cmd_corpus(args, report):
+    from .workspace import Workspace, serialize
+
     uni = enumerate_semimodules(_universe_spec(args))
     semiring = uni.spec.semiring
     out = Workspace()
@@ -310,18 +317,21 @@ COMMANDS = {
 
 
 def build_parser(command=None):
-    """The parser of every command, or, given one, of that command alone: the
-    other subcommands get no arguments, and every help text is the full one."""
+    """The parser of every command or, given a known one, of that command
+    alone, whose usage line still names every command; its help and errors
+    are the full parser's."""
     ap = argparse.ArgumentParser(
         prog="semiexact",
         description="Exactness kernel for finite semirings and semimodules")
     ap.add_argument("--version", action="version", version=f"semiexact {__version__}")
-    sub = ap.add_subparsers(dest="command", required=True)
-    for name, (text, handler, own_args) in COMMANDS.items():
+    names = [command] if command in COMMANDS else list(COMMANDS)
+    sub = ap.add_subparsers(dest="command", required=True,
+                            metavar="{" + ",".join(COMMANDS) + "}" if len(names) == 1 else None)
+    for name in names:
+        text, handler, own_args = COMMANDS[name]
         p = sub.add_parser(name, help=text)
-        if command in (None, name):
-            own_args(p)
-            _common(p)
+        own_args(p)
+        _common(p)
         p.set_defaults(func=handler)
     return ap
 
@@ -335,8 +345,9 @@ def _parser(command):
 
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else list(argv)
-    # no top-level option takes a value, so the first word is the command
-    args = _parser(next((a for a in argv if not a.startswith("-")), None)).parse_args(argv)
+    # a top-level option before the command (help, version or an error) needs
+    # the full parser, so only a leading command word picks one parser
+    args = _parser(argv[0] if argv and argv[0] in COMMANDS else None).parse_args(argv)
     report = Report()
     code = 2  # unless the command returns
     try:

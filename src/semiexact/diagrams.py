@@ -12,7 +12,7 @@ conclusion on a hypothesis-satisfying instance is an implementation bug,
 never new mathematics. The harness derives its clause filters from the same
 entries (Clause.filter), and the CLI's lemma names are the table's keys.
 Exactness, in a clause, a declared hypothesis tag or a snake certificate, is
-decided by exactness.exact_at, through exact_row and short_exact_row.
+decided by morphisms.exact_at, through exact_row and short_exact_row.
 
 Grid layout: nodes[r][c] with horizontals (r,c): nodes[r][c] -> nodes[r][c+1]
 and verticals (r,c): nodes[r][c] -> nodes[r+1][c].
@@ -21,16 +21,16 @@ and verticals (r,c): nodes[r][c] -> nodes[r+1][c].
 from __future__ import annotations
 
 import re
+from functools import lru_cache
 from operator import eq, itemgetter
 from typing import Callable, NamedTuple
 
 from .core import _cancellable, is_cancellative_module, subtractive_closure_set
 from .errors import HypothesisError, LemmaRefuted, StructureError
-from .exactness import exact_at, exact_row, short_exact_row
-from .morphisms import (PREDICATES, Morphism, _table, classify, cokernel,
+from .morphisms import (PREDICATES, Morphism, _table, classify, cokernel, exact_at, exact_row,
                         factor_through_injection, factor_through_surjection, image_set,
                         is_cancellative_morphism, is_injective, is_k_uniform, is_surjective,
-                        kernel_module, kernel_set)
+                        kernel_module, kernel_set, short_exact_row)
 
 
 class Assertion(NamedTuple):
@@ -261,14 +261,16 @@ def _over(fn, index):
     return lambda p: fn(*get(p))
 
 
+@lru_cache(maxsize=None)
 def _bind(spec, shape, conclusion=False):
-    """The Claim an assertion id states on a grid of this shape.
+    """The Claim an assertion id states on a grid of this shape, bound once
+    per (spec, shape, conclusion) and shared by the clauses that state it.
 
     spec is the id, an (id, witness) pair overriding the witness, or a
     Relation. The id says what is asserted:
       `<ordinal> row|column exact`, `... exact at middle` or `... short
         exact`: the row's arrows or the column's alphai, betai, by
-        exactness.exact_row (exact_at at every interior object) or
+        morphisms.exact_row (exact_at at every interior object) or
         short_exact_row (`column c short exact` is column c + 1);
       `<ordinal> row: f|g <word>`: fi or gi of that row;
       `Mi cancellative`: the module fi maps into;

@@ -5,9 +5,9 @@ A three-term stretch X -f-> Y -g-> Z is
   semi-exact     iff closure(f(X)) = Ker(g),
   proper-exact   iff f(X) = Ker(g),
   exact          iff proper-exact and g is k-uniform.
-exact_at decides every exactness claim (diagram clauses, declared tags, snake
-certificates), through exact_row and short_exact_row; analyze is the four-flag
-report. Verdicts keep a witness element for every flag that fails, since
+morphisms.exact_at decides every exactness claim (diagram clauses, declared
+tags, snake certificates), through exact_row and short_exact_row, so the lemma
+layers never load this module; analyze is the four-flag report. Verdicts keep a witness element for every flag that fails, since
 counterexample mining is a first-class use of this package.
 """
 
@@ -17,43 +17,11 @@ from typing import NamedTuple
 
 from .core import Subsemimodule, Value, subtractive_closure_set, zero_module
 from .errors import LemmaRefuted, StructureError
-from .morphisms import (Morphism, bourne_quotient, classify, cokernel, factor_through_injection,
-                        image_set, induced_from_cokernel, induced_to_kernel, is_injective,
-                        is_isomorphism, is_k_uniform, is_surjective, kernel, kernel_module,
-                        kernel_set, submodule_as_module, zero_morphism)
-
-
-def exact_at(f, g):
-    """Exactness of X -f-> Y -g-> Z at Y: image = kernel and g k-uniform."""
-    img, ker = image_set(f), kernel_set(g)
-    if img != ker:
-        return False, f"element {min(img ^ ker)} separates image({f.name}) from kernel({g.name})"
-    ok, wit = is_k_uniform(g, witness=True)
-    if not ok:
-        return False, f"{g.name} not k-uniform at {wit}"
-    return True, "-"
-
-
-def exact_row(arrows):
-    """exact_at at every interior object of the chain `arrows`, in order:
-    (True, "-"), or False and the first failure's witness."""
-    for f, g in zip(arrows, arrows[1:]):
-        ok, wit = exact_at(f, g)
-        if not ok:
-            return False, wit
-    return True, "-"
-
-
-def short_exact_row(f, g):
-    """f injective, image = kernel, g surjective and k-uniform; (ok, witness)."""
-    if not is_injective(f):
-        return False, f"{f.name} not injective"
-    ok, wit = exact_at(f, g)
-    if not ok:
-        return False, wit
-    if not is_surjective(g):
-        return False, f"{g.name} not surjective"
-    return True, "-"
+from .morphisms import (Morphism, bourne_quotient, classify, cokernel, exact_row,
+                        factor_through_injection, image_set, induced_from_cokernel,
+                        induced_to_kernel, is_injective, is_isomorphism, is_k_uniform,
+                        is_surjective, kernel, kernel_module, kernel_set, submodule_as_module,
+                        zero_morphism)
 
 
 class Sequence(Value):

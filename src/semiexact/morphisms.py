@@ -21,8 +21,11 @@ The hom search, _hom_tables, completes a map's table by the search engine of
 core (_completions), with the linearity laws as its laws.
 
 PREDICATES names the map tests (injective, k-uniform, semi-mono, ...) and
-module cancellativity: the one vocabulary of the diagrams' hypothesis tags
-and clause table and of the counterexample catalog's rows.
+module cancellativity, and exact_at decides exactness at the middle of
+X -f-> Y -g-> Z (image = kernel and g k-uniform), along a chain by exact_row
+and for a short exact row by short_exact_row: the one vocabulary of the
+diagrams' hypothesis tags and clause table and of the counterexample
+catalog's rows.
 
 No result depends on names, so the caches are lru_caches on name-free
 arguments (Semimodule.unnamed, a table, a member tuple), and a result is
@@ -458,6 +461,39 @@ PREDICATES = {
     "cancellative-morphism": lambda f: classify(f).cancellative,
     "cancellative": is_cancellative_module,
 }
+
+
+def exact_at(f, g):
+    """Exactness of X -f-> Y -g-> Z at Y: image = kernel and g k-uniform."""
+    img, ker = image_set(f), kernel_set(g)
+    if img != ker:
+        return False, f"element {min(img ^ ker)} separates image({f.name}) from kernel({g.name})"
+    ok, wit = is_k_uniform(g, witness=True)
+    if not ok:
+        return False, f"{g.name} not k-uniform at {wit}"
+    return True, "-"
+
+
+def exact_row(arrows):
+    """exact_at at every interior object of the chain `arrows`, in order:
+    (True, "-"), or False and the first failure's witness."""
+    for f, g in zip(arrows, arrows[1:]):
+        ok, wit = exact_at(f, g)
+        if not ok:
+            return False, wit
+    return True, "-"
+
+
+def short_exact_row(f, g):
+    """f injective, image = kernel, g surjective and k-uniform; (ok, witness)."""
+    if not is_injective(f):
+        return False, f"{f.name} not injective"
+    ok, wit = exact_at(f, g)
+    if not ok:
+        return False, wit
+    if not is_surjective(g):
+        return False, f"{g.name} not surjective"
+    return True, "-"
 
 
 def induced_to_kernel(f: Morphism, g: Morphism, name=None) -> Morphism:

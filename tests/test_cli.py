@@ -246,16 +246,24 @@ def _exit_output(parse, argv, capsys):
 
 @pytest.mark.parametrize("command", list(COMMANDS))
 def test_one_command_parser_matches_the_full_parser(command, capsys, monkeypatch):
-    """build_parser(command) gives the command the full parser's arguments
-    and help, and the top level the same help and errors; main's help and
-    errors are the full parser's."""
+    """build_parser(command) holds that command's subparser alone, under the
+    full parser's usage line and with its help and errors for the command;
+    main's help and errors, an option before the command included, are the
+    full parser's, and an unknown command still lists every choice."""
     monkeypatch.setenv("COLUMNS", "80")
     full, alone = build_parser(), build_parser(command)
-    for argv in (["--help"], [command, "--help"], [], ["bogus"], [command, "--bogus"]):
-        expected = _exit_output(full.parse_args, argv, capsys)
-        assert _exit_output(alone.parse_args, argv, capsys) == expected
-        assert _exit_output(main, argv, capsys) == expected
+    assert list(alone._actions[-1].choices) == [command]
+    assert alone.format_usage() == full.format_usage()
+    for argv in ([command, "--help"], [command, "--bogus"]):
+        assert _exit_output(alone.parse_args, argv, capsys) == \
+            _exit_output(full.parse_args, argv, capsys)
+    for argv in (["--help"], [command, "--help"], [], ["bogus"], [command, "--bogus"],
+                 ["--help", command], ["--bogus", command]):
+        assert _exit_output(main, argv, capsys) == _exit_output(full.parse_args, argv, capsys)
     assert _exit_output(main, ["--help"], capsys) == (0, TOP_HELP, "")
+    choices = ", ".join(f"'{name}'" for name in COMMANDS)
+    assert f"invalid choice: 'bogus' (choose from {choices})" in \
+        _exit_output(main, ["bogus"], capsys)[2]
 
 
 def test_lemma_hypothesis_error(tmp_path, capsys):

@@ -6,13 +6,12 @@ from semiexact.catalog import is_epimorphism, is_monomorphism, universe_with_fre
 from semiexact.core import Subsemimodule, make_zmod, self_module, zero_module
 from semiexact.enumeration import UniverseSpec, enumerate_semimodules
 from semiexact.errors import StructureError
-from semiexact.exactness import (Sequence, analyze, exact_at, exact_row, is_short_exact,
-                                 ker_coker_sequence, short_exact_row, short_sequence,
-                                 subobject_character)
-from semiexact.morphisms import (Morphism, classify, enumerate_hom, identity_morphism,
-                                 image_set, is_injective, is_isomorphism, is_k_uniform,
-                                 is_surjective, kernel_set, submodule_as_module,
-                                 zero_morphism)
+from semiexact.exactness import (Sequence, analyze, is_short_exact, ker_coker_sequence,
+                                 short_sequence, subobject_character)
+from semiexact.morphisms import (Morphism, classify, enumerate_hom, exact_at, exact_row,
+                                 identity_morphism, image_set, is_injective, is_isomorphism,
+                                 is_k_uniform, is_surjective, kernel_set, short_exact_row,
+                                 submodule_as_module, zero_morphism)
 from semiexact.quotients import bourne_congruence, quotient
 
 

@@ -8,7 +8,11 @@ Importing the CLI stays light: no package module imports dataclasses, and
 resolves its public names on first use, and no module a corpus export runs
 imports a lemma layer (diagrams, exactness, harness) or a map layer
 (morphisms, quotients, catalog) when it is imported, so each command loads
-only the layers it runs.
+only the layers it runs. Neither does the lemma path load what it does not
+run: the CLI and the lemma layers, imported and run, load neither the
+workspace codec and the builtin fixtures nor the sequence analysis
+(exactness), which only a workspace's sequence block or the exactness
+command reads.
 
 The catalog's names that perfbench still reads from enumeration resolve
 there to the catalog's own objects.
@@ -234,6 +238,37 @@ def test_each_command_loads_only_its_layers(src_env, tmp_path):
         alone = (tmp_path / f"alone{i}").read_text(encoding="utf-8")
         assert alone == (tmp_path / f"together{i}").read_text(encoding="utf-8")
         assert alone == (tmp_path / f"here{i}").read_text(encoding="utf-8")
+
+
+LEMMA_PATH = """\
+import json, sys
+import semiexact.cli, semiexact.diagrams, semiexact.harness
+from semiexact.core import make_zmod
+from semiexact.diagrams import snake, verify_lemma_short
+from semiexact.harness import HarnessSpec, gen_lemma_short, gen_snake
+
+def loaded():
+    return sorted(m for m in sys.modules if m.startswith("semiexact"))
+
+before = loaded()
+spec = HarnessSpec(make_zmod(2), 3, seed=11, quota=2)
+oks = [verify_lemma_short(d, 1).ok for d in gen_lemma_short(spec, 1)]
+oks += [snake(d).ok for d in gen_snake(spec)]
+print(json.dumps([before, loaded(), oks]))
+"""
+
+
+def test_lemma_path_loads_no_codec_or_sequence_layer(src_env):
+    """A module set, not a timing: the CLI and the lemma layers, imported
+    and then run on one short-lemma and one snake corpus, load neither the
+    workspace codec and the builtin fixtures nor the sequence analysis, and
+    the runs load no module that the imports did not."""
+    proc = subprocess.run([sys.executable, "-c", LEMMA_PATH], env=src_env, capture_output=True,
+                          text=True, check=True)
+    before, after, oks = json.loads(proc.stdout)
+    assert oks == [True] * 4
+    assert before == after == ["semiexact"] + [f"semiexact.{name}" for name in (
+        "cli", "core", "diagrams", "enumeration", "errors", "harness", "morphisms", "quotients")]
 
 
 # the names perfbench/workloads.py and perfbench/tracing.py read from enumeration

@@ -1,6 +1,6 @@
 """Where a fresh interpreter's lemma-corpus pass spends its cache misses.
 
-    python tools/coldstart.py --seed 11          # one pass, one table
+    python tools/coldstart.py --seed 11          # two passes: caches, then collections
     python tools/coldstart.py --seed 11 --top 8  # the eight costliest caches only
 
 Runs the lemma-corpus workload of perfbench/workloads.py once, in a fresh
@@ -15,13 +15,29 @@ are counted, not the set-up nor the known-answer checks. One row is printed
 per lru_cache of the package, and one per class for its cached properties
 (their hits are not counted): misses, hits and self time in milliseconds,
 costliest first, then the pass's wall time, which includes the timers'
-own cost. Stdlib only; neither Tier-1 nor perfbench runs it.
+own cost.
+
+A second fresh interpreter, with the same hash seed and no timers, runs the
+pass as perfbench does, through perfbench/worker.py, and prints one row per
+garbage collection that runs inside a timed task, from gc.callbacks: its
+generation, its task and its milliseconds, in the order they ran, then the
+count and time of the collections outside the tasks (set-up and checks).
+Where the collector runs moves task medians, so this table shows whether a
+change moved a collection into or out of a task. The callback and this
+tool's own imports shift the collector's counts a little, so the table is
+one of a pass like perfbench's, not a copy of any one perfbench pass:
+compare two commits through this tool. Stdlib only; neither Tier-1 nor
+perfbench runs it.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
+import gc
+import io
+import json
 import os
 import subprocess
 import sys
@@ -97,7 +113,7 @@ def run_pass(seed, top):
     functools.lru_cache = misses.lru_cache(functools.lru_cache)
     functools.cached_property = misses.cached_property(functools.cached_property)
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
-    import semiexact.cli  # noqa: F401  (imports every layer, as a perfbench pass does)
+    import semiexact.cli  # noqa: F401  (as a perfbench pass does)
     import workloads
 
     with tempfile.TemporaryDirectory() as workdir:
@@ -126,20 +142,67 @@ def run_pass(seed, top):
     print(f"pass wall time {wall * 1e3:.1f} ms over {len(tasks)} tasks, seed {seed}")
 
 
+def run_collections_pass(seed):
+    sys.path[:0] = [str(ROOT / "perfbench")]
+    import worker  # puts src/ first on the path, as a perfbench pass does
+
+    rows, started = [], []
+
+    def task_of(frame):
+        """The id of the task whose timed run() frame is inside, else None."""
+        while frame.f_back is not None:
+            if frame.f_back.f_code is worker.run_tasks.__code__:
+                return frame.f_back.f_locals["task"].id if frame.f_code.co_name == "run" else None
+            frame = frame.f_back
+        return None
+
+    def collected(phase, info):
+        if phase == "start":
+            started.append(time.perf_counter())
+        else:
+            seconds = time.perf_counter() - started.pop()
+            rows.append((info["generation"], task_of(sys._getframe(1)), seconds))
+
+    gc.callbacks.append(collected)
+    with tempfile.TemporaryDirectory() as workdir, \
+            contextlib.redirect_stdout(io.StringIO()) as printed:
+        worker.main(["--workload", "lemma-corpus", "--seed", str(seed), "--workdir", workdir])
+    gc.callbacks.remove(collected)
+    failures = json.loads(printed.getvalue().splitlines()[-1])["messages"]
+    if failures:
+        raise SystemExit(failures[0])
+    print(f"{'collection':>10} {'generation':>10}  {'task':<28} {'ms':>6}")
+    inside = [row for row in rows if row[1] is not None]
+    for i, (generation, task, seconds) in enumerate(inside, 1):
+        print(f"{i:>10} {generation:>10}  {task:<28} {seconds * 1e3:>6.2f}")
+    outside = [row[2] for row in rows if row[1] is None]
+    print(f"{len(inside)} collections in tasks, {sum(r[2] for r in inside) * 1e3:.2f} ms; "
+          f"{len(outside)} in set-up and checks, {sum(outside) * 1e3:.2f} ms; seed {seed}")
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--seed", type=int, default=11)
     ap.add_argument("--top", type=int, default=None, help="print only the costliest rows")
-    ap.add_argument("--in-pass", action="store_true", help=argparse.SUPPRESS)
+    ap.add_argument("--in-pass", choices=("caches", "collections"), help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
-    if args.in_pass:
+    if args.in_pass == "caches":
         run_pass(args.seed, args.top)
         return 0
-    cmd = [sys.executable, __file__, "--in-pass", "--seed", str(args.seed)]
-    if args.top is not None:
-        cmd += ["--top", str(args.top)]
+    if args.in_pass == "collections":
+        run_collections_pass(args.seed)
+        return 0
     env = dict(os.environ, PYTHONHASHSEED=str(args.seed % 2**32))
-    return subprocess.run(cmd, env=env, cwd=ROOT).returncode
+    for table in ("caches", "collections"):
+        if table == "collections":
+            print(flush=True)
+        cmd = [sys.executable, __file__, "--in-pass", table, "--seed", str(args.seed)]
+        if args.top is not None:
+            cmd += ["--top", str(args.top)]
+        code = subprocess.run(cmd, env=env, cwd=ROOT).returncode
+        if code:
+            return code
+    return 0
 
 
 if __name__ == "__main__":
