@@ -38,11 +38,10 @@ modules. The caches:
 - _cancellables per module, which classify and is_cancellative_morphism
   read;
 - _substructures per (module, members): the subsemimodule as a module
-  (kernel_module, image_module, submodule_as_module and the harness's
-  kernel structures) and the Bourne quotient it gives, checked by
-  Congruence (cokernel, bourne_quotient and the harness's quotient row),
-  each built when first read, with the last naming submodule_as_module
-  and bourne_quotient gave each.
+  (kernel_module, image_module and submodule_as_module) and the Bourne
+  quotient it gives, checked by Congruence (cokernel, bourne_quotient and
+  the harness's quotient row), each built when first read, with the last
+  naming submodule_as_module and bourne_quotient gave each.
 """
 
 from __future__ import annotations

@@ -32,6 +32,7 @@ violations, pile up as several problems of one block.
     end
     diagram D
       row 0: C3 f C3
+      row 1: C3 f C3
       col 0: C3 f C3
       hyp: surjective f
     end

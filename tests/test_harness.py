@@ -176,49 +176,6 @@ def test_draws_scale_with_candidates_used(monkeypatch, name, clause):
     assert 0 < draws < 1000
 
 
-def test_exact_5rows_searches_each_pair_of_tables_once(monkeypatch):
-    """_exact_5rows(Z2, 4) asks again and again for the maps from a pool
-    module onto a kernel structure, which many maps share, and searches them
-    once per (pool module, kernel structure); the hom search runs once per
-    pair of tables, each kernel structure is built once per (module table,
-    members) by the structure cache, and the rows are the same."""
-    expected = tuple(harness._exact_5rows(make_zmod(2), 4))
-    asked, searched, built = [], [], []
-    search = morphisms._hom_tables.__wrapped__
-    onto = lru_cache(maxsize=None)(harness._onto.__wrapped__)
-    structures = morphisms._substructures.__wrapped__
-
-    def asking(M, N):
-        asked.append((M.unnamed, N.unnamed))
-        return morphisms.enumerate_hom.__wrapped__(M, N)  # named cache bypassed
-
-    def onto_asking(X, K, k_uniform):
-        asked.append((X.unnamed, K))
-        return onto(X, K, k_uniform)
-
-    def counted(M, N):
-        searched.append((M, N))
-        return search(M, N)
-
-    def counted_structures(M, members):
-        built.append((M, members))
-        return structures(M, members)
-    tables = lru_cache(maxsize=None)(counted)
-    cache = lru_cache(maxsize=None)(counted_structures)
-    monkeypatch.setattr(harness, "enumerate_hom", asking)
-    monkeypatch.setattr(harness, "_onto", onto_asking)
-    for name in ("_onto_chains", "_k_uniform_maps"):
-        fresh = lru_cache(maxsize=None)(getattr(harness, name).__wrapped__)
-        monkeypatch.setattr(harness, name, fresh)
-    for module in (harness, morphisms):
-        monkeypatch.setattr(module, "_hom_tables", tables)
-        monkeypatch.setattr(module, "_substructures", cache)
-    assert tuple(harness._exact_5rows.__wrapped__(make_zmod(2), 4)) == expected
-    assert sorted(searched, key=repr) == sorted(set(asked), key=repr)
-    assert 0 < onto.cache_info().misses < onto.cache_info().hits
-    assert len(set(built)) == len(built) and 0 < len(built) < cache.cache_info().hits
-
-
 def test_gen_nine_builds_each_quotient_once(monkeypatch):
     """The 3x3 quotient row takes each vertical's Bourne quotient from the
     structure cache, keyed by (codomain table, image): one Bourne congruence
@@ -610,9 +567,12 @@ def test_snake_matches_snapshot():
     assert got == json.loads(SNAKE_SNAPSHOT.read_text(encoding="utf-8"))
 
 
-# The row pools as they were built map by map, with a named kernel module,
-# hom-set and isomorphism search per map: the references for the pools
-# built once per kernel structure from hom tables.
+# The row pools as they were once built map by map, right to left, with a
+# named kernel module, hom-set and isomorphism search per map: the references
+# for the pools that _exact_pairs and _any_rows_stream list. The 2x5 and
+# snake references name each arrow after the composite that builds it, the
+# pools after its hom-set, so those two compare by domain, codomain and
+# table.
 
 def _reference_exact_pairs(semiring, max_size):
     """(f, g) with image(f) = Ker(g) and g k-uniform, over the module pool."""
@@ -689,10 +649,22 @@ def _reference_snake_left_rows(semiring, max_size, cap=200):
     return tuple(rows)
 
 
-def _pool_rows(rows):
-    return [tuple((a.name, a.domain, a.codomain, a.map) for a in row) for row in rows]
+def _pool_rows(rows, named=True):
+    """Each row's arrows as (name, domain, codomain, table), less the name
+    where named is False."""
+    return [tuple((a.name, a.domain, a.codomain, a.map)[not named:] for a in row)
+            for row in rows]
 
 
+def _snake_left_stream(semiring, max_size):
+    """The uncapped stream that _snake_left_rows keeps the front of."""
+    return harness._exact_rows(semiring, max_size, injective=True)
+
+
+# (pool, its reference, whether their arrows' names agree)
+REFERENCE_POOLS = ((harness._exact_pairs, _reference_exact_pairs, True),
+                   (harness._exact_5rows, _reference_exact_5rows, False),
+                   (harness._snake_left_rows, _reference_snake_left_rows, False))
 POOL_CASES = ([(make_zmod(2), 4), (make_zmod(4), 4), (make_boolean(), 4),
                (make_saturating_naturals(2), 3)]
               + [(s, 3) for s in builtin_semirings().values()])
@@ -701,26 +673,41 @@ POOL_CASES = ([(make_zmod(2), 4), (make_zmod(4), 4), (make_boolean(), 4),
 @pytest.mark.parametrize("semiring, size", POOL_CASES,
                          ids=[f"{s.name}@{n}" for s, n in POOL_CASES])
 def test_row_pools_match_named_builders(semiring, size):
-    """The three row pools, built once per kernel structure from hom tables,
-    equal the map-by-map builders row by row: every arrow's name, domain,
-    codomain and table, in the same order."""
-    for built, reference in ((harness._exact_pairs, _reference_exact_pairs),
-                             (harness._exact_5rows, _reference_exact_5rows),
-                             (harness._snake_left_rows, _reference_snake_left_rows)):
-        expected = _pool_rows(reference(semiring, size))
-        assert _pool_rows(built(semiring, size)) == expected, built.__name__
+    """The three row pools equal the map-by-map builders row by row, in the
+    same order: every arrow's domain, codomain and table, and for the exact
+    pairs its name too."""
+    for built, reference, named in REFERENCE_POOLS:
+        expected = _pool_rows(reference(semiring, size), named)
+        assert _pool_rows(built(semiring, size), named) == expected, built.__name__
 
 
 def test_exact_pairs_match_named_builder_at_nat4(nat4_universe):
     """nat4@4 has 16,314 exact pairs; the indexed pool lists each as the
-    map-by-map builder does."""
+    map-by-map builder does, and the 2x5 and snake pools read from it
+    follow their builders too."""
     semiring = nat4_universe[0].semiring
-    expected = _pool_rows(_reference_exact_pairs(semiring, 4))
-    assert len(expected) == 16314
-    assert _pool_rows(harness._exact_pairs(semiring, 4)) == expected
-    for built, reference in ((harness._exact_5rows, _reference_exact_5rows),
-                             (harness._snake_left_rows, _reference_snake_left_rows)):
-        assert _pool_rows(built(semiring, 4)) == _pool_rows(reference(semiring, 4))
+    assert len(harness._exact_pairs(semiring, 4)) == 16314
+    for built, reference, named in REFERENCE_POOLS:
+        expected = _pool_rows(reference(semiring, 4), named)
+        assert _pool_rows(built(semiring, 4), named) == expected, built.__name__
+
+
+@pytest.mark.parametrize("semiring, size", POOL_CASES[:4],
+                         ids=[f"{s.name}@{n}" for s, n in POOL_CASES[:4]])
+def test_row_pool_arrows_are_hom_set_members(semiring, size):
+    """Every arrow of every row pool is the member of its hom-set with its
+    table, under the name enumerate_hom gives it, not a composite's."""
+    pools = (harness._exact_pairs, harness._any_rows, harness._exact_5rows,
+             harness._snake_left_rows)
+    arrows = {a for pool in pools for row in pool(semiring, size) for a in row}
+    members = {}
+    for a in arrows:
+        if (a.domain, a.codomain) not in members:
+            members[a.domain, a.codomain] = {h.map: h for h in enumerate_hom(a.domain,
+                                                                              a.codomain)}
+        member = members[a.domain, a.codomain][a.map]
+        assert (a.name, a) == (member.name, member)
+    assert arrows
 
 
 def _reference_any_rows(semiring, max_size):
@@ -735,7 +722,7 @@ def _reference_any_rows(semiring, max_size):
 # (capped pool, its uncapped stream, the cap)
 POOL_VIEWS = ((harness._any_rows, harness._any_rows_stream, 400),
               (harness._exact_5rows, harness._exact_5rows_stream, 600),
-              (harness._snake_left_rows, harness._snake_left_rows_stream, 200))
+              (harness._snake_left_rows, _snake_left_stream, 200))
 VIEW_CASES = [(make_zmod(2), 4), (make_boolean(), 4), (make_saturating_naturals(2), 3)]
 
 
@@ -754,38 +741,15 @@ def test_capped_pools_are_views_over_their_streams(semiring, size):
         assert lengths == [1919, 9007, 90]
 
 
-LAZY_CASES = [(make_zmod(2), 4), (make_zmod(4), 4), (make_saturating_naturals(2), 3),
-              (make_boolean(), 4)]
-
-
-@pytest.mark.parametrize("semiring, size", LAZY_CASES,
-                         ids=[f"{s.name}@{n}" for s, n in LAZY_CASES])
-def test_lazy_pools_equal_their_eager_streams(semiring, size):
-    """_exact_5rows and _snake_left_rows build a row only when it is read.
-    Read back to front, each row equals the row at its index of the eagerly
-    built stream, names and tables included, is built once and kept, and the
-    lengths agree."""
-    for pool, stream, cap in ((harness._exact_5rows, harness._exact_5rows_stream, 600),
-                              (harness._snake_left_rows, harness._snake_left_rows_stream, 200)):
-        expected = _pool_rows(islice(stream(semiring, size), cap))
-        rows = pool.__wrapped__(semiring, size)
-        assert len(rows) == len(expected) > 0 and not rows._rows, pool.__name__
-        for i in reversed(range(len(rows))):
-            assert _pool_rows([rows[i]]) == [expected[i]], (pool.__name__, i)
-            assert rows[i] is rows[i]
-        with pytest.raises(IndexError):
-            rows[len(rows)]
-
-
 @pytest.mark.parametrize("semiring", [make_zmod(2), make_saturating_naturals(2)],
                          ids=lambda s: s.name)
 def test_streams_match_uncapped_references(semiring):
     """Each uncapped stream equals its map-by-map reference run with no
-    cap, row by row: every arrow's name, domain, codomain and table."""
-    for stream, reference in (
-            (harness._any_rows_stream, _reference_any_rows),
-            (harness._exact_5rows_stream, partial(_reference_exact_5rows, cap=math.inf)),
-            (harness._snake_left_rows_stream,
-             partial(_reference_snake_left_rows, cap=math.inf))):
-        expected = _pool_rows(reference(semiring, 3))
-        assert expected and _pool_rows(stream(semiring, 3)) == expected, stream.__name__
+    cap, row by row: every arrow's domain, codomain and table, and for the
+    rows with g∘f = 0 its name too."""
+    for stream, reference, named in (
+            (harness._any_rows_stream, _reference_any_rows, True),
+            (harness._exact_5rows_stream, partial(_reference_exact_5rows, cap=math.inf), False),
+            (_snake_left_stream, partial(_reference_snake_left_rows, cap=math.inf), False)):
+        expected = _pool_rows(reference(semiring, 3), named)
+        assert expected and _pool_rows(stream(semiring, 3), named) == expected, stream.__name__

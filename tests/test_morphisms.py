@@ -17,7 +17,7 @@ from semiexact.core import (Semimodule, Semiring, Subsemimodule, is_cancellative
                             monoid_semiring,
                             self_module, subtractive_closure_set, validate_semimodule,
                             zero_module)
-from semiexact.enumeration import enumerate_semimodules, UniverseSpec
+from semiexact.enumeration import enumerate_semimodules, oracle_iso_exists, UniverseSpec
 from semiexact.errors import PreconditionError, StructureError
 from semiexact.fixtures import builtin_modules, builtin_semirings
 from semiexact.morphisms import (Morphism, _table, canonical_iso,
@@ -195,6 +195,18 @@ def test_mono_iff_injective(nat3_universe):
         for N in nat3_universe:
             for f in enumerate_hom(M, N):
                 assert is_monomorphism(f, pool) == is_injective(f), f.name
+
+
+@pytest.mark.parametrize("semiring, n, added", [(make_zmod(2), 3, False), (make_zmod(3), 2, True)],
+                         ids=["Z2@3-holds-it", "Z3@2-adds-it"])
+def test_universe_with_free_module_holds_it_once(semiring, n, added):
+    """The bounded test pool is the universe plus the free module of rank
+    one where no universe module is isomorphic to it: one copy either way."""
+    spec = UniverseSpec(semiring, n)
+    pool, free = universe_with_free_module(spec), self_module(semiring)
+    assert len(pool) == len(enumerate_semimodules(spec).modules) + added
+    assert sum(M.size == free.size and oracle_iso_exists(free, M) is not None
+               for M in pool) == 1
 
 
 def test_cs_epi_closure_criterion(nat3_universe):

@@ -2,6 +2,7 @@
 
 import pytest
 
+from semiexact import workspace
 from semiexact.errors import WorkspaceError
 from semiexact.fixtures import builtin_semirings
 from semiexact.workspace import parse, parse_files, serialize
@@ -25,6 +26,17 @@ def test_round_trip_demo():
     ws2 = parse(text)
     assert ws == ws2
     assert serialize(ws2) == text  # serialization is a fixpoint
+
+
+def test_module_docstring_example_round_trips():
+    """The format example in the module's docstring, its indented lines,
+    parses with every block, and serialize round-trips it."""
+    example = "\n".join(line[4:] for line in workspace.__doc__.splitlines()
+                        if line.startswith("    "))
+    ws = parse(example)
+    assert (set(ws.modules), set(ws.subs), set(ws.diagrams)) == ({"C3"}, {"L"}, {"D"})
+    text = serialize(ws)
+    assert parse(text) == ws and serialize(parse(text)) == text
 
 
 def test_dangling_reference():
