@@ -270,7 +270,7 @@ def cmd_corpus(args, report):
 
 
 def _common(p):
-    p.add_argument("files", nargs="*", help="workspace definition files")
+    p.add_argument("files", nargs="*", default=[], help="workspace definition files")
     p.add_argument("--report", metavar="PATH", help="write machine-readable report")
     p.add_argument("--quiet", action="store_true", help="suppress human output")
 

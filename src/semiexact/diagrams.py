@@ -69,7 +69,10 @@ class Diagram:
 
     Every complete square is checked to commute on the nose at
     construction time, and declare re-verifies each hypothesis tag; both
-    failures raise HypothesisError.
+    failures raise HypothesisError. The parts tuple is kept: from_arrows
+    keeps the arrows it is handed, already in parts() order, and any other
+    grid sorts its keys once, when parts() is first read. The arrow dicts
+    are never changed after construction.
     """
 
     def __init__(self, name, nodes, horizontals, verticals):
@@ -97,7 +100,9 @@ class Diagram:
         for r, verts in enumerate(gap_verticals):
             for c, v in enumerate(verts):
                 verticals[(r, c)] = v
-        return cls(name, nodes, horizontals, verticals)
+        d = cls(name, nodes, horizontals, verticals)
+        d._parts = (*horizontals.values(), *verticals.values())  # keys went in sorted
+        return d
 
     def node(self, r, c):
         return self.nodes[r][c]
@@ -108,28 +113,28 @@ class Diagram:
     def vertical(self, r, c):
         return self.verticals[(r, c)]
 
+    _parts = None
+
     def parts(self):
         """The arrows, horizontals row by row and then verticals row by row:
         on a full grid, the order of the part names in _PART_NAMES."""
-        return (tuple(self.horizontals[k] for k in sorted(self.horizontals))
-                + tuple(self.verticals[k] for k in sorted(self.verticals)))
+        if self._parts is None:
+            self._parts = (tuple(self.horizontals[k] for k in sorted(self.horizontals))
+                           + tuple(self.verticals[k] for k in sorted(self.verticals)))
+        return self._parts
 
     def _validate_shape(self):
+        nodes, rows = self.nodes, self.rows
         for (r, c), f in self.horizontals.items():
-            a, b = self._at(r, c), self._at(r, c + 1)
-            if a is None or b is None or f.domain != a or f.codomain != b:
+            if not (0 <= r < rows and 0 <= c < len(nodes[r]) - 1) \
+                    or f.domain != nodes[r][c] or f.codomain != nodes[r][c + 1]:
                 raise StructureError(
                     f"diagram {self.name}: horizontal at ({r},{c}) does not match its nodes")
         for (r, c), f in self.verticals.items():
-            a, b = self._at(r, c), self._at(r + 1, c)
-            if a is None or b is None or f.domain != a or f.codomain != b:
+            if not (0 <= r < rows - 1 and 0 <= c < len(nodes[r]) and c < len(nodes[r + 1])) \
+                    or f.domain != nodes[r][c] or f.codomain != nodes[r + 1][c]:
                 raise StructureError(
                     f"diagram {self.name}: vertical at ({r},{c}) does not match its nodes")
-
-    def _at(self, r, c):
-        if 0 <= r < self.rows and 0 <= c < len(self.nodes[r]):
-            return self.nodes[r][c]
-        return None
 
     def _check_squares(self):
         for (r, c) in self.horizontals:
@@ -196,6 +201,9 @@ class Diagram:
 def _require_grid(d: Diagram, rows, cols, lemma):
     if d.rows != rows or any(len(r) != cols for r in d.nodes):
         raise StructureError(f"{lemma}: expected a {rows}x{cols} diagram, got {d.name}")
+    # every arrow matched its nodes at construction, so a full count is a full grid
+    if len(d.horizontals) == rows * (cols - 1) and len(d.verticals) == (rows - 1) * cols:
+        return
     for r in range(rows):
         for c in range(cols - 1):
             if (r, c) not in d.horizontals:
@@ -329,6 +337,7 @@ class Clause:
         self.hypotheses = tuple(_bind(h, shape) for h in hypotheses)
         self.conclusions = tuple(_bind(c, shape, conclusion=True) for c in conclusions)
         self.ids = frozenset(h.id for h in self.hypotheses)
+        self._passed = tuple(Assertion(h.id, True) for h in self.hypotheses)
 
     def gate(self, lemma, parts):
         """The hypotheses' assertions on parts, in order; HypothesisError
@@ -336,7 +345,7 @@ class Clause:
         for h in self.hypotheses:
             if not h.test(parts):
                 raise HypothesisError(f"{lemma}: {h.id}", h.witness(parts))
-        return tuple(Assertion(h.id, True) for h in self.hypotheses)
+        return self._passed
 
     def filter(self, guaranteed):
         """parts -> bool: the hypotheses in table order, minus those in

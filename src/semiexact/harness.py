@@ -27,9 +27,9 @@ the ids of _QUOTIENT_ROW. The hypotheses run on the raw arrows, before a
 Diagram is built, split by Clause.split: one that reads a single part
 (`alpha1 surjective`, `g1 surjective`, `M1 cancellative`) runs as soon as
 that part is drawn, on a row pair once it is drawn, on a2 once it comes
-out of its shuffle, and on the members of a hom-set as _index groups
-them; the rest run on the whole tuple. Only drawn parts and unshuffled
-hom-set groups are tested early, never a pool before its shuffle, so the
+out of its shuffle, and on the members of a hom-set once per join and
+column; the rest run on the whole tuple. Only drawn parts and hom-set
+members are tested early, never a pool before its shuffle, so the
 accepted candidates are the same, in the same order, as with every test
 on the whole tuple. The 3x3 stream tests its whole tuples, which are cheap.
 
@@ -38,18 +38,28 @@ on composite tables: for a fixed arrow such as f2, the hom-set of
 candidate a1 is indexed once by the table of f2∘a1 (morphisms._table), and
 the other side of the square, a2∘f1, is looked up as a plain tuple. No
 Morphism is built to test a square; Diagram.from_arrows still checks every
-square of every diagram it is handed. Maps forced by a square (the 3x3
-quotient row, snake's outer verticals) are factored through the square's
-injection or surjection by morphisms.factor_through_injection and
-factor_through_surjection.
+square of every diagram it is handed. Which verticals of a column pass its
+single-part test depends on the column's two modules alone, so the join
+finds them once per column and modules, and drops a row pair whose column
+beside the middle has none before it indexes anything: the same pairs are
+dropped, in the same order, as by indexing both squares and finding one
+empty. Maps forced by a square (the 3x3 quotient row, snake's outer
+verticals) are factored through the square's injection or surjection by
+morphisms.factor_through_injection and factor_through_surjection; the 3x3
+stream takes each vertical's quotient once per generator and, per middle
+row, induces f3 once per (a1, a2) and g3 once per (a2, a3).
 
 Given the same spec (semiring, bound, seed) the generated corpus is
 identical run to run; the seed only shuffles the candidate order so corpora
-are not dominated by zero maps. Every shuffle is one lazy seeded
-permutation (_permutation): a front-to-back Fisher-Yates shuffle that makes
-one draw per index it yields, so a generator that stops after k candidates
-pays for k, not for the whole pool. Row pairs are drawn as indices into the
-product, which is never materialised.
+are not dominated by zero maps. Every shuffle is a seeded permutation
+(_permutation): a front-to-back Fisher-Yates shuffle. A pool or a product
+of row pools is shuffled once per generator, lazily, one draw per index it
+yields, so a generator that stops after k candidates pays for k, not for
+the whole pool; row pairs are drawn as indices into the product, which is
+never materialised. The a2 hom-sets are shuffled per row pair, and their
+order depends only on the hom-set's size, the seed and the tag, so each
+generator draws each size's order once, whole (_shuffled's orders), rather
+than seeding a new generator per row pair.
 """
 
 from __future__ import annotations
@@ -98,8 +108,16 @@ def _permutation(n, seed, tag):
         yield k
 
 
-def _shuffled(items, seed, tag):
-    return (items[k] for k in _permutation(len(items), seed, tag))
+def _shuffled(items, seed, tag, orders=None):
+    """items in the order of _permutation(len(items), seed, tag). A caller
+    that shuffles many lists under one tag passes a dict, orders, which
+    keeps each length's order, drawn whole when that length first comes."""
+    n = len(items)
+    if orders is None:
+        return map(items.__getitem__, _permutation(n, seed, tag))
+    if n not in orders:
+        orders[n] = tuple(_permutation(n, seed, tag))
+    return map(items.__getitem__, orders[n])
 
 
 def _shuffled_pairs(left, right, seed, tag):
@@ -113,13 +131,11 @@ def _passes(test, part):
     return test is None or test(part)
 
 
-def _index(homs, key, test=None):
-    """Members of a hom-set that pass test (all of them when it is None),
-    grouped by key(h), each group in hom-set order."""
+def _index(homs, key):
+    """Members of a hom-set grouped by key(h), each group in hom-set order."""
     out = {}
     for h in homs:
-        if test is None or test(h):
-            out.setdefault(key(h), []).append(h)
+        out.setdefault(key(h), []).append(h)
     return out
 
 
@@ -151,14 +167,12 @@ def _exact_rows(semiring, max_size, cancellative=False, injective=False, surject
                  and f.codomain in middles)
 
 
-def _square_index(top, bottom, c, n, test):
-    """The members of the hom-set at column c that pass test, grouped by the
-    table of their side of the square they close with column n."""
+def _square_index(top, bottom, c, n, homs):
+    """homs, verticals at column c, grouped by the table of their side of the
+    square they close with column n."""
     if c < n:
-        t, b = top[c], bottom[c]
-        return _index(enumerate_hom(t.domain, b.domain), lambda h: _table(b, h), test)
-    t, b = top[n], bottom[n]
-    return _index(enumerate_hom(t.codomain, b.codomain), lambda h: _table(h, t), test)
+        return _index(homs, lambda h: _table(bottom[c], h))
+    return _index(homs, lambda h: _table(h, top[n]))
 
 
 def _two_row_join(spec, rows_top, rows_bottom, tag, tests):
@@ -174,21 +188,36 @@ def _two_row_join(spec, rows_top, rows_bottom, tag, tests):
     # the verticals in the order they are drawn: (column, neighbour toward the middle)
     order = [(mid, None)] + [(c, c + 1 if c < mid else c - 1)
                              for j in range(1, mid + 1) for c in (mid - j, mid + j)]
+    orders, passing = {}, {}  # a2 orders by length; the verticals that pass, by column
+
+    def members(top, bottom, c):
+        """The verticals at column c that pass vtests[c], the middle ones in
+        their shuffled order: found once per column and modules, keyed by
+        identity, as the row pools hold the modules."""
+        if c < k:
+            X, Y = top[c].domain, bottom[c].domain
+        else:  # the right edge
+            X, Y = top[-1].codomain, bottom[-1].codomain
+        key = c, id(X), id(Y)
+        if key not in passing:
+            homs = enumerate_hom(X, Y)
+            if c == mid:
+                homs = _shuffled(homs, spec.seed, tag + "a2", orders)
+            passing[key] = [h for h in homs if _passes(vtests[c], h)]
+        return passing[key]
     for top, bottom in _shuffled_pairs(rows_top, rows_bottom, spec.seed, tag):
-        if not rows_ok(top + bottom):
+        # every middle vertical needs a vertical that passes on each side of it
+        if not (rows_ok(top + bottom) and members(top, bottom, order[1][0])
+                and members(top, bottom, order[2][0])):
             continue
-        # every middle vertical needs the squares beside it; an outer square
-        # is indexed once a vertical next to it is found
-        indexes = {c: _square_index(top, bottom, c, n, vtests[c]) for c, n in order[1:3]}
-        if not all(indexes.values()):
-            continue
+        indexes = {}  # column -> its _square_index, built when first looked up
         verts = [None] * (k + 1)
 
         def candidates(i):
             """The verticals at order[i] that close its square with verts."""
             c, n = order[i]
             if c not in indexes:
-                indexes[c] = _square_index(top, bottom, c, n, vtests[c])
+                indexes[c] = _square_index(top, bottom, c, n, members(top, bottom, c))
             side = _table(verts[n], top[c]) if c < n else _table(bottom[n], verts[n])
             return indexes[c].get(side, ())
 
@@ -202,8 +231,7 @@ def _two_row_join(spec, rows_top, rows_bottom, tag, tests):
                     yield top + bottom + tuple(verts)
                 elif more := candidates(i + 1):
                     yield from fill(i + 1, more)
-        a2s = _shuffled(enumerate_hom(top[mid].domain, bottom[mid].domain), spec.seed, tag + "a2")
-        yield from fill(0, a2s if vtests[mid] is None else filter(vtests[mid], a2s))
+        yield from fill(0, members(top, bottom, mid))
 
 
 def _build(name, shape, parts):
@@ -325,20 +353,12 @@ def _gen_2x5(spec: HarnessSpec, clause):
 
 # ----------------------------------------------------------- 3x3 generators
 
-def _derive_quotient_row(f2, g2, a1, a2, a3):
-    """Bottom row of a 3x3: quotients by the vertical images with the induced
-    maps; None when an induced map is not well-defined."""
-    q1, q2, q3 = (bourne_quotient(a.codomain, tuple(sorted(image_set(a)))) for a in (a1, a2, a3))
-
-    def induced(q_src, q_dst, f):
-        return factor_through_surjection(q_src.projection, _table(q_dst.projection, f),
-                                         q_dst.quotient, f"[{f.name}]")
-
-    f3 = induced(q1, q2, f2)
-    g3 = induced(q2, q3, g2)
-    if f3 is None or g3 is None:
-        return None
-    return (q1, q2, q3), (f3, g3)
+def _induced(f, q_src, q_dst):
+    """f between quotients of its domain and codomain, as the 3x3 quotient
+    row's f3 or g3; None where it is not well-defined, which the 3x3 stream
+    never asks for."""
+    return factor_through_surjection(q_src.projection, _table(q_dst.projection, f),
+                                     q_dst.quotient, f"[{f.name}]")
 
 
 # What the 3x3 construction guarantees: a short exact middle row, and under
@@ -375,14 +395,21 @@ def _squares_3x3(spec: HarnessSpec, clause, tests):
                                     if classify(a).i_uniform
                                     and (not inj or classify(a).injective)]
         return tops_by[target, inj]
+    quotients, orders = {}, {}  # vertical -> quotient by its image; a2 orders by length
+
+    def quotient(a):
+        if a not in quotients:
+            quotients[a] = bourne_quotient(a.codomain, tuple(sorted(image_set(a))))
+        return quotients[a]
     seed, tag = spec.seed, clause.tag
     for f2, g2 in _shuffled(mid_rows, seed, tag):
         a1s, a2s, a3s = (tops(c, X) for c, X in
                          enumerate((f2.domain, f2.codomain, g2.codomain)))
         g1_by = {}  # (M1, position of a3) -> index of Hom(M1, N1) by a3∘g1
-        for a2 in _shuffled(a2s, seed, tag + "a2"):
-            M1 = a2.domain
+        for a2 in _shuffled(a2s, seed, tag + "a2", orders):
+            M1, q2 = a2.domain, quotient(a2)
             f1_by = {}  # L1 -> index of Hom(L1, M1) by a2∘f1
+            g3_by = {}  # position of a3 -> g3, induced by a2 and a3
             for a1 in a1s:
                 L1 = a1.domain
                 if L1 not in f1_by:
@@ -390,6 +417,11 @@ def _squares_3x3(spec: HarnessSpec, clause, tests):
                 f1s = f1_by[L1].get(_table(f2, a1))
                 if not f1s:
                     continue
+                # f3 is well-defined once a square closes over a1, and g3 once
+                # one closes over a3: f2(im a1) = im(a2∘f1) lies in im a2 and
+                # g2(im a2) = im(a3∘g1) in im a3, so Bourne classes go to
+                # Bourne classes
+                f3 = _induced(f2, quotient(a1), q2)
                 for j, a3 in enumerate(a3s):
                     if (M1, j) not in g1_by:
                         g1_by[M1, j] = _index(enumerate_hom(M1, a3.domain),
@@ -397,14 +429,13 @@ def _squares_3x3(spec: HarnessSpec, clause, tests):
                     g1s = g1_by[M1, j].get(_table(g2, a2))
                     if not g1s:
                         continue
-                    derived = _derive_quotient_row(f2, g2, a1, a2, a3)
-                    if derived is None:
-                        continue
-                    (q1, q2, q3), (f3, g3) = derived
-                    betas = (q1.projection, q2.projection, q3.projection)
+                    if j not in g3_by:
+                        g3_by[j] = _induced(g2, q2, quotient(a3))
+                    rest = (f2, g2, f3, g3_by[j], a1, a2, a3, quotient(a1).projection,
+                            q2.projection, quotient(a3).projection)
                     for f1 in f1s:
                         for g1 in g1s:
-                            parts = (f1, g1, f2, g2, f3, g3, a1, a2, a3) + betas
+                            parts = (f1, g1) + rest
                             if parts_ok(parts):
                                 yield parts
 
@@ -453,11 +484,12 @@ def _snake_squares(spec: HarnessSpec, tests):
     factored through the injective f2 and the surjective g1."""
     s, n, seed = spec.semiring, spec.max_size, spec.seed
     rows_ok, (a1_test, a2_test, a3_test) = _joint(tests[:4]), tests[4:]
+    orders = {}
     for (f1, g1), (f2, g2) in _shuffled_pairs(_exact_rows(s, n, surjective=True),
                                               _snake_left_rows(s, n), seed, "snake"):
         if not rows_ok((f1, g1, f2, g2)):
             continue
-        for a2 in _shuffled(enumerate_hom(f1.codomain, f2.codomain), seed, "snake.a2"):
+        for a2 in _shuffled(enumerate_hom(f1.codomain, f2.codomain), seed, "snake.a2", orders):
             if not _passes(a2_test, a2):
                 continue
             a1 = factor_through_injection(f2, _table(a2, f1), f1.domain,

@@ -135,7 +135,8 @@ def test_shape_error_names_the_diagram_header(tmp_path, capsys):
 @pytest.mark.parametrize("tag, problem", [
     ("bogus", "unknown hypothesis tag 'bogus'"),
     ("bogus nothere", "unknown hypothesis tag 'bogus nothere'"),
-    ("row-exact 2", "hypothesis tag 'row-exact 2' names no row")])
+    ("row-exact 2", "hypothesis tag 'row-exact 2' names no row"),
+    ("cancellative Nope", "hypothesis tag 'cancellative Nope' names no module")])
 def test_malformed_hypothesis_tag_is_located(tag, problem, tmp_path, capsys):
     """A hyp: tag of an unknown kind, or one that names no part of the grid,
     is a structural problem at the tag's own file:line: its kind is checked
@@ -558,6 +559,20 @@ def test_universe_flags_only_where_read(args, capsys):
         run(args + ["--quiet"])
     assert exc.value.code == 2
     assert f"unrecognized arguments: {args[-2]} {args[-1]}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args, missing", [
+    (["corpus"], "semiring"), (["classify"], "name"), (["exactness"], "name"),
+    (["lemma"], "name, diagram"), (["lemma", "short.1"], "diagram"), (["snake"], "diagram"),
+])
+def test_usage_error_names_only_what_is_required(args, missing, capsys):
+    """A command missing a positional names that one alone: the workspace
+    files are optional (corpus runs with none), so they are never named."""
+    with pytest.raises(SystemExit) as exc:
+        run(args)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.rstrip().endswith(f"error: the following arguments are required: {missing}")
 
 
 @pytest.mark.parametrize("name", ["nat0", "nat7", "nat10", "nat2530"])

@@ -1,19 +1,22 @@
 """Diagram verifiers: trivial instances, gates, snake invariants."""
 
+import re
 from itertools import permutations
 
 import pytest
 
-from semiexact.core import (Semimodule, Subsemimodule, make_zmod, self_module,
+from semiexact.core import (Semimodule, Subsemimodule, make_boolean, make_zmod, self_module,
                             zero_module)
-from semiexact.diagrams import (Diagram, snake, verify_short_five_half, verify_five,
-                                verify_five_parts, verify_lemma_diagram,
-                                verify_lemma_short, verify_nine, verify_nine_first,
-                                verify_nine_third, verify_short_five)
-from semiexact.errors import HypothesisError
-from semiexact.morphisms import (Morphism, identity_morphism, submodule_as_module,
-                                 zero_morphism)
+from semiexact.diagrams import (CLAUSES, Diagram, _require_grid, snake,
+                                verify_short_five_half, verify_five, verify_five_parts,
+                                verify_lemma_diagram, verify_lemma_short, verify_nine,
+                                verify_nine_first, verify_nine_third, verify_short_five)
+from semiexact.enumeration import UniverseSpec, enumerate_semimodules
+from semiexact.errors import HypothesisError, StructureError
+from semiexact.morphisms import (Morphism, classify, enumerate_hom, identity_morphism,
+                                 submodule_as_module, zero_morphism)
 from semiexact.quotients import bourne_congruence, quotient
+from semiexact.workspace import Workspace, parse, serialize
 
 
 @pytest.fixture(scope="module")
@@ -87,9 +90,11 @@ def test_broken_commutativity_is_hypothesis_error(z2mod):
     ident = identity_morphism(z2mod)
     flip = Morphism("flip", z2mod, z2mod, (0, 1))
     zero = zero_morphism(z2mod, z2mod)
-    with pytest.raises(HypothesisError):
+    with pytest.raises(HypothesisError, match=re.escape("square (0,0) does not commute")) as exc:
         Diagram.from_arrows("bad", [[ident, ident], [ident, ident]],
                             [[ident, zero, ident]])
+    # the witness is the first element on which the two paths differ
+    assert exc.value.witness == f"element 1 of {z2mod.name}"
 
 
 def _declared(d, tags):
@@ -126,6 +131,79 @@ def _corner_3x3(z2mod, z2zero, m):
     row and left column and 0 -> Z2 -m-> Z2 on every other row and column."""
     oo, into = zero_morphism(z2zero, z2zero), zero_morphism(z2zero, z2mod)
     return [[oo, oo], [into, m], [into, m]], [[oo, into, into], [oo, m, m]]
+
+
+def _sorted_parts(d):
+    return (tuple(d.horizontals[k] for k in sorted(d.horizontals))
+            + tuple(d.verticals[k] for k in sorted(d.verticals)))
+
+
+def test_parts_are_in_sorted_key_order(z2mod, z2zero):
+    """parts() is the horizontals and then the verticals by sorted key, for a
+    grid from from_arrows, which keeps the tuple it was handed, and for a
+    parsed one, whose verticals come in column by column."""
+    built = Diagram.from_arrows("C", *_corner_3x3(z2mod, z2zero, identity_morphism(z2mod)))
+    ws = Workspace()
+    ws.semirings["Z2"] = z2mod.semiring
+    ws.modules.update(Z=z2mod, O=z2zero)
+    ws.morphisms.update({f"m{i}": f for i, f in enumerate(dict.fromkeys(built.parts()))})
+    ws.diagrams["C"] = built
+    parsed = parse(serialize(ws)).diagrams["C"]
+    assert list(parsed.verticals) != sorted(parsed.verticals)
+    empty = Diagram("E", [], {}, {})
+    assert (empty.rows, empty.cols, empty.parts()) == (0, 0, ())
+    for d in (built, parsed):
+        assert d.parts() == _sorted_parts(d)
+        assert d.parts() is d.parts()
+
+
+def test_grid_of_wrong_shape_or_with_a_part_missing_is_refused(z2mod):
+    """A grid of another shape than the clause's is refused by shape, and
+    one built with a part missing by that part's name, as the clauses and
+    snake read them, though every other part is there."""
+    ident = identity_morphism(z2mod)
+    nodes = [[z2mod] * 3] * 2
+    horizontals = {(r, c): ident for r in range(2) for c in range(2)}
+    verticals = {(0, c): ident for c in range(3)}
+    full = Diagram("full", nodes, horizontals, verticals)
+    _require_grid(full, 2, 3, "full")
+    for rows, cols in ((3, 3), (2, 5)):
+        with pytest.raises(StructureError, match=f"x: expected a {rows}x{cols} diagram, got full"):
+            _require_grid(full, rows, cols, "x")
+    for gone, kind in (((1, 0), "horizontal"), ((0, 2), "vertical"), ((0, 0), "vertical")):
+        h, v = dict(horizontals), dict(verticals)
+        del (h if kind == "horizontal" else v)[gone]
+        d = Diagram("partial", nodes, h, v)
+        missing = re.escape(f"missing {kind} at ({gone[0]},{gone[1]})")
+        with pytest.raises(StructureError, match="short.1: " + missing):
+            verify_lemma_short(d, 1)
+        with pytest.raises(StructureError, match="snake: " + missing):
+            snake(d)
+
+
+@pytest.mark.parametrize("kind, key, grid", [
+    ("horizontal", (0, 1), "ZZO ZZZ"), ("horizontal", (0, 2), "ZZZ ZZZ"),
+    ("horizontal", (2, 0), "ZZZ ZZZ"), ("horizontal", (0, -1), "ZZZ ZZZ"),
+    ("horizontal", (-1, 0), "ZZZ ZZZ"), ("vertical", (1, 0), "ZZZ ZZZ"),
+    ("vertical", (0, 3), "ZZZ ZZZ"), ("vertical", (0, -1), "ZZZ ZZZ"),
+    ("vertical", (-1, 1), "ZZZ ZZZ"), ("vertical", (0, 2), "ZZZ ZZ"),
+    ("vertical", (0, 2), "ZZ ZZZ")],
+    ids=["codomain-not-next-node", "right-of-grid", "below-grid", "negative-column",
+         "negative-row", "below-last-row", "right-of-grid-v", "negative-column-v",
+         "negative-row-v", "past-shorter-row-below", "past-shorter-row-above"])
+def test_arrow_that_misses_its_nodes_is_refused(z2mod, z2zero, kind, key, grid):
+    """An arrow whose ends are not the node at its key and the next one
+    along, or whose key is off the grid, negative or past the end of a
+    shorter row, is refused by kind and key; horizontals are checked first."""
+    ident = identity_morphism(z2mod)
+    nodes = [[{"Z": z2mod, "O": z2zero}[n] for n in row] for row in grid.split()]
+    arrows = {"horizontal": {(r, c): ident for r, row in enumerate(nodes)
+                             for c in range(len(row) - 1)},
+              "vertical": {(0, c): ident for c in range(min(map(len, nodes)))}}
+    arrows[kind][key] = ident
+    with pytest.raises(StructureError, match=re.escape(
+            f"diagram bad: {kind} at ({key[0]},{key[1]}) does not match its nodes")):
+        Diagram("bad", nodes, arrows["horizontal"], arrows["vertical"])
 
 
 def test_five_row_witness_is_exact_at(z2mod):
@@ -178,6 +256,40 @@ def test_nine_gate_on_broken_middle_row(z2mod, z2zero):
     d = Diagram.from_arrows("bad9", rows, cols)
     with pytest.raises(HypothesisError):
         verify_nine(d, "iff")
+
+
+def test_nine_gates_read_the_middle_column(z2mod, z2zero):
+    """`middle column exact at middle` reads alpha2 and beta2: here the
+    middle column Z2 -id-> Z2 -id-> Z2 is not exact, while the right one,
+    Z2 -id-> Z2 -0-> Z2, is."""
+    into, zz = zero_morphism(z2zero, z2mod), zero_morphism(z2mod, z2mod)
+    idm, oo = identity_morphism(z2mod), identity_morphism(z2zero)
+    d = Diagram.from_arrows("mid9", [[into, zz]] * 3, [[oo, idm, idm], [oo, idm, zz]])
+    for verify in (verify_nine_first, verify_nine_third):
+        with pytest.raises(HypothesisError, match="middle column exact at middle"):
+            verify(d, 1)
+
+
+def test_conclusion_witnesses(z2mod):
+    """A failed conclusion is witnessed by classify's witness for its flag,
+    unless its clause names another: diagram.1b's `alpha1 surjective` is
+    witnessed by the map's name, five.3's `alpha2 isomorphism` by its flags."""
+    zero = zero_morphism(z2mod, z2mod)
+    witnesses = {key: CLAUSES[key].conclusions[0].witness((zero,) * 13)
+                 for key in ("diagram.1a", "diagram.1b", "five.3")}
+    assert witnesses == {"diagram.1a": dict(classify(zero).witnesses)["injective"],
+                         "diagram.1b": zero.name, "five.3": "inj=False surj=False"}
+
+
+def test_short_five_relations_on_a_map_neither_i_uniform_nor_iso():
+    """The short-five conclusions relate `alpha2 i-uniform` to `alpha2
+    isomorphism`; on a middle vertical that is neither, all three hold. The
+    clause's hypotheses never admit one (its middles are groups, where
+    every map is i-uniform), so no corpus reaches this case."""
+    mods = enumerate_semimodules(UniverseSpec(make_boolean(), 3)).modules
+    f = next(f for M in mods for N in mods for f in enumerate_hom(M, N)
+             if not classify(f).i_uniform)
+    assert [c.test((f,) * 7) for c in CLAUSES["short-five"].conclusions] == [True] * 3
 
 
 def _snake_identity_diagram(z2mod, z2zero):

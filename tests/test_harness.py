@@ -30,8 +30,9 @@ from semiexact.harness import (HarnessSpec, gen_short_five_half, gen_five,
                                gen_short_five, gen_snake)
 from semiexact.enumeration import oracle_iso_exists
 from semiexact.fixtures import builtin_semirings
-from semiexact.morphisms import (Morphism, compose, enumerate_hom, image_set, is_isomorphism,
-                                 is_k_uniform, is_surjective, kernel_module, kernel_set)
+from semiexact.morphisms import (Morphism, _table, compose, enumerate_hom, image_set,
+                                 is_isomorphism, is_k_uniform, is_surjective, kernel_module,
+                                 kernel_set)
 
 DATA = Path(__file__).resolve().parent / "data"
 SNAPSHOT = DATA / "harness_corpora_seed11.json"
@@ -177,27 +178,26 @@ def test_draws_scale_with_candidates_used(monkeypatch, name, clause):
 
 
 def test_gen_nine_builds_each_quotient_once(monkeypatch):
-    """The 3x3 quotient row takes each vertical's Bourne quotient from the
-    structure cache, keyed by (codomain table, image): one Bourne congruence
-    per pair, though verticals repeat."""
-    built, rows = [], 0
-    bourne, derive = morphisms.bourne_congruence, harness._derive_quotient_row
+    """The 3x3 quotient row asks for each vertical's Bourne quotient once per
+    generator and takes it from the structure cache, keyed by (codomain
+    table, image): one Bourne congruence per pair, though verticals repeat."""
+    built, asked = [], []
+    bourne, quotient = morphisms.bourne_congruence, harness.bourne_quotient
 
     def counted_bourne(L):
         built.append((L.parent, L.members))
         return bourne(L)
 
-    def counted_derive(*parts):
-        nonlocal rows
-        rows += 1
-        return derive(*parts)
+    def counted_quotient(M, members):
+        asked.append((M, members))
+        return quotient(M, members)
     monkeypatch.setattr(morphisms, "bourne_congruence", counted_bourne)
-    monkeypatch.setattr(harness, "_derive_quotient_row", counted_derive)
+    monkeypatch.setattr(harness, "bourne_quotient", counted_quotient)
     monkeypatch.setattr(morphisms, "_substructures",
                         lru_cache(maxsize=None)(morphisms._substructures.__wrapped__))
     assert len(gen_nine(HarnessSpec(make_zmod(2), 4, seed=11, quota=4))) == 4
     assert len(set(built)) == len(built)
-    assert 0 < len(built) < 3 * rows
+    assert 0 < len(built) <= len(asked)
 
 
 @pytest.mark.parametrize("field, value", [("quota", 0), ("quota", -2), ("max_size", 0)])
@@ -206,32 +206,45 @@ def test_harness_spec_rejects_nonpositive_bounds(field, value):
         HarnessSpec(make_zmod(2), **{"max_size": 3, field: value})
 
 
-def _compose_filter(spec, rows_top, rows_bottom, tag):
-    """Square filling by composing every candidate: the reference for the
-    hash join in _two_row_join, over rows (f, g) or (d, f, g, h)."""
+def _compose_filter(spec, rows_top, rows_bottom, tag, tests=()):
+    """Square filling by composing every candidate with every arrow it
+    meets (morphisms._table, the table of a composite): the reference for
+    the hash join in _two_row_join, over rows (f, g) or (d, f, g, h). With
+    tests, only the grids on whose i-th part tests[i] passes wherever it is
+    not None; a pair whose rows fail is not filled."""
+    def passes(parts):
+        return all(t is None or t(x) for t, x in zip(tests, parts))
     pairs = [(r1, r2) for r1 in rows_top for r2 in rows_bottom]
     for top, bottom in harness._shuffled(pairs, spec.seed, tag):
+        if not passes(top + bottom):
+            continue
         wide = len(top) == 4
         (f1, g1), (f2, g2) = top[wide:wide + 2], bottom[wide:wide + 2]
+        if wide:
+            (d1, h1), (d2, h2) = top[::3], bottom[::3]
         for a2 in harness._shuffled(enumerate_hom(f1.codomain, f2.codomain),
                                     spec.seed, tag + "a2"):
+            left, right = _table(a2, f1), _table(g2, a2)
             lefts = [a1 for a1 in enumerate_hom(f1.domain, f2.domain)
-                     if compose(f2, a1).map == compose(a2, f1).map]
+                     if _table(f2, a1) == left]
             rights = [a3 for a3 in enumerate_hom(g1.codomain, g2.codomain)
-                      if compose(a3, g1).map == compose(g2, a2).map]
+                      if _table(a3, g1) == right]
+            if wide:
+                deltas = {a3: [c for c in enumerate_hom(h1.codomain, h2.codomain)
+                               if _table(c, h1) == _table(h2, a3)] for a3 in rights}
             for a1 in lefts:
+                if wide:
+                    gammas = [c for c in enumerate_hom(d1.domain, d2.domain)
+                              if _table(d2, c) == _table(a1, d1)]
                 for a3 in rights:
                     if not wide:
-                        yield top + bottom + (a1, a2, a3)
+                        if passes(top + bottom + (a1, a2, a3)):
+                            yield top + bottom + (a1, a2, a3)
                         continue
-                    (d1, h1), (d2, h2) = top[::3], bottom[::3]
-                    gammas = [c for c in enumerate_hom(d1.domain, d2.domain)
-                              if compose(d2, c).map == compose(a1, d1).map]
-                    deltas = [c for c in enumerate_hom(h1.codomain, h2.codomain)
-                              if compose(c, h1).map == compose(h2, a3).map]
                     for gamma in gammas:
-                        for delta in deltas:
-                            yield top + bottom + (gamma, a1, a2, a3, delta)
+                        for delta in deltas[a3]:
+                            if passes(top + bottom + (gamma, a1, a2, a3, delta)):
+                                yield top + bottom + (gamma, a1, a2, a3, delta)
 
 
 @pytest.mark.parametrize("semiring, seed, width", [
@@ -252,6 +265,47 @@ def test_row_pairs_match_compose_filter(semiring, seed, width):
     assert len(expected) > 30
     tests = (None,) * len(diagrams._PART_NAMES[2, width])
     assert list(harness._two_row_join(spec, top, bottom, "eq", tests)) == expected
+
+
+def _sampled(rows, k=10):
+    """About k rows spread over a pool, in pool order."""
+    return rows[::len(rows) // k + 1]
+
+
+@pytest.mark.parametrize("semiring, size", [
+    (make_zmod(2), 4), (make_zmod(4), 4), (make_boolean(), 4), (make_saturating_naturals(2), 3)],
+    ids=["Z2@4", "Z4@4", "B@4", "T2@3"])
+def test_join_matches_compose_filter_on_every_clause(semiring, size, monkeypatch):
+    """For every 2x3 and 2x5 clause, over rows sampled from its pools and
+    with its single-part tests, the join yields what the compose filter
+    yields that passes those tests, in the same order, at three seeds. The
+    join drops a pair before indexing when a column beside the middle has
+    no passing vertical, so it never indexes an empty square there, and
+    keeps each column's passing verticals and each a2 order per join; the
+    reference does neither."""
+    indexed, square_index = [], harness._square_index
+
+    def spy(top, bottom, c, n, homs):
+        indexed.append((len(top), n, len(homs)))
+        return square_index(top, bottom, c, n, homs)
+    monkeypatch.setattr(harness, "_square_index", spy)
+    for clause in CLAUSES.values():
+        if clause.shape == (2, 3):
+            top, bottom, guaranteed = harness._row_pools(semiring, size, clause.ids)
+        elif clause.shape == (2, 5):
+            top = bottom = harness._exact_5rows(semiring, size)
+            guaranteed = {i for i in clause.ids if i.endswith("row exact")}
+        else:
+            continue
+        tests, _ = clause.split(guaranteed)
+        top, bottom = _sampled(top), _sampled(bottom)
+        for seed in (0, 11, 97):
+            spec = HarnessSpec(semiring, size, seed=seed)
+            assert list(harness._two_row_join(spec, top, bottom, clause.tag, tests)) == \
+                list(_compose_filter(spec, top, bottom, clause.tag, tests)), (clause.tag, seed)
+    # a column beside the middle, whose neighbour n is the middle column
+    # (k + 1) // 2 of a row of k arrows, is indexed only where a vertical passes
+    assert indexed and all(size for k, n, size in indexed if n == (k + 1) // 2)
 
 
 # Every generator, at seed 11 and quota 4. The stored digests of all but

@@ -6,7 +6,10 @@
 A site is one operator of the module, in source order: a comparison
 (== / !=, < / <=, > / >=, in / not in, is / is not, one site per operator
 of a chain), a boolean operation (and / or, one site per expression, every
-operator of it swapped) or a `not` that the mutant drops. Each mutant
+operator of it swapped) or a `not` that the mutant drops; or an integer
+literal, which the mutant changes from 0 to 1, from 1 to 0 and from any
+other k to k + 1 (one not written as its plain decimal value is no site).
+Each mutant
 changes one site of a scratch copy of the tree, never the tree itself; Tier-1
 runs in the copy with -x and without the `python -O` slice, and a mutant is
 killed when that run fails or outlasts ten times the unmutated run. One row
@@ -44,7 +47,7 @@ IGNORED = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".work"
 
 class Site(NamedTuple):
     line: int
-    operator: str  # "== -> !=", "and -> or", "not -> (dropped)"
+    operator: str  # "== -> !=", "and -> or", "not -> (dropped)", "3 -> 4"
     spans: tuple  # (start, end) character offsets into the source, in order
     replacement: str
 
@@ -84,6 +87,12 @@ def sites(text):
         elif isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.Not):
             spans = (NOT.match(text, offset(node.lineno, node.col_offset)).span(),)
             found.append(Site(line_of(spans), "not -> (dropped)", spans, ""))
+        elif isinstance(node, ast.Constant) and type(node.value) is int:
+            spans = ((offset(node.lineno, node.col_offset),
+                      offset(node.end_lineno, node.end_col_offset)),)
+            if text[slice(*spans[0])] == str(node.value):
+                new = str(1 - node.value if node.value in (0, 1) else node.value + 1)
+                found.append(Site(line_of(spans), f"{node.value} -> {new}", spans, new))
     return sorted(found, key=lambda found_site: found_site.spans)
 
 
