@@ -23,6 +23,7 @@ nor perfbench runs it.
 from __future__ import annotations
 
 import argparse
+import os
 import re
 import sys
 import tempfile
@@ -47,7 +48,7 @@ class _Counter:
         code = frame.f_code
         ours = self.ours.get(code)
         if ours is None:
-            ours = self.ours[code] = code.co_filename.startswith(SRC)
+            ours = self.ours[code] = code.co_filename.startswith(SRC + os.sep)
         if not ours:
             return None
         frame.f_trace_lines = False
