@@ -1,7 +1,7 @@
 """Counted work of one benchmark pass: Python opcodes run inside the package.
 
     python tools/opcount.py --workload lemma-corpus --seed 11
-    python tools/opcount.py --workload universe-export --seed 11 --tasks
+    python tools/opcount.py --workload universe-export --seed 11
     PYTHONHASHSEED=123 python tools/opcount.py --workload lemma-corpus --seed 11
 
 Runs one pass of a workload of perfbench/workloads.py in this interpreter,
@@ -14,9 +14,8 @@ cache hits) is not in it. The host's speed cannot move it, and neither
 does the string hash seed: a pass counted the same under PYTHONHASHSEED 0,
 11 and 123.
 
-Prints the clause families' totals (a task's family is its id up to the
-first '.', '@' or digit), the pass total and, with --tasks, one row per task
-first. perfbench/ is imported, never edited. Stdlib only; neither Tier-1
+Prints one row per task, then the clause families' totals (a task's family
+is its id up to the first '.', '@' or digit), then the pass total. perfbench/ is imported, never edited. Stdlib only; neither Tier-1
 nor perfbench runs it.
 """
 
@@ -94,12 +93,10 @@ def main(argv=None):
     ap.add_argument("--workload", required=True, choices=sorted(workloads.WORKLOADS))
     ap.add_argument("--seed", type=int, required=True)
     ap.add_argument("--tiny", action="store_true", help="the workload's tiny pass")
-    ap.add_argument("--tasks", action="store_true", help="print one row per task too")
     args = ap.parse_args(argv)
     rows = count_pass(args.workload, args.seed, args.tiny)
-    if args.tasks:
-        for task_id, n in rows:
-            print(f"task\t{task_id}\t{n}")
+    for task_id, n in rows:
+        print(f"task\t{task_id}\t{n}")
     families = {}
     for task_id, n in rows:
         families[family(task_id)] = families.get(family(task_id), 0) + n
