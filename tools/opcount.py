@@ -74,13 +74,13 @@ def family(task_id):
     return re.match(r"[^.@\d]*", task_id).group() or task_id
 
 
-def count_pass(workload, seed, tiny=False):
+def count_pass(workload, seed):
     """[(task id, opcodes)] of one pass, in task order."""
     import semiexact.cli  # noqa: F401  (loaded before the tasks, as the worker does)
 
     counter, rows = _Counter(), []
     with tempfile.TemporaryDirectory(prefix="opcount-") as workdir:
-        tasks, _ = workloads.WORKLOADS[workload](seed, tiny, workdir)
+        tasks, _ = workloads.WORKLOADS[workload](seed, False, workdir)
         for task in tasks:
             out, n = counter.counted(task.run)
             task.check(out)
@@ -92,9 +92,8 @@ def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--workload", required=True, choices=sorted(workloads.WORKLOADS))
     ap.add_argument("--seed", type=int, required=True)
-    ap.add_argument("--tiny", action="store_true", help="the workload's tiny pass")
     args = ap.parse_args(argv)
-    rows = count_pass(args.workload, args.seed, args.tiny)
+    rows = count_pass(args.workload, args.seed)
     for task_id, n in rows:
         print(f"task\t{task_id}\t{n}")
     families = {}
