@@ -52,14 +52,13 @@ row, induces f3 once per (a1, a2) and g3 once per (a2, a3).
 Given the same spec (semiring, bound, seed) the generated corpus is
 identical run to run; the seed only shuffles the candidate order so corpora
 are not dominated by zero maps. Every shuffle is a seeded permutation
-(_permutation): a front-to-back Fisher-Yates shuffle. A pool or a product
-of row pools is shuffled once per generator, lazily, one draw per index it
-yields, so a generator that stops after k candidates pays for k, not for
-the whole pool; row pairs are drawn as indices into the product, which is
-never materialised. The a2 hom-sets are shuffled per row pair, and their
-order depends only on the hom-set's size, the seed and the tag, so each
-generator draws each size's order once, whole (_shuffled's orders), rather
-than seeding a new generator per row pair.
+(_permutation): a front-to-back Fisher-Yates shuffle, drawn lazily, one
+draw per index it yields, so a generator that stops after k candidates
+pays for k, not for the whole list. A pool or a product of row pools is
+shuffled once per generator; row pairs are drawn as indices into the
+product, which is never materialised. The 3x3 and snake streams shuffle
+an a2 hom-set per row; the join shuffles the middle column's hom-set once
+per modules, with the verticals it finds there, not per row pair.
 """
 
 from __future__ import annotations
@@ -108,16 +107,8 @@ def _permutation(n, seed, tag):
         yield k
 
 
-def _shuffled(items, seed, tag, orders=None):
-    """items in the order of _permutation(len(items), seed, tag). A caller
-    that shuffles many lists under one tag passes a dict, orders, which
-    keeps each length's order, drawn whole when that length first comes."""
-    n = len(items)
-    if orders is None:
-        return map(items.__getitem__, _permutation(n, seed, tag))
-    if n not in orders:
-        orders[n] = tuple(_permutation(n, seed, tag))
-    return map(items.__getitem__, orders[n])
+def _shuffled(items, seed, tag):
+    return map(items.__getitem__, _permutation(len(items), seed, tag))
 
 
 def _shuffled_pairs(left, right, seed, tag):
@@ -188,7 +179,7 @@ def _two_row_join(spec, rows_top, rows_bottom, tag, tests):
     # the verticals in the order they are drawn: (column, neighbour toward the middle)
     order = [(mid, None)] + [(c, c + 1 if c < mid else c - 1)
                              for j in range(1, mid + 1) for c in (mid - j, mid + j)]
-    orders, passing = {}, {}  # a2 orders by length; the verticals that pass, by column
+    passing = {}  # the verticals that pass, by column
 
     def members(top, bottom, c):
         """The verticals at column c that pass vtests[c], the middle ones in
@@ -202,7 +193,7 @@ def _two_row_join(spec, rows_top, rows_bottom, tag, tests):
         if key not in passing:
             homs = enumerate_hom(X, Y)
             if c == mid:
-                homs = _shuffled(homs, spec.seed, tag + "a2", orders)
+                homs = _shuffled(homs, spec.seed, tag + "a2")
             passing[key] = [h for h in homs if _passes(vtests[c], h)]
         return passing[key]
     for top, bottom in _shuffled_pairs(rows_top, rows_bottom, spec.seed, tag):
@@ -395,7 +386,7 @@ def _squares_3x3(spec: HarnessSpec, clause, tests):
                                     if classify(a).i_uniform
                                     and (not inj or classify(a).injective)]
         return tops_by[target, inj]
-    quotients, orders = {}, {}  # vertical -> quotient by its image; a2 orders by length
+    quotients = {}  # vertical -> its Bourne quotient by its image
 
     def quotient(a):
         if a not in quotients:
@@ -406,7 +397,7 @@ def _squares_3x3(spec: HarnessSpec, clause, tests):
         a1s, a2s, a3s = (tops(c, X) for c, X in
                          enumerate((f2.domain, f2.codomain, g2.codomain)))
         g1_by = {}  # (M1, position of a3) -> index of Hom(M1, N1) by a3∘g1
-        for a2 in _shuffled(a2s, seed, tag + "a2", orders):
+        for a2 in _shuffled(a2s, seed, tag + "a2"):
             M1, q2 = a2.domain, quotient(a2)
             f1_by = {}  # L1 -> index of Hom(L1, M1) by a2∘f1
             g3_by = {}  # position of a3 -> g3, induced by a2 and a3
@@ -484,12 +475,11 @@ def _snake_squares(spec: HarnessSpec, tests):
     factored through the injective f2 and the surjective g1."""
     s, n, seed = spec.semiring, spec.max_size, spec.seed
     rows_ok, (a1_test, a2_test, a3_test) = _joint(tests[:4]), tests[4:]
-    orders = {}
     for (f1, g1), (f2, g2) in _shuffled_pairs(_exact_rows(s, n, surjective=True),
                                               _snake_left_rows(s, n), seed, "snake"):
         if not rows_ok((f1, g1, f2, g2)):
             continue
-        for a2 in _shuffled(enumerate_hom(f1.codomain, f2.codomain), seed, "snake.a2", orders):
+        for a2 in _shuffled(enumerate_hom(f1.codomain, f2.codomain), seed, "snake.a2"):
             if not _passes(a2_test, a2):
                 continue
             a1 = factor_through_injection(f2, _table(a2, f1), f1.domain,

@@ -178,11 +178,16 @@ def test_draws_scale_with_candidates_used(monkeypatch, name, clause):
 
 
 def test_gen_nine_builds_each_quotient_once(monkeypatch):
-    """The 3x3 quotient row asks for each vertical's Bourne quotient once per
-    generator and takes it from the structure cache, keyed by (codomain
-    table, image): one Bourne congruence per pair, though verticals repeat."""
-    built, asked = [], []
-    bourne, quotient = morphisms.bourne_congruence, harness.bourne_quotient
+    """The 3x3 quotient row reads each vertical's image once per generator,
+    and takes its Bourne quotient from the structure cache, keyed by
+    (codomain table, image): one Bourne congruence per pair, though distinct
+    verticals share pairs (at seed 11, quota 8: nine verticals, six pairs)."""
+    spec = HarnessSpec(make_zmod(2), 4, seed=11, quota=8)
+    # the row pools index maps by image too; build them before counting
+    harness._exact_rows(spec.semiring, spec.max_size, injective=True, surjective=True)
+    built, asked, imaged = [], [], []
+    bourne, quotient, image = (morphisms.bourne_congruence, harness.bourne_quotient,
+                               harness.image_set)
 
     def counted_bourne(L):
         built.append((L.parent, L.members))
@@ -191,13 +196,19 @@ def test_gen_nine_builds_each_quotient_once(monkeypatch):
     def counted_quotient(M, members):
         asked.append((M, members))
         return quotient(M, members)
+
+    def counted_image(a):
+        imaged.append(a)
+        return image(a)
     monkeypatch.setattr(morphisms, "bourne_congruence", counted_bourne)
     monkeypatch.setattr(harness, "bourne_quotient", counted_quotient)
+    monkeypatch.setattr(harness, "image_set", counted_image)
     monkeypatch.setattr(morphisms, "_substructures",
                         lru_cache(maxsize=None)(morphisms._substructures.__wrapped__))
-    assert len(gen_nine(HarnessSpec(make_zmod(2), 4, seed=11, quota=4))) == 4
+    assert len(gen_nine(spec)) == 8
+    assert len(set(imaged)) == len(imaged) == len(asked)
     assert len(set(built)) == len(built)
-    assert 0 < len(built) <= len(asked)
+    assert 0 < len(built) < len(asked)
 
 
 @pytest.mark.parametrize("field, value", [("quota", 0), ("quota", -2), ("max_size", 0)])

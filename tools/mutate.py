@@ -1,4 +1,4 @@
-"""Operator mutation sweep of one module against Tier-1.
+"""Operator and integer-literal mutation sweep of one module against Tier-1.
 
     python tools/mutate.py src/semiexact/workspace.py           # run every site
     python tools/mutate.py src/semiexact/workspace.py --list    # list the sites only
@@ -9,14 +9,13 @@ of a chain), a boolean operation (and / or, one site per expression, every
 operator of it swapped) or a `not` that the mutant drops; or an integer
 literal, which the mutant changes from 0 to 1, from 1 to 0 and from any
 other k to k + 1 (one not written as its plain decimal value is no site).
-Each mutant
-changes one site of a scratch copy of the tree, never the tree itself; Tier-1
-runs in the copy with -x and without the `python -O` slice, and a mutant is
-killed when that run fails or outlasts ten times the unmutated run. One row
-is printed per site: module, line, operator, killed or survived. An
-interrupt or a SIGTERM stops the sweep, its Tier-1 run and that run's
-subprocesses, and removes the scratch copy. Stdlib only; Tier-1 does not
-run the sweep.
+Each mutant changes one site of a scratch copy of the tree, never the tree
+itself; Tier-1 runs in the copy with -x and without the `python -O` slice,
+and a mutant is killed when that run fails or outlasts ten times the
+unmutated run. One row is printed per site: module, line, operator, killed
+or survived. An interrupt or a SIGTERM stops the sweep, its Tier-1 run and
+that run's subprocesses, and removes the scratch copy. Stdlib only; Tier-1
+does not run the sweep.
 """
 
 from __future__ import annotations

@@ -15,8 +15,10 @@ does the string hash seed: a pass counted the same under PYTHONHASHSEED 0,
 11 and 123.
 
 Prints one row per task, then the clause families' totals (a task's family
-is its id up to the first '.', '@' or digit), then the pass total. perfbench/ is imported, never edited. Stdlib only; neither Tier-1
-nor perfbench runs it.
+is its id up to the first '.', '@' or digit), then the pass total.
+
+perfbench/ is imported, never edited. Stdlib only; neither Tier-1 nor
+perfbench runs it.
 """
 
 from __future__ import annotations
