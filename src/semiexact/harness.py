@@ -3,62 +3,59 @@
 Every exact row comes from one list, _exact_pairs: the pairs (f, g) over
 the pool's modules with image(f) = Ker(g) and g k-uniform, by g, then f, in
 enumeration.maps_among order, so every arrow of a row is a hom-set member
-as enumerate_hom names it. Exactness at an object reads only the two
-arrows that meet there. So a 2x3 row assumed exact is an exact pair with
-the row's other conditions (_exact_rows), the snake's left exact bottom
-row an exact pair with f injective, and a 2x5 row exact at L, M and N
-three overlapping exact pairs (_exact_5rows_stream). The other 2x3 rows,
-with g∘f = 0, come from _any_rows_stream. Each capped pool is the front of
-an uncapped ordered stream: _any_rows, _exact_5rows and _snake_left_rows
-keep its first 400, 600 and 200 rows. The caps stay, as a pool's length
-sets its shuffle and so the corpus. Verticals are drawn from hom-sets.
-The caches, all lru_caches: _pool and the row pools _exact_pairs,
-_exact_rows (per set of conditions too), _any_rows, _exact_5rows and
-_snake_left_rows, per (semiring, bound). Hom-sets, classifications and the
-3x3 quotient row's Bourne quotients (bourne_quotient) come from morphisms'
-caches.
-The generator of a clause's shape draws for its entry of diagrams.CLAUSES,
-gen_snake for diagrams._SNAKE_GATES, and _collect keeps the candidates that
-pass the hypotheses, minus those the construction guarantees: the
-hypotheses listed in _ROW_POOLS choose a 2x3 row pool (the snake's pools
-hold its gates listed there), which guarantees those that chose it when
-the row is exact; 2x5 rows guarantee their exactness, the 3x3 quotient row
-the ids of _QUOTIENT_ROW. The hypotheses run on the raw arrows, before a
-Diagram is built, split by Clause.split: one that reads a single part
+as enumerate_hom names it. Exactness at an object reads only the two arrows
+that meet there. So a 2x3 row assumed exact is an exact pair with the row's
+other conditions (_exact_rows), and a 2x5 row exact at L, M and N three
+overlapping exact pairs (_exact_5rows_stream). The other 2x3 rows, with
+g∘f = 0, come from _any_rows_stream. Each capped pool is the front of an
+uncapped ordered stream: _any_rows and _exact_5rows keep its first 400 and
+600 rows. The caps stay, as a pool's length sets its shuffle and so the
+corpus. Verticals are drawn from hom-sets. The caches, all lru_caches:
+_pool and the row pools _exact_pairs, _exact_rows (per set of conditions
+too), _any_rows and _exact_5rows, per (semiring, bound). Hom-sets,
+classifications and the 3x3 quotient row's Bourne quotients
+(bourne_quotient) come from morphisms' caches.
+The generator of a clause's shape draws for its entry of diagrams.CLAUSES;
+the snake's gates, diagrams._SNAKE_GATES, are drawn as one more 2x3 clause.
+_collect keeps the candidates that pass the hypotheses, minus those the
+construction guarantees: the hypotheses listed in _ROW_POOLS choose a 2x3
+row pool, which guarantees those that chose it when the row is exact; 2x5
+rows guarantee their exactness, the 3x3 quotient row the ids of
+_QUOTIENT_ROW. The hypotheses run on the raw arrows, before a Diagram is
+built, split by Clause.split: one that reads a single part
 (`alpha1 surjective`, `g1 surjective`, `M1 cancellative`) runs as soon as
 that part is drawn, on a row pair once it is drawn, on a2 once it comes
 out of its shuffle, and on the members of a hom-set once per join and
 column; the rest run on the whole tuple. Only drawn parts and hom-set
-members are tested early, never a pool before its shuffle, so the
-accepted candidates are the same, in the same order, as with every test
-on the whole tuple. The 3x3 stream tests its whole tuples, which are cheap.
+members are tested early, never a pool before its shuffle, so the accepted
+candidates are the same, in the same order, as with every test on the
+whole tuple. The 3x3 stream tests its whole tuples, which are cheap.
 
 Every 2x3 and 2x5 grid is filled by one join, _two_row_join, by hash joins
-on composite tables: for a fixed arrow such as f2, the hom-set of
-candidate a1 is indexed once by the table of f2∘a1 (morphisms._table), and
-the other side of the square, a2∘f1, is looked up as a plain tuple. No
-Morphism is built to test a square; Diagram.from_arrows still checks every
-square of every diagram it is handed. Which verticals of a column pass its
+on composite tables: for a fixed arrow such as f2, the hom-set of candidate
+a1 is indexed once by the table of f2∘a1 (morphisms._table), and the other
+side of the square, a2∘f1, is looked up as a plain tuple. No Morphism is
+built to test a square; Diagram.from_arrows still checks every square of
+every diagram it is handed. Which verticals of a column pass its
 single-part test depends on the column's two modules alone, so the join
 finds them once per column and modules, and drops a row pair whose column
 beside the middle has none before it indexes anything: the same pairs are
 dropped, in the same order, as by indexing both squares and finding one
-empty. Maps forced by a square (the 3x3 quotient row, snake's outer
-verticals) are factored through the square's injection or surjection by
-morphisms.factor_through_injection and factor_through_surjection; the 3x3
-stream takes each vertical's quotient once per generator and, per middle
-row, induces f3 once per (a1, a2) and g3 once per (a2, a3).
+empty. The 3x3 quotient row's f3 and g3, forced by a square, are factored
+through the square's surjection by morphisms.factor_through_surjection; the
+3x3 stream takes each vertical's quotient once per generator and, per
+middle row, induces f3 once per (a1, a2) and g3 once per (a2, a3).
 
 Given the same spec (semiring, bound, seed) the generated corpus is
 identical run to run; the seed only shuffles the candidate order so corpora
 are not dominated by zero maps. Every shuffle is a seeded permutation
 (_permutation): a front-to-back Fisher-Yates shuffle, drawn lazily, one
-draw per index it yields, so a generator that stops after k candidates
-pays for k, not for the whole list. A pool or a product of row pools is
-shuffled once per generator; row pairs are drawn as indices into the
-product, which is never materialised. The 3x3 and snake streams shuffle
-an a2 hom-set per row; the join shuffles the middle column's hom-set once
-per modules, with the verticals it finds there, not per row pair.
+draw per index it yields, so a generator that stops after k candidates pays
+for k, not for the whole list. A pool or a product of row pools is shuffled
+once per generator; row pairs are drawn as indices into the product, which
+is never materialised. The 3x3 stream shuffles an a2 hom-set per row; the
+join shuffles the middle column's hom-set once per modules, with the
+verticals it finds there, not per row pair.
 """
 
 from __future__ import annotations
@@ -72,8 +69,8 @@ from .diagrams import _SNAKE_GATES, Diagram, clause_key, lookup
 from .enumeration import UniverseSpec, enumerate_semimodules, maps_among
 from .errors import ParameterError
 from .morphisms import (_table, bourne_quotient, classify, enumerate_hom,
-                        factor_through_injection, factor_through_surjection, image_set,
-                        is_injective, is_k_uniform, is_surjective, kernel_set)
+                        factor_through_surjection, image_set, is_injective, is_k_uniform,
+                        is_surjective, kernel_set)
 
 
 class HarnessSpec(Value):
@@ -306,6 +303,14 @@ def _gen_2x3(spec: HarnessSpec, clause):
                     guaranteed)
 
 
+def gen_snake(spec: HarnessSpec):
+    """Snake inputs that pass diagrams._SNAKE_GATES, drawn as a 2x3 clause:
+    its right exact top row and left exact bottom row choose their pools in
+    _ROW_POOLS, and the join finds alpha1 and alpha3, which f2 injective and
+    g1 surjective make unique for each alpha2, by their square tables."""
+    return _gen_2x3(spec, _SNAKE_GATES)
+
+
 def vertical_triples(spec: UniverseSpec):
     """The short-five clause's row pairs with commuting verticals over the
     universe's modules; used by the dropped-hypothesis searches."""
@@ -457,43 +462,3 @@ gen_five = _generator("five")
 gen_nine_first = _generator("nine-first")
 gen_nine_third = _generator("nine-third")
 gen_nine = _generator("nine")
-
-
-# --------------------------------------------------------- snake generation
-
-@lru_cache(maxsize=None)
-def _snake_left_rows(semiring, max_size):
-    """The first 200 rows 0 -> L2 -f2-> M2 -g2-> N2 exact at L2 and M2, the
-    exact pairs with f2 injective."""
-    return _exact_rows(semiring, max_size, injective=True)[:200]
-
-
-def _snake_squares(spec: HarnessSpec, tests):
-    """Yield snake inputs, right exact top rows over _snake_left_rows, with
-    tests[i], where it is not None, passing on the i-th part: only alpha2 is
-    enumerated; alpha1 and alpha3 are derived from it through the squares,
-    factored through the injective f2 and the surjective g1."""
-    s, n, seed = spec.semiring, spec.max_size, spec.seed
-    rows_ok, (a1_test, a2_test, a3_test) = _joint(tests[:4]), tests[4:]
-    for (f1, g1), (f2, g2) in _shuffled_pairs(_exact_rows(s, n, surjective=True),
-                                              _snake_left_rows(s, n), seed, "snake"):
-        if not rows_ok((f1, g1, f2, g2)):
-            continue
-        for a2 in _shuffled(enumerate_hom(f1.codomain, f2.codomain), seed, "snake.a2"):
-            if not _passes(a2_test, a2):
-                continue
-            a1 = factor_through_injection(f2, _table(a2, f1), f1.domain,
-                                          f"a1[{f1.domain.name}->{f2.domain.name}]")
-            if a1 is None or not _passes(a1_test, a1):
-                continue
-            a3 = factor_through_surjection(g1, _table(g2, a2), g2.codomain,
-                                           f"a3[{g1.codomain.name}->{g2.codomain.name}]")
-            if a3 is not None and _passes(a3_test, a3):
-                yield f1, g1, f2, g2, a1, a2, a3
-
-
-def gen_snake(spec: HarnessSpec):
-    """Snake inputs that pass diagrams._SNAKE_GATES; the row pools guarantee
-    the gates that choose a row pool in _ROW_POOLS."""
-    return _collect(spec, _SNAKE_GATES, partial(_snake_squares, spec),
-                    _SNAKE_GATES.ids & _ROW_POOLS.keys())

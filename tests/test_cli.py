@@ -11,6 +11,8 @@ import pytest
 from semiexact.cli import COMMANDS, build_parser, main
 from semiexact.diagrams import CLAUSES
 from semiexact.catalog import PROPERTIES
+from semiexact.core import make_boolean
+from semiexact.fixtures import builtin_semirings
 
 DEMO = "fixtures/demo.sx"
 
@@ -443,6 +445,22 @@ def test_bad_integers_are_located(line, text, problem, tmp_path, capsys):
     assert_small_problem(line, text, problem, tmp_path, capsys)
 
 
+@pytest.mark.parametrize("line, text, problem", [
+    (1, "semiring B size=0", "1: structural: semiring B: size must be >= 1"),
+    (2, "  add: 0,1; 1,1\n  one: 2", "1: structural: semiring B: constant 2 out of range"),
+    (5, "module M over=B size=0", "5: structural: module M: size must be >= 1"),
+    (7, "  action: 0,0; 0,1\n  zero: 2", "5: structural: module M: zero 2 out of range"),
+    (13, "module N over=B size=1\n  add: 0\n  action: 0,0\nend\n"
+         "morphism g from=N to=N map=0\nend\nsequence s arrows=f,g",
+     "19: structural: sequence s: f and g do not chain"),
+], ids=["semiring-size", "semiring-constant", "module-size", "module-zero", "sequence-chain"])
+def test_structure_checks_are_located(line, text, problem, tmp_path, capsys):
+    """A semiring or module whose size or constants are out of range, and a
+    sequence whose arrows do not chain, is a structural problem at the
+    block's header."""
+    assert_small_problem(line, text, problem, tmp_path, capsys)
+
+
 def test_lemma_verified(capsys, tmp_path):
     text = """semiring Z2 size=2
   add: 0,1; 1,0
@@ -508,6 +526,52 @@ def test_corpus_round_trip(tmp_path):
     ws = parse_files([out])
     assert parse(serialize(ws)) == ws
     assert len(ws.modules) >= 3
+
+
+def test_corpus_without_a_path_writes_the_workspace_to_stdout(tmp_path, capsys):
+    """corpus S with no --corpus writes to stdout the bytes that --corpus
+    writes to its file."""
+    out = tmp_path / "corpus.sx"
+    assert run(["corpus", "B", "--max-size", "3", "--corpus", str(out), "--quiet"]) == 0
+    capsys.readouterr()
+    assert run(["corpus", "B", "--max-size", "3", "--quiet"]) == 0
+    assert capsys.readouterr().out.encode("utf-8") == out.read_bytes()
+
+
+def test_corpus_unknown_semiring_exits_2(capsys):
+    assert run(["corpus", "nosuch", "--max-size", "2", "--quiet"]) == 2
+    assert ("error: no semiring named 'nosuch'; builtins: "
+            + ", ".join(sorted(builtin_semirings())) + ", nat<k>\n") in capsys.readouterr().err
+
+
+def test_snake_reports_the_clauses_that_do_not_apply(tmp_path, capsys):
+    """snake on a B@4 snake input whose f1 is not cancellative: the
+    kernel-row clause does not apply, and is reported as such and skipped,
+    as is every other clause whose hypotheses fail."""
+    from semiexact.diagrams import snake
+    from semiexact.harness import HarnessSpec, gen_snake
+    from semiexact.workspace import Workspace, serialize
+
+    d = next(d for d in gen_snake(HarnessSpec(make_boolean(), 4, seed=0, quota=40))
+             if snake(d).cert_kernel_row is None)
+    result = snake(d)
+    ws = Workspace()
+    ws.semirings["B"] = make_boolean()
+    for a in d.parts():
+        ws.modules.update({a.domain.name: a.domain, a.codomain.name: a.codomain})
+    ws.morphisms.update({f"m{i}": a for i, a in enumerate(dict.fromkeys(d.parts()))})
+    ws.diagrams["D"] = d
+    path, report = tmp_path / "snake.sx", tmp_path / "r.txt"
+    path.write_text(serialize(ws), encoding="utf-8")
+    assert run(["snake", "D", str(path), "--report", str(report)]) == 0
+    out, lines = capsys.readouterr().out, report.read_text(encoding="utf-8").splitlines()
+    for label, cert in (("kernel-row", result.cert_kernel_row),
+                        ("cokernel-row", result.cert_cokernel_row),
+                        ("four-term", result.cert_four_term)):
+        skipped = cert is None
+        assert (f"snake.{label}.applicable|false|-|0" in lines) == skipped, label
+        assert (f"  {label}: hypotheses not applicable, skipped\n" in out) == skipped, label
+    assert out.endswith("verified\n")
 
 
 def test_console_entry_point(src_env):

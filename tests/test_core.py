@@ -356,6 +356,21 @@ def test_subsemimodule_validation(max3):
         Subsemimodule(module_from_monoid(((0, 1, 2), (1, 2, 2), (2, 2, 2)), "w"), (0, 1))
 
 
+def test_members_elements_and_bounds_are_refused(max3):
+    """An empty member list; members closed under + but not under the action
+    ({0, 1} in minplus1 over itself); an element index past the carrier; and
+    monoid_semiring(0): each refused with its own message."""
+    with pytest.raises(StructureError, match=r"^subsemimodule of max3: empty member list$"):
+        Subsemimodule(max3, ())
+    with pytest.raises(StructureError, match=r"^subsemimodule of minplus1: not closed under "
+                                             r"action \(1\.2=2\)$"):
+        Subsemimodule(self_module(make_truncated_minplus(1)), (0, 1))
+    with pytest.raises(StructureError, match=r"^element 3 out of range in max3$"):
+        Element(max3, 3)
+    with pytest.raises(ParameterError, match=r"^monoid_semiring: max_size must be >= 1$"):
+        monoid_semiring(0)
+
+
 def test_natural_action_refuses_non_generated():
     mp = make_truncated_minplus(2)
     assert natural_action(mp, ((0, 1), (1, 1))) is None

@@ -690,6 +690,12 @@ def test_search_unknown_property():
         search_counterexample("no-such-property", UniverseSpec(make_boolean(), 2))
 
 
+def test_replay_unknown_property():
+    cx = Counterexample("no-such-property", (), "none", UniverseSpec(make_boolean(), 2))
+    with pytest.raises(ParameterError, match=r"^unknown property id 'no-such-property'$"):
+        replay_counterexample(cx)
+
+
 def test_abelian_oracle_rejects_non_groups(sat3, chain2):
     from semiexact.morphisms import identity_morphism, zero_morphism
     from semiexact.core import zero_module

@@ -152,6 +152,11 @@ def test_short_exact_shape_error(max3):
         is_short_exact(Sequence("s", (identity_morphism(max3),)))
 
 
+def test_sequence_needs_an_arrow():
+    with pytest.raises(StructureError, match=r"^sequence s: needs at least one arrow$"):
+        Sequence("s", ())
+
+
 def test_short_exact_ends_uniform(nat3_universe):
     z = zero_module(nat3_universe[0].semiring)
     for M in nat3_universe:

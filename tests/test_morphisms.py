@@ -280,6 +280,25 @@ def test_induced_preconditions(max3):
         induced_from_cokernel(ident, ident)
 
 
+def test_arrows_that_do_not_meet_are_refused(max3):
+    """compose, induced_to_kernel and induced_from_cokernel refuse arrows
+    that do not compose, and enumerate_hom modules over different
+    semirings (max3 is over N4_12), each with its own message."""
+    z2 = self_module(make_zmod(2))
+    f, g = identity_morphism(max3), identity_morphism(z2)
+    with pytest.raises(PreconditionError,
+                       match=r"^cannot compose id\[Z2\] after id\[max3\]: objects differ$"):
+        compose(g, f)
+    with pytest.raises(PreconditionError, match=r"^induced_to_kernel: f and g do not compose$"):
+        induced_to_kernel(f, g)
+    with pytest.raises(PreconditionError,
+                       match=r"^induced_from_cokernel: f and g do not compose$"):
+        induced_from_cokernel(f, g)
+    with pytest.raises(PreconditionError,
+                       match=r"^enumerate_hom: modules over different semirings$"):
+        enumerate_hom(max3, z2)
+
+
 def test_enumerate_hom_examples(chain2, max3):
     z2 = self_module(make_zmod(2))
     assert len(enumerate_hom(z2, z2)) == 2

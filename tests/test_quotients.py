@@ -3,7 +3,8 @@
 import pytest
 
 from semiexact.core import (Semimodule, Subsemimodule, all_subsemimodules,
-                            is_cancellative_module, is_subtractive, make_boolean, make_zmod,
+                            is_cancellative_module, is_subtractive, make_boolean,
+                            make_truncated_minplus, make_zmod,
                             self_module, subtractive_closure, subtractive_closure_set,
                             validate_semimodule)
 from semiexact.errors import StructureError
@@ -43,6 +44,17 @@ def test_congruence_rejects_incompatible(max3):
     # (identity always is); use a partition that merges 0,2 but not 1
     with pytest.raises(StructureError):
         Congruence(max3, (0, 1, 0))
+
+
+def test_congruence_checks_its_length_and_the_action(max3):
+    """A partition of the wrong length is refused, and so is {0, 3}{1, 2} on
+    minplus2 over itself, which is compatible with + but not with the
+    action."""
+    with pytest.raises(StructureError, match=r"^congruence on max3: wrong partition length$"):
+        Congruence(max3, (0, 0))
+    with pytest.raises(StructureError, match=r"^congruence on minplus2: not compatible with "
+                                             r"action \(a=1,b=2,s=2\)$"):
+        Congruence(self_module(make_truncated_minplus(2)), (0, 1, 1, 0))
 
 
 def test_congruence_checks_addition_on_both_sides():
